@@ -32,7 +32,7 @@ from .attack import (
 from .curve import Curve, GroupSpec, Point, find_prime_order_curve
 from .dlp import solve_bsgs, solve_exhaustive_dlp
 from .errors import BudgetExceededError, InvariantViolationError
-from .field import FieldElement, PrimeField, is_prime
+from .field import PrimeField, is_prime
 from .linalg import KernelBasis, MatrixFq, eliminate_block, left_kernel, rref, right_kernel
 from .problem_l import (
     ProblemLInstance,

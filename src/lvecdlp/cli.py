@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -156,6 +157,18 @@ def _config_echo(group: GroupSpec, keys_values: dict) -> dict:
     return echo
 
 
+def check_writable(path: str) -> None:
+    """Reject an output path that cannot be written, before any work is done."""
+    target = Path(path)
+    parent = target.parent
+    if not parent.is_dir():
+        raise ValueError(f"cannot write {path}: directory {parent} does not exist")
+    if target.is_dir():
+        raise ValueError(f"cannot write {path}: it is a directory")
+    if not os.access(target if target.exists() else parent, os.W_OK):
+        raise ValueError(f"cannot write {path}: permission denied")
+
+
 def write_json(path: str, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
@@ -186,6 +199,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         accident_check=accident_check,
         enumeration_budget=enum_budget,
     )
+    for path in (manifest_path, log_path):
+        if path:
+            check_writable(path)
 
     log_handle = open(log_path, "w") if log_path else None
     try:
@@ -270,6 +286,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     timing = settings.get_bool("timing", default=False)
     csv_path = settings.get_str("csv", default="experiment.csv")
     json_path = settings.get_str("json", default="experiment.json")
+    check_writable(csv_path)
+    check_writable(json_path)
 
     p = group.order
     rows = [CSV_HEADER]
@@ -350,6 +368,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    for path in (args.report_csv, args.report_json):
+        if path:
+            check_writable(path)
     reports = run_suites(args.suite, seed=args.seed, scale=args.scale)
     width = max(len(report.name) for report in reports)
     failed = False

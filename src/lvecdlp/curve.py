@@ -3,7 +3,8 @@
 Curves are y^2 z = x^3 + a x z^2 + b z^3 over F_q with q >= 5.  Points are
 kept in one of exactly two normal forms: affine (x : y : 1) or the identity
 (0 : 1 : 0), so that equal points compare equal and monomial rows built from
-them are unique per point.
+them are unique per point.  The group law itself runs on plain ints in
+[0, q); a Point is built only for the result.
 """
 
 from __future__ import annotations
@@ -90,37 +91,50 @@ class Curve:
             return pt
         return Point.affine(pt.x, -pt.y % self.q)
 
+    def _add_xy(self, x1: int, y1: int, x2: int, y2: int) -> tuple[int, int] | None:
+        """Chord-tangent sum of two affine points given as residues in [0, q).
+
+        Returns the affine sum as an (x, y) pair, or None for the identity.
+        """
+        q = self.field.p
+        if x1 == x2:
+            if (y1 + y2) % q == 0:
+                return None
+            slope = (3 * x1 * x1 + self.a) * pow(2 * y1, -1, q) % q
+        else:
+            slope = (y2 - y1) * pow(x2 - x1, -1, q) % q
+        x3 = (slope * slope - x1 - x2) % q
+        return x3, (slope * (x1 - x3) - y1) % q
+
     def add(self, lhs: Point, rhs: Point) -> Point:
         """Chord-tangent group law with identity (0 : 1 : 0)."""
         if lhs.is_identity:
             return rhs
         if rhs.is_identity:
             return lhs
-        f = self.field
-        x1, y1 = f.elem(lhs.x), f.elem(lhs.y)
-        x2, y2 = f.elem(rhs.x), f.elem(rhs.y)
-        if x1 == x2 and (y1 + y2).value == 0:
-            return Point.identity()
-        if lhs == rhs:
-            slope = (f.elem(3) * x1 * x1 + f.elem(self.a)) / (f.elem(2) * y1)
-        else:
-            slope = (y2 - y1) / (x2 - x1)
-        x3 = slope * slope - x1 - x2
-        y3 = slope * (x1 - x3) - y1
-        return Point.affine(x3.value, y3.value)
+        xy = self._add_xy(lhs.x, lhs.y, rhs.x, rhs.y)
+        return Point.identity() if xy is None else Point.affine(*xy)
 
     def scalar_mul(self, k: int, pt: Point) -> Point:
         """k-fold sum by double-and-add, k >= 0."""
         if k < 0:
             raise ValueError("scalar must be non-negative; reduce mod the group order first")
-        acc = Point.identity()
-        step = pt
-        while k:
+        if pt.is_identity:
+            return pt
+        add = self._add_xy
+        acc = None
+        sx, sy = pt.x, pt.y
+        while True:
             if k & 1:
-                acc = self.add(acc, step)
-            step = self.add(step, step)
+                acc = (sx, sy) if acc is None else add(acc[0], acc[1], sx, sy)
             k >>= 1
-        return acc
+            if not k:
+                break
+            step = add(sx, sy, sx, sy)
+            if step is None:
+                break
+            sx, sy = step
+        return Point.identity() if acc is None else Point.affine(*acc)
 
     def group_order(self, max_field: int = DEFAULT_ENUMERATION_LIMIT) -> int:
         """Number of rational points including the identity, by exhaustive x-sweep.
@@ -146,13 +160,25 @@ class Curve:
         q = self.q
         if q > max_field:
             raise BudgetExceededError(f"point enumeration limited to q <= {max_field}, got q = {q}")
-        out = [Point.identity()]
+        return [Point.identity()] + [Point.affine(x, y) for x, y in self._affine_xy()]
+
+    def _affine_xy(self):
+        """Affine points as (x, y) pairs, x ascending and then y ascending.
+
+        One pass builds the table of square roots, so the sweep is O(q).
+        """
+        q = self.q
+        # root[s] is the smaller square root of s, or None for a non-residue.
+        root: list[int | None] = [None] * q
+        for y in range((q + 1) // 2):
+            root[y * y % q] = y
         for x in range(q):
-            rhs = (x * x * x + self.a * x + self.b) % q
-            for y in range(q):
-                if y * y % q == rhs:
-                    out.append(Point.affine(x, y))
-        return out
+            y = root[(x * x * x + self.a * x + self.b) % q]
+            if y is None:
+                continue
+            yield x, y
+            if y:
+                yield x, q - y
 
 
 @dataclass(frozen=True)
@@ -175,9 +201,6 @@ class GroupSpec:
 
     def scalar_mul(self, r: int) -> Point:
         return self.curve.scalar_mul(r % self.order, self.generator)
-
-    def element(self, r: int) -> Point:
-        return self.scalar_mul(r)
 
 
 def find_prime_order_curve(
@@ -212,13 +235,9 @@ def find_prime_order_curve(
 
 
 def _first_affine_point(curve: Curve) -> Point:
-    q = curve.q
-    for x in range(q):
-        rhs = (x * x * x + curve.a * x + curve.b) % q
-        for y in range(q):
-            if y * y % q == rhs:
-                return Point.affine(x, y)
-    raise BudgetExceededError(f"curve over F_{q} has no affine points")
+    for x, y in curve._affine_xy():
+        return Point.affine(x, y)
+    raise BudgetExceededError(f"curve over F_{curve.q} has no affine points")
 
 
 def point_to_text(pt: Point) -> str:

@@ -1,4 +1,7 @@
-"""Exact arithmetic in prime fields F_p with deterministic primality validation."""
+"""Validated prime moduli for F_p and a deterministic primality test.
+
+Field arithmetic itself is done on plain ints in [0, p) by the callers.
+"""
 
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """A prime modulus together with the element factory for F_p.
+    """A validated prime modulus p for F_p.
 
     Moduli are runtime values so one process can work over many fields.
     The modulus must fit in 64 bits; everything this package ships is desk
@@ -57,66 +60,6 @@ class PrimeField:
         if not is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 
-    def elem(self, value: int) -> FieldElement:
-        """Canonical element with residue in [0, p)."""
-        return FieldElement(value % self.p, self)
-
-    @property
-    def zero(self) -> FieldElement:
-        return FieldElement(0, self)
-
-    @property
-    def one(self) -> FieldElement:
-        return FieldElement(1, self)
-
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
 
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Immutable residue in [0, p).  Mixed-modulus arithmetic is rejected."""
-
-    value: int
-    field: PrimeField
-
-    def _check(self, other: FieldElement) -> int:
-        if self.field.p != other.field.p:
-            raise ValueError(f"modulus mismatch: {self.field.p} vs {other.field.p}")
-        return self.field.p
-
-    def __add__(self, other: FieldElement) -> FieldElement:
-        p = self._check(other)
-        return FieldElement((self.value + other.value) % p, self.field)
-
-    def __sub__(self, other: FieldElement) -> FieldElement:
-        p = self._check(other)
-        return FieldElement((self.value - other.value) % p, self.field)
-
-    def __mul__(self, other: FieldElement) -> FieldElement:
-        p = self._check(other)
-        return FieldElement(self.value * other.value % p, self.field)
-
-    def __neg__(self) -> FieldElement:
-        return FieldElement(-self.value % self.field.p, self.field)
-
-    def inv(self) -> FieldElement:
-        if self.value == 0:
-            raise ZeroDivisionError(f"0 has no inverse mod {self.field.p}")
-        return FieldElement(pow(self.value, -1, self.field.p), self.field)
-
-    def __truediv__(self, other: FieldElement) -> FieldElement:
-        self._check(other)
-        return self * other.inv()
-
-    def __pow__(self, exponent: int) -> FieldElement:
-        return FieldElement(pow(self.value, exponent, self.field.p), self.field)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"{self.value} mod {self.field.p}"

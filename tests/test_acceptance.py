@@ -5,11 +5,16 @@ The medium fixture is the order-907 group over F_853 (matched to
 C(12, 6) = 924); the small fixture is the order-19 group over F_17.
 """
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
+import lvecdlp
 from lvecdlp.analysis import audit_partition_counts, success_model
 from lvecdlp.attack import (
     AttackConfig,
@@ -231,27 +236,29 @@ def test_ac7_partition_audit():
     assert ok
 
 
+AC8_SOLVE_ARGS = [
+    "solve",
+    "--q", "853", "--a", "1", "--b", "348", "--gx", "1", "--gy", "297", "--order", "907",
+    "--qx", "707", "--qy", "631",
+    "--nprime", "2", "--solver", "exhaustive", "--seed", "11",
+]
+AC8_EXPERIMENT_ARGS = [
+    "experiment",
+    "--q", "17", "--a", "2", "--b", "2", "--gx", "5", "--gy", "1", "--order", "19",
+    "--nprime", "1", "--solver", "exhaustive", "--trials", "30", "--seed", "12",
+]
+
+
 def test_ac8_byte_determinism(tmp_path):
-    solve_args = [
-        "solve",
-        "--q", "853", "--a", "1", "--b", "348", "--gx", "1", "--gy", "297", "--order", "907",
-        "--qx", "707", "--qy", "631",
-        "--nprime", "2", "--solver", "exhaustive", "--seed", "11",
-    ]
     m1, m2 = tmp_path / "m1.json", tmp_path / "m2.json"
-    assert cli_main([*solve_args, "--manifest", str(m1)]) == 0
-    assert cli_main([*solve_args, "--manifest", str(m2)]) == 0
+    assert cli_main([*AC8_SOLVE_ARGS, "--manifest", str(m1)]) == 0
+    assert cli_main([*AC8_SOLVE_ARGS, "--manifest", str(m2)]) == 0
     solve_identical = m1.read_bytes() == m2.read_bytes()
 
-    exp_args = [
-        "experiment",
-        "--q", "17", "--a", "2", "--b", "2", "--gx", "5", "--gy", "1", "--order", "19",
-        "--nprime", "1", "--solver", "exhaustive", "--trials", "30", "--seed", "12",
-    ]
     c1, j1 = tmp_path / "e1.csv", tmp_path / "e1.json"
     c2, j2 = tmp_path / "e2.csv", tmp_path / "e2.json"
-    assert cli_main([*exp_args, "--csv", str(c1), "--json", str(j1)]) == 0
-    assert cli_main([*exp_args, "--csv", str(c2), "--json", str(j2)]) == 0
+    assert cli_main([*AC8_EXPERIMENT_ARGS, "--csv", str(c1), "--json", str(j1)]) == 0
+    assert cli_main([*AC8_EXPERIMENT_ARGS, "--csv", str(c2), "--json", str(j2)]) == 0
     experiment_identical = c1.read_bytes() == c2.read_bytes() and j1.read_bytes() == j2.read_bytes()
 
     ok = solve_identical and experiment_identical
@@ -260,4 +267,29 @@ def test_ac8_byte_determinism(tmp_path):
         ok,
         f"solve manifests identical: {solve_identical}; experiment csv+json identical: {experiment_identical}",
     )
+    assert ok
+
+
+def test_ac8_byte_determinism_across_hash_seeds(tmp_path):
+    """The AC-8 runs in fresh processes with different string-hash seeds give the same bytes."""
+    src = str(Path(lvecdlp.__file__).resolve().parents[1])
+    outputs = {}
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / hash_seed
+        out.mkdir()
+        files = (out / "m.json", out / "e.csv", out / "e.json")
+        runs = (
+            [*AC8_SOLVE_ARGS, "--manifest", str(files[0])],
+            [*AC8_EXPERIMENT_ARGS, "--csv", str(files[1]), "--json", str(files[2])],
+        )
+        for argv in runs:
+            done = subprocess.run(
+                [sys.executable, "-m", "lvecdlp.cli", *argv], env=env, capture_output=True, text=True
+            )
+            assert done.returncode == 0, done.stderr
+        outputs[hash_seed] = [path.read_bytes() for path in files]
+    ok = outputs["0"] == outputs["1"]
+    report("AC-8 across processes", ok, f"manifest, csv and json identical for PYTHONHASHSEED 0 and 1: {ok}")
     assert ok

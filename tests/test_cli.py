@@ -194,3 +194,52 @@ def test_dlp_command(capsys):
     assert "m = 7" in capsys.readouterr().out
     assert main(["dlp", *P19, "--qx", "0", "--qy", "6", "--method", "exhaustive"]) == EXIT_OK
     assert "m = 7" in capsys.readouterr().out
+
+
+def _forbid(monkeypatch, name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} ran although an output path is unwritable")
+
+    monkeypatch.setattr(f"lvecdlp.cli.{name}", fail)
+
+
+@pytest.mark.parametrize("flag", ["--manifest", "--log"])
+def test_solve_unwritable_output_rejected_before_attack(tmp_path, capsys, monkeypatch, flag):
+    _forbid(monkeypatch, "run_attack")
+    bad = tmp_path / "missing" / "out.json"
+    argv = ["solve", *P19, "--qx", "0", "--qy", "6", "--manifest", str(tmp_path / "m.json"), flag, str(bad)]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    assert "Traceback" not in err
+    assert not bad.parent.exists()
+
+
+@pytest.mark.parametrize("flag", ["--csv", "--json"])
+def test_experiment_unwritable_output_rejected_before_trials(tmp_path, capsys, monkeypatch, flag):
+    _forbid(monkeypatch, "execute_iteration")
+    bad = tmp_path / "missing" / "out"
+    outputs = ["--csv", str(tmp_path / "e.csv"), "--json", str(tmp_path / "e.json")]
+    argv = ["experiment", *P19, "--trials", "3", *outputs, flag, str(bad)]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "e.csv").exists() and not (tmp_path / "e.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--report-csv", "--report-json"])
+def test_verify_unwritable_report_rejected_before_suites(tmp_path, capsys, monkeypatch, flag):
+    _forbid(monkeypatch, "run_suites")
+    bad = tmp_path / "missing" / "audit"
+    assert main(["verify", "--suite", "partitions", flag, str(bad)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    assert "Traceback" not in err
+
+
+def test_output_directory_as_path_rejected(tmp_path, capsys, monkeypatch):
+    _forbid(monkeypatch, "run_attack")
+    argv = ["solve", *P19, "--qx", "0", "--qy", "6", "--manifest", str(tmp_path)]
+    assert main(argv) == EXIT_VALIDATION
+    assert str(tmp_path) in capsys.readouterr().err

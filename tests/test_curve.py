@@ -8,6 +8,8 @@ from lvecdlp.errors import BudgetExceededError
 from lvecdlp.field import PrimeField
 from lvecdlp.linalg import row_rank
 from lvecdlp.veronese import basis, evaluate_row
+from lvecdlp.verification import fixture_medium
+from reference_curve import reference_add, reference_scalar_mul
 
 
 def chord_oracle(curve, a, b):
@@ -211,3 +213,89 @@ def test_text_round_trip(curve17):
     assert point_to_text(Point.identity()) == "O"
     with pytest.raises(ValueError):
         point_from_text("5", curve17)
+
+
+def test_add_matches_reference_on_every_pair(curve17):
+    """Every ordered pair of the order-19 group, identity, P + (-P) and P + P included."""
+    points = curve17.points()
+    assert len(points) == 19
+    for lhs in points:
+        for rhs in points:
+            assert curve17.add(lhs, rhs) == reference_add(curve17, lhs, rhs), (lhs, rhs)
+
+
+def test_arithmetic_matches_reference_with_two_torsion():
+    """Small curves, some with points y = 0 whose doubling is the identity."""
+    doubled_two_torsion = 0
+    for q in (5, 7, 11):
+        field = PrimeField(q)
+        for a in range(q):
+            for b in range(q):
+                if (4 * a**3 + 27 * b**2) % q == 0:
+                    continue
+                curve = Curve(field, a, b)
+                points = curve.points()
+                for lhs in points:
+                    for rhs in points:
+                        assert curve.add(lhs, rhs) == reference_add(curve, lhs, rhs), (curve, lhs, rhs)
+                    for k in range(len(points) + 2):
+                        assert curve.scalar_mul(k, lhs) == reference_scalar_mul(curve, k, lhs), (curve, k, lhs)
+                    if not lhs.is_identity and lhs.y == 0:
+                        assert curve.add(lhs, lhs).is_identity
+                        doubled_two_torsion += 1
+    assert doubled_two_torsion > 0
+    seven = Curve(PrimeField(7), 0, 1)
+    two_torsion = [pt for pt in seven.points() if not pt.is_identity and pt.y == 0]
+    assert len(two_torsion) == 3
+    for pt in two_torsion:
+        assert seven.scalar_mul(2, pt).is_identity
+        assert seven.scalar_mul(3, pt) == pt
+
+
+def test_scalar_mul_matches_reference_p907(group_p907):
+    curve, gen, p = group_p907.curve, group_p907.generator, group_p907.order
+    rng = random.Random(907)
+    scalars = [0, 1, p - 1, p] + [rng.randrange(4 * p) for _ in range(2000)]
+    for k in scalars:
+        assert curve.scalar_mul(k, gen) == reference_scalar_mul(curve, k, gen), k
+    with pytest.raises(ValueError):
+        curve.scalar_mul(-1, gen)
+
+
+def test_chord_law_on_integer_results(group_p907):
+    """Degree-1 interpolation law on points produced by the integer arithmetic."""
+    curve, p, q = group_p907.curve, group_p907.order, group_p907.curve.q
+    mb = basis(1)
+    rng = random.Random(23)
+    for _ in range(300):
+        a, b = rng.randrange(1, p), rng.randrange(1, p)
+        if a == b or (a + b) % p == 0:
+            continue
+        pa, pb = group_p907.scalar_mul(a), group_p907.scalar_mul(b)
+        pc = group_p907.scalar_mul((-a - b) % p)
+        assert curve.add(pa, pb) == curve.negate(pc)
+        assert curve.add(curve.add(pa, pb), pc).is_identity
+        rows = [evaluate_row(mb, pt, q) for pt in (pa, pb, pc)]
+        assert row_rank(rows, q) < 3
+
+
+def test_points_enumeration_order():
+    """Identity first, then x ascending and, for each x, y ascending."""
+    rng = random.Random(5)
+    for _ in range(10):
+        q = rng.choice([5, 7, 11, 13, 17, 19, 23])
+        a, b = rng.randrange(q), rng.randrange(q)
+        if (4 * a**3 + 27 * b**2) % q == 0:
+            continue
+        curve = Curve(PrimeField(q), a, b)
+        expected = [Point.identity()] + [
+            Point.affine(x, y) for x in range(q) for y in range(q) if (y * y - x**3 - a * x - b) % q == 0
+        ]
+        assert curve.points() == expected
+
+
+def test_find_prime_order_curve_reproduces_medium_fixture():
+    group = find_prime_order_curve(PrimeField(853), 907, 907)
+    assert group == fixture_medium()
+    assert (group.curve.a, group.curve.b) == (1, 348)
+    assert group.generator == Point.affine(1, 297)
