@@ -7,12 +7,12 @@ the heuristic estimate.  Also re-checks soundness of every returned vector.
 """
 
 import argparse
-import random
 import time
 
-from lvecdlp.attack import AttackConfig, sample_iteration
+from lvecdlp.analysis import success_model
+from lvecdlp.attack import planted_trials, sample_iteration
 from lvecdlp.linalg import in_row_space, left_kernel
-from lvecdlp.problem_l import ProblemLInstance, conditional_success_estimate, solve_alg2, solve_exhaustive
+from lvecdlp.problem_l import ProblemLInstance, solve_alg2, solve_exhaustive
 from lvecdlp.verification import fixture_medium
 
 
@@ -26,44 +26,33 @@ def main():
     group = fixture_medium()
     p = group.order
     l = 3 * args.nprime
-    heuristic = conditional_success_estimate(args.nprime, l)
+    heuristic = success_model(p, args.nprime, l).alg2_conditional
 
     started = time.perf_counter()
     solvable = 0
     finds = 0
     unsound = 0
-    trial = 0
-    while solvable < args.instances:
-        trial += 1
-        m = random.Random(f"{args.seed}:m:{trial}").randrange(1, p)
-        cfg = AttackConfig(
-            group=group,
-            target=group.scalar_mul(m),
-            n_prime=args.nprime,
-            solver="exhaustive",
-            seed=args.seed,
-            accident_check=False,
-            max_iterations=1,
-        )
-        sample = sample_iteration(cfg, trial)
-        kernel = left_kernel(sample.matrix)
+    for trial in planted_trials(group, seed=args.seed, n_prime=args.nprime):
+        kernel = left_kernel(sample_iteration(trial.cfg, trial.index).matrix)
         instance = ProblemLInstance(kernel, l)
-        if solve_exhaustive(instance) is None:
+        # A decoded logarithm already proves the instance solvable.
+        if trial.record.m is None and solve_exhaustive(instance) is None:
             continue
         solvable += 1
         candidate = solve_alg2(instance)
-        if candidate is None:
-            continue
-        finds += 1
-        sound = len(candidate.zero_positions) >= l and in_row_space(
-            kernel.vectors, candidate.vector, kernel.p
-        )
-        unsound += not sound
+        if candidate is not None:
+            finds += 1
+            sound = len(candidate.zero_positions) >= l and in_row_space(
+                kernel.vectors, candidate.vector, kernel.p
+            )
+            unsound += not sound
+        if solvable >= args.instances:
+            break
     elapsed = time.perf_counter() - started
 
     conditional = finds / solvable
     print(f"group order {p}, nprime {args.nprime}, l {l}")
-    print(f"solvable instances: {solvable} (from {trial} iterations)")
+    print(f"solvable instances: {solvable} (from {trial.index} iterations)")
     print(f"block solver finds: {finds} (conditional {conditional:.4f})")
     print(f"heuristic l^2/C: {float(heuristic):.4f} ({heuristic.numerator}/{heuristic.denominator})")
     if conditional > 0:

@@ -7,31 +7,12 @@ trials with the exhaustive solver and prints observed rate, the model value
 """
 
 import argparse
-import random
 import time
+from itertools import islice
 
 from lvecdlp.analysis import binomial_confidence_interval, success_model
-from lvecdlp.attack import AttackConfig, execute_iteration
+from lvecdlp.attack import planted_trials
 from lvecdlp.verification import fixture_medium, fixture_small
-
-
-def run_cell(group, n_prime, trials, seed):
-    p = group.order
-    successes = 0
-    for trial in range(1, trials + 1):
-        m = random.Random(f"{seed}:m:{trial}").randrange(1, p)
-        cfg = AttackConfig(
-            group=group,
-            target=group.scalar_mul(m),
-            n_prime=n_prime,
-            solver="exhaustive",
-            seed=seed,
-            accident_check=False,
-            max_iterations=1,
-        )
-        record = execute_iteration(cfg, trial)
-        successes += record.m is not None
-    return successes
 
 
 def main():
@@ -49,7 +30,8 @@ def main():
     for group, n_prime in cells:
         model = success_model(group.order, n_prime, 3 * n_prime)
         started = time.perf_counter()
-        successes = run_cell(group, n_prime, args.trials, args.seed)
+        stream = planted_trials(group, seed=args.seed, n_prime=n_prime)
+        successes = sum(t.record.m is not None for t in islice(stream, args.trials))
         elapsed = time.perf_counter() - started
         rate = successes / args.trials
         low, high = binomial_confidence_interval(successes, args.trials)

@@ -23,21 +23,21 @@ from .attack import (
     IterationRecord,
     IterationSample,
     SOLVER_CHOICES,
+    Trial,
     decode_solution,
     detect_accident,
+    planted_trials,
     run_attack,
     sample_iteration,
-    subset_sum_oracle,
 )
 from .curve import Curve, GroupSpec, Point, find_prime_order_curve
 from .dlp import solve_bsgs, solve_exhaustive_dlp
 from .errors import BudgetExceededError, InvariantViolationError
 from .field import PrimeField, is_prime
-from .linalg import KernelBasis, MatrixFq, eliminate_block, left_kernel, rref, right_kernel
+from .linalg import KernelBasis, MatrixFq, eliminate_block, left_kernel
 from .problem_l import (
     ProblemLInstance,
     ZeroPatternSolution,
-    conditional_success_estimate,
     solve_alg2,
     solve_exhaustive,
 )

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
-from math import ceil, comb
-from typing import Callable, Optional
+from itertools import count
+from math import ceil
+from typing import Callable, Iterator, Optional
 
 from .analysis import success_model
 from .curve import GroupSpec, Point
-from .errors import BudgetExceededError, InvariantViolationError
+from .errors import InvariantViolationError
 from .linalg import MatrixFq, left_kernel
 from .problem_l import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -330,35 +330,49 @@ def run_attack(cfg: AttackConfig, on_record: Optional[Callable[[IterationRecord]
     )
 
 
-def subset_sum_oracle(
-    multipliers_p: tuple[int, ...] | list[int],
-    multipliers_q: tuple[int, ...] | list[int],
-    m_true: int,
-    p: int,
-    budget: int = 2_000_000,
-) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """Ground-truth check used only by harnesses that know the logarithm.
+@dataclass(frozen=True)
+class Trial:
+    """One independent single-iteration trial on a planted target m * generator."""
 
-    Scans all 3n'-subsets of the row slots (generator slots contribute +r,
-    target slots contribute -m * r') for one that sums to 0 mod p, touches
-    both blocks, and has nonzero target-block sum.  Returns the first witness
-    subset of row indices, in lexicographic order.
+    index: int
+    m: int
+    cfg: AttackConfig
+    record: IterationRecord
+
+
+def planted_trials(
+    group: GroupSpec,
+    *,
+    seed: int,
+    fixed_m: Optional[int] = None,
+    n_prime: int = 1,
+    l: Optional[int] = None,
+    solver: str = SOLVER_EXHAUSTIVE,
+    accident_check: bool = False,
+    enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
+) -> Iterator[Trial]:
+    """Endless stream of independent trials 1, 2, ...; take a prefix with islice.
+
+    Trial t plants m, drawn from the named substream "{seed}:m:{t}" or given
+    as fixed_m (yielded as given, unreduced), and runs iteration t of a
+    single-iteration attack on m * generator.  A recovered logarithm that
+    differs from the planted one raises InvariantViolationError.
     """
-    if m_true % p == 0:
-        raise ValueError("m_true must be nonzero mod p (the target may not be the identity)")
-    n_p = len(multipliers_p)
-    n = n_p + len(multipliers_q)
-    k = n_p + 1
-    if comb(n, k) > budget:
-        raise BudgetExceededError(f"C({n}, {k}) exceeds the oracle budget {budget}")
-    values = [r % p for r in multipliers_p] + [(-m_true * r) % p for r in multipliers_q]
-    for subset in combinations(range(n), k):
-        if subset[0] >= n_p or subset[-1] < n_p:
-            continue
-        if sum(values[i] for i in subset) % p:
-            continue
-        b = sum(multipliers_q[i - n_p] for i in subset if i >= n_p) % p
-        if b == 0:
-            continue
-        return True, subset
-    return False, None
+    p = group.order
+    for index in count(1):
+        m = fixed_m if fixed_m is not None else random.Random(f"{seed}:m:{index}").randrange(1, p)
+        cfg = AttackConfig(
+            group=group,
+            target=group.scalar_mul(m),
+            n_prime=n_prime,
+            l=l,
+            solver=solver,
+            max_iterations=1,
+            seed=seed,
+            accident_check=accident_check,
+            enumeration_budget=enumeration_budget,
+        )
+        record = execute_iteration(cfg, index)
+        if record.m is not None and record.m != m % p:
+            raise InvariantViolationError(f"trial {index}: recovered {record.m} but planted {m % p}")
+        yield Trial(index, m, cfg, record)

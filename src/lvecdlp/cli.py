@@ -26,9 +26,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
+from itertools import islice
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -42,7 +44,7 @@ from .attack import (
     AttackConfig,
     SOLVER_CHOICES,
     SOLVER_EXHAUSTIVE,
-    execute_iteration,
+    planted_trials,
     run_attack,
 )
 from .curve import Curve, GroupSpec, Point, curve_to_text, find_prime_order_curve, point_to_text
@@ -267,8 +269,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    import random as random_mod
-
     settings = Settings(args)
     group = build_group(settings)
     trials = settings.get_int("trials", required=True)
@@ -294,35 +294,29 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     successes = 0
     accidents = 0
     kernel_dims: dict[int, int] = {}
-    started = time.perf_counter()
-    for trial in range(1, trials + 1):
-        m = fixed_m if fixed_m is not None else random_mod.Random(f"{seed}:m:{trial}").randrange(1, p)
-        cfg = AttackConfig(
-            group=group,
-            target=group.scalar_mul(m),
-            n_prime=n_prime,
-            l=l,
-            solver=solver,
-            max_iterations=1,
-            seed=seed,
-            accident_check=accident_check,
-            enumeration_budget=enum_budget,
-        )
-        trial_started = time.perf_counter()
-        record = execute_iteration(cfg, trial)
+    stream = planted_trials(
+        group,
+        seed=seed,
+        fixed_m=fixed_m,
+        n_prime=n_prime,
+        l=l,
+        solver=solver,
+        accident_check=accident_check,
+        enumeration_budget=enum_budget,
+    )
+    started = trial_started = time.perf_counter()
+    for trial in islice(stream, trials):
         trial_elapsed = time.perf_counter() - trial_started
+        record = trial.record
         success = record.m is not None
-        if success and record.m != m % p:
-            raise InvariantViolationError(
-                f"trial {trial}: recovered {record.m} but planted {m % p}"
-            )
         successes += int(success)
         accidents += int(record.accident is not None)
         dim = record.kernel_dim if record.kernel_dim is not None else -1
         kernel_dims[dim] = kernel_dims.get(dim, 0) + 1
         reason = "+".join(record.reject_reasons) if record.reject_reasons else "none"
         elapsed_field = f"{trial_elapsed:.6f}" if timing else "0.0"
-        rows.append(f"{trial},{m},{int(success)},{solver},{dim},{reason},{elapsed_field}")
+        rows.append(f"{trial.index},{trial.m},{int(success)},{solver},{dim},{reason},{elapsed_field}")
+        trial_started = time.perf_counter()
     wall = time.perf_counter() - started
 
     Path(csv_path).write_text("\n".join(rows) + "\n")
@@ -368,6 +362,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.scale):
+        raise UsageError(f"scale must be a finite number, got {args.scale}")
     for path in (args.report_csv, args.report_json):
         if path:
             check_writable(path)

@@ -1,4 +1,4 @@
-"""Dense exact linear algebra over F_p: RREF, rank, kernels, block elimination.
+"""Dense exact linear algebra over F_p: left kernels, block elimination, RREF and rank.
 
 Matrices are small (tens of rows) so everything is plain Gaussian elimination
 on lists of canonical residues.  The row-level helpers at the bottom operate
@@ -37,28 +37,6 @@ class MatrixFq:
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def transpose(self) -> MatrixFq:
-        return MatrixFq(self.p, tuple(zip(*self.rows)) if self.rows else ())
-
-    def row_lists(self) -> list[list[int]]:
-        return [list(row) for row in self.rows]
-
-    def to_text(self) -> str:
-        """Dump format: one row per line, space-separated residues."""
-        return "\n".join(" ".join(str(v) for v in row) for row in self.rows)
-
-    @classmethod
-    def from_text(cls, p: int, text: str) -> MatrixFq:
-        rows = [[int(v) for v in line.split()] for line in text.strip().splitlines() if line.strip()]
-        return cls.from_rows(p, rows)
-
-
-@dataclass(frozen=True)
-class RrefResult:
-    matrix: MatrixFq
-    rank: int
-    pivot_columns: tuple[int, ...]
-
 
 @dataclass(frozen=True)
 class KernelBasis:
@@ -79,26 +57,10 @@ class KernelBasis:
     def vector_lists(self) -> list[list[int]]:
         return [list(v) for v in self.vectors]
 
-    def to_matrix(self) -> MatrixFq:
-        return MatrixFq(self.p, self.vectors)
-
-
-def rref(m: MatrixFq) -> RrefResult:
-    """Reduced row echelon form with unit pivots."""
-    rows, rank, pivots = rref_rows(m.row_lists(), m.p)
-    return RrefResult(MatrixFq.from_rows(m.p, rows), rank, tuple(pivots))
-
-
-def right_kernel(m: MatrixFq) -> KernelBasis:
-    """Canonical basis of {c : M c = 0}."""
-    vectors = right_kernel_rows(m.row_lists(), m.ncols, m.p)
-    return KernelBasis(m.p, m.ncols, tuple(tuple(v) for v in vectors))
-
 
 def left_kernel(m: MatrixFq) -> KernelBasis:
-    """Canonical basis of {v : v^T M = 0}, the kernel of the transpose."""
-    t = m.transpose()
-    vectors = right_kernel_rows(t.row_lists(), t.ncols, t.p)
+    """Canonical basis of {v : v^T M = 0}, the right kernel of the transpose."""
+    vectors = right_kernel_rows(list(zip(*m.rows)), m.nrows, m.p)
     return KernelBasis(m.p, m.nrows, tuple(tuple(v) for v in vectors))
 
 

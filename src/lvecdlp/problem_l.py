@@ -10,7 +10,6 @@ for the heuristic's conditional success rate).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 from random import Random
@@ -135,13 +134,6 @@ def solve_exhaustive(
             if accept is None or accept(solution.vector):
                 return solution
     return None
-
-
-def conditional_success_estimate(n_prime: int, l: int) -> Fraction:
-    """Heuristic conditional success rate of the block solver: l^2 / C(3n' + l, l)."""
-    if n_prime < 1 or l < 1:
-        raise ValueError("n_prime and l must be >= 1")
-    return Fraction(l * l, comb(3 * n_prime + l, l))
 
 
 def plant_instance(rng: Random, p: int, n_prime: int, l: int) -> tuple[ProblemLInstance, tuple[int, ...]]:

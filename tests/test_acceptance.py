@@ -9,7 +9,7 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -19,19 +19,20 @@ from lvecdlp.analysis import audit_partition_counts, success_model
 from lvecdlp.attack import (
     AttackConfig,
     decode_solution,
+    planted_trials,
     run_attack,
     sample_iteration,
-    subset_sum_oracle,
 )
 from lvecdlp.cli import main as cli_main
 from lvecdlp.dlp import solve_bsgs
-from lvecdlp.linalg import KernelBasis, in_row_space, left_kernel
+from lvecdlp.linalg import in_row_space, left_kernel
 from lvecdlp.problem_l import ProblemLInstance, solve_alg2, solve_exhaustive
 from lvecdlp.verification import (
     clean_iteration,
     verify_chord_law,
     verify_kernel_dimension,
 )
+from reference_attack import subset_sum_oracle
 
 AC5_SEED = 20250810
 AC5_TRIALS = 2000
@@ -132,46 +133,14 @@ def test_ac4_las_vegas_correctness(group_p19, group_p907):
     assert ok
 
 
-@dataclass
-class TrialOutcome:
-    success: bool
-    kernel: KernelBasis
-
-
 @pytest.fixture(scope="module")
 def ac5_trial_stream(group_p907):
     """The AC-5 trial stream; AC-6 harvests its instances."""
-    p = group_p907.order
-    outcomes = []
-    for trial in range(1, AC5_TRIALS + 1):
-        m = random.Random(f"{AC5_SEED}:m:{trial}").randrange(1, p)
-        cfg = AttackConfig(
-            group=group_p907,
-            target=group_p907.scalar_mul(m),
-            n_prime=2,
-            solver="exhaustive",
-            seed=AC5_SEED,
-            accident_check=False,
-            max_iterations=1,
-        )
-        sample = sample_iteration(cfg, trial)
-        kernel = left_kernel(sample.matrix)
-        instance = ProblemLInstance(kernel, cfg.l)
-
-        def accept(vec):
-            return decode_solution(vec, sample.multipliers_p, sample.multipliers_q, p)[0] is not None
-
-        solution = solve_exhaustive(instance, accept=accept)
-        success = solution is not None
-        if success:
-            decoded, _ = decode_solution(solution.vector, sample.multipliers_p, sample.multipliers_q, p)
-            assert decoded == m
-        outcomes.append(TrialOutcome(success, kernel))
-    return outcomes
+    return list(islice(planted_trials(group_p907, seed=AC5_SEED, n_prime=2), AC5_TRIALS))
 
 
 def test_ac5_success_probability(group_p907, ac5_trial_stream):
-    successes = sum(1 for t in ac5_trial_stream if t.success)
+    successes = sum(1 for t in ac5_trial_stream if t.record.m is not None)
     rate = successes / AC5_TRIALS
     model = success_model(group_p907.order, 2, 6)
     diff = abs(rate - model.per_iteration)
@@ -194,8 +163,9 @@ def test_ac6_block_solver_soundness_and_calibration(ac5_trial_stream):
     for trial in ac5_trial_stream:
         if solvable >= 1000:
             break
-        instance = ProblemLInstance(trial.kernel, l)
-        if not trial.success and solve_exhaustive(instance) is None:
+        kernel = left_kernel(sample_iteration(trial.cfg, trial.index).matrix)
+        instance = ProblemLInstance(kernel, l)
+        if trial.record.m is None and solve_exhaustive(instance) is None:
             continue
         solvable += 1
         candidate = solve_alg2(instance)
@@ -203,7 +173,7 @@ def test_ac6_block_solver_soundness_and_calibration(ac5_trial_stream):
             continue
         finds += 1
         if len(candidate.zero_positions) >= l and in_row_space(
-            trial.kernel.vectors, candidate.vector, trial.kernel.p
+            kernel.vectors, candidate.vector, kernel.p
         ):
             sound += 1
     conditional = finds / solvable

@@ -78,6 +78,9 @@ def test_success_model_values():
     assert model.subsets == 924
     assert abs(model.per_iteration - 0.639) < 1e-3
     assert model.alg2_conditional == Fraction(36, 924)
+    assert success_model(19, 1, 3).alg2_conditional == Fraction(9, 20)
+    for n_prime in (1, 2, 3):
+        assert success_model(907, n_prime, 1).alg2_conditional == Fraction(1, math.comb(3 * n_prime + 1, 1))
     assert model.overall_estimate_ln == pytest.approx(0.6 * math.log(907) ** 2 / 907)
     assert model.overall_estimate_log2 == pytest.approx(0.6 * math.log2(907) ** 2 / 907)
 

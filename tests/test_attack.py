@@ -1,4 +1,5 @@
 import random
+from itertools import islice, product
 
 import pytest
 
@@ -12,16 +13,19 @@ from lvecdlp.attack import (
     decode_solution,
     detect_accident,
     execute_iteration,
+    planted_trials,
     run_attack,
     sample_iteration,
-    subset_sum_oracle,
 )
+from lvecdlp.curve import find_prime_order_curve
 from lvecdlp.dlp import solve_bsgs
 from lvecdlp.errors import BudgetExceededError
+from lvecdlp.field import PrimeField
 from lvecdlp.linalg import MatrixFq, left_kernel
 from lvecdlp.problem_l import ProblemLInstance, solve_exhaustive
 from lvecdlp.veronese import basis, evaluate_row
 from lvecdlp.verification import clean_iteration
+from reference_attack import subset_sum_oracle
 
 
 def make_sample(group, m, multipliers_p, multipliers_q, n_prime):
@@ -292,7 +296,7 @@ def test_right_kernel_dimension_on_attack_matrices(group_p907):
     """No low-degree curve passes through all sampled points; from degree 3 on,
     the only ones are multiples of the group's cubic, of dimension
     (degree - 2)(degree - 1) / 2."""
-    from lvecdlp.linalg import right_kernel
+    from lvecdlp.linalg import right_kernel_rows
 
     for degree in (1, 2, 3, 4):
         expected = (degree - 2) * (degree - 1) // 2 if degree >= 3 else 0
@@ -305,4 +309,49 @@ def test_right_kernel_dimension_on_attack_matrices(group_p907):
         index = 1
         for _ in range(10):
             sample, index, _ = clean_iteration(cfg, index)
-            assert right_kernel(sample.matrix).dim == expected
+            matrix = sample.matrix
+            assert len(right_kernel_rows(matrix.rows, matrix.ncols, matrix.p)) == expected
+
+
+def projective_span(kb):
+    """Every nonzero span member up to a scalar: the first nonzero coefficient is 1."""
+    for lead in range(kb.dim):
+        for rest in product(range(kb.p), repeat=kb.dim - lead - 1):
+            coeffs = (1, *rest)
+            yield tuple(
+                sum(c * vec[j] for c, vec in zip(coeffs, kb.vectors[lead:])) % kb.p for j in range(kb.ambient)
+            )
+
+
+def test_exhaustive_matches_span_scan_on_attack_kernels(group_p19):
+    """At n' = 1 the exhaustive verdict under the decode filter equals a scan
+    of the whole kernel span, collision samples included.
+
+    An accepted vector vanishes exactly on an l-set Z.  The span members that
+    vanish on Z are the dependencies among the three rows outside Z, which
+    hold at least two distinct points (multipliers are distinct within a
+    block), so they form a line and the one vector the solver tries on Z
+    stands for all of them.
+    """
+    group_p41 = find_prime_order_curve(PrimeField(37), 38, 50)
+    assert (group_p41.curve.a, group_p41.curve.b, group_p41.order) == (1, 16, 41)
+    for group, trials in ((group_p19, 200), (group_p41, 100)):
+        p = group.order
+        collisions = 0
+        agreed_found = 0
+        for trial in islice(planted_trials(group, seed=5, n_prime=1), trials):
+            sample = sample_iteration(trial.cfg, trial.index)
+            kernel = left_kernel(sample.matrix)
+            assert kernel.dim == trial.cfg.l
+            collisions += detect_accident(sample) is not None
+
+            def decode(vec):
+                return decode_solution(vec, sample.multipliers_p, sample.multipliers_q, p)[0]
+
+            solution = solve_exhaustive(ProblemLInstance(kernel, trial.cfg.l), accept=lambda v: decode(v) is not None)
+            scanned = any(decode(v) is not None for v in projective_span(kernel))
+            assert (solution is not None) == scanned, f"p={p} trial {trial.index}"
+            if solution is not None:
+                assert decode(solution.vector) == trial.m
+                agreed_found += 1
+        assert collisions > 0 and 0 < agreed_found < trials

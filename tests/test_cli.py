@@ -1,15 +1,21 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from lvecdlp.attack import SOLVER_CHOICES
 from lvecdlp.cli import (
     EXIT_BUDGET,
+    EXIT_INVARIANT,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VALIDATION,
     main,
     parse_config_file,
 )
+from lvecdlp.verification import SUITE_NAMES
 
 P19 = ["--q", "17", "--a", "2", "--b", "2", "--gx", "5", "--gy", "1", "--order", "19"]
 P907 = ["--q", "853", "--a", "1", "--b", "348", "--gx", "1", "--gy", "297", "--order", "907"]
@@ -176,6 +182,14 @@ def test_verify_unknown_suite():
     assert main(["verify", "--suite", "nope"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("scale", ["inf", "-inf", "nan"])
+def test_verify_non_finite_scale_is_usage_error(capsys, monkeypatch, scale):
+    _forbid(monkeypatch, "run_suites")
+    assert main(["verify", "--suite", "theorem1", f"--scale={scale}"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "scale" in err and "Traceback" not in err
+
+
 def test_params_output(capsys):
     assert main(["params", "--order", "907"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -217,7 +231,7 @@ def test_solve_unwritable_output_rejected_before_attack(tmp_path, capsys, monkey
 
 @pytest.mark.parametrize("flag", ["--csv", "--json"])
 def test_experiment_unwritable_output_rejected_before_trials(tmp_path, capsys, monkeypatch, flag):
-    _forbid(monkeypatch, "execute_iteration")
+    _forbid(monkeypatch, "planted_trials")
     bad = tmp_path / "missing" / "out"
     outputs = ["--csv", str(tmp_path / "e.csv"), "--json", str(tmp_path / "e.json")]
     argv = ["experiment", *P19, "--trials", "3", *outputs, flag, str(bad)]
@@ -243,3 +257,71 @@ def test_output_directory_as_path_rejected(tmp_path, capsys, monkeypatch):
     argv = ["solve", *P19, "--qx", "0", "--qy", "6", "--manifest", str(tmp_path)]
     assert main(argv) == EXIT_VALIDATION
     assert str(tmp_path) in capsys.readouterr().err
+
+
+# Contract fuzz: every argv and config file ends in a documented exit code.
+# Values are either small valid ones (p = 19 group, at most 3 trials, scale
+# at most 0.01) or hostile ones, so each case runs in milliseconds.
+HOSTILE = ("0", "-1", "-7", "x", "1.5", "inf", "-inf", "nan", "")
+GROUP_FLAGS = {"--q": ("17",), "--a": ("2",), "--b": ("2",), "--gx": ("5",), "--gy": ("1",), "--order": ("19",)}
+TARGET_FLAGS = {"--qx": ("0",), "--qy": ("6",)}
+ATTACK_FLAGS = {
+    "--nprime": ("1", "2"),
+    "--l": ("1", "3"),
+    "--solver": SOLVER_CHOICES,
+    "--seed": ("0", "3"),
+    "--enum-budget": ("10", "5000"),
+    "--accident-check": ("on", "off"),
+}
+FUZZ_FLAGS = {
+    "solve": {**GROUP_FLAGS, **TARGET_FLAGS, **ATTACK_FLAGS, "--max-iterations": ("1", "3")},
+    "experiment": {**GROUP_FLAGS, **ATTACK_FLAGS, "--trials": ("1", "3"), "--m": ("1", "18")},
+    "verify": {"--suite": (*SUITE_NAMES, "all"), "--seed": ("0", "3"), "--scale": ("0.001", "0.01")},
+    "params": {"--order": ("19", "907")},
+    "find-curve": {"--q": ("5", "17"), "--order-min": ("1", "19"), "--order-max": ("7", "19"), "--max-candidates": ("1", "40")},
+    "dlp": {**GROUP_FLAGS, **TARGET_FLAGS, "--method": ("bsgs", "exhaustive")},
+}
+OUTPUT_FLAGS = {"solve": ("--manifest", "--log"), "experiment": ("--csv", "--json"), "verify": ("--report-csv", "--report-json")}
+CONFIG_VALUES = {
+    **{flag[2:].replace("-", "_"): values for flags in FUZZ_FLAGS.values() for flag, values in flags.items()},
+    "timing": ("on", "off"),
+}
+
+
+@st.composite
+def fuzz_cases(draw):
+    """(argv without output paths, config file lines or None).
+
+    Every flag starts from a valid value; up to three of them are then
+    dropped or given a hostile value, so most cases get past argument parsing.
+    """
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    flags = FUZZ_FLAGS[command]
+    values = {flag: draw(st.sampled_from(valid)) for flag, valid in flags.items()}
+    for flag, change in draw(st.lists(st.tuples(st.sampled_from(sorted(flags)), st.sampled_from(("omit", "hostile"))), max_size=3)):
+        values[flag] = None if change == "omit" else draw(st.sampled_from(HOSTILE))
+    argv = [command, *(f"{flag}={value}" for flag, value in values.items() if value is not None)]
+    if command in ("solve", "experiment") and draw(st.booleans()):
+        argv.append("--timing")
+    config = None
+    if command in ("solve", "experiment", "dlp") and draw(st.booleans()):
+        config = []
+        for key in draw(st.lists(st.sampled_from(sorted(CONFIG_VALUES) + ["bogus"]), max_size=5)):
+            value = draw(st.sampled_from(CONFIG_VALUES.get(key, ()) + HOSTILE))
+            config.append(f"{key} = {value}" if draw(st.integers(0, 9)) else "not a pair")
+    return argv, config
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=fuzz_cases())
+@example(case=(["verify", "--suite", "theorem1", "--scale", "inf"], None))
+@example(case=(["experiment", *P19, "--trials", "2"], ["trials = nan", "m = inf"]))
+def test_cli_contract_fuzz(tmp_path, capsys, case):
+    argv, config = case
+    out = Path(tempfile.mkdtemp(dir=tmp_path))
+    argv = [*argv, *(arg for flag in OUTPUT_FLAGS.get(argv[0], ()) for arg in (flag, str(out / flag[2:])))]
+    if config is not None:
+        (out / "fuzz.cfg").write_text("\n".join(config) + "\n")
+        argv += ["--config", str(out / "fuzz.cfg")]
+    assert main(argv) in (EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_BUDGET, EXIT_INVARIANT), argv
+    assert "Traceback" not in capsys.readouterr().err

@@ -1,7 +1,5 @@
 import random
-from fractions import Fraction
 from itertools import product
-from math import comb
 
 import pytest
 
@@ -10,7 +8,6 @@ from lvecdlp.linalg import KernelBasis, in_row_space, row_rank, rref_rows
 from lvecdlp.problem_l import (
     ProblemLInstance,
     ZeroPatternSolution,
-    conditional_success_estimate,
     plant_instance,
     solve_alg2,
     solve_exhaustive,
@@ -122,13 +119,6 @@ def test_exhaustive_budget_guard():
     inst = random_instance(rng, 907, 6, 12)
     with pytest.raises(BudgetExceededError):
         solve_exhaustive(inst, budget=10)
-
-
-def test_conditional_success_estimate_values():
-    assert conditional_success_estimate(2, 6) == Fraction(36, 924)
-    assert conditional_success_estimate(1, 3) == Fraction(9, 20)
-    for n_prime in (1, 2, 3):
-        assert conditional_success_estimate(n_prime, 1) == Fraction(1, comb(3 * n_prime + 1, 1))
 
 
 def test_instance_validation():
