@@ -12,7 +12,7 @@ import time
 from lvecdlp.analysis import success_model
 from lvecdlp.attack import planted_trials, sample_iteration
 from lvecdlp.linalg import in_row_space, left_kernel
-from lvecdlp.problem_l import ProblemLInstance, solve_alg2, solve_exhaustive
+from lvecdlp.problem_l import solve_alg2, solve_exhaustive
 from lvecdlp.verification import fixture_medium
 
 
@@ -33,19 +33,15 @@ def main():
     finds = 0
     unsound = 0
     for trial in planted_trials(group, seed=args.seed, n_prime=args.nprime):
-        kernel = left_kernel(sample_iteration(trial.cfg, trial.index).matrix)
-        instance = ProblemLInstance(kernel, l)
+        kernel = left_kernel(sample_iteration(trial.cfg, trial.index).rows, group.curve.q)
         # A decoded logarithm already proves the instance solvable.
-        if trial.record.m is None and solve_exhaustive(instance) is None:
+        if trial.record.m is None and solve_exhaustive(kernel, l) is None:
             continue
         solvable += 1
-        candidate = solve_alg2(instance)
+        candidate = solve_alg2(kernel, l)
         if candidate is not None:
             finds += 1
-            sound = len(candidate.zero_positions) >= l and in_row_space(
-                kernel.vectors, candidate.vector, kernel.p
-            )
-            unsound += not sound
+            unsound += candidate.count(0) < l or not in_row_space(kernel.vectors, candidate, kernel.p)
         if solvable >= args.instances:
             break
     elapsed = time.perf_counter() - started

@@ -34,13 +34,8 @@ from .curve import Curve, GroupSpec, Point, find_prime_order_curve
 from .dlp import solve_bsgs, solve_exhaustive_dlp
 from .errors import BudgetExceededError, InvariantViolationError
 from .field import PrimeField, is_prime
-from .linalg import KernelBasis, MatrixFq, eliminate_block, left_kernel
-from .problem_l import (
-    ProblemLInstance,
-    ZeroPatternSolution,
-    solve_alg2,
-    solve_exhaustive,
-)
+from .linalg import KernelBasis, eliminate_block, left_kernel
+from .problem_l import solve_alg2, solve_exhaustive
 from .veronese import MonomialBasis, basis, evaluate_row
 
 __version__ = "0.1.0"

@@ -197,14 +197,6 @@ class ParameterChoice:
     subsets: int
     stirling_estimate: float
 
-    def to_dict(self) -> dict:
-        return {
-            "n_prime": self.n_prime,
-            "l": self.l,
-            "subsets": self.subsets,
-            "stirling_estimate": self.stirling_estimate,
-        }
-
 
 def select_parameters(p: int) -> ParameterChoice:
     """Smallest n' with l = 3n' and C(6n', 3n') >= p.

@@ -24,14 +24,8 @@ from typing import Callable, Iterator, Optional
 from .analysis import success_model
 from .curve import GroupSpec, Point
 from .errors import InvariantViolationError
-from .linalg import MatrixFq, left_kernel
-from .problem_l import (
-    DEFAULT_ENUMERATION_BUDGET,
-    ProblemLInstance,
-    ZeroPatternSolution,
-    solve_alg2,
-    solve_exhaustive,
-)
+from .linalg import left_kernel
+from .problem_l import DEFAULT_ENUMERATION_BUDGET, solve_alg2, solve_exhaustive
 from .veronese import MonomialBasis, basis, evaluate_row
 
 SOLVER_ALG2 = "alg2"
@@ -43,6 +37,7 @@ REJECT_SUPPORT_SIZE = "support-size"
 REJECT_MISSING_BLOCK = "missing-block"
 REJECT_ZERO_DENOMINATOR = "zero-denominator"
 REJECT_NOT_FOUND = "not-found"
+REJECT_UNVERIFIED = "unverified"
 
 FAILURE_BUDGET = "iteration-budget-exhausted"
 
@@ -83,10 +78,6 @@ class AttackConfig:
             raise ValueError("max_iterations must be >= 1")
 
     @property
-    def rows(self) -> int:
-        return 3 * self.n_prime + self.l
-
-    @property
     def monomials(self) -> MonomialBasis:
         return basis(self.n_prime)
 
@@ -103,14 +94,14 @@ def default_max_iterations(p: int, n_prime: int, l: int, solver: str) -> int:
 
 @dataclass(frozen=True)
 class IterationSample:
-    """One iteration's multipliers, points, and assembled matrix."""
+    """One iteration's multipliers, points, and assembled matrix rows over F_q."""
 
     index: int
     multipliers_p: tuple[int, ...]
     multipliers_q: tuple[int, ...]
     points_p: tuple[Point, ...]
     points_q: tuple[Point, ...]
-    matrix: MatrixFq
+    rows: tuple[tuple[int, ...], ...]
 
 
 @dataclass
@@ -188,10 +179,8 @@ def sample_iteration(cfg: AttackConfig, index: int) -> IterationSample:
     points_q = tuple(curve.scalar_mul(r, neg_target) for r in mult_q)
     mb = cfg.monomials
     q = curve.q
-    rows = [evaluate_row(mb, pt, q) for pt in points_p]
-    rows += [evaluate_row(mb, pt, q) for pt in points_q]
-    matrix = MatrixFq.from_rows(q, rows)
-    return IterationSample(index, tuple(mult_p), tuple(mult_q), points_p, points_q, matrix)
+    rows = tuple(tuple(evaluate_row(mb, pt, q)) for pt in points_p + points_q)
+    return IterationSample(index, tuple(mult_p), tuple(mult_q), points_p, points_q, rows)
 
 
 def detect_accident(sample: IterationSample) -> Optional[tuple[int, int]]:
@@ -241,62 +230,68 @@ def decode_solution(
     return a * pow(b, -1, order) % order, None
 
 
-def _verify(cfg: AttackConfig, m: int) -> None:
-    if cfg.group.scalar_mul(m) != cfg.target:
-        raise InvariantViolationError(f"decoded m = {m} failed verification against the target")
+def _verified(cfg: AttackConfig, m: int) -> bool:
+    return cfg.group.scalar_mul(m) == cfg.target
 
 
 def execute_iteration(cfg: AttackConfig, index: int) -> IterationRecord:
-    """Run a single attack iteration; record.m is set only after verification."""
+    """Run a single attack iteration; record.m is set only after verification.
+
+    A decoded m that fails verification rejects its vector with reason
+    "unverified": alg2's candidate is then recorded as "alg2:unverified" and
+    the exhaustive scan moves on to the next zero set.
+    """
     sample = sample_iteration(cfg, index)
     record = IterationRecord(
         iteration=index,
         multipliers_p=sample.multipliers_p,
         multipliers_q=sample.multipliers_q,
     )
+    p = cfg.group.order
     if cfg.accident_check:
         accident = detect_accident(sample)
         if accident is not None:
-            m = accident_logarithm(accident[0], accident[1], cfg.group.order)
-            _verify(cfg, m)
+            m = accident_logarithm(accident[0], accident[1], p)
+            if not _verified(cfg, m):
+                raise InvariantViolationError(f"accident logarithm m = {m} failed verification against the target")
             record.accident = accident
             record.found_by = "accident"
             record.m = m
             return record
-    kernel = left_kernel(sample.matrix)
+    kernel = left_kernel(sample.rows, cfg.group.curve.q)
     record.kernel_dim = kernel.dim
     if kernel.dim == 0:
         record.reject_reasons.append(REJECT_NOT_FOUND)
         return record
-    instance = ProblemLInstance(kernel, cfg.l)
-    p = cfg.group.order
 
-    def accept(vec: tuple[int, ...]) -> bool:
-        return decode_solution(vec, sample.multipliers_p, sample.multipliers_q, p)[0] is not None
+    m: Optional[int] = None
 
-    solution: Optional[ZeroPatternSolution] = None
+    def decode(vec: tuple[int, ...]) -> Optional[str]:
+        """Set m to vec's verified logarithm and return None, or return why vec is rejected."""
+        nonlocal m
+        m, reason = decode_solution(vec, sample.multipliers_p, sample.multipliers_q, p)
+        if m is not None and not _verified(cfg, m):
+            m, reason = None, REJECT_UNVERIFIED
+        return reason
+
+    vector: Optional[tuple[int, ...]] = None
     found_by = None
     if cfg.solver in (SOLVER_ALG2, SOLVER_ALG2_THEN_EXHAUSTIVE):
-        candidate = solve_alg2(instance)
-        if candidate is None:
-            record.reject_reasons.append(f"alg2:{REJECT_NOT_FOUND}")
+        vector = solve_alg2(kernel, cfg.l)
+        reason = REJECT_NOT_FOUND if vector is None else decode(vector)
+        if reason is None:
+            found_by = SOLVER_ALG2
         else:
-            m, reason = decode_solution(candidate.vector, sample.multipliers_p, sample.multipliers_q, p)
-            if m is not None:
-                solution, found_by = candidate, SOLVER_ALG2
-            else:
-                record.reject_reasons.append(f"alg2:{reason}")
-    if solution is None and cfg.solver in (SOLVER_EXHAUSTIVE, SOLVER_ALG2_THEN_EXHAUSTIVE):
-        candidate = solve_exhaustive(instance, accept=accept, budget=cfg.enumeration_budget)
-        if candidate is None:
+            record.reject_reasons.append(f"alg2:{reason}")
+    if found_by is None and cfg.solver in (SOLVER_EXHAUSTIVE, SOLVER_ALG2_THEN_EXHAUSTIVE):
+        vector = solve_exhaustive(kernel, cfg.l, accept=lambda vec: decode(vec) is None, budget=cfg.enumeration_budget)
+        if vector is None:
             record.reject_reasons.append(f"exhaustive:{REJECT_NOT_FOUND}")
         else:
-            solution, found_by = candidate, SOLVER_EXHAUSTIVE
-    if solution is not None:
-        m, _ = decode_solution(solution.vector, sample.multipliers_p, sample.multipliers_q, p)
-        _verify(cfg, m)
+            found_by = SOLVER_EXHAUSTIVE
+    if found_by is not None:
         record.found_by = found_by
-        record.solution_vector = solution.vector
+        record.solution_vector = vector
         record.m = m
     return record
 
@@ -356,9 +351,13 @@ def planted_trials(
     Trial t plants m, drawn from the named substream "{seed}:m:{t}" or given
     as fixed_m (yielded as given, unreduced), and runs iteration t of a
     single-iteration attack on m * generator.  A recovered logarithm that
-    differs from the planted one raises InvariantViolationError.
+    differs from the planted one raises InvariantViolationError.  A fixed_m
+    that is a multiple of the order plants the identity, which no iteration
+    can recover, and raises ValueError.
     """
     p = group.order
+    if fixed_m is not None and fixed_m % p == 0:
+        raise ValueError(f"fixed m = {fixed_m} is a multiple of the group order {p}")
     for index in count(1):
         m = fixed_m if fixed_m is not None else random.Random(f"{seed}:m:{index}").randrange(1, p)
         cfg = AttackConfig(

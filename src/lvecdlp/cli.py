@@ -42,6 +42,7 @@ from .analysis import (
 )
 from .attack import (
     AttackConfig,
+    SOLVER_ALG2_THEN_EXHAUSTIVE,
     SOLVER_CHOICES,
     SOLVER_EXHAUSTIVE,
     planted_trials,
@@ -51,6 +52,7 @@ from .curve import Curve, GroupSpec, Point, curve_to_text, find_prime_order_curv
 from .dlp import solve_bsgs, solve_exhaustive_dlp
 from .errors import BudgetExceededError, InvariantViolationError
 from .field import PrimeField
+from .problem_l import DEFAULT_ENUMERATION_BUDGET
 from .verification import SUITE_NAMES, run_suites
 
 EXIT_OK = 0
@@ -182,10 +184,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     n_prime = settings.get_int("nprime", default=1)
     l = settings.get_int("l")
     seed = settings.get_int("seed", default=0)
-    solver = settings.get_str("solver", default="alg2-then-exhaustive")
+    solver = settings.get_str("solver", default=SOLVER_ALG2_THEN_EXHAUSTIVE)
     max_iterations = settings.get_int("max_iterations")
     accident_check = settings.get_bool("accident_check", default=True)
-    enum_budget = settings.get_int("enum_budget", default=5_000_000)
+    enum_budget = settings.get_int("enum_budget", default=DEFAULT_ENUMERATION_BUDGET)
     timing = settings.get_bool("timing", default=False)
     manifest_path = settings.get_str("manifest", default="manifest.json")
     log_path = settings.get_str("log")
@@ -281,8 +283,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     seed = settings.get_int("seed", default=0)
     solver = settings.get_str("solver", default=SOLVER_EXHAUSTIVE)
     fixed_m = settings.get_int("m")
+    if fixed_m is not None and fixed_m % group.order == 0:
+        raise UsageError(f"m = {fixed_m} is a multiple of the group order {group.order} and plants the identity")
     accident_check = settings.get_bool("accident_check", default=False)
-    enum_budget = settings.get_int("enum_budget", default=5_000_000)
+    enum_budget = settings.get_int("enum_budget", default=DEFAULT_ENUMERATION_BUDGET)
     timing = settings.get_bool("timing", default=False)
     csv_path = settings.get_str("csv", default="experiment.csv")
     json_path = settings.get_str("json", default="experiment.json")

@@ -247,24 +247,6 @@ def point_to_text(pt: Point) -> str:
     return f"{pt.x} {pt.y}"
 
 
-def point_from_text(text: str, curve: Curve) -> Point:
-    text = text.strip()
-    if text == IDENTITY_TOKEN:
-        return Point.identity()
-    parts = text.split()
-    if len(parts) != 2:
-        raise ValueError(f"point text must be 'x y' or '{IDENTITY_TOKEN}', got {text!r}")
-    return curve.point(int(parts[0]), int(parts[1]))
-
-
 def curve_to_text(curve: Curve) -> str:
     """Curve text format: 'q a b'."""
     return f"{curve.q} {curve.a} {curve.b}"
-
-
-def curve_from_text(text: str) -> Curve:
-    parts = text.split()
-    if len(parts) != 3:
-        raise ValueError(f"curve text must be 'q a b', got {text!r}")
-    q, a, b = (int(part) for part in parts)
-    return Curve(PrimeField(q), a, b)

@@ -1,8 +1,9 @@
 """Dense exact linear algebra over F_p: left kernels, block elimination, RREF and rank.
 
 Matrices are small (tens of rows) so everything is plain Gaussian elimination
-on lists of canonical residues.  The row-level helpers at the bottom operate
-on raw list-of-lists and are the hot path for the zero-pattern solvers.
+on lists of residues.  Every routine takes plain rows (a sequence of
+equal-length integer sequences) and the modulus p; the one wrapper is
+KernelBasis, the canonical RREF basis of a kernel.
 """
 
 from __future__ import annotations
@@ -12,30 +13,6 @@ from typing import Sequence
 
 LOWER_TRIANGULAR = "lower_triangular"
 DIAGONAL = "diagonal"
-
-
-@dataclass(frozen=True)
-class MatrixFq:
-    """Rectangular matrix over a single prime modulus, entries canonical in [0, p)."""
-
-    p: int
-    rows: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_rows(cls, p: int, rows: Sequence[Sequence[int]]) -> MatrixFq:
-        if rows:
-            width = len(rows[0])
-            if any(len(row) != width for row in rows):
-                raise ValueError("matrix rows must all have the same length")
-        return cls(p, tuple(tuple(v % p for v in row) for row in rows))
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
 
 
 @dataclass(frozen=True)
@@ -58,20 +35,15 @@ class KernelBasis:
         return [list(v) for v in self.vectors]
 
 
-def left_kernel(m: MatrixFq) -> KernelBasis:
+def left_kernel(rows: Sequence[Sequence[int]], p: int) -> KernelBasis:
     """Canonical basis of {v : v^T M = 0}, the right kernel of the transpose."""
-    vectors = right_kernel_rows(list(zip(*m.rows)), m.nrows, m.p)
-    return KernelBasis(m.p, m.nrows, tuple(tuple(v) for v in vectors))
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("matrix rows must all have the same length")
+    vectors = right_kernel_rows(list(zip(*rows)), len(rows), p)
+    return KernelBasis(p, len(rows), tuple(tuple(v) for v in vectors))
 
 
-@dataclass(frozen=True)
-class BlockElimination:
-    basis: KernelBasis
-    pivot_columns: tuple[int, ...]
-    singular: bool
-
-
-def eliminate_block(kb: KernelBasis, start: int, stop: int, stage: str) -> BlockElimination:
+def eliminate_block(kb: KernelBasis, start: int, stop: int, stage: str) -> KernelBasis:
     """Row-reduce the column window [start, stop) of a kernel-basis matrix.
 
     stage = LOWER_TRIANGULAR clears entries above the block diagonal (pivot
@@ -80,9 +52,8 @@ def eliminate_block(kb: KernelBasis, start: int, stop: int, stage: str) -> Block
     so the row span (the kernel subspace) is preserved exactly.
 
     When the natural diagonal pivot vanishes, a different unused block column
-    is selected instead and recorded in pivot_columns; if no pivot exists at
-    some position the block is flagged singular and elimination proceeds as
-    far as possible.
+    is pivoted on instead; a position with no pivot at all is skipped and
+    elimination proceeds as far as possible.
     """
     if stage not in (LOWER_TRIANGULAR, DIAGONAL):
         raise ValueError(f"unknown stage {stage!r}")
@@ -91,9 +62,7 @@ def eliminate_block(kb: KernelBasis, start: int, stop: int, stage: str) -> Block
     nrows = len(vecs)
     cols = list(range(max(start, 0), min(stop, kb.ambient)))
     width = min(nrows, len(cols))
-    pivot_cols: list[int] = []
     used: set[int] = set()
-    singular = False
 
     positions = range(width - 1, -1, -1) if stage == LOWER_TRIANGULAR else range(width)
     for t in positions:
@@ -111,10 +80,8 @@ def eliminate_block(kb: KernelBasis, start: int, stop: int, stage: str) -> Block
             if pivot_row is not None:
                 break
         if pivot_row is None:
-            singular = True
             continue
         used.add(pivot_col)
-        pivot_cols.append(pivot_col)
         vecs[t], vecs[pivot_row] = vecs[pivot_row], vecs[t]
         inv = pow(vecs[t][pivot_col], -1, p)
         targets = range(t) if stage == LOWER_TRIANGULAR else (r for r in range(nrows) if r != t)
@@ -126,19 +93,13 @@ def eliminate_block(kb: KernelBasis, start: int, stop: int, stage: str) -> Block
                 row = vecs[r]
                 vecs[r] = [(a - factor * b) % p for a, b in zip(row, pivot_vec)]
 
-    basis = KernelBasis(p, kb.ambient, tuple(tuple(v) for v in vecs))
-    return BlockElimination(basis, tuple(pivot_cols), singular)
+    return KernelBasis(p, kb.ambient, tuple(tuple(v) for v in vecs))
 
 
 def in_row_space(vectors: Sequence[Sequence[int]], candidate: Sequence[int], p: int) -> bool:
     """Membership test by rank comparison."""
     base = [list(v) for v in vectors]
     return row_rank(base, p) == row_rank(base + [list(candidate)], p)
-
-
-# ---------------------------------------------------------------------------
-# Row-level helpers (hot path; callers hand in plain lists)
-# ---------------------------------------------------------------------------
 
 
 def row_rank(rows: Sequence[Sequence[int]], p: int) -> int:

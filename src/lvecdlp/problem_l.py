@@ -9,7 +9,6 @@ for the heuristic's conditional success rate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from random import Random
@@ -29,67 +28,30 @@ from .linalg import (
 DEFAULT_ENUMERATION_BUDGET = 5_000_000
 
 
-@dataclass(frozen=True)
-class ProblemLInstance:
-    basis: KernelBasis
-    required_zeros: int
-
-    def __post_init__(self):
-        if self.required_zeros < 1:
-            raise ValueError("required_zeros must be >= 1")
-        if self.basis.dim == 0:
-            raise ValueError("instance basis must be nonempty")
-
-
-@dataclass(frozen=True)
-class ZeroPatternSolution:
-    """A nonzero span member and the exact positions where it vanishes."""
-
-    vector: tuple[int, ...]
-    zero_positions: tuple[int, ...]
-
-    def __post_init__(self):
-        if not any(self.vector):
-            raise ValueError("solution vector must be nonzero")
-        actual = tuple(i for i, v in enumerate(self.vector) if v == 0)
-        if actual != self.zero_positions:
-            raise ValueError("zero_positions must list exactly the zero coordinates")
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.vector) if v)
-
-
-def _solution(vector: list[int]) -> ZeroPatternSolution:
-    vec = tuple(vector)
-    return ZeroPatternSolution(vec, tuple(i for i, v in enumerate(vec) if v == 0))
-
-
-def _first_row_with_zeros(kb: KernelBasis, want: int) -> Optional[ZeroPatternSolution]:
+def _first_row_with_zeros(kb: KernelBasis, want: int) -> Optional[tuple[int, ...]]:
     for row in kb.vectors:
-        if any(row) and sum(1 for v in row if v == 0) >= want:
-            return _solution(list(row))
+        if any(row) and row.count(0) >= want:
+            return row
     return None
 
 
-def solve_alg2(inst: ProblemLInstance) -> Optional[ZeroPatternSolution]:
+def solve_alg2(kb: KernelBasis, l: int) -> Optional[tuple[int, ...]]:
     """Block-elimination solver with four checkpoints.
 
     The basis matrix is treated as two l-column windows.  Each window is row
     reduced first to lower-triangular and then to diagonal form, and after
     each of the four reductions every row is scanned for at least l zeros.
-    The first qualifying row is returned; if no checkpoint fires the search
-    stops unresolved, which is a legitimate outcome for this solver.
+    The first qualifying row is returned; if no checkpoint fires (or the basis
+    is empty) the search stops unresolved, which is a legitimate outcome for
+    this solver.
     """
-    l = inst.required_zeros
-    kb = inst.basis
     windows = [(0, min(l, kb.ambient))]
     if kb.ambient > l:
         windows.append((l, min(2 * l, kb.ambient)))
     current = kb
     for start, stop in windows:
         for stage in (LOWER_TRIANGULAR, DIAGONAL):
-            current = eliminate_block(current, start, stop, stage).basis
+            current = eliminate_block(current, start, stop, stage)
             found = _first_row_with_zeros(current, l)
             if found is not None:
                 return found
@@ -97,24 +59,23 @@ def solve_alg2(inst: ProblemLInstance) -> Optional[ZeroPatternSolution]:
 
 
 def solve_exhaustive(
-    inst: ProblemLInstance,
+    kb: KernelBasis,
+    l: int,
     accept: Optional[Callable[[tuple[int, ...]], bool]] = None,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> Optional[ZeroPatternSolution]:
+) -> Optional[tuple[int, ...]]:
     """Complete zero-set enumeration.
 
     For every l-subset Z of coordinate positions (lexicographic order), test
     whether the span contains a nonzero vector vanishing on Z: that holds iff
     the basis restricted to the columns Z has rank below the basis dimension.
     The first solution found is returned, so a nonzero result is guaranteed
-    whenever one exists.
+    whenever one exists; an empty basis has none.
 
     An optional accept predicate filters candidate vectors (the attack layer
     passes its decode conditions); only accepted solutions are returned.
     """
-    kb = inst.basis
     p = kb.p
-    l = inst.required_zeros
     n = kb.ambient
     dim = kb.dim
     if comb(n, l) > budget:
@@ -130,13 +91,13 @@ def solve_exhaustive(
                 if coeff:
                     for j in range(n):
                         candidate[j] = (candidate[j] + coeff * vec[j]) % p
-            solution = _solution(candidate)
-            if accept is None or accept(solution.vector):
+            solution = tuple(candidate)
+            if accept is None or accept(solution):
                 return solution
     return None
 
 
-def plant_instance(rng: Random, p: int, n_prime: int, l: int) -> tuple[ProblemLInstance, tuple[int, ...]]:
+def plant_instance(rng: Random, p: int, n_prime: int, l: int) -> tuple[KernelBasis, tuple[int, ...]]:
     """Random instance whose span provably contains a vector with exactly l zeros.
 
     A hidden target vector with exactly l zero coordinates is embedded in a
@@ -163,5 +124,4 @@ def plant_instance(rng: Random, p: int, n_prime: int, l: int) -> tuple[ProblemLI
         for r in range(l)
     ]
     canonical, _, _ = rref_rows(mixed, p)
-    basis = KernelBasis(p, ambient, tuple(tuple(v) for v in canonical))
-    return ProblemLInstance(basis, l), tuple(target)
+    return KernelBasis(p, ambient, tuple(tuple(v) for v in canonical)), tuple(target)

@@ -17,7 +17,7 @@ from .analysis import audit_partition_counts
 from .curve import Curve, GroupSpec
 from .field import PrimeField
 from .linalg import KernelBasis, in_row_space, left_kernel, row_rank, rref_rows
-from .problem_l import ProblemLInstance, plant_instance, solve_alg2, solve_exhaustive
+from .problem_l import plant_instance, solve_alg2, solve_exhaustive
 from .veronese import basis, evaluate_row
 
 PARTITION_PRIMES = (5, 7, 11, 13, 17)
@@ -143,7 +143,7 @@ def verify_kernel_dimension(
         for _ in range(iterations):
             sample, index, skipped = clean_iteration(cfg, index)
             skipped_total += skipped
-            if left_kernel(sample.matrix).dim == l:
+            if left_kernel(sample.rows, group.curve.q).dim == l:
                 exact += 1
         ok = exact == iterations
         passed = passed and ok
@@ -188,19 +188,18 @@ def verify_problem_l(trials: int = 200, seed: int = 0) -> SuiteReport:
         p = rng.choice((11, 17, 101, 907))
         n_prime = rng.choice((1, 2))
         l = 3 * n_prime
-        inst, _target = plant_instance(rng, p, n_prime, l)
-        exhaustive = solve_exhaustive(inst)
+        kb, _target = plant_instance(rng, p, n_prime, l)
+        exhaustive = solve_exhaustive(kb, l)
         if exhaustive is None:
             sound = False
             continue
         planted_found += 1
-        vectors = inst.basis.vector_lists()
-        if len(exhaustive.zero_positions) < l or not in_row_space(vectors, exhaustive.vector, p):
+        if exhaustive.count(0) < l or not in_row_space(kb.vectors, exhaustive, p):
             sound = False
-        candidate = solve_alg2(inst)
+        candidate = solve_alg2(kb, l)
         if candidate is not None:
             alg2_found += 1
-            if len(candidate.zero_positions) < l or not in_row_space(vectors, candidate.vector, p):
+            if candidate.count(0) < l or not in_row_space(kb.vectors, candidate, p):
                 sound = False
 
     full_scan_agree = 0
@@ -215,8 +214,7 @@ def verify_problem_l(trials: int = 200, seed: int = 0) -> SuiteReport:
             if row_rank(vectors + [row], p) == len(vectors) + 1:
                 vectors.append(row)
         canonical, _, _ = rref_rows(vectors, p)
-        inst = ProblemLInstance(KernelBasis(p, ambient, tuple(tuple(v) for v in canonical)), l)
-        found = solve_exhaustive(inst) is not None
+        found = solve_exhaustive(KernelBasis(p, ambient, tuple(tuple(v) for v in canonical)), l) is not None
         brute = False
         for c0 in range(p):
             for c1 in range(p):

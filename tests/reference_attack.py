@@ -1,18 +1,21 @@
-"""Ground truth for the attack's decode step, for harnesses that know the logarithm.
+"""Slow references for cross-checking the attack's search and decode steps.
 
-The zero-pattern solvers never see m; this oracle does.  It answers the
-question the kernel search answers, directly on the multipliers, and is
-used only to cross-validate the exhaustive solver's verdict (AC-3 and
-``test_attack.py``).
+The zero-pattern solvers never see m; the subset-sum oracle does.  It
+answers the question the kernel search answers, directly on the
+multipliers, and is used only to cross-validate the exhaustive solver's
+verdict (AC-3 and ``test_attack.py``).  ``projective_span`` lists every
+span member of a small kernel, the full-span scan the exhaustive solver is
+checked against (``test_attack.py`` and ``test_problem_l.py``).
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
-from typing import Optional
+from typing import Iterator, Optional
 
 from lvecdlp.errors import BudgetExceededError
+from lvecdlp.linalg import KernelBasis
 
 
 def subset_sum_oracle(
@@ -46,3 +49,13 @@ def subset_sum_oracle(
             continue
         return True, subset
     return False, None
+
+
+def projective_span(kb: KernelBasis) -> Iterator[tuple[int, ...]]:
+    """Every nonzero span member up to a scalar: the first nonzero coefficient is 1."""
+    for lead in range(kb.dim):
+        for rest in product(range(kb.p), repeat=kb.dim - lead - 1):
+            coeffs = (1, *rest)
+            yield tuple(
+                sum(c * vec[j] for c, vec in zip(coeffs, kb.vectors[lead:])) % kb.p for j in range(kb.ambient)
+            )

@@ -26,7 +26,7 @@ from lvecdlp.attack import (
 from lvecdlp.cli import main as cli_main
 from lvecdlp.dlp import solve_bsgs
 from lvecdlp.linalg import in_row_space, left_kernel
-from lvecdlp.problem_l import ProblemLInstance, solve_alg2, solve_exhaustive
+from lvecdlp.problem_l import solve_alg2, solve_exhaustive
 from lvecdlp.verification import (
     clean_iteration,
     verify_chord_law,
@@ -77,18 +77,17 @@ def test_ac3_cross_validation(group_p907):
         sample, index, skipped = clean_iteration(cfg, index)
         skipped_total += skipped
         oracle_found, _ = subset_sum_oracle(sample.multipliers_p, sample.multipliers_q, m_true, p)
-        kernel = left_kernel(sample.matrix)
-        instance = ProblemLInstance(kernel, cfg.l)
+        kernel = left_kernel(sample.rows, group_p907.curve.q)
 
         def accept(vec):
             return decode_solution(vec, sample.multipliers_p, sample.multipliers_q, p)[0] is not None
 
-        solution = solve_exhaustive(instance, accept=accept)
+        solution = solve_exhaustive(kernel, cfg.l, accept=accept)
         if oracle_found != (solution is not None):
             disagreements += 1
         if solution is not None:
             solvable += 1
-            decoded, _ = decode_solution(solution.vector, sample.multipliers_p, sample.multipliers_q, p)
+            decoded, _ = decode_solution(solution, sample.multipliers_p, sample.multipliers_q, p)
             assert decoded == m_true
     ok = disagreements == 0
     report(
@@ -163,18 +162,15 @@ def test_ac6_block_solver_soundness_and_calibration(ac5_trial_stream):
     for trial in ac5_trial_stream:
         if solvable >= 1000:
             break
-        kernel = left_kernel(sample_iteration(trial.cfg, trial.index).matrix)
-        instance = ProblemLInstance(kernel, l)
-        if trial.record.m is None and solve_exhaustive(instance) is None:
+        kernel = left_kernel(sample_iteration(trial.cfg, trial.index).rows, trial.cfg.group.curve.q)
+        if trial.record.m is None and solve_exhaustive(kernel, l) is None:
             continue
         solvable += 1
-        candidate = solve_alg2(instance)
+        candidate = solve_alg2(kernel, l)
         if candidate is None:
             continue
         finds += 1
-        if len(candidate.zero_positions) >= l and in_row_space(
-            kernel.vectors, candidate.vector, kernel.p
-        ):
+        if candidate.count(0) >= l and in_row_space(kernel.vectors, candidate, kernel.p):
             sound += 1
     conditional = finds / solvable
     ratio = conditional / heuristic

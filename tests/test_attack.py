@@ -1,8 +1,9 @@
 import random
-from itertools import islice, product
+from itertools import islice
 
 import pytest
 
+import lvecdlp.attack as attack_mod
 from lvecdlp.attack import (
     AttackConfig,
     IterationSample,
@@ -21,11 +22,11 @@ from lvecdlp.curve import find_prime_order_curve
 from lvecdlp.dlp import solve_bsgs
 from lvecdlp.errors import BudgetExceededError
 from lvecdlp.field import PrimeField
-from lvecdlp.linalg import MatrixFq, left_kernel
-from lvecdlp.problem_l import ProblemLInstance, solve_exhaustive
+from lvecdlp.linalg import left_kernel
+from lvecdlp.problem_l import solve_exhaustive
 from lvecdlp.veronese import basis, evaluate_row
 from lvecdlp.verification import clean_iteration
-from reference_attack import subset_sum_oracle
+from reference_attack import projective_span, subset_sum_oracle
 
 
 def make_sample(group, m, multipliers_p, multipliers_q, n_prime):
@@ -36,15 +37,8 @@ def make_sample(group, m, multipliers_p, multipliers_q, n_prime):
     points_p = tuple(group.scalar_mul(r) for r in multipliers_p)
     points_q = tuple(curve.scalar_mul(r, neg_target) for r in multipliers_q)
     mb = basis(n_prime)
-    rows = [evaluate_row(mb, pt, curve.q) for pt in points_p + points_q]
-    return IterationSample(
-        0,
-        tuple(multipliers_p),
-        tuple(multipliers_q),
-        points_p,
-        points_q,
-        MatrixFq.from_rows(curve.q, rows),
-    )
+    rows = tuple(tuple(evaluate_row(mb, pt, curve.q)) for pt in points_p + points_q)
+    return IterationSample(0, tuple(multipliers_p), tuple(multipliers_q), points_p, points_q, rows)
 
 
 def test_sample_shapes_and_determinism(group_p907):
@@ -52,8 +46,8 @@ def test_sample_shapes_and_determinism(group_p907):
     sample = sample_iteration(cfg, 3)
     assert len(sample.multipliers_p) == 5
     assert len(sample.multipliers_q) == 7
-    assert sample.matrix.nrows == 12
-    assert sample.matrix.ncols == 6
+    assert len(sample.rows) == 12
+    assert {len(row) for row in sample.rows} == {6}
     assert len(set(sample.multipliers_p)) == 5
     assert len(set(sample.multipliers_q)) == 7
     again = sample_iteration(cfg, 3)
@@ -66,15 +60,15 @@ def test_sample_shapes_and_determinism(group_p907):
 def test_sample_layout_n1(group_p19):
     cfg = AttackConfig(group=group_p19, target=group_p19.scalar_mul(4), n_prime=1, l=3, seed=0)
     sample = sample_iteration(cfg, 1)
-    assert sample.matrix.nrows == 6 and sample.matrix.ncols == 3
+    assert len(sample.rows) == 6 and {len(row) for row in sample.rows} == {3}
     q = group_p19.curve.q
     mb = basis(1)
     for i, r in enumerate(sample.multipliers_p):
-        assert list(sample.matrix.rows[i]) == evaluate_row(mb, group_p19.scalar_mul(r), q)
+        assert list(sample.rows[i]) == evaluate_row(mb, group_p19.scalar_mul(r), q)
     neg_target = group_p19.curve.negate(cfg.target)
     for j, r in enumerate(sample.multipliers_q):
         expected = evaluate_row(mb, group_p19.curve.scalar_mul(r, neg_target), q)
-        assert list(sample.matrix.rows[len(sample.multipliers_p) + j]) == expected
+        assert list(sample.rows[len(sample.multipliers_p) + j]) == expected
 
 
 def test_config_validation(group_p19):
@@ -137,20 +131,71 @@ def test_decode_rejects():
         decode_solution((1, 0, 0), multipliers_p, multipliers_q, p)
 
 
+def test_unverified_decode_is_a_rejection(group_p907, monkeypatch):
+    """A decoded m with m * P != Q rejects its vector instead of raising:
+    alg2 records "alg2:unverified", the exhaustive scan moves on to the next
+    zero set, and a planted trial comes back as a failed trial."""
+    p = group_p907.order
+    honest = attack_mod.decode_solution
+    wrong = []
+
+    def wrong_for_first_accepted_vector(vector, *rest):
+        m, reason = honest(vector, *rest)
+        if m is not None and wrong in ([], [vector]):
+            wrong[:] = [vector]
+            return (m + 1) % p, None
+        return m, reason
+
+    monkeypatch.setattr(attack_mod, "decode_solution", wrong_for_first_accepted_vector)
+
+    def run(solver, seed):
+        wrong.clear()
+        cfg = AttackConfig(
+            group=group_p907,
+            target=group_p907.scalar_mul(321),
+            n_prime=2,
+            solver=solver,
+            seed=seed,
+            max_iterations=1,
+            accident_check=False,
+        )
+        return execute_iteration(cfg, 1)
+
+    record = run("alg2", 19)
+    assert wrong
+    assert (record.m, record.found_by, record.reject_reasons) == (None, None, ["alg2:unverified"])
+    record = run("alg2-then-exhaustive", 19)
+    assert (record.m, record.found_by, record.reject_reasons) == (321, "exhaustive", ["alg2:unverified"])
+    assert record.solution_vector != wrong[0]
+    record = run("exhaustive", 0)
+    assert wrong
+    assert (record.m, record.solution_vector, record.reject_reasons) == (None, None, ["exhaustive:not-found"])
+
+    wrong.clear()
+    trial = next(planted_trials(group_p907, seed=3, n_prime=2, solver="alg2"))
+    assert wrong
+    assert trial.record.m is None and trial.record.reject_reasons == ["alg2:unverified"]
+
+
+def test_planted_trials_rejects_identity_target(group_p19):
+    for m in (0, 19, -38):
+        with pytest.raises(ValueError, match=f"fixed m = {m} "):
+            next(planted_trials(group_p19, seed=0, fixed_m=m))
+
+
 def test_decode_planted_subset(group_p19):
     # 7 + 8 = 15 = 5 * 3 mod 19, so rows {P1, P2, Q1} are a summing subset.
     m = 5
     sample = make_sample(group_p19, m, [7, 8], [3, 10, 11, 12], 1)
-    kernel = left_kernel(sample.matrix)
+    kernel = left_kernel(sample.rows, group_p19.curve.q)
     assert kernel.dim == 3
-    inst = ProblemLInstance(kernel, 3)
 
     def accept(vec):
         return decode_solution(vec, sample.multipliers_p, sample.multipliers_q, 19)[0] is not None
 
-    sol = solve_exhaustive(inst, accept=accept)
-    assert sol is not None
-    decoded, reason = decode_solution(sol.vector, sample.multipliers_p, sample.multipliers_q, 19)
+    vec = solve_exhaustive(kernel, 3, accept=accept)
+    assert vec is not None
+    decoded, reason = decode_solution(vec, sample.multipliers_p, sample.multipliers_q, 19)
     assert reason is None
     assert decoded == m
 
@@ -265,16 +310,15 @@ def test_oracle_matches_exhaustive_verdict(group_p907):
     for _ in range(40):
         sample, index, _ = clean_iteration(cfg, index)
         oracle_found, _ = subset_sum_oracle(sample.multipliers_p, sample.multipliers_q, m_true, p)
-        kernel = left_kernel(sample.matrix)
-        inst = ProblemLInstance(kernel, cfg.l)
+        kernel = left_kernel(sample.rows, group_p907.curve.q)
 
         def accept(vec):
             return decode_solution(vec, sample.multipliers_p, sample.multipliers_q, p)[0] is not None
 
-        sol = solve_exhaustive(inst, accept=accept)
-        assert oracle_found == (sol is not None)
-        if sol is not None:
-            decoded, _ = decode_solution(sol.vector, sample.multipliers_p, sample.multipliers_q, p)
+        vec = solve_exhaustive(kernel, cfg.l, accept=accept)
+        assert oracle_found == (vec is not None)
+        if vec is not None:
+            decoded, _ = decode_solution(vec, sample.multipliers_p, sample.multipliers_q, p)
             assert decoded == m_true
 
 
@@ -289,7 +333,7 @@ def test_kernel_dimension_exact_on_clean_iterations(group_p907):
         index = 1
         for _ in range(15):
             sample, index, _ = clean_iteration(cfg, index)
-            assert left_kernel(sample.matrix).dim == 3 * degree
+            assert left_kernel(sample.rows, group_p907.curve.q).dim == 3 * degree
 
 
 def test_right_kernel_dimension_on_attack_matrices(group_p907):
@@ -309,18 +353,8 @@ def test_right_kernel_dimension_on_attack_matrices(group_p907):
         index = 1
         for _ in range(10):
             sample, index, _ = clean_iteration(cfg, index)
-            matrix = sample.matrix
-            assert len(right_kernel_rows(matrix.rows, matrix.ncols, matrix.p)) == expected
-
-
-def projective_span(kb):
-    """Every nonzero span member up to a scalar: the first nonzero coefficient is 1."""
-    for lead in range(kb.dim):
-        for rest in product(range(kb.p), repeat=kb.dim - lead - 1):
-            coeffs = (1, *rest)
-            yield tuple(
-                sum(c * vec[j] for c, vec in zip(coeffs, kb.vectors[lead:])) % kb.p for j in range(kb.ambient)
-            )
+            ncols = len(sample.rows[0])
+            assert len(right_kernel_rows(sample.rows, ncols, group_p907.curve.q)) == expected
 
 
 def test_exhaustive_matches_span_scan_on_attack_kernels(group_p19):
@@ -341,17 +375,17 @@ def test_exhaustive_matches_span_scan_on_attack_kernels(group_p19):
         agreed_found = 0
         for trial in islice(planted_trials(group, seed=5, n_prime=1), trials):
             sample = sample_iteration(trial.cfg, trial.index)
-            kernel = left_kernel(sample.matrix)
+            kernel = left_kernel(sample.rows, group.curve.q)
             assert kernel.dim == trial.cfg.l
             collisions += detect_accident(sample) is not None
 
             def decode(vec):
                 return decode_solution(vec, sample.multipliers_p, sample.multipliers_q, p)[0]
 
-            solution = solve_exhaustive(ProblemLInstance(kernel, trial.cfg.l), accept=lambda v: decode(v) is not None)
+            solution = solve_exhaustive(kernel, trial.cfg.l, accept=lambda v: decode(v) is not None)
             scanned = any(decode(v) is not None for v in projective_span(kernel))
             assert (solution is not None) == scanned, f"p={p} trial {trial.index}"
             if solution is not None:
-                assert decode(solution.vector) == trial.m
+                assert decode(solution) == trial.m
                 agreed_found += 1
         assert collisions > 0 and 0 < agreed_found < trials

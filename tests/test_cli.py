@@ -166,6 +166,41 @@ def test_experiment_fixed_m(tmp_path):
         assert line.split(",")[1] == "7"
 
 
+@pytest.mark.parametrize("m", ["0", "19", "-38"])
+def test_experiment_m_multiple_of_order_is_usage_error(tmp_path, capsys, monkeypatch, m):
+    _forbid(monkeypatch, "planted_trials")
+    csv_path = tmp_path / "x.csv"
+    argv = ["experiment", *P19, "--trials", "2", "--m", m, "--csv", str(csv_path), "--json", str(tmp_path / "x.json")]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"m = {m} " in err and "Traceback" not in err
+    assert not csv_path.exists()
+
+
+def test_experiment_records_unverified_decode_as_failed_trial(tmp_path, monkeypatch):
+    """A decoded m that fails verification is a failed trial, not an invariant violation (exit 5)."""
+    import lvecdlp.attack as attack_mod
+
+    honest = attack_mod.decode_solution
+    wrong = []
+
+    def wrong_for_first_accepted_vector(vector, *rest):
+        m, reason = honest(vector, *rest)
+        if m is not None and wrong in ([], [vector]):
+            wrong[:] = [vector]
+            return (m + 1) % 907, None
+        return m, reason
+
+    monkeypatch.setattr(attack_mod, "decode_solution", wrong_for_first_accepted_vector)
+    csv_path = tmp_path / "u.csv"
+    argv = ["experiment", *P907, "--nprime", "2", "--solver", "alg2", "--trials", "3", "--seed", "3",
+            "--csv", str(csv_path), "--json", str(tmp_path / "u.json")]
+    assert main(argv) == EXIT_OK
+    first = csv_path.read_text().splitlines()[1].split(",")
+    assert wrong
+    assert (first[2], first[5]) == ("0", "alg2:unverified")
+
+
 def test_experiment_zero_trials_is_usage_error(tmp_path, capsys):
     code = main(["experiment", *P19, "--trials", "0", "--csv", str(tmp_path / "x.csv"), "--json", str(tmp_path / "x.json")])
     assert code == EXIT_USAGE
@@ -212,7 +247,7 @@ def test_dlp_command(capsys):
 
 def _forbid(monkeypatch, name):
     def fail(*args, **kwargs):
-        raise AssertionError(f"{name} ran although an output path is unwritable")
+        raise AssertionError(f"{name} ran although the command should have been rejected first")
 
     monkeypatch.setattr(f"lvecdlp.cli.{name}", fail)
 

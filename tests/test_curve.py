@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from lvecdlp.curve import Curve, GroupSpec, Point, curve_from_text, curve_to_text, find_prime_order_curve, point_from_text, point_to_text
+from lvecdlp.curve import Curve, GroupSpec, Point, curve_to_text, find_prime_order_curve, point_to_text
 from lvecdlp.errors import BudgetExceededError
 from lvecdlp.field import PrimeField
 from lvecdlp.linalg import row_rank
@@ -205,14 +205,8 @@ def test_find_prime_order_curve():
 
 def test_text_round_trip(curve17):
     assert curve_to_text(curve17) == "17 2 2"
-    assert curve_from_text("17 2 2") == curve17
-    pt = curve17.point(5, 1)
-    assert point_to_text(pt) == "5 1"
-    assert point_from_text("5 1", curve17) == pt
-    assert point_from_text("O", curve17).is_identity
+    assert point_to_text(curve17.point(5, 1)) == "5 1"
     assert point_to_text(Point.identity()) == "O"
-    with pytest.raises(ValueError):
-        point_from_text("5", curve17)
 
 
 def test_add_matches_reference_on_every_pair(curve17):
