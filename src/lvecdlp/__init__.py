@@ -31,7 +31,7 @@ from .attack import (
     sample_iteration,
 )
 from .curve import Curve, GroupSpec, Point, find_prime_order_curve
-from .dlp import solve_bsgs, solve_exhaustive_dlp
+from .dlp import solve_bsgs
 from .errors import BudgetExceededError, InvariantViolationError
 from .field import PrimeField, is_prime
 from .linalg import KernelBasis, eliminate_block, left_kernel

@@ -10,13 +10,21 @@ Config files are flat ``key = value`` text, one pair per line, ``#`` starts
 a comment.  Keys mirror the long CLI flags with underscores (``q``, ``a``,
 ``b``, ``gx``, ``gy``, ``order``, ``qx``, ``qy``, ``nprime``, ``l``,
 ``solver``, ``seed``, ``trials``, ``m``, ``max_iterations``,
-``accident_check``, ``enum_budget``, ``timing``).  Explicit CLI flags
-override config file values.
+``accident_check``, ``enum_budget``, ``timing``, ``manifest``, ``log``,
+``csv``, ``json``).  Each pair is read as the flag ``--key=value`` ahead of
+the command line's own flags, so explicit flags win; a key that is no
+setting of the command is ignored.  A malformed value is a usage error
+(exit 2), even when a flag overrides it.  Only ``q a b gx gy order``,
+``qx qy`` and ``trials`` have no default and must come from a flag or the
+file.
 
 Determinism contract: with the same config and seed, manifests, CSVs, and
 JSON-lines logs are byte-identical across runs.  Wall-clock timing is
 therefore captured only when ``--timing`` is passed (the timing fields hold
 0.0 otherwise); the console summary always shows real wall time.
+
+``dlp`` answers with baby-step giant-step alone and has no ``--method``;
+the linear-scan oracle that cross-checks it is a test reference.
 
 Exit codes: 0 success, 2 usage error, 3 validation error, 4 budget or
 iteration exhaustion, 5 internal invariant violation.
@@ -49,7 +57,7 @@ from .attack import (
     run_attack,
 )
 from .curve import Curve, GroupSpec, Point, curve_to_text, find_prime_order_curve, point_to_text
-from .dlp import solve_bsgs, solve_exhaustive_dlp
+from .dlp import solve_bsgs
 from .errors import BudgetExceededError, InvariantViolationError
 from .field import PrimeField
 from .problem_l import DEFAULT_ENUMERATION_BUDGET
@@ -66,6 +74,7 @@ SCHEMA_VERSION = 1
 
 _TRUE_TOKENS = {"1", "true", "on", "yes"}
 _FALSE_TOKENS = {"0", "false", "off", "no"}
+_NOT_SETTINGS = {"command", "func", "config"}
 
 
 class UsageError(ValueError):
@@ -85,67 +94,37 @@ def parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
+def config_flags(path: str, settable: set[str]) -> list[str]:
+    """The pairs of a config file as ``--key=value`` flags; a key not in ``settable`` is ignored."""
+    pairs = parse_config_file(path).items()
+    return [f"--{key.replace('_', '-')}={value}" for key, value in pairs if key in settable]
+
+
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in _TRUE_TOKENS:
         return True
     if lowered in _FALSE_TOKENS:
         return False
-    raise ValueError(f"expected a boolean (on/off), got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected a boolean (on/off), got {text!r}")
 
 
-class Settings:
-    """Merged view of config file values and CLI flags (flags win)."""
-
-    def __init__(self, args: argparse.Namespace):
-        self._file: dict[str, str] = {}
-        config = getattr(args, "config", None)
-        if config:
-            self._file = parse_config_file(config)
-        self._args = args
-
-    def _raw(self, key: str):
-        cli_value = getattr(self._args, key, None)
-        if cli_value is not None:
-            return cli_value
-        return self._file.get(key)
-
-    def get_int(self, key: str, default: Optional[int] = None, required: bool = False) -> Optional[int]:
-        raw = self._raw(key)
-        if raw is None:
-            if required:
-                raise UsageError(f"missing required setting '{key}'")
-            return default
-        return int(raw)
-
-    def get_str(self, key: str, default: Optional[str] = None) -> Optional[str]:
-        raw = self._raw(key)
-        return default if raw is None else str(raw)
-
-    def get_bool(self, key: str, default: bool) -> bool:
-        raw = self._raw(key)
-        if raw is None:
-            return default
-        if isinstance(raw, bool):
-            return raw
-        return _parse_bool(str(raw))
+def _require(args: argparse.Namespace, *keys: str) -> None:
+    """Settings without a default, which a config file may supply in place of a flag."""
+    for key in keys:
+        if getattr(args, key) is None:
+            raise UsageError(f"missing required setting '{key}'")
 
 
-def build_group(settings: Settings) -> GroupSpec:
-    q = settings.get_int("q", required=True)
-    a = settings.get_int("a", required=True)
-    b = settings.get_int("b", required=True)
-    gx = settings.get_int("gx", required=True)
-    gy = settings.get_int("gy", required=True)
-    order = settings.get_int("order", required=True)
-    curve = Curve(PrimeField(q), a, b)
-    return GroupSpec(curve, curve.point(gx, gy), order)
+def build_group(args: argparse.Namespace) -> GroupSpec:
+    _require(args, "q", "a", "b", "gx", "gy", "order")
+    curve = Curve(PrimeField(args.q), args.a, args.b)
+    return GroupSpec(curve, curve.point(args.gx, args.gy), args.order)
 
 
-def build_target(settings: Settings, group: GroupSpec) -> Point:
-    qx = settings.get_int("qx", required=True)
-    qy = settings.get_int("qy", required=True)
-    return group.curve.point(qx, qy)
+def build_target(args: argparse.Namespace, group: GroupSpec) -> Point:
+    _require(args, "qx", "qy")
+    return group.curve.point(args.qx, args.qy)
 
 
 def _config_echo(group: GroupSpec, keys_values: dict) -> dict:
@@ -178,36 +157,24 @@ def write_json(path: str, payload: dict) -> None:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    settings = Settings(args)
-    group = build_group(settings)
-    target = build_target(settings, group)
-    n_prime = settings.get_int("nprime", default=1)
-    l = settings.get_int("l")
-    seed = settings.get_int("seed", default=0)
-    solver = settings.get_str("solver", default=SOLVER_ALG2_THEN_EXHAUSTIVE)
-    max_iterations = settings.get_int("max_iterations")
-    accident_check = settings.get_bool("accident_check", default=True)
-    enum_budget = settings.get_int("enum_budget", default=DEFAULT_ENUMERATION_BUDGET)
-    timing = settings.get_bool("timing", default=False)
-    manifest_path = settings.get_str("manifest", default="manifest.json")
-    log_path = settings.get_str("log")
-
+    group = build_group(args)
+    target = build_target(args, group)
     cfg = AttackConfig(
         group=group,
         target=target,
-        n_prime=n_prime,
-        l=l,
-        solver=solver,
-        max_iterations=max_iterations,
-        seed=seed,
-        accident_check=accident_check,
-        enumeration_budget=enum_budget,
+        n_prime=args.nprime,
+        l=args.l,
+        solver=args.solver,
+        max_iterations=args.max_iterations,
+        seed=args.seed,
+        accident_check=args.accident_check,
+        enumeration_budget=args.enum_budget,
     )
-    for path in (manifest_path, log_path):
+    for path in (args.manifest, args.log):
         if path:
             check_writable(path)
 
-    log_handle = open(log_path, "w") if log_path else None
+    log_handle = open(args.log, "w") if args.log else None
     try:
         def sink(record):
             if log_handle is not None:
@@ -222,7 +189,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "iterations_used": outcome.iterations_used,
             "accident": list(outcome.accident) if outcome.accident else None,
             "failure_reason": outcome.failure_reason,
-            "wall_time_s": round(elapsed, 6) if timing else 0.0,
+            "wall_time_s": round(elapsed, 6) if args.timing else 0.0,
         }
         if log_handle is not None:
             log_handle.write(json.dumps({"summary": summary}, sort_keys=True) + "\n")
@@ -242,7 +209,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "max_iterations": cfg.max_iterations,
             "accident_check": "on" if cfg.accident_check else "off",
             "enum_budget": cfg.enumeration_budget,
-            "timing": "on" if timing else "off",
+            "timing": "on" if args.timing else "off",
         },
     )
     manifest = {
@@ -255,43 +222,31 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "records": [record.to_dict() for record in outcome.records],
         "summary": summary,
     }
-    if manifest_path:
-        write_json(manifest_path, manifest)
+    if args.manifest:
+        write_json(args.manifest, manifest)
 
     if outcome.succeeded:
         print(f"m = {outcome.m} (verified, {outcome.iterations_used} iteration(s))")
-        if manifest_path:
-            print(f"manifest written to {manifest_path}")
+        if args.manifest:
+            print(f"manifest written to {args.manifest}")
         print(f"wall time: {elapsed:.3f}s")
         return EXIT_OK
     print(f"failed: {outcome.failure_reason} after {outcome.iterations_used} iteration(s)", file=sys.stderr)
-    if manifest_path:
-        print(f"manifest written to {manifest_path}", file=sys.stderr)
+    if args.manifest:
+        print(f"manifest written to {args.manifest}", file=sys.stderr)
     return EXIT_BUDGET
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    settings = Settings(args)
-    group = build_group(settings)
-    trials = settings.get_int("trials", required=True)
-    if trials < 1:
-        raise UsageError(f"trials must be >= 1, got {trials}")
-    n_prime = settings.get_int("nprime", default=1)
-    l = settings.get_int("l")
-    if l is None:
-        l = 3 * n_prime
-    seed = settings.get_int("seed", default=0)
-    solver = settings.get_str("solver", default=SOLVER_EXHAUSTIVE)
-    fixed_m = settings.get_int("m")
-    if fixed_m is not None and fixed_m % group.order == 0:
-        raise UsageError(f"m = {fixed_m} is a multiple of the group order {group.order} and plants the identity")
-    accident_check = settings.get_bool("accident_check", default=False)
-    enum_budget = settings.get_int("enum_budget", default=DEFAULT_ENUMERATION_BUDGET)
-    timing = settings.get_bool("timing", default=False)
-    csv_path = settings.get_str("csv", default="experiment.csv")
-    json_path = settings.get_str("json", default="experiment.json")
-    check_writable(csv_path)
-    check_writable(json_path)
+    group = build_group(args)
+    _require(args, "trials")
+    if args.trials < 1:
+        raise UsageError(f"trials must be >= 1, got {args.trials}")
+    l = 3 * args.nprime if args.l is None else args.l
+    if args.m is not None and args.m % group.order == 0:
+        raise UsageError(f"m = {args.m} is a multiple of the group order {group.order} and plants the identity")
+    check_writable(args.csv)
+    check_writable(args.json)
 
     p = group.order
     rows = [CSV_HEADER]
@@ -300,16 +255,16 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     kernel_dims: dict[int, int] = {}
     stream = planted_trials(
         group,
-        seed=seed,
-        fixed_m=fixed_m,
-        n_prime=n_prime,
+        seed=args.seed,
+        fixed_m=args.m,
+        n_prime=args.nprime,
         l=l,
-        solver=solver,
-        accident_check=accident_check,
-        enumeration_budget=enum_budget,
+        solver=args.solver,
+        accident_check=args.accident_check,
+        enumeration_budget=args.enum_budget,
     )
     started = trial_started = time.perf_counter()
-    for trial in islice(stream, trials):
+    for trial in islice(stream, args.trials):
         trial_elapsed = time.perf_counter() - trial_started
         record = trial.record
         success = record.m is not None
@@ -318,49 +273,49 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         dim = record.kernel_dim if record.kernel_dim is not None else -1
         kernel_dims[dim] = kernel_dims.get(dim, 0) + 1
         reason = "+".join(record.reject_reasons) if record.reject_reasons else "none"
-        elapsed_field = f"{trial_elapsed:.6f}" if timing else "0.0"
-        rows.append(f"{trial.index},{trial.m},{int(success)},{solver},{dim},{reason},{elapsed_field}")
+        elapsed_field = f"{trial_elapsed:.6f}" if args.timing else "0.0"
+        rows.append(f"{trial.index},{trial.m},{int(success)},{args.solver},{dim},{reason},{elapsed_field}")
         trial_started = time.perf_counter()
     wall = time.perf_counter() - started
 
-    Path(csv_path).write_text("\n".join(rows) + "\n")
+    Path(args.csv).write_text("\n".join(rows) + "\n")
 
-    rate = successes / trials
-    ci_low, ci_high = binomial_confidence_interval(successes, trials)
-    model = success_model(p, n_prime, l)
+    rate = successes / args.trials
+    ci_low, ci_high = binomial_confidence_interval(successes, args.trials)
+    model = success_model(p, args.nprime, l)
     summary = {
         "tool": {"name": "lvecdlp", "version": __version__, "schema": SCHEMA_VERSION},
         "command": "experiment",
         "config": _config_echo(
             group,
             {
-                "nprime": n_prime,
+                "nprime": args.nprime,
                 "l": l,
-                "solver": solver,
-                "seed": seed,
-                "trials": trials,
-                "m": fixed_m,
-                "accident_check": "on" if accident_check else "off",
-                "enum_budget": enum_budget,
-                "timing": "on" if timing else "off",
+                "solver": args.solver,
+                "seed": args.seed,
+                "trials": args.trials,
+                "m": args.m,
+                "accident_check": "on" if args.accident_check else "off",
+                "enum_budget": args.enum_budget,
+                "timing": "on" if args.timing else "off",
             },
         ),
         "summary": {
-            "trials": trials,
+            "trials": args.trials,
             "successes": successes,
             "rate": rate,
             "ci95": [ci_low, ci_high],
             "accidents": accidents,
             "kernel_dims": {str(k): v for k, v in sorted(kernel_dims.items())},
             "model": model.to_dict(),
-            "wall_time_s": round(wall, 6) if timing else 0.0,
+            "wall_time_s": round(wall, 6) if args.timing else 0.0,
         },
     }
-    write_json(json_path, summary)
+    write_json(args.json, summary)
 
-    print(f"trials: {trials}, successes: {successes}, rate: {rate:.4f} (95% CI [{ci_low:.4f}, {ci_high:.4f}])")
+    print(f"trials: {args.trials}, successes: {successes}, rate: {rate:.4f} (95% CI [{ci_low:.4f}, {ci_high:.4f}])")
     print(f"model per-iteration: {model.per_iteration:.4f} with C = {model.subsets}")
-    print(f"csv written to {csv_path}; summary written to {json_path}")
+    print(f"csv written to {args.csv}; summary written to {args.json}")
     print(f"wall time: {wall:.3f}s")
     return EXIT_OK
 
@@ -419,14 +374,9 @@ def cmd_find_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_dlp(args: argparse.Namespace) -> int:
-    settings = Settings(args)
-    group = build_group(settings)
-    target = build_target(settings, group)
-    if args.method == "exhaustive":
-        m = solve_exhaustive_dlp(group, target)
-    else:
-        m = solve_bsgs(group, target)
-    print(f"m = {m}")
+    group = build_group(args)
+    target = build_target(args, group)
+    print(f"m = {solve_bsgs(group, target)}")
     return EXIT_OK
 
 
@@ -437,22 +387,38 @@ def _add_group_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gx", type=int, help="generator x")
     parser.add_argument("--gy", type=int, help="generator y")
     parser.add_argument("--order", type=int, help="prime order of the generator")
-    parser.add_argument("--config", help="flat key = value config file; flags override")
+    parser.add_argument("--config", help="flat key = value config file, read as flags ahead of the command line's")
+
+
+def _add_target_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--qx", type=int, help="target x")
+    parser.add_argument("--qy", type=int, help="target y")
 
 
 def _add_attack_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--nprime", type=int, help="interpolating curve degree (default 1)")
+    parser.add_argument("--nprime", type=int, default=1, help="interpolating curve degree (default %(default)s)")
     parser.add_argument("--l", type=int, help="extra rows / required zeros (default 3 * nprime)")
-    parser.add_argument("--solver", choices=SOLVER_CHOICES, help="zero-pattern solver")
-    parser.add_argument("--seed", type=int, help="run seed (default 0)")
-    parser.add_argument("--enum-budget", dest="enum_budget", type=int, help="subset enumeration cap")
+    parser.add_argument("--solver", choices=SOLVER_CHOICES, help="zero-pattern solver (default %(default)s)")
+    parser.add_argument("--seed", type=int, default=0, help="run seed (default %(default)s)")
+    parser.add_argument(
+        "--enum-budget", dest="enum_budget", type=int, default=DEFAULT_ENUMERATION_BUDGET, help="subset enumeration cap"
+    )
     parser.add_argument(
         "--accident-check",
         dest="accident_check",
-        choices=("on", "off"),
-        help="detect cross-block point collisions",
+        type=_parse_bool,
+        metavar="{on,off}",
+        help="detect cross-block point collisions (default %(default)s)",
     )
-    parser.add_argument("--timing", action="store_const", const="on", help="record wall-clock fields in output files")
+    parser.add_argument(
+        "--timing",
+        nargs="?",
+        type=_parse_bool,
+        const=True,
+        default=False,
+        metavar="{on,off}",
+        help="record wall-clock fields in output files",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -462,22 +428,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="run the attack on one instance")
     _add_group_flags(solve)
-    solve.add_argument("--qx", type=int, help="target x")
-    solve.add_argument("--qy", type=int, help="target y")
+    _add_target_flags(solve)
     _add_attack_flags(solve)
     solve.add_argument("--max-iterations", dest="max_iterations", type=int)
-    solve.add_argument("--manifest", help="manifest output path (default manifest.json)")
+    solve.add_argument("--manifest", default="manifest.json", help="manifest output path (default %(default)s)")
     solve.add_argument("--log", help="per-iteration JSON-lines log path")
-    solve.set_defaults(func=cmd_solve)
+    solve.set_defaults(func=cmd_solve, solver=SOLVER_ALG2_THEN_EXHAUSTIVE, accident_check=True)
 
     experiment = sub.add_parser("experiment", help="independent single-iteration trials")
     _add_group_flags(experiment)
     _add_attack_flags(experiment)
     experiment.add_argument("--trials", type=int, help="number of trials")
     experiment.add_argument("--m", type=int, help="fix the planted logarithm instead of sampling")
-    experiment.add_argument("--csv", help="per-trial CSV path (default experiment.csv)")
-    experiment.add_argument("--json", help="summary JSON path (default experiment.json)")
-    experiment.set_defaults(func=cmd_experiment)
+    experiment.add_argument("--csv", default="experiment.csv", help="per-trial CSV path (default %(default)s)")
+    experiment.add_argument("--json", default="experiment.json", help="summary JSON path (default %(default)s)")
+    experiment.set_defaults(func=cmd_experiment, solver=SOLVER_EXHAUSTIVE, accident_check=False)
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("--suite", required=True, choices=SUITE_NAMES + ("all",))
@@ -498,24 +463,27 @@ def build_parser() -> argparse.ArgumentParser:
     find_curve.add_argument("--max-candidates", dest="max_candidates", type=int)
     find_curve.set_defaults(func=cmd_find_curve)
 
-    dlp = sub.add_parser("dlp", help="solve an instance with an independent oracle")
+    dlp = sub.add_parser("dlp", help="solve an instance with baby-step giant-step")
     _add_group_flags(dlp)
-    dlp.add_argument("--qx", type=int, help="target x")
-    dlp.add_argument("--qy", type=int, help="target y")
-    dlp.add_argument("--method", choices=("bsgs", "exhaustive"), default="bsgs")
+    _add_target_flags(dlp)
     dlp.set_defaults(func=cmd_dlp)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # The file's pairs go ahead of argv's flags, so that the flags win.
+            flags = config_flags(args.config, set(vars(args)) - _NOT_SETTINGS)
+            at = argv.index(args.command) + 1
+            args = parser.parse_args([*argv[:at], *flags, *argv[at:]])
+        return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

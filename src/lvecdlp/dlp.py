@@ -1,4 +1,4 @@
-"""Independent discrete-log oracles, used to plant and verify ground truth."""
+"""Baby-step giant-step: an independent discrete-log oracle for ground truth."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from .curve import GroupSpec, Point
 from .errors import BudgetExceededError
 
 BSGS_ORDER_LIMIT = 1 << 32
-EXHAUSTIVE_ORDER_LIMIT = 100_000
 
 
 def solve_bsgs(group: GroupSpec, target: Point, max_order: int = BSGS_ORDER_LIMIT) -> int:
@@ -34,19 +33,4 @@ def solve_bsgs(group: GroupSpec, target: Point, max_order: int = BSGS_ORDER_LIMI
         if current in table:
             return (i * step_count + table[current]) % p
         current = curve.add(current, giant)
-    raise ValueError("target is not in the group generated by the generator")
-
-
-def solve_exhaustive_dlp(group: GroupSpec, target: Point, max_order: int = EXHAUSTIVE_ORDER_LIMIT) -> int:
-    """Linear scan oracle; cross-check for the baby-step giant-step solver."""
-    p = group.order
-    if p > max_order:
-        raise BudgetExceededError(f"exhaustive discrete log limited to order <= {max_order}")
-    if not group.curve.contains(target):
-        raise ValueError("target point is not on the curve")
-    current = Point.identity()
-    for m in range(p):
-        if current == target:
-            return m
-        current = group.curve.add(current, group.generator)
     raise ValueError("target is not in the group generated by the generator")

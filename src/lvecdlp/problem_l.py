@@ -80,6 +80,8 @@ def solve_exhaustive(
     dim = kb.dim
     if comb(n, l) > budget:
         raise BudgetExceededError(f"C({n}, {l}) exceeds the enumeration budget {budget}")
+    if dim == 0:
+        return None
     vectors = kb.vector_lists()
     for zero_set in combinations(range(n), l):
         restricted = [[vec[c] for vec in vectors] for c in zero_set]

@@ -1,10 +1,13 @@
+import argparse
 import json
+import re
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from lvecdlp import cli
 from lvecdlp.attack import SOLVER_CHOICES
 from lvecdlp.cli import (
     EXIT_BUDGET,
@@ -12,6 +15,7 @@ from lvecdlp.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VALIDATION,
+    build_parser,
     main,
     parse_config_file,
 )
@@ -120,6 +124,61 @@ def test_config_file_cli_override(tmp_path):
     code = main(["solve", "--config", str(config_file), "--seed", "9", "--manifest", str(m1)])
     assert code == EXIT_OK
     assert json.loads(m1.read_text())["config"]["seed"] == 9
+
+
+BAD_CONFIG_VALUES = {"seed = x": "--seed=3", "accident_check = maybe": "--accident-check=on", "timing = 2": "--timing"}
+
+
+@pytest.mark.parametrize("override", [False, True])
+@pytest.mark.parametrize("pair", sorted(BAD_CONFIG_VALUES))
+def test_malformed_config_value_is_usage_error(tmp_path, capsys, monkeypatch, pair, override):
+    """A config value is checked like its flag, even where a flag overrides it."""
+    _forbid(monkeypatch, "run_attack")
+    config_file = tmp_path / "bad.cfg"
+    config_file.write_text(f"qx = 0\nqy = 6\n{pair}\n")
+    manifest = tmp_path / "m.json"
+    argv = ["solve", *P19, "--config", str(config_file), "--manifest", str(manifest)]
+    assert main([*argv, *([BAD_CONFIG_VALUES[pair]] if override else [])]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert repr(pair.split(" = ")[1]) in err and "Traceback" not in err
+    assert not manifest.exists()
+
+
+@pytest.mark.parametrize("token", ["on", "off", "ON", "yes", "no", "true", "false", "1", "0"])
+def test_boolean_tokens_agree_between_flags_and_config(tmp_path, token):
+    expected = "off" if token.lower() in ("off", "no", "false", "0") else "on"
+    base = ["solve", *P19, "--qx", "0", "--qy", "6", "--solver", "exhaustive", "--seed", "1"]
+    config_file = tmp_path / "bool.cfg"
+    config_file.write_text(f"accident_check = {token}\ntiming = {token}\n")
+    runs = {
+        "flags": [f"--accident-check={token}", f"--timing={token}"],
+        "split flags": ["--accident-check", token, "--timing", token],
+        "config": ["--config", str(config_file)],
+    }
+    if expected == "on":
+        runs["bare --timing"] = [f"--accident-check={token}", "--timing"]
+    for name, extra in runs.items():
+        manifest = tmp_path / f"{name}.json"
+        assert main([*base, *extra, "--manifest", str(manifest)]) == EXIT_OK, name
+        payload = json.loads(manifest.read_text())
+        assert (payload["config"]["accident_check"], payload["config"]["timing"]) == (expected, expected), name
+        assert (payload["summary"]["wall_time_s"] > 0.0) == (expected == "on"), name
+
+
+def test_config_keys_documented():
+    """The key lists in the cli docstring and the README are the settings of the commands that take --config."""
+    (sub,) = [action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)]
+    settings = {}
+    for parser in sub.choices.values():
+        flags = {action.dest: action.option_strings for action in parser._actions}
+        if "config" in flags:
+            settings.update({dest: options for dest, options in flags.items() if dest not in ("help", "config")})
+    for key, options in settings.items():
+        assert "--" + key.replace("_", "-") in options, key
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    for name, text in (("cli docstring", cli.__doc__), ("README", readme)):
+        (listed,) = re.findall(r"with underscores \(([^)]*)\)", text)
+        assert sorted(re.findall(r"`+(\w+)`+", listed)) == sorted(settings), name
 
 
 def test_parse_config_file_rejects_garbage(tmp_path):
@@ -241,8 +300,6 @@ def test_find_curve(capsys):
 def test_dlp_command(capsys):
     assert main(["dlp", *P19, "--qx", "0", "--qy", "6"]) == EXIT_OK
     assert "m = 7" in capsys.readouterr().out
-    assert main(["dlp", *P19, "--qx", "0", "--qy", "6", "--method", "exhaustive"]) == EXIT_OK
-    assert "m = 7" in capsys.readouterr().out
 
 
 def _forbid(monkeypatch, name):
@@ -314,7 +371,7 @@ FUZZ_FLAGS = {
     "verify": {"--suite": (*SUITE_NAMES, "all"), "--seed": ("0", "3"), "--scale": ("0.001", "0.01")},
     "params": {"--order": ("19", "907")},
     "find-curve": {"--q": ("5", "17"), "--order-min": ("1", "19"), "--order-max": ("7", "19"), "--max-candidates": ("1", "40")},
-    "dlp": {**GROUP_FLAGS, **TARGET_FLAGS, "--method": ("bsgs", "exhaustive")},
+    "dlp": {**GROUP_FLAGS, **TARGET_FLAGS},
 }
 OUTPUT_FLAGS = {"solve": ("--manifest", "--log"), "experiment": ("--csv", "--json"), "verify": ("--report-csv", "--report-json")}
 CONFIG_VALUES = {

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from lvecdlp.curve import Point
-from lvecdlp.dlp import solve_bsgs, solve_exhaustive_dlp
+from lvecdlp.dlp import solve_bsgs
 from lvecdlp.errors import BudgetExceededError
+from reference_dlp import solve_exhaustive_dlp
 
 
 def test_bsgs_edge_cases(group_p19):

@@ -89,8 +89,14 @@ def test_exhaustive_budget_guard():
         solve_exhaustive(kb, 6, budget=10)
 
 
-def test_solvers_return_none_on_empty_basis():
+def test_solvers_return_none_on_empty_basis(monkeypatch):
+    def fail(*args):
+        raise AssertionError("an empty basis has no zero set to rank")
+
+    monkeypatch.setattr("lvecdlp.problem_l.row_rank", fail)
     empty = KernelBasis(5, 4, ())
     assert solve_alg2(empty, 2) is None
     assert solve_exhaustive(empty, 2) is None
     assert solve_exhaustive(empty, 2, accept=lambda v: True) is None
+    with pytest.raises(BudgetExceededError):
+        solve_exhaustive(KernelBasis(5, 18, ()), 9, budget=100)
