@@ -214,11 +214,16 @@ def find_prime_order_curve(
 
     The generator is the affine point with the smallest x, then smallest y.
     Any non-identity point generates a prime-order group.
+
+    a = 0 and b = 0 are skipped and not counted against ``max_candidates``:
+    they are the j-invariant 0 and 1728 families, whose orders take only a few
+    values (every a = 0 curve has q + 1 points when q = 2 mod 3), so a scan
+    through them can spend q point counts without a hit.
     """
     q = field.p
     tried = 0
-    for a in range(q):
-        for b in range(q):
+    for a in range(1, q):
+        for b in range(1, q):
             if (4 * a**3 + 27 * b**2) % q == 0:
                 continue
             tried += 1

@@ -6,16 +6,20 @@ multipliers, and is used only to cross-validate the exhaustive solver's
 verdict (AC-3 and ``test_attack.py``).  ``projective_span`` lists every
 span member of a small kernel, the full-span scan the exhaustive solver is
 checked against (``test_attack.py`` and ``test_problem_l.py``).
+``flat_singular_zero_sets`` and ``first_accepted`` are the zero-set scan as
+it ran before the minors test, one rank of the restricted basis per l-set:
+``solve_exhaustive`` must find the same singular sets and return the same
+vector (``test_problem_l.py``).
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 from math import comb
-from typing import Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from lvecdlp.errors import BudgetExceededError
-from lvecdlp.linalg import KernelBasis
+from lvecdlp.linalg import KernelBasis, right_kernel_rows, row_rank
 
 
 def subset_sum_oracle(
@@ -59,3 +63,33 @@ def projective_span(kb: KernelBasis) -> Iterator[tuple[int, ...]]:
             yield tuple(
                 sum(c * vec[j] for c, vec in zip(coeffs, kb.vectors[lead:])) % kb.p for j in range(kb.ambient)
             )
+
+
+def flat_singular_zero_sets(kb: KernelBasis, l: int) -> Iterator[tuple[int, ...]]:
+    """Every l-set Z, in lexicographic order, on which the basis restricted to Z loses rank."""
+    vectors = kb.vector_lists()
+    for zero_set in combinations(range(kb.ambient), l):
+        if row_rank([[vec[c] for vec in vectors] for c in zero_set], kb.p) < kb.dim:
+            yield zero_set
+
+
+def first_accepted(
+    kb: KernelBasis,
+    zero_sets: Iterable[tuple[int, ...]],
+    accept: Optional[Callable[[tuple[int, ...]], bool]] = None,
+) -> Optional[tuple[int, ...]]:
+    """First accepted combination of basis vectors vanishing on one of ``zero_sets``, in order."""
+    p, n = kb.p, kb.ambient
+    vectors = kb.vector_lists()
+    for zero_set in zero_sets:
+        restricted = [[vec[c] for vec in vectors] for c in zero_set]
+        for combo in right_kernel_rows(restricted, kb.dim, p):
+            candidate = [0] * n
+            for coeff, vec in zip(combo, vectors):
+                if coeff:
+                    for j in range(n):
+                        candidate[j] = (candidate[j] + coeff * vec[j]) % p
+            solution = tuple(candidate)
+            if accept is None or accept(solution):
+                return solution
+    return None

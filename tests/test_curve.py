@@ -293,3 +293,12 @@ def test_find_prime_order_curve_reproduces_medium_fixture():
     assert group == fixture_medium()
     assert (group.curve.a, group.curve.b) == (1, 348)
     assert group.generator == Point.affine(1, 297)
+
+
+def test_find_prime_order_curve_skips_j0_and_j1728_rows():
+    """At q = 48,619 (1 mod 3) every a = 0 curve has one of a few orders, none
+    prime in range, and the scan would spend q point counts in that row;
+    skipped, the a = 1 row hits at b = 55 within 60 candidates."""
+    group = find_prime_order_curve(PrimeField(48619), 48400, 48840, max_candidates=60)
+    assert (group.curve.a, group.curve.b, group.order) == (1, 55, 48731)
+    assert group.generator == Point.affine(0, 4724)
