@@ -99,38 +99,7 @@ def eliminate_block(kb: KernelBasis, start: int, stop: int, stage: str) -> Kerne
 def in_row_space(vectors: Sequence[Sequence[int]], candidate: Sequence[int], p: int) -> bool:
     """Membership test by rank comparison."""
     base = [list(v) for v in vectors]
-    return row_rank(base, p) == row_rank(base + [list(candidate)], p)
-
-
-def row_rank(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Rank by fraction-free elimination (no modular inversions)."""
-    work = [list(row) for row in rows]
-    nrows = len(work)
-    if nrows == 0:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    for c in range(ncols):
-        pivot_row = None
-        for r in range(rank, nrows):
-            if work[r][c] % p:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        pivot_vec = work[rank]
-        piv = pivot_vec[c] % p
-        for r in range(rank + 1, nrows):
-            row = work[r]
-            entry = row[c] % p
-            if entry:
-                for j in range(c, ncols):
-                    row[j] = (piv * row[j] - entry * pivot_vec[j]) % p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    return rref_rows(base, p)[1] == rref_rows(base + [list(candidate)], p)[1]
 
 
 def rref_rows(rows: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], int, list[int]]:

@@ -12,17 +12,35 @@ exactly when the square minor of X on the pivot rows whose pivot is outside
 Z and the free columns inside Z is zero.  So Problem L asks whether the code
 spanned by the kernel fails to be MDS, since a code with generator [I | X]
 is MDS iff every square submatrix of X is nonsingular (MacWilliams and
-Sloane, The Theory of Error-Correcting Codes, ch. 11).  The minors come from
-a Laplace expansion memoized across sets and computed only when a set is
-reached, so a scan that stops early pays only for the minors it touched.
+Sloane, The Theory of Error-Correcting Codes, ch. 11).
+
+The minors are computed in blocks by top row, without recursion: for t =
+l-1 down to 0, every minor whose top row is t, each expanded along that row
+into the minors of the rows below, which earlier blocks hold.  One block
+entry, a top row t and the rows below it, is one pass of ``map`` over
+getters cached per width.  When the pivots are the first l positions,
+block t holds exactly the sets that contain 0..t-1 and not t, the next run
+of the lexicographic order, so its singular sets are yielded before block
+t-1 is computed and a scan that stops early pays only for the blocks it
+reached.  For other pivots each block yields the singular sets that no
+later block can precede.
+
+Each singular set also reports whether its vanishing members form a single
+line (corank 1), read from the minors one size smaller, which its block has
+already computed.  The enumerator skips such a set when a candidate it has
+already rejected vanishes on it, since the set's one candidate is that same
+tuple.  This requires the accept filter to be a deterministic function of
+the tuple, as the attack's decode filter is.
 """
 
 from __future__ import annotations
 
 from array import array
-from functools import cache
-from itertools import combinations
+from bisect import bisect_left
+from functools import cache, partial
+from itertools import combinations, compress
 from math import comb
+from operator import add, itemgetter, mul, not_, sub
 from random import Random
 from typing import Callable, Iterator, Optional
 
@@ -33,7 +51,6 @@ from .linalg import (
     KernelBasis,
     eliminate_block,
     right_kernel_rows,
-    row_rank,
     rref_rows,
 )
 
@@ -81,14 +98,21 @@ def solve_exhaustive(
     For every l-subset Z of coordinate positions (lexicographic order), test
     whether the span contains a nonzero vector vanishing on Z: when the basis
     has l independent vectors that holds iff one minor of the RREF basis is
-    zero (see the module docstring), and otherwise iff the basis restricted
-    to the columns Z has rank below the basis dimension.  The combinations of
-    basis vectors that vanish on a singular Z are then tried in turn.  The
-    first solution found is returned, so a nonzero result is guaranteed
-    whenever one exists; an empty basis has none.
+    zero, and otherwise iff the basis restricted to the columns Z has rank
+    below the basis dimension.  The minors come in blocks by top row (see
+    the module docstring), and the singular sets a block decides are tried
+    before the next block is computed.  The combinations of basis
+    vectors that vanish on a singular Z are tried in turn.  The first
+    solution found is returned, so a nonzero result is guaranteed whenever
+    one exists; an empty basis has none.
 
     An optional accept predicate filters candidate vectors (the attack layer
     passes its decode conditions); only accepted solutions are returned.
+    When the members vanishing on Z form a single line (corank 1) and a
+    rejected candidate already vanishes on Z, Z is skipped: its one candidate
+    is the canonical (RREF) coefficient vector of that line, so it would
+    offer the identical tuple again.  The skip therefore requires ``accept``
+    to be a deterministic function of the tuple, as the decode filter is.
     """
     p = kb.p
     n = kb.ambient
@@ -98,7 +122,10 @@ def solve_exhaustive(
     if dim == 0:
         return None
     vectors = kb.vector_lists()
-    for zero_set in _singular_zero_sets(vectors, n, l, p):
+    rejected: set[frozenset[int]] = set()  # the zero positions of each rejected candidate
+    for zero_set, line in _singular_zero_sets(vectors, n, l, p):
+        if line and any(zeros.issuperset(zero_set) for zeros in rejected):
+            continue
         restricted = [[vec[c] for vec in vectors] for c in zero_set]
         for combo in right_kernel_rows(restricted, dim, p):
             candidate = [0] * n
@@ -109,43 +136,99 @@ def solve_exhaustive(
             solution = tuple(candidate)
             if accept is None or accept(solution):
                 return solution
+            rejected.add(frozenset(compress(range(n), map(not_, solution))))
     return None
 
 
-def _singular_zero_sets(vectors: list[list[int]], n: int, l: int, p: int) -> Iterator[tuple[int, ...]]:
-    """The l-sets Z, in lexicographic order, on which a nonzero span member vanishes.
+def _singular_zero_sets(vectors: list[list[int]], n: int, l: int, p: int) -> Iterator[tuple[tuple[int, ...], bool]]:
+    """(Z, line) for the l-sets Z, in lexicographic order, on which a nonzero span member vanishes.
+
+    ``line`` says whether those members form one line (up to scalars), that
+    is, whether the basis restricted to Z has corank 1.
 
     With l independent vectors each Z is one minor of X (see the module
-    docstring), memoized across sets; the minor's row and column masks have
-    equal size, and such pairs correspond one-to-one to the l-sets, so the
-    memo has C(n, l) slots.  Numbering the slots takes tables of 2^rank and
-    2^width entries.  When those outnumber the sets (a basis much wider than
-    tall, with few sets), or the basis does not have l independent vectors,
-    the restricted matrix of each set is ranked instead.
+    docstring).  The minors are computed by top row: for t = l-1 down to 0,
+    every minor whose top row is t, expanded along that row into minors of
+    lower rows, which are already known.  Row and column masks of equal size
+    correspond one-to-one to the l-sets, so the memo has C(n, l) slots; it
+    holds the determinants themselves, with the empty minor 1 in slot 0.  A
+    singular Z has corank 1 iff some minor one size smaller inside its own
+    is nonzero, and all of those lie in its block or an earlier one.
+
+    After block t every set that contains pivots[:t] is decided, and the
+    least set still to come is the l first positions other than pivots[t-1]:
+    the singular sets below it are yielded, in sorted order, before block
+    t-1 is computed, so a scan that stops early pays only for the blocks it
+    reached.  When the pivots are the first l positions, block t is exactly
+    the lexicographic run of sets that contain 0..t-1 and not t, and each
+    block's singular sets are all yielded at once.
+
+    The slot and face tables take 2^rank and about width * 2^(width - 1)
+    entries.  When 2^rank + 2^width outnumber the sets (a basis much wider
+    than tall, with few sets), or the basis does not have l independent
+    vectors, the restricted matrix of each set is reduced instead.
     """
     dim = len(vectors)
     reduced, rank, pivots = rref_rows(vectors, p)
     if not (dim == rank == l and (1 << rank) + (1 << (n - rank)) <= comb(n, l)):
         for zero_set in combinations(range(n), l):
-            if row_rank([[vec[c] for vec in vectors] for c in zero_set], p) < dim:
-                yield zero_set
+            corank = dim - rref_rows([[vec[c] for vec in vectors] for c in zero_set], p)[1]
+            if corank:
+                yield zero_set, corank == 1
         return
     free = [c for c in range(n) if c not in pivots]
+    width = len(free)
     X = [[row[c] for c in free] for row in reduced]
-    row_base, col_slot = _slots(rank, len(free))
+    order = pivots + free
+    row_base, col_slot = _slots(l, width)
+    masks, faces = _faces(width)
     memo = _zero_memo(p, comb(n, l))
-    all_rows = (1 << rank) - 1
-    row_bit = {c: 1 << i for i, c in enumerate(pivots)}
-    col_bit = {c: 1 << f for f, c in enumerate(free)}
-    for zero_set in combinations(range(n), l):
-        rows, cols = all_rows, 0
-        for c in zero_set:
-            if c in row_bit:
-                rows ^= row_bit[c]
-            else:
-                cols |= col_bit[c]
-        if _minor(X, memo, row_base, col_slot, p, rows, cols) == 0:
-            yield zero_set
+    memo[0] = 1
+    pack = list if isinstance(memo, list) else partial(array, memo.typecode)
+    reduce_mod = p.__rmod__
+    found = []
+    for t, block in _blocks(l, width):
+        row = X[t]
+        for rows, rest_base, base, k in block:
+            rest = memo[rest_base : rest_base + len(masks[k - 1])]
+            total = None
+            for j, (columns, sub_slots) in enumerate(faces[k]):
+                terms = map(mul, columns(row), sub_slots(rest))
+                total = terms if total is None else map(sub if j & 1 else add, total, terms)
+            dets = pack(map(reduce_mod, total))
+            memo[base : base + len(dets)] = dets
+            if 0 in dets:
+                for number in compress(range(len(dets)), map(not_, dets)):
+                    cols = masks[k][number]
+                    zero_set = [order[r] for r in range(l) if not rows >> r & 1]
+                    zero_set += [order[l + f] for f in range(width) if cols >> f & 1]
+                    found.append((tuple(sorted(zero_set)), _corank_one(memo, row_base, col_slot, rows, cols)))
+        if found:
+            found.sort()
+            cut = len(found)
+            if t:
+                # Sets still to come miss one of pivots[:t]; the least of them
+                # is the l first positions other than pivots[t - 1].
+                skipped = pivots[t - 1]
+                cut = bisect_left(found, (tuple(c for c in range(l + 1) if c != skipped)[:l],))
+            yield from found[:cut]
+            del found[:cut]
+
+
+def _corank_one(memo, row_base, col_slot, rows: int, cols: int) -> bool:
+    """Whether some minor of X[rows, cols] one size smaller is nonzero in the memo."""
+    row_bits = rows
+    while row_bits:
+        row_bit = row_bits & -row_bits
+        row_bits ^= row_bit
+        base = row_base[rows ^ row_bit]
+        col_bits = cols
+        while col_bits:
+            col_bit = col_bits & -col_bits
+            col_bits ^= col_bit
+            if memo[base + col_slot[cols ^ col_bit]]:
+                return True
+    return False
 
 
 @cache
@@ -165,6 +248,57 @@ def _slots(height: int, width: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(row_base), col_slot
 
 
+@cache
+def _blocks(height: int, width: int) -> tuple:
+    """The block schedule: for t = height-1 down to 0, (t, entries), one entry
+    (rows, slot base of rows without t, slot base of rows, size) for each row
+    mask with top row t, smaller masks first, up to size ``width``."""
+    row_base, _ = _slots(height, width)
+    schedule = []
+    for t in reversed(range(height)):
+        below = sorted((rest << (t + 1) for rest in range(1 << (height - t - 1))), key=int.bit_count)
+        entries = tuple(
+            (rest | 1 << t, row_base[rest], row_base[rest | 1 << t], rest.bit_count() + 1)
+            for rest in below
+            if rest.bit_count() < width
+        )
+        schedule.append((t, entries))
+    return tuple(schedule)
+
+
+@cache
+def _faces(width: int):
+    """(masks, faces): masks[k] lists the size-k column masks in increasing
+    order, and faces[k][j] holds two getters that take, for every size-k mask
+    in that order, the index of its j-th lowest column from a row of X and the
+    minor without that column from the size-(k-1) minors of one row mask."""
+    numbers = _numbering(width)
+    masks = [[] for _ in range(width + 1)]
+    for mask in range(1 << width):
+        masks[mask.bit_count()].append(mask)
+    faces = []
+    for k, size_k in enumerate(masks):
+        columns = [[] for _ in range(k)]
+        sub_slots = [[] for _ in range(k)]
+        for mask in size_k:
+            rest = mask
+            for j in range(k):
+                bit = rest & -rest
+                rest ^= bit
+                columns[j].append(bit.bit_length() - 1)
+                sub_slots[j].append(numbers[mask ^ bit])
+        faces.append(tuple((_getter(c), _getter(s)) for c, s in zip(columns, sub_slots)))
+    return tuple(tuple(size_k) for size_k in masks), tuple(faces)
+
+
+def _getter(indices: list[int]) -> Callable:
+    """Like itemgetter(*indices), but a tuple also for one index."""
+    if len(indices) == 1:
+        index = indices[0]
+        return lambda seq: (seq[index],)
+    return itemgetter(*indices)
+
+
 def _numbering(bits: int) -> tuple[int, ...]:
     """Each mask below 1 << bits numbered in increasing order among the masks of its size."""
     count = [0] * (bits + 1)
@@ -177,41 +311,11 @@ def _numbering(bits: int) -> tuple[int, ...]:
 
 
 def _zero_memo(p: int, size: int):
-    """``size`` zeros in the narrowest unsigned array that holds 1..p, or a list beyond 64 bits."""
+    """``size`` zeros in the narrowest unsigned array that holds 0..p-1, or a list beyond 64 bits."""
     for code in "BHILQ":
-        if p >> (8 * array(code).itemsize) == 0:
+        if (p - 1) >> (8 * array(code).itemsize) == 0:
             return array(code, [0]) * size
     return [0] * size
-
-
-def _minor(X: list[list[int]], memo, row_base, col_slot, p: int, rows: int, cols: int) -> int:
-    """det X[rows, cols] mod p for bit masks of equal size, by Laplace expansion
-    along the lowest row.  The memo slot holds the minor + 1, 0 meaning "not
-    computed".  Module-level rather than a nested closure, so the memo never
-    sits in a reference cycle and is freed when the scan ends."""
-    if not rows:
-        return 1
-    slot = row_base[rows] + col_slot[cols]
-    known = memo[slot]
-    if known:
-        return known - 1
-    last = rows.bit_length() - 1
-    entries = X[last]
-    rest = rows ^ (1 << last)
-    negate = rows.bit_count() % 2 == 0
-    total = 0
-    remaining = cols
-    while remaining:
-        bit = remaining & -remaining
-        remaining ^= bit
-        entry = entries[bit.bit_length() - 1]
-        if entry:
-            term = entry * _minor(X, memo, row_base, col_slot, p, rest, cols ^ bit)
-            total = total - term if negate else total + term
-        negate = not negate
-    det = total % p
-    memo[slot] = det + 1
-    return det
 
 
 def plant_instance(rng: Random, p: int, n_prime: int, l: int) -> tuple[KernelBasis, tuple[int, ...]]:
@@ -230,11 +334,11 @@ def plant_instance(rng: Random, p: int, n_prime: int, l: int) -> tuple[KernelBas
     rows = [target[:]]
     while len(rows) < l:
         row = [rng.randrange(p) for _ in range(ambient)]
-        if row_rank(rows + [row], p) == len(rows) + 1:
+        if rref_rows(rows + [row], p)[1] == len(rows) + 1:
             rows.append(row)
     while True:
         mixer = [[rng.randrange(p) for _ in range(l)] for _ in range(l)]
-        if row_rank(mixer, p) == l:
+        if rref_rows(mixer, p)[1] == l:
             break
     mixed = [
         [sum(mixer[r][k] * rows[k][c] for k in range(l)) % p for c in range(ambient)]

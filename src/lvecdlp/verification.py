@@ -16,7 +16,7 @@ from . import attack as attack_mod
 from .analysis import audit_partition_counts
 from .curve import Curve, GroupSpec
 from .field import PrimeField
-from .linalg import KernelBasis, in_row_space, left_kernel, row_rank, rref_rows
+from .linalg import KernelBasis, in_row_space, left_kernel, rref_rows
 from .problem_l import plant_instance, solve_alg2, solve_exhaustive
 from .veronese import basis, evaluate_row
 
@@ -57,7 +57,7 @@ def _triple_rank(group: GroupSpec, scalars: tuple[int, int, int]) -> int:
     mb = basis(1)
     q = group.curve.q
     rows = [evaluate_row(mb, group.scalar_mul(s), q) for s in scalars]
-    return row_rank(rows, q)
+    return rref_rows(rows, q)[1]
 
 
 def verify_chord_law(group: GroupSpec | None = None, trials: int = 1000, seed: int = 0) -> SuiteReport:
@@ -211,7 +211,7 @@ def verify_problem_l(trials: int = 200, seed: int = 0) -> SuiteReport:
         vectors = []
         while len(vectors) < l:
             row = [rng.randrange(p) for _ in range(ambient)]
-            if row_rank(vectors + [row], p) == len(vectors) + 1:
+            if rref_rows(vectors + [row], p)[1] == len(vectors) + 1:
                 vectors.append(row)
         canonical, _, _ = rref_rows(vectors, p)
         found = solve_exhaustive(KernelBasis(p, ambient, tuple(tuple(v) for v in canonical)), l) is not None

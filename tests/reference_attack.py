@@ -9,7 +9,9 @@ checked against (``test_attack.py`` and ``test_problem_l.py``).
 ``flat_singular_zero_sets`` and ``first_accepted`` are the zero-set scan as
 it ran before the minors test, one rank of the restricted basis per l-set:
 ``solve_exhaustive`` must find the same singular sets and return the same
-vector (``test_problem_l.py``).
+vector (``test_problem_l.py``).  The rank is the fraction-free elimination
+the package used before ``rref_rows`` took over every rank, kept here so the
+reference shares no elimination code with the scan's fallback.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from math import comb
 from typing import Callable, Iterable, Iterator, Optional
 
 from lvecdlp.errors import BudgetExceededError
-from lvecdlp.linalg import KernelBasis, right_kernel_rows, row_rank
+from lvecdlp.linalg import KernelBasis, right_kernel_rows
 
 
 def subset_sum_oracle(
@@ -69,8 +71,33 @@ def flat_singular_zero_sets(kb: KernelBasis, l: int) -> Iterator[tuple[int, ...]
     """Every l-set Z, in lexicographic order, on which the basis restricted to Z loses rank."""
     vectors = kb.vector_lists()
     for zero_set in combinations(range(kb.ambient), l):
-        if row_rank([[vec[c] for vec in vectors] for c in zero_set], kb.p) < kb.dim:
+        if fraction_free_rank([[vec[c] for vec in vectors] for c in zero_set], kb.p) < kb.dim:
             yield zero_set
+
+
+def fraction_free_rank(rows: list[list[int]], p: int) -> int:
+    """Rank mod p by elimination without inverses, independent of ``linalg.rref_rows``."""
+    work = [list(row) for row in rows]
+    nrows = len(work)
+    ncols = len(work[0]) if nrows else 0
+    rank = 0
+    for c in range(ncols):
+        pivot_row = next((r for r in range(rank, nrows) if work[r][c] % p), None)
+        if pivot_row is None:
+            continue
+        work[rank], work[pivot_row] = work[pivot_row], work[rank]
+        pivot_vec = work[rank]
+        piv = pivot_vec[c] % p
+        for r in range(rank + 1, nrows):
+            row = work[r]
+            entry = row[c] % p
+            if entry:
+                for j in range(c, ncols):
+                    row[j] = (piv * row[j] - entry * pivot_vec[j]) % p
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
 
 
 def first_accepted(

@@ -12,7 +12,6 @@ from lvecdlp.linalg import (
     left_kernel,
     rref_rows,
     right_kernel_rows,
-    row_rank,
 )
 
 
@@ -124,10 +123,10 @@ def test_eliminate_block_lower_triangular_shape():
         vectors = []
         while len(vectors) < l:
             row = [rng.randrange(p) for _ in range(ambient)]
-            if row_rank(vectors + [row], p) == len(vectors) + 1:
+            if rref_rows(vectors + [row], p)[1] == len(vectors) + 1:
                 vectors.append(row)
         kb = KernelBasis(p, ambient, tuple(tuple(v) for v in vectors))
-        if row_rank([v[:l] for v in vectors], p) < l:
+        if rref_rows([v[:l] for v in vectors], p)[1] < l:
             continue  # singular window: some block position has no pivot
         lower = eliminate_block(kb, 0, l, LOWER_TRIANGULAR)
         for r in range(l):
@@ -149,7 +148,7 @@ def test_eliminate_block_preserves_row_space():
         vectors = []
         while len(vectors) < l:
             row = [rng.randrange(p) for _ in range(ambient)]
-            if row_rank(vectors + [row], p) == len(vectors) + 1:
+            if rref_rows(vectors + [row], p)[1] == len(vectors) + 1:
                 vectors.append(row)
         kb = KernelBasis(p, ambient, tuple(tuple(v) for v in vectors))
         start = rng.randrange(0, max(1, ambient - l))

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import tracemalloc
 
@@ -6,16 +7,17 @@ import pytest
 
 from lvecdlp.attack import AttackConfig, decode_solution, detect_accident, sample_iteration
 from lvecdlp.errors import BudgetExceededError
-from lvecdlp.linalg import KernelBasis, in_row_space, left_kernel, row_rank, rref_rows
+from lvecdlp import problem_l
+from lvecdlp.linalg import KernelBasis, in_row_space, left_kernel, right_kernel_rows, rref_rows
 from lvecdlp.problem_l import _singular_zero_sets, plant_instance, solve_alg2, solve_exhaustive
-from reference_attack import first_accepted, flat_singular_zero_sets, projective_span
+from reference_attack import first_accepted, flat_singular_zero_sets, fraction_free_rank, projective_span
 
 
 def random_basis(rng, p, l, ambient):
     vectors = []
     while len(vectors) < l:
         row = [rng.randrange(p) for _ in range(ambient)]
-        if row_rank(vectors + [row], p) == len(vectors) + 1:
+        if rref_rows(vectors + [row], p)[1] == len(vectors) + 1:
             vectors.append(row)
     canonical, _, _ = rref_rows(vectors, p)
     return KernelBasis(p, ambient, tuple(tuple(v) for v in canonical))
@@ -96,7 +98,7 @@ def test_solvers_return_none_on_empty_basis(monkeypatch):
     def fail(*args):
         raise AssertionError("an empty basis has no zero set to rank")
 
-    monkeypatch.setattr("lvecdlp.problem_l.row_rank", fail)
+    monkeypatch.setattr("lvecdlp.problem_l.rref_rows", fail)
     empty = KernelBasis(5, 4, ())
     assert solve_alg2(empty, 2) is None
     assert solve_exhaustive(empty, 2) is None
@@ -111,10 +113,24 @@ def attack_samples(group, n_prime, count, seed):
     return [sample_iteration(cfg, index) for index in range(1, count + 1)]
 
 
+def corank(kb, zero_set):
+    """Dimension of the span members vanishing on ``zero_set``."""
+    return kb.dim - fraction_free_rank([[vec[c] for vec in kb.vectors] for c in zero_set], kb.p)
+
+
+def scanned_zero_sets(kb, l):
+    """The zero sets ``_singular_zero_sets`` yields, after checking each one's corank-1 flag."""
+    found = list(_singular_zero_sets(kb.vector_lists(), kb.ambient, l, kb.p))
+    for zero_set, line in found:
+        assert line == (corank(kb, zero_set) == 1), zero_set
+    return [zero_set for zero_set, _ in found]
+
+
 def assert_matches_flat_scan(kb, l, accept=None):
-    """Same singular sets, Z by Z, and the same returned vector as the flat rank scan."""
+    """Same singular sets, Z by Z, with the right corank-1 flags, and the same
+    returned vector as the flat rank scan."""
     flat = list(flat_singular_zero_sets(kb, l))
-    assert list(_singular_zero_sets(kb.vector_lists(), kb.ambient, l, kb.p)) == flat
+    assert scanned_zero_sets(kb, l) == flat
     assert solve_exhaustive(kb, l) == first_accepted(kb, flat)
     if accept is not None:
         assert solve_exhaustive(kb, l, accept=accept) == first_accepted(kb, flat, accept)
@@ -126,7 +142,7 @@ def mixed(kb, rng):
     p, dim = kb.p, kb.dim
     while True:
         mixer = [[rng.randrange(p) for _ in range(dim)] for _ in range(dim)]
-        if row_rank(mixer, p) == dim:
+        if rref_rows(mixer, p)[1] == dim:
             break
     rows = tuple(
         tuple(sum(mixer[r][k] * kb.vectors[k][c] for k in range(dim)) % p for c in range(kb.ambient))
@@ -172,6 +188,145 @@ def test_minors_scan_matches_flat_scan_on_planted_and_other_bases():
         for _ in range(5):
             p = rng.choice((5, 7))
             assert_matches_flat_scan(random_basis(rng, p, dim, ambient), l)
+    # Pivots not the first l positions, so every block is computed before any
+    # set is yielded: a zero first column, and pivots interleaved with free columns.
+    for pivots, ambient in (((1, 2, 3), 7), ((0, 2, 4), 7), ((1, 3, 5, 6), 8), ((2, 3, 4), 6)):
+        for _ in range(8):
+            p = rng.choice((2, 3, 5, 7))
+            kb = echelon_basis(rng, p, pivots, ambient)
+            assert rref_rows(kb.vector_lists(), p)[2] == list(pivots)
+            assert_matches_flat_scan(kb, len(pivots), hashed_accept(rng.randrange(1 << 30), 96))
+            assert_matches_flat_scan(mixed(kb, rng), len(pivots))
+
+
+@pytest.mark.parametrize(
+    "rows, first",
+    [
+        # Pivots first; the last row's entry in column 4 is 0.
+        (
+            ((1, 0, 0, 0, 2, 3, 4, 5), (0, 1, 0, 0, 6, 7, 8, 9), (0, 0, 1, 0, 1, 2, 3, 4), (0, 0, 0, 1, 0, 5, 6, 7)),
+            (0, 1, 2, 4),
+        ),
+        # Column 3 is free and comes before the last pivot.
+        (
+            ((1, 0, 0, 2, 0, 3, 4, 5), (0, 1, 0, 6, 0, 7, 8, 9), (0, 0, 1, 1, 0, 2, 3, 4), (0, 0, 0, 0, 1, 5, 6, 7)),
+            (0, 1, 2, 3),
+        ),
+    ],
+)
+def test_minors_scan_yields_before_computing_later_blocks(monkeypatch, rows, first):
+    """The first singular set is decided by the first block (top row 3), so
+    the scan yields it before it computes another block."""
+    blocks_computed = []
+    schedule = problem_l._blocks
+
+    def recorded(height, width):
+        for t, block in schedule(height, width):
+            blocks_computed.append(t)
+            yield t, block
+
+    monkeypatch.setattr("lvecdlp.problem_l._blocks", recorded)
+    kb = KernelBasis(907, 8, rows)
+    assert next(flat_singular_zero_sets(kb, 4)) == first
+    assert next(_singular_zero_sets(kb.vector_lists(), 8, 4, 907)) == (first, True)
+    assert blocks_computed == [3]
+
+
+def echelon_basis(rng, p, pivots, ambient):
+    """A random RREF basis with the given pivot columns."""
+    rows = []
+    for r, pivot in enumerate(pivots):
+        row = [0] * ambient
+        row[pivot] = 1
+        for c in range(pivot + 1, ambient):
+            if c not in pivots:
+                row[c] = rng.randrange(p)
+        rows.append(tuple(row))
+    return KernelBasis(p, ambient, tuple(rows))
+
+
+def hashed_accept(salt, threshold):
+    """A deterministic filter keyed on sha256, accepting about threshold/256 of all vectors."""
+
+    def accept(vec):
+        return hashlib.sha256(repr((salt, vec)).encode()).digest()[0] < threshold
+
+    return accept
+
+
+def collision_kernels(group, count, seed):
+    """(sample, kernel) for the first ``count`` n' = 2 samples with a cross-block collision."""
+    cfg = AttackConfig(group=group, target=group.scalar_mul(7), n_prime=2, seed=seed, accident_check=False)
+    found = []
+    index = 0
+    while len(found) < count:
+        index += 1
+        sample = sample_iteration(cfg, index)
+        if detect_accident(sample) is not None:
+            found.append((sample, left_kernel(sample.rows, group.curve.q)))
+    return found
+
+
+def offered(solve, kb, l):
+    """Every candidate ``solve`` offers to a filter that rejects all, in order of first offer."""
+    seen = {}
+
+    def reject(vec):
+        seen.setdefault(vec)
+        return False
+
+    assert solve(kb, l, reject) is None
+    return list(seen)
+
+
+def flat_solve(kb, l, accept):
+    return first_accepted(kb, flat_singular_zero_sets(kb, l), accept)
+
+
+@pytest.mark.parametrize("group_name, count", [("group_p19", 20), ("group_p907", 6)])
+def test_rejected_line_skip_is_exact(request, group_name, count):
+    """On n' = 2 collision kernels (q = 17 with its solution planes, and p = 907),
+    skipping a corank-1 set that a rejected candidate vanishes on changes
+    nothing: every deterministic filter gets the flat scan's answer.  A filter
+    sees the candidates in order of first offer, so that order must match too."""
+    group = request.getfixturevalue(group_name)
+    p = group.order
+    for sample, kb in collision_kernels(group, count, seed=17):
+        flat = list(flat_singular_zero_sets(kb, 6))
+
+        def decodes(vec):
+            return decode_solution(vec, sample.multipliers_p, sample.multipliers_q, p)[0] is not None
+
+        filters = [decodes] + [hashed_accept(salt, threshold) for salt in range(3) for threshold in (16, 64)]
+        for accept in filters:
+            assert solve_exhaustive(kb, 6, accept=accept) == first_accepted(kb, flat, accept)
+        assert offered(solve_exhaustive, kb, 6) == offered(flat_solve, kb, 6)
+
+
+def test_rejected_line_skip_needs_corank_one():
+    """Over F_2, the rejected (0, 0, 0, 0, 1, 1) vanishes on {0, 1, 2}, where the
+    members vanishing form a plane whose basis offers (0, 0, 1, 0, 0, 1) first.
+    A scan that also skipped such sets would offer (0, 0, 1, 0, 1, 0) first."""
+    kb = KernelBasis(2, 6, ((0, 0, 1, 0, 0, 1), (0, 0, 0, 1, 0, 1), (0, 0, 0, 0, 1, 1)))
+    assert offered(solve_exhaustive, kb, 3) == offered(flat_solve, kb, 3)
+    assert solve_exhaustive(kb, 3, accept=lambda v: v[2] == 1) == (0, 0, 1, 0, 0, 1)
+
+
+def test_rejected_line_is_not_reduced_again(monkeypatch, group_p907):
+    """A p = 907 collision kernel has about 210 singular sets, nearly all on the
+    line of the colliding rows: the scan reduces only a few restricted matrices."""
+    _, kb = collision_kernels(group_p907, 1, seed=17)[0]
+    singular = list(flat_singular_zero_sets(kb, 6))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return right_kernel_rows(*args)
+
+    monkeypatch.setattr("lvecdlp.problem_l.right_kernel_rows", counted)
+    assert solve_exhaustive(kb, 6, accept=lambda v: False) is None
+    assert len(singular) > 100
+    assert 0 < len(calls) <= 5
 
 
 def test_minors_scan_ranks_no_zero_set(monkeypatch, group_p907):
@@ -180,10 +335,15 @@ def test_minors_scan_ranks_no_zero_set(monkeypatch, group_p907):
     def fail(*args):
         raise AssertionError("a zero set was ranked")
 
+    def only_the_basis(rows, p):
+        if rows != kb.vector_lists():
+            fail()
+        return rref_rows(rows, p)
+
     kb = left_kernel(attack_samples(group_p907, 2, 1, seed=5)[0].rows, group_p907.curve.q)
     flat = list(flat_singular_zero_sets(kb, 6))
-    monkeypatch.setattr("lvecdlp.problem_l.row_rank", fail)
-    assert list(_singular_zero_sets(kb.vector_lists(), kb.ambient, 6, kb.p)) == flat
+    monkeypatch.setattr("lvecdlp.problem_l.rref_rows", only_the_basis)
+    assert scanned_zero_sets(kb, 6) == flat
     assert solve_exhaustive(kb, 6, accept=lambda v: False) is None
 
 
