@@ -30,8 +30,7 @@ from .veronese import MonomialBasis, basis, evaluate_row
 
 SOLVER_ALG2 = "alg2"
 SOLVER_EXHAUSTIVE = "exhaustive"
-SOLVER_ALG2_THEN_EXHAUSTIVE = "alg2-then-exhaustive"
-SOLVER_CHOICES = (SOLVER_ALG2, SOLVER_EXHAUSTIVE, SOLVER_ALG2_THEN_EXHAUSTIVE)
+SOLVER_CHOICES = (SOLVER_ALG2, SOLVER_EXHAUSTIVE)
 
 REJECT_SUPPORT_SIZE = "support-size"
 REJECT_MISSING_BLOCK = "missing-block"
@@ -50,7 +49,7 @@ class AttackConfig:
     target: Point
     n_prime: int = 1
     l: Optional[int] = None
-    solver: str = SOLVER_ALG2_THEN_EXHAUSTIVE
+    solver: str = SOLVER_EXHAUSTIVE
     max_iterations: Optional[int] = None
     seed: int = 0
     accident_check: bool = True
@@ -235,11 +234,11 @@ def _verified(cfg: AttackConfig, m: int) -> bool:
 
 
 def execute_iteration(cfg: AttackConfig, index: int) -> IterationRecord:
-    """Run a single attack iteration; record.m is set only after verification.
+    """Run one iteration with cfg.solver; record.m is set only after verification.
 
-    A decoded m that fails verification rejects its vector with reason
-    "unverified": alg2's candidate is then recorded as "alg2:unverified" and
-    the exhaustive scan moves on to the next zero set.
+    alg2's one vector is decoded; the exhaustive scan stops at the first vector
+    that decodes.  A decoded m that fails verification rejects its vector with
+    reason "unverified".  A miss records the one reason "{solver}:{reason}".
     """
     sample = sample_iteration(cfg, index)
     record = IterationRecord(
@@ -274,25 +273,18 @@ def execute_iteration(cfg: AttackConfig, index: int) -> IterationRecord:
             m, reason = None, REJECT_UNVERIFIED
         return reason
 
-    vector: Optional[tuple[int, ...]] = None
-    found_by = None
-    if cfg.solver in (SOLVER_ALG2, SOLVER_ALG2_THEN_EXHAUSTIVE):
+    if cfg.solver == SOLVER_ALG2:
         vector = solve_alg2(kernel, cfg.l)
         reason = REJECT_NOT_FOUND if vector is None else decode(vector)
-        if reason is None:
-            found_by = SOLVER_ALG2
-        else:
-            record.reject_reasons.append(f"alg2:{reason}")
-    if found_by is None and cfg.solver in (SOLVER_EXHAUSTIVE, SOLVER_ALG2_THEN_EXHAUSTIVE):
+    else:
         vector = solve_exhaustive(kernel, cfg.l, accept=lambda vec: decode(vec) is None, budget=cfg.enumeration_budget)
-        if vector is None:
-            record.reject_reasons.append(f"exhaustive:{REJECT_NOT_FOUND}")
-        else:
-            found_by = SOLVER_EXHAUSTIVE
-    if found_by is not None:
-        record.found_by = found_by
+        reason = REJECT_NOT_FOUND if vector is None else None
+    if reason is None:
+        record.found_by = cfg.solver
         record.solution_vector = vector
         record.m = m
+    else:
+        record.reject_reasons.append(f"{cfg.solver}:{reason}")
     return record
 
 

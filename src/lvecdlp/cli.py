@@ -50,7 +50,6 @@ from .analysis import (
 )
 from .attack import (
     AttackConfig,
-    SOLVER_ALG2_THEN_EXHAUSTIVE,
     SOLVER_CHOICES,
     SOLVER_EXHAUSTIVE,
     planted_trials,
@@ -398,7 +397,9 @@ def _add_target_flags(parser: argparse.ArgumentParser) -> None:
 def _add_attack_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--nprime", type=int, default=1, help="interpolating curve degree (default %(default)s)")
     parser.add_argument("--l", type=int, help="extra rows / required zeros (default 3 * nprime)")
-    parser.add_argument("--solver", choices=SOLVER_CHOICES, help="zero-pattern solver (default %(default)s)")
+    parser.add_argument(
+        "--solver", choices=SOLVER_CHOICES, default=SOLVER_EXHAUSTIVE, help="zero-pattern solver (default %(default)s)"
+    )
     parser.add_argument("--seed", type=int, default=0, help="run seed (default %(default)s)")
     parser.add_argument(
         "--enum-budget", dest="enum_budget", type=int, default=DEFAULT_ENUMERATION_BUDGET, help="subset enumeration cap"
@@ -433,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--max-iterations", dest="max_iterations", type=int)
     solve.add_argument("--manifest", default="manifest.json", help="manifest output path (default %(default)s)")
     solve.add_argument("--log", help="per-iteration JSON-lines log path")
-    solve.set_defaults(func=cmd_solve, solver=SOLVER_ALG2_THEN_EXHAUSTIVE, accident_check=True)
+    solve.set_defaults(func=cmd_solve, accident_check=True)
 
     experiment = sub.add_parser("experiment", help="independent single-iteration trials")
     _add_group_flags(experiment)
@@ -442,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--m", type=int, help="fix the planted logarithm instead of sampling")
     experiment.add_argument("--csv", default="experiment.csv", help="per-trial CSV path (default %(default)s)")
     experiment.add_argument("--json", default="experiment.json", help="summary JSON path (default %(default)s)")
-    experiment.set_defaults(func=cmd_experiment, solver=SOLVER_EXHAUSTIVE, accident_check=False)
+    experiment.set_defaults(func=cmd_experiment, accident_check=False)
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("--suite", required=True, choices=SUITE_NAMES + ("all",))

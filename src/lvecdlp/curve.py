@@ -10,6 +10,7 @@ them are unique per point.  The group law itself runs on plain ints in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from .errors import BudgetExceededError
 from .field import PrimeField, is_prime
@@ -219,8 +220,13 @@ def find_prime_order_curve(
     they are the j-invariant 0 and 1728 families, whose orders take only a few
     values (every a = 0 curve has q + 1 points when q = 2 mod 3), so a scan
     through them can spend q point counts without a hit.
+
+    A range that misses the Hasse interval q + 1 +- isqrt(4q) raises ValueError.
     """
     q = field.p
+    hasse = [q + 1 - isqrt(4 * q), q + 1 + isqrt(4 * q)]
+    if max(order_min, hasse[0]) > min(order_max, hasse[1]):
+        raise ValueError(f"order range [{order_min}, {order_max}] misses the Hasse interval {hasse} for q = {q}")
     tried = 0
     for a in range(1, q):
         for b in range(1, q):

@@ -2,9 +2,9 @@
 
 Given an l-dimensional subspace presented as a kernel basis, find a nonzero
 vector with at least l zero coordinates.  Two solvers are provided: the
-block-elimination heuristic (fast, incomplete) and an exhaustive zero-set
-enumerator (complete, used both as a fallback and as the measurement standard
-for the heuristic's conditional success rate).
+block-elimination heuristic (incomplete) and an exhaustive zero-set
+enumerator (complete: the attack's default solver, and the measurement
+standard for the heuristic's conditional success rate).
 
 The enumerator tests each l-set by one minor.  Write the span's RREF basis
 as [I | X] with the pivot columns moved first: a span member vanishes on Z

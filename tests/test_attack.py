@@ -23,7 +23,7 @@ from lvecdlp.dlp import solve_bsgs
 from lvecdlp.errors import BudgetExceededError
 from lvecdlp.field import PrimeField
 from lvecdlp.linalg import left_kernel
-from lvecdlp.problem_l import solve_exhaustive
+from lvecdlp.problem_l import _singular_zero_sets, solve_alg2, solve_exhaustive
 from lvecdlp.veronese import basis, evaluate_row
 from lvecdlp.verification import clean_iteration
 from reference_attack import projective_span, subset_sum_oracle
@@ -164,8 +164,8 @@ def test_unverified_decode_is_a_rejection(group_p907, monkeypatch):
     record = run("alg2", 19)
     assert wrong
     assert (record.m, record.found_by, record.reject_reasons) == (None, None, ["alg2:unverified"])
-    record = run("alg2-then-exhaustive", 19)
-    assert (record.m, record.found_by, record.reject_reasons) == (321, "exhaustive", ["alg2:unverified"])
+    record = run("exhaustive", 19)
+    assert (record.m, record.found_by, record.reject_reasons) == (321, "exhaustive", [])
     assert record.solution_vector != wrong[0]
     record = run("exhaustive", 0)
     assert wrong
@@ -365,7 +365,8 @@ def test_exhaustive_matches_span_scan_on_attack_kernels(group_p19):
     vanish on Z are the dependencies among the three rows outside Z, which
     hold at least two distinct points (multipliers are distinct within a
     block), so they form a line and the one vector the solver tries on Z
-    stands for all of them.
+    stands for all of them.  On collision-free samples every singular set
+    has corank 1, and the scan finds every logarithm alg2 finds.
     """
     group_p41 = find_prime_order_curve(PrimeField(37), 38, 50)
     assert (group_p41.curve.a, group_p41.curve.b, group_p41.order) == (1, 16, 41)
@@ -373,19 +374,29 @@ def test_exhaustive_matches_span_scan_on_attack_kernels(group_p19):
         p = group.order
         collisions = 0
         agreed_found = 0
+        alg2_decoded = 0
         for trial in islice(planted_trials(group, seed=5, n_prime=1), trials):
             sample = sample_iteration(trial.cfg, trial.index)
             kernel = left_kernel(sample.rows, group.curve.q)
-            assert kernel.dim == trial.cfg.l
-            collisions += detect_accident(sample) is not None
+            l = trial.cfg.l
+            assert kernel.dim == l
+            collision = detect_accident(sample) is not None
+            collisions += collision
 
             def decode(vec):
                 return decode_solution(vec, sample.multipliers_p, sample.multipliers_q, p)[0]
 
-            solution = solve_exhaustive(kernel, trial.cfg.l, accept=lambda v: decode(v) is not None)
+            solution = solve_exhaustive(kernel, l, accept=lambda v: decode(v) is not None)
             scanned = any(decode(v) is not None for v in projective_span(kernel))
             assert (solution is not None) == scanned, f"p={p} trial {trial.index}"
             if solution is not None:
                 assert decode(solution) == trial.m
                 agreed_found += 1
-        assert collisions > 0 and 0 < agreed_found < trials
+            if not collision:
+                pairs = _singular_zero_sets(kernel.vector_lists(), kernel.ambient, l, kernel.p)
+                assert all(line for _, line in pairs)
+                vector = solve_alg2(kernel, l)
+                if vector is not None and decode(vector) is not None:
+                    assert solution is not None and decode(solution) == decode(vector)
+                    alg2_decoded += 1
+        assert collisions > 0 and 0 < agreed_found < trials and alg2_decoded > 0

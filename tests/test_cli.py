@@ -102,7 +102,7 @@ def test_solve_jsonl_log(tmp_path):
 
 
 def test_manifest_config_round_trip(tmp_path):
-    extra = ["--qx", "0", "--qy", "6", "--solver", "alg2-then-exhaustive", "--seed", "4"]
+    extra = ["--qx", "0", "--qy", "6", "--seed", "4"]
     _, m1 = run_solve(tmp_path, "r1", extra)
     payload = json.loads(m1.read_text())
     config_file = tmp_path / "rerun.cfg"
@@ -126,7 +126,12 @@ def test_config_file_cli_override(tmp_path):
     assert json.loads(m1.read_text())["config"]["seed"] == 9
 
 
-BAD_CONFIG_VALUES = {"seed = x": "--seed=3", "accident_check = maybe": "--accident-check=on", "timing = 2": "--timing"}
+BAD_CONFIG_VALUES = {
+    "seed = x": "--seed=3",
+    "accident_check = maybe": "--accident-check=on",
+    "timing = 2": "--timing",
+    "solver = alg2-then-exhaustive": "--solver=exhaustive",
+}
 
 
 @pytest.mark.parametrize("override", [False, True])
@@ -294,7 +299,10 @@ def test_find_curve(capsys):
     assert main(["find-curve", "--q", "17", "--order-min", "19", "--order-max", "19"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "order: 19" in out
-    assert main(["find-curve", "--q", "17", "--order-min", "4", "--order-max", "4"]) == EXIT_BUDGET
+    assert main(["find-curve", "--q", "17", "--order-min", "20", "--order-max", "22"]) == EXIT_BUDGET
+    # Outside the Hasse interval [10, 26], or empty: refused before any curve is counted.
+    for low, high in (("4", "4"), ("27", "19")):
+        assert main(["find-curve", "--q", "17", "--order-min", low, "--order-max", high]) == EXIT_VALIDATION
 
 
 def test_dlp_command(capsys):

@@ -200,7 +200,20 @@ def test_find_prime_order_curve():
     assert group.order == 19
     assert group.curve.group_order() == 19
     with pytest.raises(BudgetExceededError):
-        find_prime_order_curve(PrimeField(17), 4, 4)
+        find_prime_order_curve(PrimeField(17), 20, 22)
+    with pytest.raises(BudgetExceededError):  # the Hasse bound 10 is in range: scanned, not refused
+        find_prime_order_curve(PrimeField(17), 0, 10)
+
+
+@pytest.mark.parametrize(
+    "q, order_min, order_max",
+    [(17, 4, 4), (17, 27, 40), (853, 2000, 3000), (853, 910, 900), (853, 0, 795), (48619, 10, 20)],
+)
+def test_find_prime_order_curve_rejects_range_outside_hasse(q, order_min, order_max):
+    """Every curve over F_q has q + 1 +- isqrt(4q) points; a range that misses
+    that interval, or is empty, is refused before the scan counts any curve."""
+    with pytest.raises(ValueError, match="Hasse interval"):
+        find_prime_order_curve(PrimeField(q), order_min, order_max, max_candidates=0)
 
 
 def test_text_round_trip(curve17):

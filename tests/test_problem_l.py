@@ -118,23 +118,37 @@ def corank(kb, zero_set):
     return kb.dim - fraction_free_rank([[vec[c] for vec in kb.vectors] for c in zero_set], kb.p)
 
 
-def scanned_zero_sets(kb, l):
-    """The zero sets ``_singular_zero_sets`` yields, after checking each one's corank-1 flag."""
+def scanned_pairs(kb, l):
+    """The (zero set, corank-1 flag) pairs ``_singular_zero_sets`` yields, after checking each flag."""
     found = list(_singular_zero_sets(kb.vector_lists(), kb.ambient, l, kb.p))
     for zero_set, line in found:
         assert line == (corank(kb, zero_set) == 1), zero_set
-    return [zero_set for zero_set, _ in found]
+    return found
 
 
 def assert_matches_flat_scan(kb, l, accept=None):
     """Same singular sets, Z by Z, with the right corank-1 flags, and the same
-    returned vector as the flat rank scan."""
+    returned vector as the flat rank scan.  Returns the scan's pairs."""
     flat = list(flat_singular_zero_sets(kb, l))
-    assert scanned_zero_sets(kb, l) == flat
+    found = scanned_pairs(kb, l)
+    assert [zero_set for zero_set, _ in found] == flat
     assert solve_exhaustive(kb, l) == first_accepted(kb, flat)
     if accept is not None:
         assert solve_exhaustive(kb, l, accept=accept) == first_accepted(kb, flat, accept)
-    return flat
+    return found
+
+
+def assert_scan_covers_alg2(kb, l, decode, found):
+    """On a collision-free sample every singular set has corank 1, so the scan
+    offers each set's one line, and whenever alg2's vector decodes the scan
+    under the decode filter decodes to the same m.  Returns whether alg2's
+    vector decoded."""
+    assert all(line for _, line in found)
+    vector = solve_alg2(kb, l)
+    m = None if vector is None else decode(vector)
+    if m is not None:
+        assert decode(solve_exhaustive(kb, l, accept=lambda vec: decode(vec) is not None)) == m
+    return m is not None
 
 
 def mixed(kb, rng):
@@ -155,19 +169,27 @@ def mixed(kb, rng):
 def test_minors_scan_matches_flat_scan_on_attack_kernels(group_p907, n_prime, count):
     """Real p = 907 kernels, collision samples included: every one of the
     C(6n', 3n') sets is tested, without and with the decode filter, and at
-    n' <= 2 one kernel also as a non-RREF basis of the same span."""
+    n' <= 2 one kernel also as a non-RREF basis of the same span.  On the
+    collision-free samples the scan finds every logarithm alg2 finds."""
     p, q, l = group_p907.order, group_p907.curve.q, 3 * n_prime
     rng = random.Random(n_prime)
-    collisions = singular = 0
+    collisions = singular = alg2_decoded = 0
     for sample in attack_samples(group_p907, n_prime, count, seed=60 + n_prime):
         kb = left_kernel(sample.rows, q)
-        collisions += detect_accident(sample) is not None
+        collision = detect_accident(sample) is not None
+        collisions += collision
+
+        def decode(vec):
+            return decode_solution(vec, sample.multipliers_p, sample.multipliers_q, p)[0]
 
         def accept(vec):
-            return decode_solution(vec, sample.multipliers_p, sample.multipliers_q, p)[0] is not None
+            return decode(vec) is not None
 
-        singular += len(assert_matches_flat_scan(kb, l, accept))
-    assert singular > 0
+        found = assert_matches_flat_scan(kb, l, accept)
+        singular += len(found)
+        if not collision:
+            alg2_decoded += assert_scan_covers_alg2(kb, l, decode, found)
+    assert singular > 0 and alg2_decoded > 0
     if n_prime < 3:
         assert collisions > 0
         assert_matches_flat_scan(mixed(kb, rng), l, accept)
@@ -343,7 +365,7 @@ def test_minors_scan_ranks_no_zero_set(monkeypatch, group_p907):
     kb = left_kernel(attack_samples(group_p907, 2, 1, seed=5)[0].rows, group_p907.curve.q)
     flat = list(flat_singular_zero_sets(kb, 6))
     monkeypatch.setattr("lvecdlp.problem_l.rref_rows", only_the_basis)
-    assert scanned_zero_sets(kb, 6) == flat
+    assert [zero_set for zero_set, _ in scanned_pairs(kb, 6)] == flat
     assert solve_exhaustive(kb, 6, accept=lambda v: False) is None
 
 
