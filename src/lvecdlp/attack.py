@@ -75,10 +75,17 @@ class AttackConfig:
             self.max_iterations = default_max_iterations(p, self.n_prime, self.l, self.solver)
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        # The doubling chain of -target, shared by every iteration's target rows.
+        self._neg_target = self.group.curve.negate(self.target)
+        self._neg_target_chain: list = []
 
     @property
     def monomials(self) -> MonomialBasis:
         return basis(self.n_prime)
+
+    def neg_target_mul(self, r: int) -> Point:
+        """r * (-target) for 0 <= r, walking the doubling chain this config keeps."""
+        return self.group.curve.scalar_mul(r, self._neg_target, self._neg_target_chain)
 
 
 def default_max_iterations(p: int, n_prime: int, l: int, solver: str) -> int:
@@ -172,12 +179,10 @@ def sample_iteration(cfg: AttackConfig, index: int) -> IterationSample:
     p = cfg.group.order
     mult_p = _distinct_multipliers(rng, 3 * cfg.n_prime - 1, p)
     mult_q = _distinct_multipliers(rng, cfg.l + 1, p)
-    curve = cfg.group.curve
-    neg_target = curve.negate(cfg.target)
     points_p = tuple(cfg.group.scalar_mul(r) for r in mult_p)
-    points_q = tuple(curve.scalar_mul(r, neg_target) for r in mult_q)
+    points_q = tuple(cfg.neg_target_mul(r) for r in mult_q)
     mb = cfg.monomials
-    q = curve.q
+    q = cfg.group.curve.q
     rows = tuple(tuple(evaluate_row(mb, pt, q)) for pt in points_p + points_q)
     return IterationSample(index, tuple(mult_p), tuple(mult_q), points_p, points_q, rows)
 

@@ -394,7 +394,7 @@ def _add_target_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--qy", type=int, help="target y")
 
 
-def _add_attack_flags(parser: argparse.ArgumentParser) -> None:
+def _add_attack_flags(parser: argparse.ArgumentParser, accident_check: bool) -> None:
     parser.add_argument("--nprime", type=int, default=1, help="interpolating curve degree (default %(default)s)")
     parser.add_argument("--l", type=int, help="extra rows / required zeros (default 3 * nprime)")
     parser.add_argument(
@@ -408,8 +408,9 @@ def _add_attack_flags(parser: argparse.ArgumentParser) -> None:
         "--accident-check",
         dest="accident_check",
         type=_parse_bool,
+        default=accident_check,
         metavar="{on,off}",
-        help="detect cross-block point collisions (default %(default)s)",
+        help=f"detect cross-block point collisions (default {'on' if accident_check else 'off'})",
     )
     parser.add_argument(
         "--timing",
@@ -430,20 +431,20 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run the attack on one instance")
     _add_group_flags(solve)
     _add_target_flags(solve)
-    _add_attack_flags(solve)
+    _add_attack_flags(solve, accident_check=True)
     solve.add_argument("--max-iterations", dest="max_iterations", type=int)
     solve.add_argument("--manifest", default="manifest.json", help="manifest output path (default %(default)s)")
     solve.add_argument("--log", help="per-iteration JSON-lines log path")
-    solve.set_defaults(func=cmd_solve, accident_check=True)
+    solve.set_defaults(func=cmd_solve)
 
     experiment = sub.add_parser("experiment", help="independent single-iteration trials")
     _add_group_flags(experiment)
-    _add_attack_flags(experiment)
+    _add_attack_flags(experiment, accident_check=False)
     experiment.add_argument("--trials", type=int, help="number of trials")
     experiment.add_argument("--m", type=int, help="fix the planted logarithm instead of sampling")
     experiment.add_argument("--csv", default="experiment.csv", help="per-trial CSV path (default %(default)s)")
     experiment.add_argument("--json", default="experiment.json", help="summary JSON path (default %(default)s)")
-    experiment.set_defaults(func=cmd_experiment, accident_check=False)
+    experiment.set_defaults(func=cmd_experiment)
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("--suite", required=True, choices=SUITE_NAMES + ("all",))

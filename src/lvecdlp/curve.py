@@ -5,6 +5,11 @@ kept in one of exactly two normal forms: affine (x : y : 1) or the identity
 (0 : 1 : 0), so that equal points compare equal and monomial rows built from
 them are unique per point.  The group law itself runs on plain ints in
 [0, q); a Point is built only for the result.
+
+Scalar multiplication has one routine, ``Curve.scalar_mul``, which adds up
+entries of the base's doubling chain [2^i * pt].  A base multiplied many
+times keeps its chain and doubles only once: ``GroupSpec`` keeps the
+generator's, and the attack's ``AttackConfig`` keeps the one of -target.
 """
 
 from __future__ import annotations
@@ -116,25 +121,37 @@ class Curve:
         xy = self._add_xy(lhs.x, lhs.y, rhs.x, rhs.y)
         return Point.identity() if xy is None else Point.affine(*xy)
 
-    def scalar_mul(self, k: int, pt: Point) -> Point:
-        """k-fold sum by double-and-add, k >= 0."""
+    def scalar_mul(self, k: int, pt: Point, chain: list | None = None) -> Point:
+        """k-fold sum, k >= 0, adding up the entries [2^i * pt] of pt's doubling chain.
+
+        The chain is kept as affine (x, y) pairs, None for the identity, after
+        which it does not grow.  It is extended only as far as k's top bit,
+        so a call without ``chain`` doubles as often as double-and-add.  A
+        caller that multiplies one base many times passes the same list each
+        time (empty at first, for that pt only) and doubles the base once.
+        """
         if k < 0:
             raise ValueError("scalar must be non-negative; reduce mod the group order first")
         if pt.is_identity:
             return pt
+        if chain is None:
+            chain = []
+        if not chain:
+            chain.append((pt.x, pt.y))
         add = self._add_xy
+        bits = k.bit_length()
+        while len(chain) < bits and chain[-1] is not None:
+            x, y = chain[-1]
+            chain.append(add(x, y, x, y))
         acc = None
-        sx, sy = pt.x, pt.y
-        while True:
+        for step in chain:
             if k & 1:
-                acc = (sx, sy) if acc is None else add(acc[0], acc[1], sx, sy)
+                if step is None:
+                    break
+                acc = step if acc is None else add(acc[0], acc[1], step[0], step[1])
             k >>= 1
             if not k:
                 break
-            step = add(sx, sy, sx, sy)
-            if step is None:
-                break
-            sx, sy = step
         return Point.identity() if acc is None else Point.affine(*acc)
 
     def group_order(self, max_field: int = DEFAULT_ENUMERATION_LIMIT) -> int:
@@ -197,11 +214,14 @@ class GroupSpec:
             raise ValueError("generator is not on the curve")
         if not is_prime(self.order):
             raise ValueError(f"group order {self.order} is not prime")
-        if not self.curve.scalar_mul(self.order, self.generator).is_identity:
+        # The generator's doubling chain, not a field: equality and hashing
+        # ignore it.  The order check below builds it far enough for any r.
+        object.__setattr__(self, "_chain", [])
+        if not self.curve.scalar_mul(self.order, self.generator, self._chain).is_identity:
             raise ValueError(f"{self.order} * generator is not the identity")
 
     def scalar_mul(self, r: int) -> Point:
-        return self.curve.scalar_mul(r % self.order, self.generator)
+        return self.curve.scalar_mul(r % self.order, self.generator, self._chain)
 
 
 def find_prime_order_curve(

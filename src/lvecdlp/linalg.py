@@ -4,6 +4,11 @@ Matrices are small (tens of rows) so everything is plain Gaussian elimination
 on lists of residues.  Every routine takes plain rows (a sequence of
 equal-length integer sequences) and the modulus p; the one wrapper is
 KernelBasis, the canonical RREF basis of a kernel.
+
+A kernel takes one elimination: with the pivots chosen from the rightmost
+column leftwards, the vector that puts 1 on one free column and 0 on the
+others is already a row of the kernel's RREF (see right_kernel_rows), so
+the basis needs no second reduction.
 """
 
 from __future__ import annotations
@@ -134,18 +139,45 @@ def rref_rows(rows: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], i
 
 
 def right_kernel_rows(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[list[int]]:
-    """Canonical (RREF) basis of the right kernel of a raw row list."""
-    reduced, rank, pivots = rref_rows(rows, p) if rows else ([], 0, [])
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    if not free_cols:
-        return []
+    """Canonical (RREF) basis of the right kernel of a raw row list, in one elimination.
+
+    Pivots are taken from the rightmost column leftwards, so each pivot row is
+    zero right of its pivot and, once reduced, in every other pivot column.
+    For a free column f, the kernel vector with 1 at f and 0 at the other free
+    columns is then nonzero only at f and at pivot columns right of f: it is
+    already the row of the kernel's RREF whose pivot is f.
+    """
+    work = [[v % p for v in row] for row in rows]
+    nrows = len(work)
+    pivots: list[int] = []  # pivot column of row 0, 1, ...
+    for c in range(ncols - 1, -1, -1):
+        rank = len(pivots)
+        if rank == nrows:
+            break
+        pivot_row = None
+        for r in range(rank, nrows):
+            if work[r][c]:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        work[rank], work[pivot_row] = work[pivot_row], work[rank]
+        inv = pow(work[rank][c], -1, p)
+        pivot_vec = work[rank] = [v * inv % p for v in work[rank]]
+        for r in range(nrows):
+            entry = work[r][c]
+            if entry and r != rank:
+                work[r] = [(a - entry * b) % p for a, b in zip(work[r], pivot_vec)]
+        pivots.append(c)
+    pivot_cols = set(pivots)
     vectors = []
-    for free in free_cols:
+    for free in range(ncols):
+        if free in pivot_cols:
+            continue
         v = [0] * ncols
         v[free] = 1
-        for r, c in enumerate(pivots):
-            v[c] = -reduced[r][free] % p
+        for c, row in zip(pivots, work):
+            if c > free:
+                v[c] = -row[free] % p
         vectors.append(v)
-    canonical, _, _ = rref_rows(vectors, p)
-    return canonical
+    return vectors

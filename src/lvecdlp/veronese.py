@@ -9,6 +9,7 @@ reads x^2, xy, xz, y^2, yz, z^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .curve import Point
 
@@ -26,7 +27,9 @@ class MonomialBasis:
         return len(self.exponents)
 
 
+@cache
 def basis(degree: int) -> MonomialBasis:
+    """The degree-n monomials in the fixed order, built once per degree."""
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     exps = []

@@ -1,12 +1,16 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import lvecdlp
 from lvecdlp import cli
 from lvecdlp.attack import SOLVER_CHOICES
 from lvecdlp.cli import (
@@ -168,6 +172,22 @@ def test_boolean_tokens_agree_between_flags_and_config(tmp_path, token):
         payload = json.loads(manifest.read_text())
         assert (payload["config"]["accident_check"], payload["config"]["timing"]) == (expected, expected), name
         assert (payload["summary"]["wall_time_s"] > 0.0) == (expected == "on"), name
+
+
+@pytest.mark.parametrize("command, default", [("solve", "on"), ("experiment", "off")])
+def test_accident_check_help_shows_on_off(capsys, command, default):
+    assert main([command, "--help"]) == EXIT_OK
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"detect cross-block point collisions (default {default})" in text
+
+
+def test_module_entry_point_runs():
+    """``python -m lvecdlp`` is the ``lvecdlp`` command."""
+    src = str(Path(lvecdlp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "lvecdlp", "--version"], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == f"lvecdlp {lvecdlp.__version__}"
 
 
 def test_config_keys_documented():

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 import random
 
 import pytest
 
+from lvecdlp.attack import AttackConfig, sample_iteration
 from lvecdlp.curve import Curve, GroupSpec, Point, curve_to_text, find_prime_order_curve, point_to_text
 from lvecdlp.errors import BudgetExceededError
 from lvecdlp.field import PrimeField
@@ -315,3 +317,66 @@ def test_find_prime_order_curve_skips_j0_and_j1728_rows():
     group = find_prime_order_curve(PrimeField(48619), 48400, 48840, max_candidates=60)
     assert (group.curve.a, group.curve.b, group.order) == (1, 55, 48731)
     assert group.generator == Point.affine(0, 4724)
+
+
+def test_chain_matches_reference_for_every_scalar_p19(group_p19):
+    """Every k below 2^bits, on one shared chain per base: the generator's and -target's."""
+    curve, gen, p = group_p19.curve, group_p19.generator, group_p19.order
+    cfg = AttackConfig(group=group_p19, target=group_p19.scalar_mul(5))
+    neg_target = curve.negate(cfg.target)
+    chain = []
+    for k in reversed(range(1 << p.bit_length())):  # the first call builds the whole chain
+        assert curve.scalar_mul(k, gen, chain) == reference_scalar_mul(curve, k, gen), k
+        assert group_p19.scalar_mul(k) == reference_scalar_mul(curve, k % p, gen), k
+        assert cfg.neg_target_mul(k) == reference_scalar_mul(curve, k, neg_target), k
+    assert len(chain) == p.bit_length()
+
+
+def test_chain_matches_reference_with_two_torsion():
+    """The curves of the two-torsion test, with one chain per point grown by small k first;
+    the chain of a point of order 2 (or 1, 4, ...) stops at the identity."""
+    reached_identity = 0
+    for q in (5, 7, 11):
+        field = PrimeField(q)
+        for a in range(q):
+            for b in range(q):
+                if (4 * a**3 + 27 * b**2) % q == 0:
+                    continue
+                curve = Curve(field, a, b)
+                points = curve.points()
+                for pt in points:
+                    chain = []
+                    for k in range(1 << (len(points) + 2).bit_length()):
+                        assert curve.scalar_mul(k, pt, chain) == reference_scalar_mul(curve, k, pt), (curve, k, pt)
+                    reached_identity += bool(chain) and chain[-1] is None
+    assert reached_identity > 0
+
+
+@pytest.mark.parametrize("n_prime", [1, 2, 3])
+def test_sampled_points_match_reference(group_p907, n_prime):
+    curve = group_p907.curve
+    cfg = AttackConfig(group=group_p907, target=group_p907.scalar_mul(321), n_prime=n_prime, seed=4)
+    neg_target = curve.negate(cfg.target)
+    for index in range(1, 6):
+        sample = sample_iteration(cfg, index)
+        assert sample.points_p == tuple(reference_scalar_mul(curve, r, group_p907.generator) for r in sample.multipliers_p)
+        assert sample.points_q == tuple(reference_scalar_mul(curve, r, neg_target) for r in sample.multipliers_q)
+
+
+def test_chain_rejects_negative_scalars(group_p19):
+    cfg = AttackConfig(group=group_p19, target=group_p19.scalar_mul(5))
+    with pytest.raises(ValueError):
+        group_p19.curve.scalar_mul(-1, group_p19.generator, [])
+    with pytest.raises(ValueError):
+        cfg.neg_target_mul(-1)
+
+
+def test_cached_chain_leaves_group_spec_equality_and_hash(group_p907):
+    fresh = GroupSpec(group_p907.curve, group_p907.generator, group_p907.order)
+    for r in range(100):
+        group_p907.scalar_mul(r)
+    assert [f.name for f in dataclasses.fields(GroupSpec)] == ["curve", "generator", "order"]
+    assert fresh == group_p907
+    assert hash(fresh) == hash(group_p907) == hash((group_p907.curve, group_p907.generator, group_p907.order))
+    assert len({fresh, group_p907}) == 1
+    assert repr(fresh) == repr(group_p907)

@@ -1,8 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from lvecdlp import problem_l
+from lvecdlp.attack import AttackConfig, detect_accident, sample_iteration
 from lvecdlp.linalg import (
     DIAGONAL,
     LOWER_TRIANGULAR,
@@ -13,6 +15,7 @@ from lvecdlp.linalg import (
     rref_rows,
     right_kernel_rows,
 )
+from reference_linalg import reference_right_kernel_rows
 
 
 def random_rows(rng, p, nrows, ncols):
@@ -162,3 +165,67 @@ def test_eliminate_block_preserves_row_space():
 def test_ragged_rows_rejected():
     with pytest.raises(ValueError):
         left_kernel([[1, 2], [1]], 5)
+
+
+@st.composite
+def raw_matrices(draw):
+    """(rows, ncols, p): small matrices with zero, duplicate and unreduced rows."""
+    p = draw(st.sampled_from((2, 3, 5, 17, 907)))
+    ncols = draw(st.integers(min_value=0, max_value=7))
+    entry = st.integers(min_value=-2 * p, max_value=3 * p)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+    return rows, ncols, p
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_matrices())
+@example(([], 0, 2))
+@example(([], 4, 907))
+@example(([[1, 1, 0], [1, 1, 0], [0, 0, 0]], 3, 2))
+@example(([[-1, 909, 0, 5]], 4, 907))
+def test_right_kernel_matches_two_pass_reference(matrix):
+    rows, ncols, p = matrix
+    assert right_kernel_rows(rows, ncols, p) == reference_right_kernel_rows(rows, ncols, p)
+
+
+def attack_kernel_inputs(group, n_prime, plain=4, collisions=2):
+    """The transposed rows of the first ``plain`` samples and of the first
+    ``collisions`` samples with a cross-block point collision."""
+    cfg = AttackConfig(group=group, target=group.scalar_mul(123), n_prime=n_prime, seed=1)
+    samples = [sample_iteration(cfg, index) for index in range(1, plain + 1)]
+    found = 0
+    index = plain
+    while found < collisions:
+        index += 1
+        sample = sample_iteration(cfg, index)
+        if detect_accident(sample) is not None:
+            samples.append(sample)
+            found += 1
+    return cfg, samples
+
+
+@pytest.mark.parametrize("n_prime", [1, 2, 3])
+def test_right_kernel_matches_reference_on_attack_matrices(group_p907, monkeypatch, n_prime):
+    """The kernel of each sampled matrix, and every zero-set restriction the scan reduces on it."""
+    cfg, samples = attack_kernel_inputs(group_p907, n_prime)
+    q = group_p907.curve.q
+    reduced = []
+
+    def checked(rows, ncols, p):
+        result = right_kernel_rows(rows, ncols, p)
+        assert result == reference_right_kernel_rows(rows, ncols, p), (rows, ncols, p)
+        reduced.append(rows)
+        return result
+
+    monkeypatch.setattr(problem_l, "right_kernel_rows", checked)
+    for sample in samples:
+        transposed = list(zip(*sample.rows))
+        expected = reference_right_kernel_rows(transposed, len(sample.rows), q)
+        kernel = left_kernel(sample.rows, q)
+        assert [list(v) for v in kernel.vectors] == expected
+        assert problem_l.solve_exhaustive(kernel, cfg.l, accept=lambda vec: False) is None
+    assert reduced  # the scan reduced some singular sets
