@@ -162,12 +162,17 @@ def right_kernel_rows(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list
         if pivot_row is None:
             continue
         work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        inv = pow(work[rank][c], -1, p)
-        pivot_vec = work[rank] = [v * inv % p for v in work[rank]]
+        # The pivot row is zero right of c, so scaling it and the row operations
+        # change only the columns left of c.  Later steps and the kernel vectors
+        # read only columns left of c, so the rows keep their tails as they are.
+        lead = work[rank]
+        inv = pow(lead[c], -1, p)
+        pivot_vec = lead[:c] = [v * inv % p for v in lead[:c]]
         for r in range(nrows):
-            entry = work[r][c]
+            row = work[r]
+            entry = row[c]
             if entry and r != rank:
-                work[r] = [(a - entry * b) % p for a, b in zip(work[r], pivot_vec)]
+                row[:c] = [(a - entry * b) % p for a, b in zip(row, pivot_vec)]
         pivots.append(c)
     pivot_cols = set(pivots)
     vectors = []

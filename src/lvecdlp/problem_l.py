@@ -19,11 +19,12 @@ l-1 down to 0, every minor whose top row is t, each expanded along that row
 into the minors of the rows below, which earlier blocks hold.  One block
 entry, a top row t and the rows below it, is one pass of ``map`` over
 getters cached per width.  When the pivots are the first l positions,
-block t holds exactly the sets that contain 0..t-1 and not t, the next run
-of the lexicographic order, so its singular sets are yielded before block
-t-1 is computed and a scan that stops early pays only for the blocks it
-reached.  For other pivots each block yields the singular sets that no
-later block can precede.
+block t holds exactly the sets that contain 0..t-1 and not t, and its
+entries come in the lexicographic order of their sets, so the schedule
+lists the l-sets in lexicographic order grouped by row mask: each entry's
+singular sets are yielded before the next entry is computed, and a scan
+that stops early pays only for the entries it reached.  For other pivots
+each block yields the singular sets that no later block can precede.
 
 Each singular set also reports whether its vanishing members form a single
 line (corank 1), read from the minors one size smaller, which its block has
@@ -100,8 +101,8 @@ def solve_exhaustive(
     has l independent vectors that holds iff one minor of the RREF basis is
     zero, and otherwise iff the basis restricted to the columns Z has rank
     below the basis dimension.  The minors come in blocks by top row (see
-    the module docstring), and the singular sets a block decides are tried
-    before the next block is computed.  The combinations of basis
+    the module docstring), and the singular sets decided so far are tried
+    before the next block entry is computed.  The combinations of basis
     vectors that vanish on a singular Z are tried in turn.  The first
     solution found is returned, so a nonzero result is guaranteed whenever
     one exists; an empty basis has none.
@@ -155,13 +156,15 @@ def _singular_zero_sets(vectors: list[list[int]], n: int, l: int, p: int) -> Ite
     singular Z has corank 1 iff some minor one size smaller inside its own
     is nonzero, and all of those lie in its block or an earlier one.
 
-    After block t every set that contains pivots[:t] is decided, and the
-    least set still to come is the l first positions other than pivots[t-1]:
-    the singular sets below it are yielded, in sorted order, before block
-    t-1 is computed, so a scan that stops early pays only for the blocks it
-    reached.  When the pivots are the first l positions, block t is exactly
-    the lexicographic run of sets that contain 0..t-1 and not t, and each
-    block's singular sets are all yielded at once.
+    When the pivots are the first l positions, block t is exactly the
+    lexicographic run of sets that contain 0..t-1 and not t, its entries
+    come in the order of their sets (see ``_blocks``), and all sets of one
+    entry share their pivots: each entry's singular sets are sorted and
+    yielded as soon as it is computed, so a scan that stops early pays only
+    for the entries it reached.  For other pivots, after block t every set
+    that contains pivots[:t] is decided, and the least set still to come is
+    the l first positions other than pivots[t-1]: the singular sets below it
+    are yielded, in sorted order, before block t-1 is computed.
 
     The slot and face tables take 2^rank and about width * 2^(width - 1)
     entries.  When 2^rank + 2^width outnumber the sets (a basis much wider
@@ -186,6 +189,7 @@ def _singular_zero_sets(vectors: list[list[int]], n: int, l: int, p: int) -> Ite
     memo[0] = 1
     pack = list if isinstance(memo, list) else partial(array, memo.typecode)
     reduce_mod = p.__rmod__
+    pivots_first = pivots == list(range(l))
     found = []
     for t, block in _blocks(l, width):
         row = X[t]
@@ -203,6 +207,11 @@ def _singular_zero_sets(vectors: list[list[int]], n: int, l: int, p: int) -> Ite
                     zero_set = [order[r] for r in range(l) if not rows >> r & 1]
                     zero_set += [order[l + f] for f in range(width) if cols >> f & 1]
                     found.append((tuple(sorted(zero_set)), _corank_one(memo, row_base, col_slot, rows, cols)))
+                if pivots_first:
+                    # Every set of a later entry or block comes after this entry's sets.
+                    found.sort()
+                    yield from found
+                    found.clear()
         if found:
             found.sort()
             cut = len(found)
@@ -252,11 +261,21 @@ def _slots(height: int, width: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def _blocks(height: int, width: int) -> tuple:
     """The block schedule: for t = height-1 down to 0, (t, entries), one entry
     (rows, slot base of rows without t, slot base of rows, size) for each row
-    mask with top row t, smaller masks first, up to size ``width``."""
+    mask with top row t, up to size ``width``.
+
+    A block lists its masks in the lexicographic order of their sets (with
+    the pivots first): reading the bits from row t+1 upwards, at the first
+    bit where two masks differ, the one with a 0 there (that row's pivot in
+    the set) comes first.  An entry reads the minors of its rows without t,
+    from an earlier block, and ``_corank_one`` those of its rows without one
+    other bit, a mask earlier in the same block."""
     row_base, _ = _slots(height, width)
     schedule = []
     for t in reversed(range(height)):
-        below = sorted((rest << (t + 1) for rest in range(1 << (height - t - 1))), key=int.bit_count)
+        below = sorted(
+            (rest << (t + 1) for rest in range(1 << (height - t - 1))),
+            key=lambda rest: [rest >> r & 1 for r in range(t + 1, height)],
+        )
         entries = tuple(
             (rest | 1 << t, row_base[rest], row_base[rest | 1 << t], rest.bit_count() + 1)
             for rest in below

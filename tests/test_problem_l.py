@@ -2,6 +2,7 @@ import gc
 import hashlib
 import random
 import tracemalloc
+from itertools import combinations
 
 import pytest
 
@@ -221,21 +222,36 @@ def test_minors_scan_matches_flat_scan_on_planted_and_other_bases():
             assert_matches_flat_scan(mixed(kb, rng), len(pivots))
 
 
-@pytest.mark.parametrize(
-    "rows, first",
-    [
-        # Pivots first; the last row's entry in column 4 is 0.
-        (
-            ((1, 0, 0, 0, 2, 3, 4, 5), (0, 1, 0, 0, 6, 7, 8, 9), (0, 0, 1, 0, 1, 2, 3, 4), (0, 0, 0, 1, 0, 5, 6, 7)),
-            (0, 1, 2, 4),
-        ),
-        # Column 3 is free and comes before the last pivot.
-        (
-            ((1, 0, 0, 2, 0, 3, 4, 5), (0, 1, 0, 6, 0, 7, 8, 9), (0, 0, 1, 1, 0, 2, 3, 4), (0, 0, 0, 0, 1, 5, 6, 7)),
-            (0, 1, 2, 3),
-        ),
-    ],
+@pytest.mark.parametrize("l, width", [(3, 3), (6, 6), (9, 9), (3, 5)])
+def test_block_schedule_lists_sets_in_lexicographic_order(l, width):
+    """With the pivots first, the empty row mask (the set of the pivots) and
+    then the entries of every block, each entry's sets sorted, are the l-sets
+    in ``combinations`` order: the scan can yield an entry's singular sets as
+    soon as the entry is computed."""
+    masks, _ = problem_l._faces(width)
+    walked = [tuple(range(l))]
+    for _, block in problem_l._blocks(l, width):
+        for rows, _, _, k in block:
+            pivots_in = [r for r in range(l) if not rows >> r & 1]
+            walked += sorted(
+                tuple(pivots_in + [l + f for f in range(width) if cols >> f & 1]) for cols in masks[k]
+            )
+    assert walked == list(combinations(range(l + width), l))
+
+
+# Pivots first; the last row's entry in column 4 is 0.
+PIVOTS_FIRST = (
+    ((1, 0, 0, 0, 2, 3, 4, 5), (0, 1, 0, 0, 6, 7, 8, 9), (0, 0, 1, 0, 1, 2, 3, 4), (0, 0, 0, 1, 0, 5, 6, 7)),
+    (0, 1, 2, 4),
 )
+# Column 3 is free and comes before the last pivot.
+FREE_BEFORE_LAST_PIVOT = (
+    ((1, 0, 0, 2, 0, 3, 4, 5), (0, 1, 0, 6, 0, 7, 8, 9), (0, 0, 1, 1, 0, 2, 3, 4), (0, 0, 0, 0, 1, 5, 6, 7)),
+    (0, 1, 2, 3),
+)
+
+
+@pytest.mark.parametrize("rows, first", [PIVOTS_FIRST, FREE_BEFORE_LAST_PIVOT])
 def test_minors_scan_yields_before_computing_later_blocks(monkeypatch, rows, first):
     """The first singular set is decided by the first block (top row 3), so
     the scan yields it before it computes another block."""
@@ -252,6 +268,49 @@ def test_minors_scan_yields_before_computing_later_blocks(monkeypatch, rows, fir
     assert next(flat_singular_zero_sets(kb, 4)) == first
     assert next(_singular_zero_sets(kb.vector_lists(), 8, 4, 907)) == (first, True)
     assert blocks_computed == [3]
+
+
+@pytest.mark.parametrize(
+    "rows, first, computed",
+    [
+        # Pivots first; rows 1 and 3 are proportional on columns 4 and 5, so
+        # the first singular set is in block 1's entry {1, 3}, which comes
+        # before {1, 2} in the lexicographic order but not by mask size.
+        (
+            (
+                (1, 0, 0, 0, 138, 583, 868, 822),
+                (0, 1, 0, 0, 783, 65, 262, 121),
+                (0, 0, 1, 0, 508, 780, 461, 484),
+                (0, 0, 0, 1, 668, 235, 808, 215),
+            ),
+            (0, 2, 4, 5),
+            [0b1000, 0b0100, 0b1100, 0b0010, 0b1010],
+        ),
+        # Pivots not first: the whole block is computed (block 3 is the one entry {3}).
+        (*FREE_BEFORE_LAST_PIVOT, [0b1000]),
+    ],
+)
+def test_minors_scan_yields_before_computing_later_entries(monkeypatch, rows, first, computed):
+    """The scan yields the first singular set before it computes a later
+    entry (pivots first) or a later block (other pivots): ``computed`` lists
+    the row masks of the entries computed by then, in order."""
+    recorded = []
+    schedule = problem_l._blocks
+
+    def recorded_entries(block):
+        for entry in block:
+            recorded.append(entry[0])
+            yield entry
+
+    def recorded_schedule(height, width):
+        for t, block in schedule(height, width):
+            yield t, recorded_entries(block)
+
+    monkeypatch.setattr("lvecdlp.problem_l._blocks", recorded_schedule)
+    kb = KernelBasis(907, 8, rows)
+    assert next(flat_singular_zero_sets(kb, 4)) == first
+    assert next(_singular_zero_sets(kb.vector_lists(), 8, 4, 907)) == (first, True)
+    assert recorded == computed
 
 
 def echelon_basis(rng, p, pivots, ambient):
@@ -332,6 +391,25 @@ def test_rejected_line_skip_needs_corank_one():
     kb = KernelBasis(2, 6, ((0, 0, 1, 0, 0, 1), (0, 0, 0, 1, 0, 1), (0, 0, 0, 0, 1, 1)))
     assert offered(solve_exhaustive, kb, 3) == offered(flat_solve, kb, 3)
     assert solve_exhaustive(kb, 3, accept=lambda v: v[2] == 1) == (0, 0, 1, 0, 0, 1)
+
+
+def test_early_stopping_scan_matches_lazy_flat_scan_at_n3(group_p907):
+    """Real p = 907 n' = 3 kernels, where the scan stops inside a block: the
+    returned vector equals the lazy flat scan's under the decode filter and
+    two hashed filters."""
+    p, q = group_p907.order, group_p907.curve.q
+    hits = [0, 0, 0]
+    for sample in attack_samples(group_p907, 3, 30, seed=63):
+        kb = left_kernel(sample.rows, q)
+
+        def decodes(vec):
+            return decode_solution(vec, sample.multipliers_p, sample.multipliers_q, p)[0] is not None
+
+        for j, accept in enumerate((decodes, hashed_accept(sample.index, 192), hashed_accept(-sample.index, 128))):
+            found = solve_exhaustive(kb, 9, accept)
+            assert found == first_accepted(kb, flat_singular_zero_sets(kb, 9), accept)
+            hits[j] += found is not None
+    assert all(hits), hits
 
 
 def test_rejected_line_is_not_reduced_again(monkeypatch, group_p907):
