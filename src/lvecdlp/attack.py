@@ -75,17 +75,23 @@ class AttackConfig:
             self.max_iterations = default_max_iterations(p, self.n_prime, self.l, self.solver)
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        # The doubling chain of -target, shared by every iteration's target rows.
-        self._neg_target = self.group.curve.negate(self.target)
-        self._neg_target_chain: list = []
+        self._neg_target_for = None  # the target that _neg_target and its memo belong to
 
     @property
     def monomials(self) -> MonomialBasis:
         return basis(self.n_prime)
 
     def neg_target_mul(self, r: int) -> Point:
-        """r * (-target) for 0 <= r, walking the doubling chain this config keeps."""
-        return self.group.curve.scalar_mul(r, self._neg_target, self._neg_target_chain)
+        """r * (-target) for 0 <= r, from the window memo of -target this config keeps.
+
+        The memo is rebuilt whenever ``target`` is no longer the point it was
+        built for, so reassigning the target never samples the old one.
+        """
+        if self._neg_target_for is not self.target:
+            self._neg_target_for = self.target
+            self._neg_target = self.group.curve.negate(self.target)
+            self._neg_target_memo = {}
+        return self.group.curve.scalar_mul(r, self._neg_target, self._neg_target_memo)
 
 
 def default_max_iterations(p: int, n_prime: int, l: int, solver: str) -> int:

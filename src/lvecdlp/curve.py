@@ -6,10 +6,15 @@ kept in one of exactly two normal forms: affine (x : y : 1) or the identity
 them are unique per point.  The group law itself runs on plain ints in
 [0, q); a Point is built only for the result.
 
-Scalar multiplication has one routine, ``Curve.scalar_mul``, which adds up
-entries of the base's doubling chain [2^i * pt].  A base multiplied many
-times keeps its chain and doubles only once: ``GroupSpec`` keeps the
-generator's, and the attack's ``AttackConfig`` keeps the one of -target.
+Scalar multiplication has one routine, ``Curve.scalar_mul``, which splits k
+into 4-bit windows and adds up one window entry d * 2^(4i) * pt per nonzero
+digit d.  The entries are filled in lazily from the base's doubling chain
+[2^j * pt] and kept in a memo keyed by the scalar d * 2^(4i), which also
+holds the chain itself.  A base multiplied many times keeps its memo:
+``GroupSpec`` keeps the generator's, and the attack's ``AttackConfig`` keeps
+the one of -target.  Once the memo is warm, a 10-bit scalar costs at most
+two group additions (fixed-base windowing: Brickell, Gordon, McCurley and
+Wilson, "Fast exponentiation with precomputation", EUROCRYPT '92).
 """
 
 from __future__ import annotations
@@ -23,6 +28,9 @@ from .field import PrimeField, is_prime
 DEFAULT_ENUMERATION_LIMIT = 1 << 20
 
 IDENTITY_TOKEN = "O"
+
+_WINDOW_BITS = 4
+_DIGIT_MASK = (1 << _WINDOW_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -121,38 +129,72 @@ class Curve:
         xy = self._add_xy(lhs.x, lhs.y, rhs.x, rhs.y)
         return Point.identity() if xy is None else Point.affine(*xy)
 
-    def scalar_mul(self, k: int, pt: Point, chain: list | None = None) -> Point:
-        """k-fold sum, k >= 0, adding up the entries [2^i * pt] of pt's doubling chain.
+    def scalar_mul(self, k: int, pt: Point, memo: dict | None = None) -> Point:
+        """k-fold sum, k >= 0, adding up one memo entry d * 2^(4i) * pt per nonzero 4-bit digit d of k.
 
-        The chain is kept as affine (x, y) pairs, None for the identity, after
-        which it does not grow.  It is extended only as far as k's top bit,
-        so a call without ``chain`` doubles as often as double-and-add.  A
-        caller that multiplies one base many times passes the same list each
-        time (empty at first, for that pt only) and doubles the base once.
+        The memo maps a scalar d * 2^(4i), 0 < d < 16, to that multiple of pt
+        as an affine (x, y) pair, or None for the identity.  Its powers of two
+        are pt's doubling chain.  A missing entry is filled in by ``_window``,
+        so a call on an empty memo makes as many group operations as
+        double-and-add, and a warm one adds only its nonzero digits.  A caller
+        that multiplies one base many times passes the same dict each time
+        (empty at first, for that pt only).
         """
         if k < 0:
             raise ValueError("scalar must be non-negative; reduce mod the group order first")
         if pt.is_identity:
             return pt
-        if chain is None:
-            chain = []
-        if not chain:
-            chain.append((pt.x, pt.y))
+        if memo is None:
+            memo = {}
         add = self._add_xy
-        bits = k.bit_length()
-        while len(chain) < bits and chain[-1] is not None:
-            x, y = chain[-1]
-            chain.append(add(x, y, x, y))
         acc = None
-        for step in chain:
-            if k & 1:
-                if step is None:
-                    break
+        for shift in range(0, k.bit_length(), _WINDOW_BITS):
+            part = k & (_DIGIT_MASK << shift)
+            if not part:
+                continue
+            step = memo[part] if part in memo else self._window(part, pt, memo)
+            if step is not None:
                 acc = step if acc is None else add(acc[0], acc[1], step[0], step[1])
-            k >>= 1
-            if not k:
-                break
         return Point.identity() if acc is None else Point.affine(*acc)
+
+    def _window(self, part: int, pt: Point, memo: dict) -> tuple[int, int] | None:
+        """part * pt for part = d * 2^(4i), 0 < d < 16, stored in the memo.
+
+        The doubling chain is first extended up to part's top bit; once it
+        reaches the identity, every later entry is the identity, got without
+        doubling.  The chain entries of part's bits are then added from the
+        lowest up, and each partial sum, itself a digit of the same window, is
+        kept, so a digit met for the first time costs at most popcount(d) - 1
+        additions.
+        """
+        add = self._add_xy
+        if not memo:
+            memo[1] = (pt.x, pt.y)
+        top = 1 << (part.bit_length() - 1)
+        known = top
+        while known not in memo:
+            known >>= 1
+        entry = memo[known]
+        while known < top:
+            if entry is not None:
+                entry = add(entry[0], entry[1], entry[0], entry[1])
+            known <<= 1
+            memo[known] = entry
+        acc = None
+        done = 0
+        rest = part
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            done |= bit
+            if done in memo:
+                acc = memo[done]
+                continue
+            step = memo[bit]
+            if step is not None:
+                acc = step if acc is None else add(acc[0], acc[1], step[0], step[1])
+            memo[done] = acc
+        return acc
 
     def group_order(self, max_field: int = DEFAULT_ENUMERATION_LIMIT) -> int:
         """Number of rational points including the identity, by exhaustive x-sweep.
@@ -214,14 +256,14 @@ class GroupSpec:
             raise ValueError("generator is not on the curve")
         if not is_prime(self.order):
             raise ValueError(f"group order {self.order} is not prime")
-        # The generator's doubling chain, not a field: equality and hashing
-        # ignore it.  The order check below builds it far enough for any r.
-        object.__setattr__(self, "_chain", [])
-        if not self.curve.scalar_mul(self.order, self.generator, self._chain).is_identity:
+        # The generator's window memo, not a field: equality and hashing
+        # ignore it.  The order check below builds its chain far enough for any r.
+        object.__setattr__(self, "_memo", {})
+        if not self.curve.scalar_mul(self.order, self.generator, self._memo).is_identity:
             raise ValueError(f"{self.order} * generator is not the identity")
 
     def scalar_mul(self, r: int) -> Point:
-        return self.curve.scalar_mul(r % self.order, self.generator, self._chain)
+        return self.curve.scalar_mul(r % self.order, self.generator, self._memo)
 
 
 def find_prime_order_curve(

@@ -27,7 +27,7 @@ def solve_bsgs(group: GroupSpec, target: Point, max_order: int = BSGS_ORDER_LIMI
     for j in range(step_count):
         table.setdefault(walker, j)
         walker = curve.add(walker, group.generator)
-    giant = curve.negate(curve.scalar_mul(step_count, group.generator))
+    giant = curve.negate(group.scalar_mul(step_count))
     current = target
     for i in range(step_count + 1):
         if current in table:

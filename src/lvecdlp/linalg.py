@@ -29,7 +29,7 @@ class KernelBasis:
     vectors: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if any(len(v) != self.ambient for v in self.vectors):
+        if self.vectors and set(map(len, self.vectors)) != {self.ambient}:
             raise ValueError("kernel vectors must have the ambient length")
 
     @property
@@ -42,10 +42,10 @@ class KernelBasis:
 
 def left_kernel(rows: Sequence[Sequence[int]], p: int) -> KernelBasis:
     """Canonical basis of {v : v^T M = 0}, the right kernel of the transpose."""
-    if any(len(row) != len(rows[0]) for row in rows):
+    if len(set(map(len, rows))) > 1:
         raise ValueError("matrix rows must all have the same length")
     vectors = right_kernel_rows(list(zip(*rows)), len(rows), p)
-    return KernelBasis(p, len(rows), tuple(tuple(v) for v in vectors))
+    return KernelBasis(p, len(rows), tuple(map(tuple, vectors)))
 
 
 def eliminate_block(kb: KernelBasis, start: int, stop: int, stage: str) -> KernelBasis:

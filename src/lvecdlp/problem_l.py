@@ -43,7 +43,7 @@ from itertools import combinations, compress
 from math import comb
 from operator import add, itemgetter, mul, not_, sub
 from random import Random
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError
 from .linalg import (
@@ -122,7 +122,7 @@ def solve_exhaustive(
         raise BudgetExceededError(f"C({n}, {l}) exceeds the enumeration budget {budget}")
     if dim == 0:
         return None
-    vectors = kb.vector_lists()
+    vectors = kb.vectors
     rejected: set[frozenset[int]] = set()  # the zero positions of each rejected candidate
     for zero_set, line in _singular_zero_sets(vectors, n, l, p):
         if line and any(zeros.issuperset(zero_set) for zeros in rejected):
@@ -141,16 +141,18 @@ def solve_exhaustive(
     return None
 
 
-def _singular_zero_sets(vectors: list[list[int]], n: int, l: int, p: int) -> Iterator[tuple[tuple[int, ...], bool]]:
+def _singular_zero_sets(vectors: Sequence[Sequence[int]], n: int, l: int, p: int) -> Iterator[tuple[tuple[int, ...], bool]]:
     """(Z, line) for the l-sets Z, in lexicographic order, on which a nonzero span member vanishes.
 
     ``line`` says whether those members form one line (up to scalars), that
     is, whether the basis restricted to Z has corank 1.
 
     With l independent vectors each Z is one minor of X (see the module
-    docstring).  The minors are computed by top row: for t = l-1 down to 0,
-    every minor whose top row is t, expanded along that row into minors of
-    lower rows, which are already known.  Row and column masks of equal size
+    docstring).  A basis already in RREF, as ``left_kernel`` returns it,
+    gives X and its pivots as it stands; any other basis is reduced first.
+    The minors are computed by top row: for t = l-1 down to 0, every minor
+    whose top row is t, expanded along that row into minors of lower rows,
+    which are already known.  Row and column masks of equal size
     correspond one-to-one to the l-sets, so the memo has C(n, l) slots; it
     holds the determinants themselves, with the empty minor 1 in slot 0.  A
     singular Z has corank 1 iff some minor one size smaller inside its own
@@ -172,8 +174,13 @@ def _singular_zero_sets(vectors: list[list[int]], n: int, l: int, p: int) -> Ite
     vectors, the restricted matrix of each set is reduced instead.
     """
     dim = len(vectors)
-    reduced, rank, pivots = rref_rows(vectors, p)
-    if not (dim == rank == l and (1 << rank) + (1 << (n - rank)) <= comb(n, l)):
+    pivots = _canonical_pivots(vectors, p)
+    if pivots is None:
+        reduced, rank, pivots = rref_rows(vectors, p)
+    else:
+        reduced, rank = vectors, dim
+    sets = comb(n, l)
+    if not (dim == rank == l and (1 << rank) + (1 << (n - rank)) <= sets):
         for zero_set in combinations(range(n), l):
             corank = dim - rref_rows([[vec[c] for vec in vectors] for c in zero_set], p)[1]
             if corank:
@@ -185,9 +192,10 @@ def _singular_zero_sets(vectors: list[list[int]], n: int, l: int, p: int) -> Ite
     order = pivots + free
     row_base, col_slot = _slots(l, width)
     masks, faces = _faces(width)
-    memo = _zero_memo(p, comb(n, l))
+    code = _memo_typecode(p)
+    memo = array(code, [0]) * sets if code else [0] * sets
     memo[0] = 1
-    pack = list if isinstance(memo, list) else partial(array, memo.typecode)
+    pack = partial(array, code) if code else list
     reduce_mod = p.__rmod__
     pivots_first = pivots == list(range(l))
     found = []
@@ -222,6 +230,31 @@ def _singular_zero_sets(vectors: list[list[int]], n: int, l: int, p: int) -> Ite
                 cut = bisect_left(found, (tuple(c for c in range(l + 1) if c != skipped)[:l],))
             yield from found[:cut]
             del found[:cut]
+
+
+def _canonical_pivots(rows: Sequence[Sequence[int]], p: int) -> Optional[list[int]]:
+    """The pivot columns of rows already in RREF with entries in [0, p), else None.
+
+    Such rows are their own reduction: each leading entry is 1, the leading
+    entries sit in increasing columns, each pivot column is zero in the other
+    rows, and no entry needs reducing mod p.  ``left_kernel`` returns its
+    basis in this form.
+    """
+    if rows and (min(map(min, rows)) < 0 or max(map(max, rows)) >= p):
+        return None
+    pivots = []
+    for row in rows:
+        if 1 not in row:
+            return None
+        lead = row.index(1)
+        if any(row[:lead]) or (pivots and lead <= pivots[-1]):
+            return None
+        pivots.append(lead)
+    # The entries are non-negative and each row has 1 on its own pivot, so the
+    # pivot columns are zero elsewhere iff their entries sum to the rank.
+    if len(pivots) > 1 and sum(map(sum, map(itemgetter(*pivots), rows))) != len(pivots):
+        return None
+    return pivots
 
 
 def _corank_one(memo, row_base, col_slot, rows: int, cols: int) -> bool:
@@ -329,12 +362,13 @@ def _numbering(bits: int) -> tuple[int, ...]:
     return tuple(numbers)
 
 
-def _zero_memo(p: int, size: int):
-    """``size`` zeros in the narrowest unsigned array that holds 0..p-1, or a list beyond 64 bits."""
+@cache
+def _memo_typecode(p: int) -> Optional[str]:
+    """The narrowest unsigned array type that holds 0..p-1, or None (a list) beyond 64 bits."""
     for code in "BHILQ":
         if (p - 1) >> (8 * array(code).itemsize) == 0:
-            return array(code, [0]) * size
-    return [0] * size
+            return code
+    return None
 
 
 def plant_instance(rng: Random, p: int, n_prime: int, l: int) -> tuple[KernelBasis, tuple[int, ...]]:

@@ -320,22 +320,59 @@ def test_find_prime_order_curve_skips_j0_and_j1728_rows():
 
 
 def test_chain_matches_reference_for_every_scalar_p19(group_p19):
-    """Every k below 2^bits, on one shared chain per base: the generator's and -target's."""
+    """Every k below 2^bits, on one shared memo per base (the generator's and
+    -target's), once with k decreasing and once increasing from a fresh memo,
+    so that digits are met both cold and warm."""
     curve, gen, p = group_p19.curve, group_p19.generator, group_p19.order
-    cfg = AttackConfig(group=group_p19, target=group_p19.scalar_mul(5))
-    neg_target = curve.negate(cfg.target)
-    chain = []
-    for k in reversed(range(1 << p.bit_length())):  # the first call builds the whole chain
-        assert curve.scalar_mul(k, gen, chain) == reference_scalar_mul(curve, k, gen), k
-        assert group_p19.scalar_mul(k) == reference_scalar_mul(curve, k % p, gen), k
-        assert cfg.neg_target_mul(k) == reference_scalar_mul(curve, k, neg_target), k
-    assert len(chain) == p.bit_length()
+    for scalars in (reversed(range(1 << p.bit_length())), range(1 << p.bit_length())):
+        cfg = AttackConfig(group=group_p19, target=group_p19.scalar_mul(5))
+        neg_target = curve.negate(cfg.target)
+        memo = {}
+        for k in scalars:
+            assert curve.scalar_mul(k, gen, memo) == reference_scalar_mul(curve, k, gen), k
+            assert group_p19.scalar_mul(k) == reference_scalar_mul(curve, k % p, gen), k
+            assert cfg.neg_target_mul(k) == reference_scalar_mul(curve, k, neg_target), k
+        # The chain up to the top bit and every digit of each window, nothing else.
+        assert sorted(memo) == [d << shift for shift in (0, 4) for d in range(1, 16) if d << shift < 1 << p.bit_length()]
+        assert memo[1 << 4] == memo_entry(reference_scalar_mul(curve, 16, gen))
+
+
+def memo_entry(pt):
+    """A point as the window memo holds it: an affine pair, or None for the identity."""
+    return None if pt.is_identity else (pt.x, pt.y)
+
+
+def test_window_memo_addition_counts(group_p907, monkeypatch):
+    """On an empty memo a call makes exactly the group operations of
+    double-and-add, (bits - 1) doublings and (popcount - 1) additions; warm,
+    one addition fewer than its nonzero 4-bit digits, so at most two below 2^10."""
+    curve, gen, p = group_p907.curve, group_p907.generator, group_p907.order
+    calls = []
+    add_xy = Curve._add_xy
+
+    def counted(self, *args):
+        calls.append(args)
+        return add_xy(self, *args)
+
+    monkeypatch.setattr(Curve, "_add_xy", counted)
+    for k in random.Random(5).sample(range(1, p), 200):
+        memo = {}
+        calls.clear()
+        assert curve.scalar_mul(k, gen, memo) == reference_scalar_mul(curve, k, gen), k
+        assert len(calls) == k.bit_length() - 1 + k.bit_count() - 1, k
+        calls.clear()
+        assert curve.scalar_mul(k, gen, memo) == reference_scalar_mul(curve, k, gen), k
+        digits = sum(1 for shift in range(0, 12, 4) if k >> shift & 15)
+        assert len(calls) == digits - 1 <= 2, k
 
 
 def test_chain_matches_reference_with_two_torsion():
-    """The curves of the two-torsion test, with one chain per point grown by small k first;
-    the chain of a point of order 2 (or 1, 4, ...) stops at the identity."""
-    reached_identity = 0
+    """The curves of the two-torsion test, with one memo per point, filled once
+    with k decreasing and once increasing.  The chain of a point of order 2, 4
+    or 8 reaches the identity inside the first 4-bit window and stops there,
+    and a digit of a point of order 3 (or 5, 6, ...) sums to the identity."""
+    identity_chain_bits = set()
+    identity_digits = 0
     for q in (5, 7, 11):
         field = PrimeField(q)
         for a in range(q):
@@ -344,12 +381,22 @@ def test_chain_matches_reference_with_two_torsion():
                     continue
                 curve = Curve(field, a, b)
                 points = curve.points()
+                bound = 1 << (len(points) + 2).bit_length()
                 for pt in points:
-                    chain = []
-                    for k in range(1 << (len(points) + 2).bit_length()):
-                        assert curve.scalar_mul(k, pt, chain) == reference_scalar_mul(curve, k, pt), (curve, k, pt)
-                    reached_identity += bool(chain) and chain[-1] is None
-    assert reached_identity > 0
+                    expected = [reference_scalar_mul(curve, k, pt) for k in range(bound)]
+                    for scalars in (reversed(range(bound)), range(bound)):
+                        memo = {}
+                        for k in scalars:
+                            assert curve.scalar_mul(k, pt, memo) == expected[k], (curve, k, pt)
+                        for part, entry in memo.items():
+                            assert entry == memo_entry(expected[part]), (curve, part, pt)
+                        chain = [part for part in memo if part & part - 1 == 0]
+                        stops = [part.bit_length() - 1 for part in chain if memo[part] is None]
+                        if stops:
+                            identity_chain_bits.add(min(stops))
+                        identity_digits += sum(1 for part in memo if part & part - 1 and memo[part] is None)
+    assert {1, 2, 3} <= identity_chain_bits
+    assert identity_digits > 0
 
 
 @pytest.mark.parametrize("n_prime", [1, 2, 3])

@@ -430,21 +430,44 @@ def test_rejected_line_is_not_reduced_again(monkeypatch, group_p907):
 
 
 def test_minors_scan_ranks_no_zero_set(monkeypatch, group_p907):
-    """With dim == l the minors test is the only path: no restricted matrix is ranked."""
+    """With dim == l the minors test is the only path: no restricted matrix is
+    ranked, and a basis from ``left_kernel``, already in RREF, is not reduced again."""
 
     def fail(*args):
-        raise AssertionError("a zero set was ranked")
-
-    def only_the_basis(rows, p):
-        if rows != kb.vector_lists():
-            fail()
-        return rref_rows(rows, p)
+        raise AssertionError("a zero set was ranked or the basis reduced")
 
     kb = left_kernel(attack_samples(group_p907, 2, 1, seed=5)[0].rows, group_p907.curve.q)
     flat = list(flat_singular_zero_sets(kb, 6))
-    monkeypatch.setattr("lvecdlp.problem_l.rref_rows", only_the_basis)
+    monkeypatch.setattr("lvecdlp.problem_l.rref_rows", fail)
     assert [zero_set for zero_set, _ in scanned_pairs(kb, 6)] == flat
     assert solve_exhaustive(kb, 6, accept=lambda v: False) is None
+
+
+def test_minors_scan_reduces_a_basis_not_in_rref(monkeypatch, group_p907):
+    """A basis that is not its own RREF is reduced once, and the scan still
+    finds the flat scan's singular sets: a mixed basis, one with a row scaled so
+    that its leading entry is not 1, and one with entries outside [0, p)."""
+    rng = random.Random(3)
+    reduced = []
+
+    def counted(rows, p):
+        reduced.append([list(row) for row in rows])
+        return rref_rows(rows, p)
+
+    monkeypatch.setattr("lvecdlp.problem_l.rref_rows", counted)
+    for n_prime, seed in ((1, 5), (2, 5), (2, 6)):
+        kb = left_kernel(attack_samples(group_p907, n_prime, 1, seed=seed)[0].rows, group_p907.curve.q)
+        p, l = kb.p, 3 * n_prime
+        rows = kb.vector_lists()
+        scaled = [row[:] for row in rows]
+        scaled[1] = [v * 5 % p for v in scaled[1]]
+        shifted = [row[:] for row in rows]
+        shifted[0][-1] += p
+        shifted[-1][l] -= p
+        for other in (mixed(kb, rng), KernelBasis(p, kb.ambient, scaled), KernelBasis(p, kb.ambient, shifted)):
+            reduced.clear()
+            assert [zero_set for zero_set, _ in scanned_pairs(other, l)] == list(flat_singular_zero_sets(kb, l))
+            assert reduced == [other.vector_lists()]
 
 
 def test_minors_scan_frees_its_memo(group_p907):
