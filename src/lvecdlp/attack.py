@@ -163,6 +163,9 @@ def iteration_rng(seed: int, index: int) -> random.Random:
 
 
 def _distinct_multipliers(rng: random.Random, count: int, p: int) -> list[int]:
+    """count distinct values drawn from 1..p-1; ValueError if there are fewer."""
+    if count > p - 1:
+        raise ValueError(f"need {count} distinct multipliers, but 1..{p - 1} holds only {p - 1}")
     chosen: list[int] = []
     seen: set[int] = set()
     while len(chosen) < count:

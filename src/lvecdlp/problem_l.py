@@ -16,7 +16,8 @@ Sloane, The Theory of Error-Correcting Codes, ch. 11).
 
 The minors are computed in blocks by top row, without recursion: for t =
 l-1 down to 0, every minor whose top row is t, each expanded along that row
-into the minors of the rows below, which earlier blocks hold.  One block
+into the minors of the rows below, which earlier blocks hold.  Each row mask
+keeps its own list of minors, one per column mask of its size.  One block
 entry, a top row t and the rows below it, is one pass of ``map`` over
 getters cached per width.  When the pivots are the first l positions,
 block t holds exactly the sets that contain 0..t-1 and not t, and its
@@ -36,9 +37,8 @@ the tuple, as the attack's decode filter is.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
-from functools import cache, partial
+from functools import cache
 from itertools import combinations, compress
 from math import comb
 from operator import add, itemgetter, mul, not_, sub
@@ -152,11 +152,12 @@ def _singular_zero_sets(vectors: Sequence[Sequence[int]], n: int, l: int, p: int
     gives X and its pivots as it stands; any other basis is reduced first.
     The minors are computed by top row: for t = l-1 down to 0, every minor
     whose top row is t, expanded along that row into minors of lower rows,
-    which are already known.  Row and column masks of equal size
-    correspond one-to-one to the l-sets, so the memo has C(n, l) slots; it
-    holds the determinants themselves, with the empty minor 1 in slot 0.  A
-    singular Z has corank 1 iff some minor one size smaller inside its own
-    is nonzero, and all of those lie in its block or an earlier one.
+    which are already known.  ``minors[rows]`` lists the determinants of X
+    on the row mask ``rows`` and every column mask of the same size, in
+    increasing order of the column masks; ``minors[0]`` is the empty minor
+    1.  Row and column masks of equal size correspond one-to-one to the
+    l-sets.  A singular Z has corank 1 iff some minor one size smaller inside
+    its own is nonzero, and all of those lie in its block or an earlier one.
 
     When the pivots are the first l positions, block t is exactly the
     lexicographic run of sets that contain 0..t-1 and not t, its entries
@@ -168,10 +169,11 @@ def _singular_zero_sets(vectors: Sequence[Sequence[int]], n: int, l: int, p: int
     the l first positions other than pivots[t-1]: the singular sets below it
     are yielded, in sorted order, before block t-1 is computed.
 
-    The slot and face tables take 2^rank and about width * 2^(width - 1)
-    entries.  When 2^rank + 2^width outnumber the sets (a basis much wider
-    than tall, with few sets), or the basis does not have l independent
-    vectors, the restricted matrix of each set is reduced instead.
+    The row table and the face tables take 2^rank and about
+    width * 2^(width - 1) entries.  When 2^rank + 2^width outnumber the sets
+    (a basis much wider than tall, with few sets), or the basis does not
+    have l independent vectors, the restricted matrix of each set is reduced
+    instead.
     """
     dim = len(vectors)
     pivots = _canonical_pivots(vectors, p)
@@ -190,31 +192,28 @@ def _singular_zero_sets(vectors: Sequence[Sequence[int]], n: int, l: int, p: int
     width = len(free)
     X = [[row[c] for c in free] for row in reduced]
     order = pivots + free
-    row_base, col_slot = _slots(l, width)
+    numbers = _numbering(width)
     masks, faces = _faces(width)
-    code = _memo_typecode(p)
-    memo = array(code, [0]) * sets if code else [0] * sets
-    memo[0] = 1
-    pack = partial(array, code) if code else list
+    minors = [None] * (1 << l)
+    minors[0] = [1]
     reduce_mod = p.__rmod__
     pivots_first = pivots == list(range(l))
     found = []
     for t, block in _blocks(l, width):
         row = X[t]
-        for rows, rest_base, base, k in block:
-            rest = memo[rest_base : rest_base + len(masks[k - 1])]
+        for rows, k in block:
+            rest = minors[rows ^ 1 << t]
             total = None
-            for j, (columns, sub_slots) in enumerate(faces[k]):
-                terms = map(mul, columns(row), sub_slots(rest))
+            for j, (columns, sub_numbers) in enumerate(faces[k]):
+                terms = map(mul, columns(row), sub_numbers(rest))
                 total = terms if total is None else map(sub if j & 1 else add, total, terms)
-            dets = pack(map(reduce_mod, total))
-            memo[base : base + len(dets)] = dets
+            minors[rows] = dets = list(map(reduce_mod, total))
             if 0 in dets:
                 for number in compress(range(len(dets)), map(not_, dets)):
                     cols = masks[k][number]
                     zero_set = [order[r] for r in range(l) if not rows >> r & 1]
                     zero_set += [order[l + f] for f in range(width) if cols >> f & 1]
-                    found.append((tuple(sorted(zero_set)), _corank_one(memo, row_base, col_slot, rows, cols)))
+                    found.append((tuple(sorted(zero_set)), _corank_one(minors, numbers, rows, cols)))
                 if pivots_first:
                     # Every set of a later entry or block comes after this entry's sets.
                     found.sort()
@@ -257,44 +256,29 @@ def _canonical_pivots(rows: Sequence[Sequence[int]], p: int) -> Optional[list[in
     return pivots
 
 
-def _corank_one(memo, row_base, col_slot, rows: int, cols: int) -> bool:
-    """Whether some minor of X[rows, cols] one size smaller is nonzero in the memo."""
+def _corank_one(minors: list, numbers: Sequence[int], rows: int, cols: int) -> bool:
+    """Whether some minor of X[rows, cols] one size smaller is nonzero.
+
+    ``minors`` holds the lists of every row mask scheduled before ``rows``,
+    and ``numbers`` numbers the column masks as those lists are ordered."""
     row_bits = rows
     while row_bits:
         row_bit = row_bits & -row_bits
         row_bits ^= row_bit
-        base = row_base[rows ^ row_bit]
+        smaller = minors[rows ^ row_bit]
         col_bits = cols
         while col_bits:
             col_bit = col_bits & -col_bits
             col_bits ^= col_bit
-            if memo[base + col_slot[cols ^ col_bit]]:
+            if smaller[numbers[cols ^ col_bit]]:
                 return True
     return False
 
 
 @cache
-def _slots(height: int, width: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(row_base, col_slot): a row mask and a column mask of equal size k have
-    memo slot row_base[rows] + col_slot[cols].  The size-k pairs take
-    C(height, k) * C(width, k) consecutive slots after the smaller sizes, in
-    the increasing order of each mask among those of its size."""
-    row_no, col_slot = _numbering(height), _numbering(width)
-    start = [0]
-    for k in range(height):
-        start.append(start[-1] + comb(height, k) * comb(width, k))
-    row_base = []
-    for rows, number in enumerate(row_no):
-        k = rows.bit_count()
-        row_base.append(start[k] + number * comb(width, k))
-    return tuple(row_base), col_slot
-
-
-@cache
 def _blocks(height: int, width: int) -> tuple:
     """The block schedule: for t = height-1 down to 0, (t, entries), one entry
-    (rows, slot base of rows without t, slot base of rows, size) for each row
-    mask with top row t, up to size ``width``.
+    (rows, size) for each row mask with top row t, up to size ``width``.
 
     A block lists its masks in the lexicographic order of their sets (with
     the pivots first): reading the bits from row t+1 upwards, at the first
@@ -302,18 +286,13 @@ def _blocks(height: int, width: int) -> tuple:
     the set) comes first.  An entry reads the minors of its rows without t,
     from an earlier block, and ``_corank_one`` those of its rows without one
     other bit, a mask earlier in the same block."""
-    row_base, _ = _slots(height, width)
     schedule = []
     for t in reversed(range(height)):
         below = sorted(
             (rest << (t + 1) for rest in range(1 << (height - t - 1))),
             key=lambda rest: [rest >> r & 1 for r in range(t + 1, height)],
         )
-        entries = tuple(
-            (rest | 1 << t, row_base[rest], row_base[rest | 1 << t], rest.bit_count() + 1)
-            for rest in below
-            if rest.bit_count() < width
-        )
+        entries = tuple((rest | 1 << t, rest.bit_count() + 1) for rest in below if rest.bit_count() < width)
         schedule.append((t, entries))
     return tuple(schedule)
 
@@ -331,15 +310,15 @@ def _faces(width: int):
     faces = []
     for k, size_k in enumerate(masks):
         columns = [[] for _ in range(k)]
-        sub_slots = [[] for _ in range(k)]
+        sub_numbers = [[] for _ in range(k)]
         for mask in size_k:
             rest = mask
             for j in range(k):
                 bit = rest & -rest
                 rest ^= bit
                 columns[j].append(bit.bit_length() - 1)
-                sub_slots[j].append(numbers[mask ^ bit])
-        faces.append(tuple((_getter(c), _getter(s)) for c, s in zip(columns, sub_slots)))
+                sub_numbers[j].append(numbers[mask ^ bit])
+        faces.append(tuple((_getter(c), _getter(s)) for c, s in zip(columns, sub_numbers)))
     return tuple(tuple(size_k) for size_k in masks), tuple(faces)
 
 
@@ -351,6 +330,7 @@ def _getter(indices: list[int]) -> Callable:
     return itemgetter(*indices)
 
 
+@cache
 def _numbering(bits: int) -> tuple[int, ...]:
     """Each mask below 1 << bits numbered in increasing order among the masks of its size."""
     count = [0] * (bits + 1)
@@ -360,15 +340,6 @@ def _numbering(bits: int) -> tuple[int, ...]:
         numbers.append(count[k])
         count[k] += 1
     return tuple(numbers)
-
-
-@cache
-def _memo_typecode(p: int) -> Optional[str]:
-    """The narrowest unsigned array type that holds 0..p-1, or None (a list) beyond 64 bits."""
-    for code in "BHILQ":
-        if (p - 1) >> (8 * array(code).itemsize) == 0:
-            return code
-    return None
 
 
 def plant_instance(rng: Random, p: int, n_prime: int, l: int) -> tuple[KernelBasis, tuple[int, ...]]:

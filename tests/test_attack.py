@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import signal
+from contextlib import contextmanager
 from itertools import islice
 
 import pytest
@@ -302,6 +304,35 @@ def test_reassigned_target_is_sampled_and_solved(group_p19, group_p907):
         sample = sample_iteration(cfg, 1)
         assert sample.points_q == tuple(group.curve.scalar_mul(r, neg_target) for r in sample.multipliers_q)
         assert run_attack(cfg).m == new
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError inside the block once it has run ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_raised_n_prime_beyond_the_multipliers_raises(group_p19):
+    """n' raised to 7 after construction asks for 3n' - 1 = 20 distinct
+    multipliers of P among the 18 of 1..18 at p = 19: sampling and the attack
+    raise ValueError instead of drawing forever."""
+    cfg = AttackConfig(group=group_p19, target=group_p19.scalar_mul(5), seed=1)
+    cfg.n_prime = 7
+    with time_limit(5):
+        with pytest.raises(ValueError, match="20 distinct multipliers"):
+            sample_iteration(cfg, 1)
+        with pytest.raises(ValueError, match="20 distinct multipliers"):
+            run_attack(cfg)
 
 
 def test_accident_resolves_q_equals_p(group_p19):

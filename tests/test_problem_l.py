@@ -198,7 +198,7 @@ def test_minors_scan_matches_flat_scan_on_attack_kernels(group_p907, n_prime, co
 
 def test_minors_scan_matches_flat_scan_on_planted_and_other_bases():
     rng = random.Random(11)
-    # Planted bases, raw and mixed; p picks each memo item type: bytes up to 64-bit words, then a list.
+    # Planted bases, raw and mixed, for p from one byte to beyond 64 bits.
     for p in (11, 907, 65537, 2**61 - 1, 2**89 - 1):
         for n_prime in (1, 2):
             kb, _ = plant_instance(rng, p, n_prime, 3 * n_prime)
@@ -206,7 +206,7 @@ def test_minors_scan_matches_flat_scan_on_planted_and_other_bases():
             assert_matches_flat_scan(kb, 3 * n_prime)
             assert_matches_flat_scan(mixed(kb, rng), 3 * n_prime)
     # Minors with more free columns than pivots; dim != l and a basis too wide
-    # for the slot tables (2^38 entries) rank each set instead.
+    # for the face tables (2^38 entries) rank each set instead.
     for dim, l, ambient in ((3, 3, 8), (3, 2, 6), (2, 3, 6), (2, 2, 40)):
         for _ in range(5):
             p = rng.choice((5, 7))
@@ -231,12 +231,25 @@ def test_block_schedule_lists_sets_in_lexicographic_order(l, width):
     masks, _ = problem_l._faces(width)
     walked = [tuple(range(l))]
     for _, block in problem_l._blocks(l, width):
-        for rows, _, _, k in block:
+        for rows, k in block:
             pivots_in = [r for r in range(l) if not rows >> r & 1]
             walked += sorted(
                 tuple(pivots_in + [l + f for f in range(width) if cols >> f & 1]) for cols in masks[k]
             )
     assert walked == list(combinations(range(l + width), l))
+
+
+@pytest.mark.parametrize("l, width", [(3, 3), (6, 6), (9, 9), (3, 5)])
+def test_block_schedule_reads_only_earlier_row_masks(l, width):
+    """An entry reads the minors of its rows without t, and ``_corank_one``
+    those of its rows without any one row: each such mask is 0 (the empty
+    minor) or a mask scheduled earlier, so its list of minors is filled."""
+    filled = {0}
+    for t, block in problem_l._blocks(l, width):
+        for rows, _ in block:
+            read = {rows ^ 1 << r for r in range(l) if rows >> r & 1}
+            assert rows ^ 1 << t in read and read <= filled and rows not in filled
+            filled.add(rows)
 
 
 # Pivots first; the last row's entry in column 4 is 0.
