@@ -25,14 +25,13 @@ def main():
 
     group = fixture_medium()
     p = group.order
-    l = 3 * args.nprime
-    heuristic = success_model(p, args.nprime, l).alg2_conditional
 
     started = time.perf_counter()
     solvable = 0
     finds = 0
     unsound = 0
     for trial in planted_trials(group, seed=args.seed, n_prime=args.nprime):
+        l = trial.cfg.l
         kernel = left_kernel(sample_iteration(trial.cfg, trial.index).rows, group.curve.q)
         # A decoded logarithm already proves the instance solvable.
         if trial.record.m is None and solve_exhaustive(kernel, l) is None:
@@ -47,6 +46,7 @@ def main():
     elapsed = time.perf_counter() - started
 
     conditional = finds / solvable
+    heuristic = success_model(p, args.nprime, l).alg2_conditional
     print(f"group order {p}, nprime {args.nprime}, l {l}")
     print(f"solvable instances: {solvable} (from {trial.index} iterations)")
     print(f"block solver finds: {finds} (conditional {conditional:.4f})")

@@ -16,7 +16,7 @@ that immediately yields the logarithm and is reported separately.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import count
 from math import ceil
 from typing import Callable, Iterator, Optional
@@ -41,9 +41,16 @@ REJECT_UNVERIFIED = "unverified"
 FAILURE_BUDGET = "iteration-budget-exhausted"
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttackConfig:
-    """Parameters for one attack run.  l defaults to 3 * n_prime."""
+    """The settings of one attack run, an immutable value.
+
+    ``l`` defaults to 3 * n_prime and ``max_iterations`` to a budget sized
+    from the success model.  Both are resolved once, at construction, as are
+    -target and the window memo that sampling multiplies it from, so every
+    iteration of a run uses the same settings.  Assigning a field raises
+    ``dataclasses.FrozenInstanceError``; other settings mean a new config.
+    """
 
     group: GroupSpec
     target: Point
@@ -59,7 +66,7 @@ class AttackConfig:
         if self.n_prime < 1:
             raise ValueError("n_prime must be >= 1")
         if self.l is None:
-            self.l = 3 * self.n_prime
+            object.__setattr__(self, "l", 3 * self.n_prime)
         if self.l < 1:
             raise ValueError("l must be >= 1")
         if self.solver not in SOLVER_CHOICES:
@@ -72,25 +79,21 @@ class AttackConfig:
         if not self.group.curve.contains(self.target):
             raise ValueError("target point is not on the curve")
         if self.max_iterations is None:
-            self.max_iterations = default_max_iterations(p, self.n_prime, self.l, self.solver)
+            object.__setattr__(self, "max_iterations", default_max_iterations(p, self.n_prime, self.l, self.solver))
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        self._neg_target_for = None  # the target that _neg_target and its memo belong to
+        if self.enumeration_budget < 1:
+            raise ValueError("enumeration_budget must be >= 1")
+        # -target and its window memo, not fields: equality and hashing ignore them.
+        object.__setattr__(self, "_neg_target", self.group.curve.negate(self.target))
+        object.__setattr__(self, "_neg_target_memo", {})
 
     @property
     def monomials(self) -> MonomialBasis:
         return basis(self.n_prime)
 
     def neg_target_mul(self, r: int) -> Point:
-        """r * (-target) for 0 <= r, from the window memo of -target this config keeps.
-
-        The memo is rebuilt whenever ``target`` is no longer the point it was
-        built for, so reassigning the target never samples the old one.
-        """
-        if self._neg_target_for is not self.target:
-            self._neg_target_for = self.target
-            self._neg_target = self.group.curve.negate(self.target)
-            self._neg_target_memo = {}
+        """r * (-target) for 0 <= r, from the window memo of -target this config keeps."""
         return self.group.curve.scalar_mul(r, self._neg_target, self._neg_target_memo)
 
 
@@ -131,17 +134,7 @@ class IterationRecord:
     m: Optional[int] = None
 
     def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "multipliers_p": list(self.multipliers_p),
-            "multipliers_q": list(self.multipliers_q),
-            "accident": list(self.accident) if self.accident else None,
-            "kernel_dim": self.kernel_dim,
-            "found_by": self.found_by,
-            "reject_reasons": list(self.reject_reasons),
-            "solution_vector": list(self.solution_vector) if self.solution_vector else None,
-            "m": self.m,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -126,17 +126,25 @@ def build_target(args: argparse.Namespace, group: GroupSpec) -> Point:
     return group.curve.point(args.qx, args.qy)
 
 
-def _config_echo(group: GroupSpec, keys_values: dict) -> dict:
-    echo = {
+def _config_echo(cfg: AttackConfig, timing: bool, **extra) -> dict:
+    """The settings a config resolved, as a manifest or summary echoes them, plus ``extra``."""
+    group = cfg.group
+    return {
         "q": group.curve.q,
         "a": group.curve.a,
         "b": group.curve.b,
         "gx": group.generator.x,
         "gy": group.generator.y,
         "order": group.order,
+        "nprime": cfg.n_prime,
+        "l": cfg.l,
+        "solver": cfg.solver,
+        "seed": cfg.seed,
+        "accident_check": "on" if cfg.accident_check else "off",
+        "enum_budget": cfg.enumeration_budget,
+        "timing": "on" if timing else "off",
+        **extra,
     }
-    echo.update(keys_values)
-    return echo
 
 
 def check_writable(path: str) -> None:
@@ -196,25 +204,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if log_handle is not None:
             log_handle.close()
 
-    config_echo = _config_echo(
-        group,
-        {
-            "qx": target.x,
-            "qy": target.y,
-            "nprime": cfg.n_prime,
-            "l": cfg.l,
-            "solver": cfg.solver,
-            "seed": cfg.seed,
-            "max_iterations": cfg.max_iterations,
-            "accident_check": "on" if cfg.accident_check else "off",
-            "enum_budget": cfg.enumeration_budget,
-            "timing": "on" if args.timing else "off",
-        },
-    )
     manifest = {
         "tool": {"name": "lvecdlp", "version": __version__, "schema": SCHEMA_VERSION},
         "command": "solve",
-        "config": config_echo,
+        "config": _config_echo(cfg, args.timing, qx=target.x, qy=target.y, max_iterations=cfg.max_iterations),
         "curve": curve_to_text(group.curve),
         "generator": point_to_text(group.generator),
         "target": point_to_text(target),
@@ -241,7 +234,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     _require(args, "trials")
     if args.trials < 1:
         raise UsageError(f"trials must be >= 1, got {args.trials}")
-    l = 3 * args.nprime if args.l is None else args.l
     if args.m is not None and args.m % group.order == 0:
         raise UsageError(f"m = {args.m} is a multiple of the group order {group.order} and plants the identity")
     check_writable(args.csv)
@@ -257,7 +249,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         seed=args.seed,
         fixed_m=args.m,
         n_prime=args.nprime,
-        l=l,
+        l=args.l,
         solver=args.solver,
         accident_check=args.accident_check,
         enumeration_budget=args.enum_budget,
@@ -276,29 +268,17 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         rows.append(f"{trial.index},{trial.m},{int(success)},{args.solver},{dim},{reason},{elapsed_field}")
         trial_started = time.perf_counter()
     wall = time.perf_counter() - started
+    cfg = trial.cfg  # every trial of the stream resolves the same settings
 
     Path(args.csv).write_text("\n".join(rows) + "\n")
 
     rate = successes / args.trials
     ci_low, ci_high = binomial_confidence_interval(successes, args.trials)
-    model = success_model(p, args.nprime, l)
+    model = success_model(p, cfg.n_prime, cfg.l)
     summary = {
         "tool": {"name": "lvecdlp", "version": __version__, "schema": SCHEMA_VERSION},
         "command": "experiment",
-        "config": _config_echo(
-            group,
-            {
-                "nprime": args.nprime,
-                "l": l,
-                "solver": args.solver,
-                "seed": args.seed,
-                "trials": args.trials,
-                "m": args.m,
-                "accident_check": "on" if args.accident_check else "off",
-                "enum_budget": args.enum_budget,
-                "timing": "on" if args.timing else "off",
-            },
-        ),
+        "config": _config_echo(cfg, args.timing, trials=args.trials, m=args.m),
         "summary": {
             "trials": args.trials,
             "successes": successes,

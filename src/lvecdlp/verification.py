@@ -128,7 +128,6 @@ def verify_kernel_dimension(
     passed = True
     rng = random.Random(f"kerneldim:{seed}")
     for degree in degrees:
-        l = 3 * degree
         m_secret = rng.randrange(1, group.order)
         cfg = attack_mod.AttackConfig(
             group=group,
@@ -143,11 +142,11 @@ def verify_kernel_dimension(
         for _ in range(iterations):
             sample, index, skipped = clean_iteration(cfg, index)
             skipped_total += skipped
-            if left_kernel(sample.rows, group.curve.q).dim == l:
+            if left_kernel(sample.rows, group.curve.q).dim == cfg.l:
                 exact += 1
         ok = exact == iterations
         passed = passed and ok
-        lines.append(f"n'={degree}: dim == {l} in {exact}/{iterations} iterations (collision samples skipped: {skipped_total})")
+        lines.append(f"n'={degree}: dim == {cfg.l} in {exact}/{iterations} iterations (collision samples skipped: {skipped_total})")
         details[f"degree_{degree}"] = {"exact": exact, "iterations": iterations, "skipped": skipped_total}
     return SuiteReport(name="kernel-dim", passed=passed, lines=lines, details=details)
 

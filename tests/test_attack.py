@@ -1,8 +1,7 @@
+import dataclasses
 import hashlib
 import json
 import random
-import signal
-from contextlib import contextmanager
 from itertools import islice
 
 import pytest
@@ -85,6 +84,11 @@ def test_config_validation(group_p19):
         AttackConfig(group=group_p19, target=target, n_prime=4)  # 12 + 12 > 18
     with pytest.raises(ValueError):
         AttackConfig(group=group_p19, target=group_p19.curve.point(0, 6), n_prime=1, l=0)
+    with pytest.raises(ValueError):
+        AttackConfig(group=group_p19, target=target, max_iterations=0)
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match="enumeration_budget"):
+            AttackConfig(group=group_p19, target=target, enumeration_budget=budget)
 
 
 def test_detect_accident_planted(group_p907):
@@ -293,46 +297,25 @@ def test_seeded_records_match_pinned_digest(group_p907):
     assert pinned_digest(group_p907) == PINNED_SHA256
 
 
-def test_reassigned_target_is_sampled_and_solved(group_p19, group_p907):
-    """Reassigning ``target`` on a config that has sampled the old one samples
-    multiples of the new -target, and the attack solves the new logarithm."""
-    for group, old, new, n_prime in ((group_p19, 5, 7, 1), (group_p907, 400, 123, 1), (group_p907, 400, 640, 2)):
-        cfg = AttackConfig(group=group, target=group.scalar_mul(old), n_prime=n_prime, seed=1)
-        assert run_attack(cfg).m == old
-        cfg.target = group.scalar_mul(new)
-        neg_target = group.curve.negate(cfg.target)
-        sample = sample_iteration(cfg, 1)
-        assert sample.points_q == tuple(group.curve.scalar_mul(r, neg_target) for r in sample.multipliers_q)
-        assert run_attack(cfg).m == new
+def test_config_is_frozen_and_its_memo_is_no_field(group_p907):
+    """A config's settings are fixed at construction: assigning a field raises,
+    and the -target memo that sampling fills is not part of its value."""
+    settings = dict(group=group_p907, target=group_p907.scalar_mul(400), n_prime=1, seed=1)
+    cfg = AttackConfig(**settings)
+    for name, value in (("target", group_p907.scalar_mul(123)), ("n_prime", 2), ("l", 6), ("max_iterations", 16)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
+    assert (cfg.n_prime, cfg.l, cfg.max_iterations) == (1, 3, 459)
+    run_attack(cfg)
+    assert cfg._neg_target_memo
+    fresh = AttackConfig(**settings)
+    assert cfg == fresh and hash(cfg) == hash(fresh)
 
 
-@contextmanager
-def time_limit(seconds):
-    """Raise TimeoutError inside the block once it has run ``seconds``."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def test_raised_n_prime_beyond_the_multipliers_raises(group_p19):
-    """n' raised to 7 after construction asks for 3n' - 1 = 20 distinct
-    multipliers of P among the 18 of 1..18 at p = 19: sampling and the attack
-    raise ValueError instead of drawing forever."""
-    cfg = AttackConfig(group=group_p19, target=group_p19.scalar_mul(5), seed=1)
-    cfg.n_prime = 7
-    with time_limit(5):
-        with pytest.raises(ValueError, match="20 distinct multipliers"):
-            sample_iteration(cfg, 1)
-        with pytest.raises(ValueError, match="20 distinct multipliers"):
-            run_attack(cfg)
+def test_distinct_multipliers_beyond_the_range_raises():
+    """20 distinct multipliers among the 18 of 1..18 raise at once instead of drawing forever."""
+    with pytest.raises(ValueError, match="20 distinct multipliers"):
+        attack_mod._distinct_multipliers(random.Random(0), 20, 19)
 
 
 def test_accident_resolves_q_equals_p(group_p19):

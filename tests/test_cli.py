@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -66,6 +67,14 @@ def test_solve_target_off_curve_is_validation_error(tmp_path, capsys):
     assert "not on" in capsys.readouterr().err
 
 
+def test_solve_negative_enum_budget_is_validation_error_before_attack(tmp_path, capsys, monkeypatch):
+    _forbid(monkeypatch, "run_attack")
+    code, manifest = run_solve(tmp_path, "budget", ["--qx", "0", "--qy", "6", "--enum-budget", "-1"])
+    assert code == EXIT_VALIDATION
+    assert "enumeration_budget must be >= 1" in capsys.readouterr().err
+    assert not manifest.exists()
+
+
 def test_solve_budget_exhaustion_exit(tmp_path, capsys):
     code, manifest = run_solve(
         tmp_path,
@@ -103,6 +112,53 @@ def test_solve_jsonl_log(tmp_path):
     payload = json.loads(manifest.read_text())
     assert lines[:-1] == payload["records"]
     assert lines[-1] == {"summary": payload["summary"]}
+
+
+# Seeded runs on the p = 907 fixture, timing off, and the sha256 of their
+# output files (solve: manifest then log; experiment: CSV then JSON).  The
+# solve targets are 123 * G = (434, 657) and 640 * G = (782, 272).
+PINNED_CLI_RUNS = {
+    "solve-n1": (
+        ["solve", "--qx", "434", "--qy", "657", "--nprime", "1", "--seed", "5"],
+        "1c7d6d5767858cd416f14b79cb53a5e37a48e04bafb4e5d2836bbc97eb7f9c8d",
+    ),
+    "solve-n2": (
+        ["solve", "--qx", "782", "--qy", "272", "--nprime", "2", "--seed", "6"],
+        "c3a659b85a97dec6d15e257bf0be6c2aa7b6d90a8cafcd959c80af3d34b33d3b",
+    ),
+    "experiment-n1": (
+        ["experiment", "--nprime", "1", "--trials", "30", "--seed", "3"],
+        "bef530afff2b611ea600351b4dd27a2469199595f26c84be9876418edffaeb41",
+    ),
+    "experiment-n1-m": (
+        ["experiment", "--nprime", "1", "--trials", "30", "--seed", "3", "--m", "123"],
+        "1939d5cf493bdd19aca20973003c00a3907095d5cdc31ed20742d8f900b9326e",
+    ),
+    "experiment-n2": (
+        ["experiment", "--nprime", "2", "--trials", "30", "--seed", "3"],
+        "ac5411a62e03966ca11f7a20da4664f67d5f6f9858f3d94ddf38cf5e62969064",
+    ),
+    "experiment-n2-m": (
+        ["experiment", "--nprime", "2", "--trials", "30", "--seed", "3", "--m", "123"],
+        "fa0ee7db96d8b11fc3736d483edfaeafe2116d8127de84ce4c6408a6d8112ed2",
+    ),
+    "experiment-n2-alg2": (
+        ["experiment", "--nprime", "2", "--trials", "30", "--seed", "3", "--solver", "alg2"],
+        "2abb3ef345d232dafcdf56e02031b45afa7f85688d07985f2c01dffc5b0c5413",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, sha256", PINNED_CLI_RUNS.values(), ids=PINNED_CLI_RUNS)
+def test_seeded_cli_outputs_match_pinned_digest(tmp_path, argv, sha256):
+    """The bytes a seeded run writes hash to a pinned value, so a change that alters
+    any output file, not only one that differs between two reruns of the same build,
+    fails here.  A change that alters outputs on purpose updates the hash and says why."""
+    command, *settings = argv
+    paths = [tmp_path / flag[2:] for flag in OUTPUT_FLAGS[command]]
+    outputs = [arg for flag, path in zip(OUTPUT_FLAGS[command], paths) for arg in (flag, str(path))]
+    assert main([command, *P907, *settings, *outputs]) == EXIT_OK
+    assert hashlib.sha256(b"".join(path.read_bytes() for path in paths)).hexdigest() == sha256
 
 
 def test_manifest_config_round_trip(tmp_path):
