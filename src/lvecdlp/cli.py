@@ -33,6 +33,7 @@ iteration exhaustion, 5 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -403,7 +404,9 @@ def _add_attack_flags(parser: argparse.ArgumentParser, accident_check: bool) -> 
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="lvecdlp", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=f"lvecdlp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

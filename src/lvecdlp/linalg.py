@@ -8,12 +8,17 @@ KernelBasis, the canonical RREF basis of a kernel.
 A kernel takes one elimination: with the pivots chosen from the rightmost
 column leftwards, the vector that puts 1 on one free column and 0 on the
 others is already a row of the kernel's RREF (see right_kernel_rows), so
-the basis needs no second reduction.
+the basis needs no second reduction.  That elimination packs each row into
+one int, a fixed-width slot per column, wide enough (from p and the number
+of pivots) that no slot carries into the next: a row operation is one
+multiply-add of ints, and residues are read only in the pivot column and
+when the kernel vectors are written out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import lshift
 from typing import Sequence
 
 LOWER_TRIANGULAR = "lower_triangular"
@@ -146,34 +151,49 @@ def right_kernel_rows(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list
     For a free column f, the kernel vector with 1 at f and 0 at the other free
     columns is then nonzero only at f and at pivot columns right of f: it is
     already the row of the kernel's RREF whose pivot is f.
+
+    Each row is packed into one int, column c in the slot of ``width`` bits
+    at bit c * width, so a row operation is one multiply-add of ints,
+    ``row + factor * lead`` with factor = -entry / pivot in [0, p).  No slot
+    is reduced mod p: starting below p, every step multiplies the largest
+    slot value by at most p, so after at most min(rows, columns) pivots it
+    stays below p^(pivots + 1), and ``width`` is the bit length of that
+    bound, so no slot carries into its neighbour.  Residues are read only
+    where the elimination branches (the pivot column, top-down until a
+    pivot is found, then in every row) and when the kernel vectors are
+    written out; the pivot rows are not scaled, so each keeps the inverse of
+    its pivot for that.
     """
-    work = [[v % p for v in row] for row in rows]
-    nrows = len(work)
+    nrows = len(rows)
+    width = (p ** (min(nrows, ncols) + 1) - 1).bit_length()
+    mask = (1 << width) - 1
+    shifts = range(0, ncols * width, width)
+    reduce_mod = p.__rmod__
+    work = [sum(map(lshift, map(reduce_mod, row), shifts)) for row in rows]
     pivots: list[int] = []  # pivot column of row 0, 1, ...
+    neg_invs: list[int] = []  # -1 / (pivot entry) of row 0, 1, ...
     for c in range(ncols - 1, -1, -1):
         rank = len(pivots)
         if rank == nrows:
             break
-        pivot_row = None
-        for r in range(rank, nrows):
-            if work[r][c]:
-                pivot_row = r
+        shift = shifts[c]
+        for pivot_row in range(rank, nrows):
+            entry = (work[pivot_row] >> shift & mask) % p
+            if entry:
                 break
-        if pivot_row is None:
+        else:
             continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        # The pivot row is zero right of c, so scaling it and the row operations
-        # change only the columns left of c.  Later steps and the kernel vectors
-        # read only columns left of c, so the rows keep their tails as they are.
-        lead = work[rank]
-        inv = pow(lead[c], -1, p)
-        pivot_vec = lead[:c] = [v * inv % p for v in lead[:c]]
-        for r in range(nrows):
-            row = work[r]
-            entry = row[c]
-            if entry and r != rank:
-                row[:c] = [(a - entry * b) % p for a, b in zip(row, pivot_vec)]
+        lead = work[pivot_row]
+        work[pivot_row] = work[rank]
+        work[rank] = lead
+        inv = pow(entry, -1, p)
+        for r, row in enumerate(work):
+            if r != rank:
+                entry = (row >> shift & mask) % p
+                if entry:
+                    work[r] = row + (p - entry) * inv % p * lead
         pivots.append(c)
+        neg_invs.append(p - inv)
     pivot_cols = set(pivots)
     vectors = []
     for free in range(ncols):
@@ -181,8 +201,9 @@ def right_kernel_rows(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list
             continue
         v = [0] * ncols
         v[free] = 1
-        for c, row in zip(pivots, work):
+        shift = shifts[free]
+        for c, row, neg_inv in zip(pivots, work, neg_invs):
             if c > free:
-                v[c] = -row[free] % p
+                v[c] = (row >> shift & mask) * neg_inv % p
         vectors.append(v)
     return vectors

@@ -27,12 +27,17 @@ singular sets are yielded before the next entry is computed, and a scan
 that stops early pays only for the entries it reached.  For other pivots
 each block yields the singular sets that no later block can precede.
 
-Each singular set also reports whether its vanishing members form a single
-line (corank 1), read from the minors one size smaller, which its block has
-already computed.  The enumerator skips such a set when a candidate it has
-already rejected vanishes on it, since the set's one candidate is that same
-tuple.  This requires the accept filter to be a deterministic function of
-the tuple, as the attack's decode filter is.
+Each singular set also reports its vanishing member when those members
+form a single line (corank 1), read from the minors one size smaller,
+which its block and the earlier ones have already computed: the member's
+coefficients over the RREF basis are one row of the adjugate of the
+singular minor's matrix, a_r = (-1)^pos(r) det X[R - r, C - c0], scaled
+so that the first nonzero one is 1.  That is the canonical combination a
+reduction of the restricted basis would give, so the enumerator reduces a
+restricted basis only for a set of corank 2 or more, which a kernel has
+only when two of its points collide.  The enumerator skips a line whose
+combination it has already rejected.  This requires the accept filter to
+be a deterministic function of the tuple, as the attack's decode filter is.
 """
 
 from __future__ import annotations
@@ -102,62 +107,87 @@ def solve_exhaustive(
     zero, and otherwise iff the basis restricted to the columns Z has rank
     below the basis dimension.  The minors come in blocks by top row (see
     the module docstring), and the singular sets decided so far are tried
-    before the next block entry is computed.  The combinations of basis
-    vectors that vanish on a singular Z are tried in turn.  The first
-    solution found is returned, so a nonzero result is guaranteed whenever
-    one exists; an empty basis has none.
+    before the next block entry is computed.  The combinations of the RREF
+    basis vectors that vanish on a singular Z are tried in turn: the one
+    line the scan reads from its minors when Z has corank 1, else the RREF
+    basis of the restricted basis's kernel.  The first solution found is
+    returned, so a nonzero result is guaranteed whenever one exists; an
+    empty basis has none.
+
+    The search runs on the basis's RREF throughout (``left_kernel`` returns
+    it as it stands; any other basis is reduced first), so the result
+    depends only on the span, not on the basis that presents it.
 
     An optional accept predicate filters candidate vectors (the attack layer
     passes its decode conditions); only accepted solutions are returned.
-    When the members vanishing on Z form a single line (corank 1) and a
-    rejected candidate already vanishes on Z, Z is skipped: its one candidate
-    is the canonical (RREF) coefficient vector of that line, so it would
-    offer the identical tuple again.  The skip therefore requires ``accept``
-    to be a deterministic function of the tuple, as the decode filter is.
+    Every combination is canonical (its first nonzero coefficient is 1), so
+    a line met again on a later Z offers the identical combination, and one
+    already rejected is skipped.  The skip therefore requires ``accept`` to
+    be a deterministic function of the tuple, as the decode filter is.
     """
     p = kb.p
     n = kb.ambient
-    dim = kb.dim
     if comb(n, l) > budget:
         raise BudgetExceededError(f"C({n}, {l}) exceeds the enumeration budget {budget}")
-    if dim == 0:
+    if kb.dim == 0:
         return None
-    vectors = kb.vectors
-    rejected: set[frozenset[int]] = set()  # the zero positions of each rejected candidate
-    for zero_set, line in _singular_zero_sets(vectors, n, l, p):
-        if line and any(zeros.issuperset(zero_set) for zeros in rejected):
-            continue
-        restricted = [[vec[c] for vec in vectors] for c in zero_set]
-        for combo in right_kernel_rows(restricted, dim, p):
-            candidate = [0] * n
-            for coeff, vec in zip(combo, vectors):
-                if coeff:
-                    for j in range(n):
-                        candidate[j] = (candidate[j] + coeff * vec[j]) % p
-            solution = tuple(candidate)
+    vectors, pivots = _rref_basis(kb.vectors, p)
+    columns = list(zip(*vectors))
+    rejected: set[tuple[int, ...]] = set()  # the combinations of the rejected candidates
+    for zero_set, line in _scan(vectors, pivots, n, l, p):
+        if line is None:
+            restricted = [[vec[c] for vec in vectors] for c in zero_set]
+            combos = map(tuple, right_kernel_rows(restricted, len(vectors), p))
+        else:
+            combos = (line,)
+        for combo in combos:
+            if combo in rejected:
+                continue
+            solution = tuple(sum(map(mul, combo, column)) % p for column in columns)
             if accept is None or accept(solution):
                 return solution
-            rejected.add(frozenset(compress(range(n), map(not_, solution))))
+            rejected.add(combo)
     return None
 
 
-def _singular_zero_sets(vectors: Sequence[Sequence[int]], n: int, l: int, p: int) -> Iterator[tuple[tuple[int, ...], bool]]:
+def _singular_zero_sets(
+    vectors: Sequence[Sequence[int]], n: int, l: int, p: int
+) -> Iterator[tuple[tuple[int, ...], Optional[tuple[int, ...]]]]:
     """(Z, line) for the l-sets Z, in lexicographic order, on which a nonzero span member vanishes.
 
-    ``line`` says whether those members form one line (up to scalars), that
-    is, whether the basis restricted to Z has corank 1.
+    ``line`` is the coefficient vector, over the rows of the basis's RREF,
+    of the members vanishing on Z when they form one line (corank 1),
+    scaled so that its first nonzero entry is 1; it is None when they span
+    more.  A basis already in RREF, as ``left_kernel`` returns it, is used
+    as it stands; any other basis is reduced first (see ``_scan``).
+    """
+    return _scan(*_rref_basis(vectors, p), n, l, p)
 
-    With l independent vectors each Z is one minor of X (see the module
-    docstring).  A basis already in RREF, as ``left_kernel`` returns it,
-    gives X and its pivots as it stands; any other basis is reduced first.
-    The minors are computed by top row: for t = l-1 down to 0, every minor
+
+def _rref_basis(vectors: Sequence[Sequence[int]], p: int) -> tuple[Sequence[Sequence[int]], list[int]]:
+    """(rows, pivots): the nonzero rows of the basis's RREF and their pivot columns."""
+    pivots = _canonical_pivots(vectors, p)
+    if pivots is not None:
+        return vectors, pivots
+    reduced, rank, pivots = rref_rows(vectors, p)
+    return reduced[:rank], pivots
+
+
+def _scan(
+    vectors: Sequence[Sequence[int]], pivots: list[int], n: int, l: int, p: int
+) -> Iterator[tuple[tuple[int, ...], Optional[tuple[int, ...]]]]:
+    """``_singular_zero_sets`` of the RREF rows ``vectors``, whose pivot columns are ``pivots``.
+
+    With l rows each Z is one minor of X (see the module docstring).  The
+    minors are computed by top row: for t = l-1 down to 0, every minor
     whose top row is t, expanded along that row into minors of lower rows,
     which are already known.  ``minors[rows]`` lists the determinants of X
     on the row mask ``rows`` and every column mask of the same size, in
     increasing order of the column masks; ``minors[0]`` is the empty minor
     1.  Row and column masks of equal size correspond one-to-one to the
     l-sets.  A singular Z has corank 1 iff some minor one size smaller inside
-    its own is nonzero, and all of those lie in its block or an earlier one.
+    its own is nonzero, all of those lie in its block or an earlier one, and
+    they give its line (see ``_line``).
 
     When the pivots are the first l positions, block t is exactly the
     lexicographic run of sets that contain 0..t-1 and not t, its entries
@@ -171,26 +201,20 @@ def _singular_zero_sets(vectors: Sequence[Sequence[int]], n: int, l: int, p: int
 
     The row table and the face tables take 2^rank and about
     width * 2^(width - 1) entries.  When 2^rank + 2^width outnumber the sets
-    (a basis much wider than tall, with few sets), or the basis does not
-    have l independent vectors, the restricted matrix of each set is reduced
+    (a basis much wider than tall, with few sets), or the span's dimension
+    is not l, the kernel of the restricted matrix of each set is computed
     instead.
     """
-    dim = len(vectors)
-    pivots = _canonical_pivots(vectors, p)
-    if pivots is None:
-        reduced, rank, pivots = rref_rows(vectors, p)
-    else:
-        reduced, rank = vectors, dim
-    sets = comb(n, l)
-    if not (dim == rank == l and (1 << rank) + (1 << (n - rank)) <= sets):
+    rank = len(vectors)
+    if not (rank == l and (1 << rank) + (1 << (n - rank)) <= comb(n, l)):
         for zero_set in combinations(range(n), l):
-            corank = dim - rref_rows([[vec[c] for vec in vectors] for c in zero_set], p)[1]
-            if corank:
-                yield zero_set, corank == 1
+            kernel = right_kernel_rows([[vec[c] for vec in vectors] for c in zero_set], rank, p)
+            if kernel:
+                yield zero_set, tuple(kernel[0]) if len(kernel) == 1 else None
         return
     free = [c for c in range(n) if c not in pivots]
     width = len(free)
-    X = [[row[c] for c in free] for row in reduced]
+    X = [[row[c] for c in free] for row in vectors]
     order = pivots + free
     numbers = _numbering(width)
     masks, faces = _faces(width)
@@ -213,7 +237,7 @@ def _singular_zero_sets(vectors: Sequence[Sequence[int]], n: int, l: int, p: int
                     cols = masks[k][number]
                     zero_set = [order[r] for r in range(l) if not rows >> r & 1]
                     zero_set += [order[l + f] for f in range(width) if cols >> f & 1]
-                    found.append((tuple(sorted(zero_set)), _corank_one(minors, numbers, rows, cols)))
+                    found.append((tuple(sorted(zero_set)), _line(minors, numbers, rows, cols, l, p)))
                 if pivots_first:
                     # Every set of a later entry or block comes after this entry's sets.
                     found.sort()
@@ -256,23 +280,39 @@ def _canonical_pivots(rows: Sequence[Sequence[int]], p: int) -> Optional[list[in
     return pivots
 
 
-def _corank_one(minors: list, numbers: Sequence[int], rows: int, cols: int) -> bool:
-    """Whether some minor of X[rows, cols] one size smaller is nonzero.
+def _line(
+    minors: list, numbers: Sequence[int], rows: int, cols: int, height: int, p: int
+) -> Optional[tuple[int, ...]]:
+    """The coefficients, one per row of X, of the members vanishing on the
+    set of (rows, cols) when they form one line, scaled so that the first
+    nonzero one is 1; None when they span more (corank 2 or more).
 
-    ``minors`` holds the lists of every row mask scheduled before ``rows``,
-    and ``numbers`` numbers the column masks as those lists are ordered."""
-    row_bits = rows
-    while row_bits:
-        row_bit = row_bits & -row_bits
-        row_bits ^= row_bit
-        smaller = minors[rows ^ row_bit]
-        col_bits = cols
-        while col_bits:
-            col_bit = col_bits & -col_bits
-            col_bits ^= col_bit
-            if smaller[numbers[cols ^ col_bit]]:
-                return True
-    return False
+    A member vanishes on the set iff its coefficients are zero outside
+    ``rows`` and, on ``rows``, a left null vector of X[rows, cols].  For a
+    column c0 of ``cols``, a_r = (-1)^pos(r) det X[rows - r, cols - c0],
+    with pos(r) the position of r among ``rows``, is one row of the
+    adjugate, so a null vector; it is nonzero for the first c0 with a
+    nonzero minor X[rows - r, cols - c0], and such a minor exists iff the
+    corank is 1.  ``minors`` holds the lists of every row mask scheduled
+    before ``rows``, and ``numbers`` numbers the column masks as those lists
+    are ordered."""
+    row_indices = [r for r in range(height) if rows >> r & 1]
+    col_bits = cols
+    while col_bits:
+        col_bit = col_bits & -col_bits
+        col_bits ^= col_bit
+        number = numbers[cols ^ col_bit]
+        cofactors = [minors[rows ^ 1 << r][number] for r in row_indices]
+        if any(cofactors):
+            break
+    else:
+        return None
+    signed = [-cofactor if pos & 1 else cofactor for pos, cofactor in enumerate(cofactors)]
+    scale = pow(next(filter(None, signed)), -1, p)
+    coefficients = [0] * height
+    for r, cofactor in zip(row_indices, signed):
+        coefficients[r] = cofactor * scale % p
+    return tuple(coefficients)
 
 
 @cache
@@ -284,7 +324,7 @@ def _blocks(height: int, width: int) -> tuple:
     the pivots first): reading the bits from row t+1 upwards, at the first
     bit where two masks differ, the one with a 0 there (that row's pivot in
     the set) comes first.  An entry reads the minors of its rows without t,
-    from an earlier block, and ``_corank_one`` those of its rows without one
+    from an earlier block, and ``_line`` those of its rows without one
     other bit, a mask earlier in the same block."""
     schedule = []
     for t in reversed(range(height)):

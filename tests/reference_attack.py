@@ -11,7 +11,9 @@ it ran before the minors test, one rank of the restricted basis per l-set:
 ``solve_exhaustive`` must find the same singular sets and return the same
 vector (``test_problem_l.py``).  The rank is the fraction-free elimination
 the package used before ``rref_rows`` took over every rank, kept here so the
-reference shares no elimination code with the scan's fallback.
+reference shares no elimination code with the scan's fallback, and every
+restricted kernel is the two-pass ``reference_right_kernel_rows``, so no
+reference shares code with the packed kernel or the scan's cofactor lines.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from math import comb
 from typing import Callable, Iterable, Iterator, Optional
 
 from lvecdlp.errors import BudgetExceededError
-from lvecdlp.linalg import KernelBasis, right_kernel_rows
+from lvecdlp.linalg import KernelBasis, rref_rows
+from reference_linalg import reference_right_kernel_rows
 
 
 def subset_sum_oracle(
@@ -105,12 +108,14 @@ def first_accepted(
     zero_sets: Iterable[tuple[int, ...]],
     accept: Optional[Callable[[tuple[int, ...]], bool]] = None,
 ) -> Optional[tuple[int, ...]]:
-    """First accepted combination of basis vectors vanishing on one of ``zero_sets``, in order."""
+    """First accepted combination of the RREF basis vectors vanishing on one of
+    ``zero_sets``, in order: the search depends only on the span."""
     p, n = kb.p, kb.ambient
-    vectors = kb.vector_lists()
+    reduced, rank, _ = rref_rows(kb.vector_lists(), p)
+    vectors = reduced[:rank]
     for zero_set in zero_sets:
         restricted = [[vec[c] for vec in vectors] for c in zero_set]
-        for combo in right_kernel_rows(restricted, kb.dim, p):
+        for combo in reference_right_kernel_rows(restricted, rank, p):
             candidate = [0] * n
             for coeff, vec in zip(combo, vectors):
                 if coeff:

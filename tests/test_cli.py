@@ -161,6 +161,24 @@ def test_seeded_cli_outputs_match_pinned_digest(tmp_path, argv, sha256):
     assert hashlib.sha256(b"".join(path.read_bytes() for path in paths)).hexdigest() == sha256
 
 
+def test_parser_is_built_once_and_reused(tmp_path):
+    """``main`` parses with one parser per process: pinned runs back to back, one
+    of them from a config file (parsed twice) and one repeated after it, still
+    write the pinned bytes."""
+    assert build_parser() is build_parser()
+    for step, name in enumerate(("solve-n1", "experiment-n2", "solve-n2", "experiment-n2", "solve-n1")):
+        (command, *settings), sha256 = PINNED_CLI_RUNS[name]
+        paths = [tmp_path / f"{step}-{flag[2:]}" for flag in OUTPUT_FLAGS[command]]
+        outputs = [arg for flag, path in zip(OUTPUT_FLAGS[command], paths) for arg in (flag, str(path))]
+        if step == 2:
+            config_file = tmp_path / "settings.cfg"
+            config_file.write_text("".join(f"{key[2:]} = {value}\n" for key, value in zip(*[iter(settings)] * 2)))
+            settings = ["--config", str(config_file)]
+        assert main([command, *P907, *settings, *outputs]) == EXIT_OK
+        assert hashlib.sha256(b"".join(path.read_bytes() for path in paths)).hexdigest() == sha256
+    assert build_parser() is build_parser()
+
+
 def test_manifest_config_round_trip(tmp_path):
     extra = ["--qx", "0", "--qy", "6", "--seed", "4"]
     _, m1 = run_solve(tmp_path, "r1", extra)

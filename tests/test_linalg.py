@@ -169,11 +169,12 @@ def test_ragged_rows_rejected():
 
 @st.composite
 def raw_matrices(draw):
-    """(rows, ncols, p): small matrices with zero, duplicate and unreduced rows."""
-    p = draw(st.sampled_from((2, 3, 5, 17, 907)))
-    ncols = draw(st.integers(min_value=0, max_value=7))
+    """(rows, ncols, p): matrices up to 12 x 20 with zero, duplicate and
+    unreduced rows, for p from 2 to beyond 64 bits."""
+    p = draw(st.sampled_from((2, 3, 5, 17, 907, 65537, 2**61 - 1, 2**89 - 1)))
+    ncols = draw(st.integers(min_value=0, max_value=20))
     entry = st.integers(min_value=-2 * p, max_value=3 * p)
-    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=10))
     if rows and draw(st.booleans()):
         rows.insert(draw(st.integers(0, len(rows))), list(draw(st.sampled_from(rows))))
     if draw(st.booleans()):
@@ -187,6 +188,8 @@ def raw_matrices(draw):
 @example(([], 4, 907))
 @example(([[1, 1, 0], [1, 1, 0], [0, 0, 0]], 3, 2))
 @example(([[-1, 909, 0, 5]], 4, 907))
+# A slot reaches 100 = (p - 1) p^2, above 2^6: a slot one bit narrower carries.
+@example(([[4, 4, 4], [4, 2, 3]], 3, 5))
 def test_right_kernel_matches_two_pass_reference(matrix):
     rows, ncols, p = matrix
     assert right_kernel_rows(rows, ncols, p) == reference_right_kernel_rows(rows, ncols, p)
@@ -210,22 +213,40 @@ def attack_kernel_inputs(group, n_prime, plain=4, collisions=2):
 
 @pytest.mark.parametrize("n_prime", [1, 2, 3])
 def test_right_kernel_matches_reference_on_attack_matrices(group_p907, monkeypatch, n_prime):
-    """The kernel of each sampled matrix, and every zero-set restriction the scan reduces on it."""
+    """The kernel of each sampled matrix; the restriction of the first singular
+    set of each line and of every set of corank 2 or more, the sets a scan
+    that reduced each offered line would reduce; and every restriction the
+    scan does reduce, which are exactly the sets of corank 2 or more."""
     cfg, samples = attack_kernel_inputs(group_p907, n_prime)
     q = group_p907.curve.q
-    reduced = []
+    checked_sets = reduced = 0
 
     def checked(rows, ncols, p):
+        nonlocal reduced
         result = right_kernel_rows(rows, ncols, p)
         assert result == reference_right_kernel_rows(rows, ncols, p), (rows, ncols, p)
-        reduced.append(rows)
+        reduced += 1
         return result
 
-    monkeypatch.setattr(problem_l, "right_kernel_rows", checked)
     for sample in samples:
         transposed = list(zip(*sample.rows))
         expected = reference_right_kernel_rows(transposed, len(sample.rows), q)
         kernel = left_kernel(sample.rows, q)
         assert [list(v) for v in kernel.vectors] == expected
-        assert problem_l.solve_exhaustive(kernel, cfg.l, accept=lambda vec: False) is None
-    assert reduced  # the scan reduced some singular sets
+        lines = set()
+        planes = 0
+        for zero_set, line in problem_l._singular_zero_sets(kernel.vectors, kernel.ambient, cfg.l, q):
+            planes += line is None
+            if line is None or line not in lines:
+                lines.add(line)
+                restricted = [[vec[c] for vec in kernel.vectors] for c in zero_set]
+                assert right_kernel_rows(restricted, kernel.dim, q) == reference_right_kernel_rows(
+                    restricted, kernel.dim, q
+                )
+                checked_sets += 1
+        reduced = 0
+        with monkeypatch.context() as patched:
+            patched.setattr(problem_l, "right_kernel_rows", checked)
+            assert problem_l.solve_exhaustive(kernel, cfg.l, accept=lambda vec: False) is None
+        assert reduced == planes
+    assert checked_sets  # some singular sets were checked

@@ -12,6 +12,7 @@ from lvecdlp import problem_l
 from lvecdlp.linalg import KernelBasis, in_row_space, left_kernel, right_kernel_rows, rref_rows
 from lvecdlp.problem_l import _singular_zero_sets, plant_instance, solve_alg2, solve_exhaustive
 from reference_attack import first_accepted, flat_singular_zero_sets, fraction_free_rank, projective_span
+from reference_linalg import reference_right_kernel_rows
 
 
 def random_basis(rng, p, l, ambient):
@@ -119,21 +120,43 @@ def corank(kb, zero_set):
     return kb.dim - fraction_free_rank([[vec[c] for vec in kb.vectors] for c in zero_set], kb.p)
 
 
+def rref_basis(kb):
+    """The same span as its RREF basis."""
+    reduced, rank, _ = rref_rows(kb.vector_lists(), kb.p)
+    return KernelBasis(kb.p, kb.ambient, tuple(map(tuple, reduced[:rank])))
+
+
+def reference_line(kb, zero_set, vectors=None):
+    """The members of the span vanishing on ``zero_set`` as a line: the
+    reference reduction of the RREF basis (``vectors``, else computed)
+    restricted to the set, when it has one kernel vector; else None."""
+    vectors = rref_basis(kb).vectors if vectors is None else vectors
+    kernel = reference_right_kernel_rows([[vec[c] for vec in vectors] for c in zero_set], len(vectors), kb.p)
+    return tuple(kernel[0]) if len(kernel) == 1 else None
+
+
 def scanned_pairs(kb, l):
-    """The (zero set, corank-1 flag) pairs ``_singular_zero_sets`` yields, after checking each flag."""
+    """The (zero set, line) pairs ``_singular_zero_sets`` yields, after checking
+    each line: on a corank-1 set the member a reduction through the reference
+    kernel gives, on a set of corank 2 or more None."""
     found = list(_singular_zero_sets(kb.vector_lists(), kb.ambient, l, kb.p))
+    vectors = rref_basis(kb).vectors
     for zero_set, line in found:
-        assert line == (corank(kb, zero_set) == 1), zero_set
+        rank_lost = corank(kb, zero_set)
+        assert rank_lost >= 1, zero_set
+        assert line == reference_line(kb, zero_set, vectors), zero_set
+        assert (line is None) == (rank_lost >= 2), zero_set
     return found
 
 
 def assert_matches_flat_scan(kb, l, accept=None):
-    """Same singular sets, Z by Z, with the right corank-1 flags, and the same
-    returned vector as the flat rank scan.  Returns the scan's pairs."""
+    """Same singular sets, Z by Z, with the right lines, and the same returned
+    vector as the flat rank scan, which is also the vector returned for the
+    span's RREF basis.  Returns the scan's pairs."""
     flat = list(flat_singular_zero_sets(kb, l))
     found = scanned_pairs(kb, l)
     assert [zero_set for zero_set, _ in found] == flat
-    assert solve_exhaustive(kb, l) == first_accepted(kb, flat)
+    assert solve_exhaustive(kb, l) == first_accepted(kb, flat) == solve_exhaustive(rref_basis(kb), l)
     if accept is not None:
         assert solve_exhaustive(kb, l, accept=accept) == first_accepted(kb, flat, accept)
     return found
@@ -144,7 +167,7 @@ def assert_scan_covers_alg2(kb, l, decode, found):
     offers each set's one line, and whenever alg2's vector decodes the scan
     under the decode filter decodes to the same m.  Returns whether alg2's
     vector decoded."""
-    assert all(line for _, line in found)
+    assert all(line is not None for _, line in found)
     vector = solve_alg2(kb, l)
     m = None if vector is None else decode(vector)
     if m is not None:
@@ -241,7 +264,7 @@ def test_block_schedule_lists_sets_in_lexicographic_order(l, width):
 
 @pytest.mark.parametrize("l, width", [(3, 3), (6, 6), (9, 9), (3, 5)])
 def test_block_schedule_reads_only_earlier_row_masks(l, width):
-    """An entry reads the minors of its rows without t, and ``_corank_one``
+    """An entry reads the minors of its rows without t, and ``_line``
     those of its rows without any one row: each such mask is 0 (the empty
     minor) or a mask scheduled earlier, so its list of minors is filled."""
     filled = {0}
@@ -278,8 +301,9 @@ def test_minors_scan_yields_before_computing_later_blocks(monkeypatch, rows, fir
 
     monkeypatch.setattr("lvecdlp.problem_l._blocks", recorded)
     kb = KernelBasis(907, 8, rows)
-    assert next(flat_singular_zero_sets(kb, 4)) == first
-    assert next(_singular_zero_sets(kb.vector_lists(), 8, 4, 907)) == (first, True)
+    line = reference_line(kb, first)
+    assert next(flat_singular_zero_sets(kb, 4)) == first and line is not None
+    assert next(_singular_zero_sets(kb.vector_lists(), 8, 4, 907)) == (first, line)
     assert blocks_computed == [3]
 
 
@@ -321,8 +345,9 @@ def test_minors_scan_yields_before_computing_later_entries(monkeypatch, rows, fi
 
     monkeypatch.setattr("lvecdlp.problem_l._blocks", recorded_schedule)
     kb = KernelBasis(907, 8, rows)
-    assert next(flat_singular_zero_sets(kb, 4)) == first
-    assert next(_singular_zero_sets(kb.vector_lists(), 8, 4, 907)) == (first, True)
+    line = reference_line(kb, first)
+    assert next(flat_singular_zero_sets(kb, 4)) == first and line is not None
+    assert next(_singular_zero_sets(kb.vector_lists(), 8, 4, 907)) == (first, line)
     assert recorded == computed
 
 
@@ -426,20 +451,68 @@ def test_early_stopping_scan_matches_lazy_flat_scan_at_n3(group_p907):
 
 
 def test_rejected_line_is_not_reduced_again(monkeypatch, group_p907):
-    """A p = 907 collision kernel has about 210 singular sets, nearly all on the
-    line of the colliding rows: the scan reduces only a few restricted matrices."""
+    """A p = 907 collision kernel has about 210 singular sets, all of corank 1
+    and nearly all on the line of the colliding rows: the scan reads every
+    line from its minors, so no restricted matrix is reduced, and each
+    distinct line is offered to the filter once."""
     _, kb = collision_kernels(group_p907, 1, seed=17)[0]
     singular = list(flat_singular_zero_sets(kb, 6))
+    lines = {line for _, line in scanned_pairs(kb, 6)}
     calls = []
+    offers = []
 
     def counted(*args):
         calls.append(args)
         return right_kernel_rows(*args)
 
+    def reject(vec):
+        offers.append(vec)
+        return False
+
     monkeypatch.setattr("lvecdlp.problem_l.right_kernel_rows", counted)
-    assert solve_exhaustive(kb, 6, accept=lambda v: False) is None
-    assert len(singular) > 100
-    assert 0 < len(calls) <= 5
+    assert solve_exhaustive(kb, 6, accept=reject) is None
+    assert len(singular) > 100 and None not in lines
+    assert calls == []
+    assert len(offers) == len(set(offers)) == len(lines) < 5
+
+
+@pytest.mark.parametrize(
+    "group_name, n_prime, count, collisions",
+    [("group_p907", 1, 4, 2), ("group_p907", 2, 4, 2), ("group_p907", 3, 2, 1), ("group_p19", 2, 2, 4)],
+)
+def test_scan_lines_match_reference_reduction(request, monkeypatch, group_name, n_prime, count, collisions):
+    """Real kernels, clean and with a cross-block collision (p = 907 at n' = 1, 2
+    and 3, and q = 17 at n' = 2, whose collision kernels have solution planes):
+    every corank-1 set yields the member a reduction of the restricted RREF
+    basis through the reference kernel gives, and every set of corank 2 or
+    more yields None.  On a collision kernel ``solve_exhaustive`` reduces a
+    restricted matrix for exactly the sets of corank 2 or more."""
+    group = request.getfixturevalue(group_name)
+    q, l = group.curve.q, 3 * n_prime
+    cfg = AttackConfig(group=group, target=group.scalar_mul(5), n_prime=n_prime, seed=14, accident_check=False)
+    kernels, index = [], 0
+    while len(kernels) < count + collisions:
+        index += 1
+        sample = sample_iteration(cfg, index)
+        if (detect_accident(sample) is not None) == (len(kernels) >= count):
+            kernels.append(left_kernel(sample.rows, q))
+    reduced = []
+
+    def counted(rows, ncols, p):
+        reduced.append(rows)
+        return right_kernel_rows(rows, ncols, p)
+
+    monkeypatch.setattr("lvecdlp.problem_l.right_kernel_rows", counted)
+    lines = planes = 0
+    for kb in kernels:
+        found = scanned_pairs(kb, l)
+        lines += sum(line is not None for _, line in found)
+        planes += sum(line is None for _, line in found)
+        reduced.clear()
+        assert solve_exhaustive(kb, l, accept=lambda vec: False) is None
+        assert reduced == [[[vec[c] for vec in kb.vectors] for c in zero_set] for zero_set, line in found if line is None]
+    assert lines > 0
+    assert (planes > 0) == (group_name == "group_p19")
 
 
 def test_minors_scan_ranks_no_zero_set(monkeypatch, group_p907):
