@@ -26,7 +26,7 @@ from .curve import GroupSpec, Point
 from .errors import InvariantViolationError
 from .linalg import left_kernel
 from .problem_l import DEFAULT_ENUMERATION_BUDGET, solve_alg2, solve_exhaustive
-from .veronese import MonomialBasis, basis, evaluate_row
+from .veronese import MonomialBasis, basis, evaluate_rows
 
 SOLVER_ALG2 = "alg2"
 SOLVER_EXHAUSTIVE = "exhaustive"
@@ -84,17 +84,18 @@ class AttackConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.enumeration_budget < 1:
             raise ValueError("enumeration_budget must be >= 1")
-        # -target and its window memo, not fields: equality and hashing ignore them.
-        object.__setattr__(self, "_neg_target", self.group.curve.negate(self.target))
+        # -target as a pair and its window memo, not fields: equality and hashing ignore them.
+        object.__setattr__(self, "_neg_target_xy", self.group.curve.negate(self.target).xy)
         object.__setattr__(self, "_neg_target_memo", {})
 
     @property
     def monomials(self) -> MonomialBasis:
         return basis(self.n_prime)
 
-    def neg_target_mul(self, r: int) -> Point:
-        """r * (-target) for 0 <= r, from the window memo of -target this config keeps."""
-        return self.group.curve.scalar_mul(r, self._neg_target, self._neg_target_memo)
+    def neg_target_xy(self, r: int) -> tuple[int, int] | None:
+        """r * (-target) for 0 <= r as an affine (x, y) pair, or None for the identity,
+        from the window memo of -target this config keeps."""
+        return self.group.curve.scalar_mul_xy(r, self._neg_target_xy, self._neg_target_memo)
 
 
 def default_max_iterations(p: int, n_prime: int, l: int, solver: str) -> int:
@@ -109,13 +110,16 @@ def default_max_iterations(p: int, n_prime: int, l: int, solver: str) -> int:
 
 @dataclass(frozen=True)
 class IterationSample:
-    """One iteration's multipliers, points, and assembled matrix rows over F_q."""
+    """One iteration's multipliers and assembled matrix rows over F_q.
+
+    Row i is the monomial row of the i-th point, r * generator for the r of
+    ``multipliers_p`` and then r * (-target) for the r of ``multipliers_q``;
+    rows are unique per point, so they stand for the points.
+    """
 
     index: int
     multipliers_p: tuple[int, ...]
     multipliers_q: tuple[int, ...]
-    points_p: tuple[Point, ...]
-    points_q: tuple[Point, ...]
     rows: tuple[tuple[int, ...], ...]
 
 
@@ -174,31 +178,31 @@ def sample_iteration(cfg: AttackConfig, index: int) -> IterationSample:
     """Sample I and J (distinct within themselves) and assemble the matrix.
 
     Generator rows come first, then rows for multiples of -target, matching
-    the decode layout.  Cross-block collisions are not resampled here; they
-    are the accidents handled by detect_accident.
+    the decode layout.  The multiples stay affine (x, y) pairs from the
+    window memos to the rows.  Cross-block collisions are not resampled
+    here; they are the accidents handled by detect_accident.
     """
     rng = iteration_rng(cfg.seed, index)
     p = cfg.group.order
     mult_p = _distinct_multipliers(rng, 3 * cfg.n_prime - 1, p)
     mult_q = _distinct_multipliers(rng, cfg.l + 1, p)
-    points_p = tuple(cfg.group.scalar_mul(r) for r in mult_p)
-    points_q = tuple(cfg.neg_target_mul(r) for r in mult_q)
-    mb = cfg.monomials
-    q = cfg.group.curve.q
-    rows = tuple(tuple(evaluate_row(mb, pt, q)) for pt in points_p + points_q)
-    return IterationSample(index, tuple(mult_p), tuple(mult_q), points_p, points_q, rows)
+    pairs = [*map(cfg.group.scalar_mul_xy, mult_p), *map(cfg.neg_target_xy, mult_q)]
+    rows = evaluate_rows(cfg.monomials, pairs, cfg.group.curve.q)
+    return IterationSample(index, tuple(mult_p), tuple(mult_q), rows)
 
 
 def detect_accident(sample: IterationSample) -> Optional[tuple[int, int]]:
     """Cross-block point collision r * P == r' * (-Q), reported as (r, r').
 
-    Such a collision makes two matrix rows identical and directly reveals the
+    Such a collision makes two matrix rows identical, and rows are unique per
+    point, so it is found by comparing rows.  It directly reveals the
     logarithm as -r * r'^-1 mod p.
     """
-    q_index = {pt: sample.multipliers_q[j] for j, pt in enumerate(sample.points_q)}
-    for i, pt in enumerate(sample.points_p):
-        if pt in q_index:
-            return sample.multipliers_p[i], q_index[pt]
+    n_p = len(sample.multipliers_p)
+    q_index = dict(zip(sample.rows[n_p:], sample.multipliers_q))
+    for r, row in zip(sample.multipliers_p, sample.rows):
+        if row in q_index:
+            return r, q_index[row]
     return None
 
 

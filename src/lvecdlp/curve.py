@@ -4,17 +4,21 @@ Curves are y^2 z = x^3 + a x z^2 + b z^3 over F_q with q >= 5.  Points are
 kept in one of exactly two normal forms: affine (x : y : 1) or the identity
 (0 : 1 : 0), so that equal points compare equal and monomial rows built from
 them are unique per point.  The group law itself runs on plain ints in
-[0, q); a Point is built only for the result.
+[0, q), on affine (x, y) pairs with None for the identity; a ``Point`` is
+built only at the API edge, by ``Curve.add`` and ``Curve.scalar_mul``.
 
-Scalar multiplication has one routine, ``Curve.scalar_mul``, which splits k
-into 4-bit windows and adds up one window entry d * 2^(4i) * pt per nonzero
-digit d.  The entries are filled in lazily from the base's doubling chain
-[2^j * pt] and kept in a memo keyed by the scalar d * 2^(4i), which also
-holds the chain itself.  A base multiplied many times keeps its memo:
-``GroupSpec`` keeps the generator's, and the attack's ``AttackConfig`` keeps
-the one of -target.  Once the memo is warm, a 10-bit scalar costs at most
-two group additions (fixed-base windowing: Brickell, Gordon, McCurley and
-Wilson, "Fast exponentiation with precomputation", EUROCRYPT '92).
+Scalar multiplication has one routine, ``Curve.scalar_mul_xy`` (and its
+``Point`` wrapper ``Curve.scalar_mul``), which splits k into 4-bit windows
+and adds up one window entry d * 2^(4i) * pt per nonzero digit d.  The
+entries are filled in lazily from the base's doubling chain [2^j * pt] and
+kept in a memo keyed by the scalar, which also holds the chain itself and
+every whole multiple k * pt the routine has returned.  A base multiplied
+many times keeps its memo: ``GroupSpec`` keeps the generator's, and the
+attack's ``AttackConfig`` keeps the one of -target.  Each multiple of a kept
+base is computed once and is one dict lookup after that; a multiple met for
+the first time costs at most two group additions once the window entries
+are warm (fixed-base windowing: Brickell, Gordon, McCurley and Wilson, "Fast
+exponentiation with precomputation", EUROCRYPT '92).
 """
 
 from __future__ import annotations
@@ -58,6 +62,11 @@ class Point:
     @property
     def is_identity(self) -> bool:
         return self.z == 0
+
+    @property
+    def xy(self) -> tuple[int, int] | None:
+        """The point as the group law holds it: an affine (x, y) pair, or None for the identity."""
+        return None if self.z == 0 else (self.x, self.y)
 
     def __repr__(self) -> str:
         if self.is_identity:
@@ -130,35 +139,52 @@ class Curve:
         return Point.identity() if xy is None else Point.affine(*xy)
 
     def scalar_mul(self, k: int, pt: Point, memo: dict | None = None) -> Point:
-        """k-fold sum, k >= 0, adding up one memo entry d * 2^(4i) * pt per nonzero 4-bit digit d of k.
+        """k-fold sum as a Point, k >= 0; see ``scalar_mul_xy`` for the memo."""
+        xy = self.scalar_mul_xy(k, pt.xy, memo)
+        return Point.identity() if xy is None else Point.affine(*xy)
 
-        The memo maps a scalar d * 2^(4i), 0 < d < 16, to that multiple of pt
-        as an affine (x, y) pair, or None for the identity.  Its powers of two
-        are pt's doubling chain.  A missing entry is filled in by ``_window``,
+    def scalar_mul_xy(
+        self, k: int, xy: tuple[int, int] | None, memo: dict | None = None
+    ) -> tuple[int, int] | None:
+        """k * xy for k >= 0, on affine (x, y) pairs with None for the identity.
+
+        The memo maps a scalar s to the multiple s * xy.  Its entries are the
+        window entries d * 2^(4i), 0 < d < 16, whose powers of two are xy's
+        doubling chain, and every whole multiple k > 0 returned so far, so a
+        repeated k is one lookup.  Otherwise k is the sum of one window entry
+        per nonzero 4-bit digit; a missing entry is filled in by ``_window``,
         so a call on an empty memo makes as many group operations as
         double-and-add, and a warm one adds only its nonzero digits.  A caller
         that multiplies one base many times passes the same dict each time
-        (empty at first, for that pt only).
+        (empty at first, for that base only); it holds one entry per distinct
+        k asked for, so a caller that reduces k mod the base's order, as
+        ``GroupSpec`` does, keeps it below that order plus the window entries.
         """
-        if k < 0:
-            raise ValueError("scalar must be non-negative; reduce mod the group order first")
-        if pt.is_identity:
-            return pt
         if memo is None:
             memo = {}
+        elif k in memo:
+            return memo[k]
+        if k < 0:
+            raise ValueError("scalar must be non-negative; reduce mod the group order first")
+        if not k or xy is None:
+            return None
+        if not memo:
+            memo[1] = xy
         add = self._add_xy
         acc = None
         for shift in range(0, k.bit_length(), _WINDOW_BITS):
             part = k & (_DIGIT_MASK << shift)
             if not part:
                 continue
-            step = memo[part] if part in memo else self._window(part, pt, memo)
+            step = memo[part] if part in memo else self._window(part, memo)
             if step is not None:
                 acc = step if acc is None else add(acc[0], acc[1], step[0], step[1])
-        return Point.identity() if acc is None else Point.affine(*acc)
+        memo[k] = acc
+        return acc
 
-    def _window(self, part: int, pt: Point, memo: dict) -> tuple[int, int] | None:
-        """part * pt for part = d * 2^(4i), 0 < d < 16, stored in the memo.
+    def _window(self, part: int, memo: dict) -> tuple[int, int] | None:
+        """part * base for part = d * 2^(4i), 0 < d < 16, stored in the memo of
+        the base, which holds the base itself under 1.
 
         The doubling chain is first extended up to part's top bit; once it
         reaches the identity, every later entry is the identity, got without
@@ -168,8 +194,6 @@ class Curve:
         additions.
         """
         add = self._add_xy
-        if not memo:
-            memo[1] = (pt.x, pt.y)
         top = 1 << (part.bit_length() - 1)
         known = top
         while known not in memo:
@@ -256,14 +280,20 @@ class GroupSpec:
             raise ValueError("generator is not on the curve")
         if not is_prime(self.order):
             raise ValueError(f"group order {self.order} is not prime")
-        # The generator's window memo, not a field: equality and hashing
-        # ignore it.  The order check below builds its chain far enough for any r.
+        # The generator as a pair and its window memo, not fields: equality and
+        # hashing ignore them.  The order check below builds its chain far
+        # enough for any r.
+        object.__setattr__(self, "_xy", self.generator.xy)
         object.__setattr__(self, "_memo", {})
-        if not self.curve.scalar_mul(self.order, self.generator, self._memo).is_identity:
+        if self.curve.scalar_mul_xy(self.order, self._xy, self._memo) is not None:
             raise ValueError(f"{self.order} * generator is not the identity")
 
     def scalar_mul(self, r: int) -> Point:
         return self.curve.scalar_mul(r % self.order, self.generator, self._memo)
+
+    def scalar_mul_xy(self, r: int) -> tuple[int, int] | None:
+        """r * generator as an affine (x, y) pair, or None for the identity."""
+        return self.curve.scalar_mul_xy(r % self.order, self._xy, self._memo)
 
 
 def find_prime_order_curve(

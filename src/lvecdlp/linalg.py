@@ -3,7 +3,8 @@
 Matrices are small (tens of rows) so everything is plain Gaussian elimination
 on lists of residues.  Every routine takes plain rows (a sequence of
 equal-length integer sequences) and the modulus p; the one wrapper is
-KernelBasis, the canonical RREF basis of a kernel.
+KernelBasis, a basis of a kernel that also names its pivot columns when it
+is known to be in RREF.
 
 A kernel takes one elimination: with the pivots chosen from the rightmost
 column leftwards, the vector that puts 1 on one free column and 0 on the
@@ -17,9 +18,9 @@ when the kernel vectors are written out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import lshift
-from typing import Sequence
+from typing import Optional, Sequence
 
 LOWER_TRIANGULAR = "lower_triangular"
 DIAGONAL = "diagonal"
@@ -27,11 +28,21 @@ DIAGONAL = "diagonal"
 
 @dataclass(frozen=True)
 class KernelBasis:
-    """Linearly independent kernel vectors, stored as the RREF of the basis matrix."""
+    """Linearly independent kernel vectors, the rows of a basis matrix.
+
+    ``pivots`` is set only by a routine that built the vectors as their own
+    RREF, with entries in [0, p): it lists their pivot columns, and the
+    zero-set scan uses such a basis as it stands.  ``left_kernel`` and
+    ``plant_instance`` set it.  Otherwise it is None and the vectors are any
+    basis of the span (``eliminate_block`` returns such bases); the scan
+    checks or reduces them first.  It is not part of the value: equality
+    and hashing compare the vectors.
+    """
 
     p: int
     ambient: int
     vectors: tuple[tuple[int, ...], ...]
+    pivots: Optional[tuple[int, ...]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.vectors and set(map(len, self.vectors)) != {self.ambient}:
@@ -46,11 +57,14 @@ class KernelBasis:
 
 
 def left_kernel(rows: Sequence[Sequence[int]], p: int) -> KernelBasis:
-    """Canonical basis of {v : v^T M = 0}, the right kernel of the transpose."""
+    """Canonical (RREF) basis of {v : v^T M = 0}, the right kernel of the transpose.
+
+    Its pivots are the elimination's free columns, handed on with the basis.
+    """
     if len(set(map(len, rows))) > 1:
         raise ValueError("matrix rows must all have the same length")
-    vectors = right_kernel_rows(list(zip(*rows)), len(rows), p)
-    return KernelBasis(p, len(rows), tuple(map(tuple, vectors)))
+    vectors, free = _right_kernel(list(zip(*rows)), len(rows), p)
+    return KernelBasis(p, len(rows), tuple(map(tuple, vectors)), tuple(free))
 
 
 def eliminate_block(kb: KernelBasis, start: int, stop: int, stage: str) -> KernelBasis:
@@ -59,7 +73,8 @@ def eliminate_block(kb: KernelBasis, start: int, stop: int, stage: str) -> Kerne
     stage = LOWER_TRIANGULAR clears entries above the block diagonal (pivot
     row t paired with the t-th block column, processed bottom-up); DIAGONAL
     clears everything off the block diagonal.  Only row operations are used,
-    so the row span (the kernel subspace) is preserved exactly.
+    so the row span (the kernel subspace) is preserved exactly.  The result
+    is in general not in RREF and carries no pivots.
 
     When the natural diagonal pivot vanishes, a different unused block column
     is pivoted on instead; a position with no pivot at all is skipped and
@@ -164,6 +179,12 @@ def right_kernel_rows(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list
     written out; the pivot rows are not scaled, so each keeps the inverse of
     its pivot for that.
     """
+    return _right_kernel(rows, ncols, p)[0]
+
+
+def _right_kernel(rows: Sequence[Sequence[int]], ncols: int, p: int) -> tuple[list[list[int]], list[int]]:
+    """(vectors, free): ``right_kernel_rows`` and the free columns, in increasing
+    order, which are the pivot columns of those RREF vectors."""
     nrows = len(rows)
     width = (p ** (min(nrows, ncols) + 1) - 1).bit_length()
     mask = (1 << width) - 1
@@ -195,10 +216,9 @@ def right_kernel_rows(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list
         pivots.append(c)
         neg_invs.append(p - inv)
     pivot_cols = set(pivots)
+    free_cols = [c for c in range(ncols) if c not in pivot_cols]
     vectors = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
+    for free in free_cols:
         v = [0] * ncols
         v[free] = 1
         shift = shifts[free]
@@ -206,4 +226,4 @@ def right_kernel_rows(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list
             if c > free:
                 v[c] = (row >> shift & mask) * neg_inv % p
         vectors.append(v)
-    return vectors
+    return vectors, free_cols

@@ -114,9 +114,11 @@ def solve_exhaustive(
     returned, so a nonzero result is guaranteed whenever one exists; an
     empty basis has none.
 
-    The search runs on the basis's RREF throughout (``left_kernel`` returns
-    it as it stands; any other basis is reduced first), so the result
-    depends only on the span, not on the basis that presents it.
+    The search runs on the basis's RREF throughout, so the result depends
+    only on the span, not on the basis that presents it.  A basis that
+    names its pivots (``left_kernel`` hands on those of its elimination) is
+    used as it stands; any other is checked for RREF and reduced if it is
+    not.
 
     An optional accept predicate filters candidate vectors (the attack layer
     passes its decode conditions); only accepted solutions are returned.
@@ -131,7 +133,10 @@ def solve_exhaustive(
         raise BudgetExceededError(f"C({n}, {l}) exceeds the enumeration budget {budget}")
     if kb.dim == 0:
         return None
-    vectors, pivots = _rref_basis(kb.vectors, p)
+    if kb.pivots is None:
+        vectors, pivots = _rref_basis(kb.vectors, p)
+    else:
+        vectors, pivots = kb.vectors, list(kb.pivots)
     columns = list(zip(*vectors))
     rejected: set[tuple[int, ...]] = set()  # the combinations of the rejected candidates
     for zero_set, line in _scan(vectors, pivots, n, l, p):
@@ -260,8 +265,8 @@ def _canonical_pivots(rows: Sequence[Sequence[int]], p: int) -> Optional[list[in
 
     Such rows are their own reduction: each leading entry is 1, the leading
     entries sit in increasing columns, each pivot column is zero in the other
-    rows, and no entry needs reducing mod p.  ``left_kernel`` returns its
-    basis in this form.
+    rows, and no entry needs reducing mod p.  A ``KernelBasis`` that names
+    its pivots is in this form and skips the check.
     """
     if rows and (min(map(min, rows)) < 0 or max(map(max, rows)) >= p):
         return None
@@ -408,5 +413,5 @@ def plant_instance(rng: Random, p: int, n_prime: int, l: int) -> tuple[KernelBas
         [sum(mixer[r][k] * rows[k][c] for k in range(l)) % p for c in range(ambient)]
         for r in range(l)
     ]
-    canonical, _, _ = rref_rows(mixed, p)
-    return KernelBasis(p, ambient, tuple(tuple(v) for v in canonical)), tuple(target)
+    canonical, _, pivots = rref_rows(mixed, p)
+    return KernelBasis(p, ambient, tuple(tuple(v) for v in canonical), tuple(pivots)), tuple(target)

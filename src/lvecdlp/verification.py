@@ -45,6 +45,22 @@ def fixture_medium() -> GroupSpec:
     return GroupSpec(curve, curve.point(MEDIUM_GX, MEDIUM_GY), MEDIUM_ORDER)
 
 
+# The matched group for n' = 3 (C(18, 9) = 48,620; C / order = 0.998), the
+# first hit of find_prime_order_curve(PrimeField(48619), 48400, 48840).
+LARGE_Q = 48619
+LARGE_A = 1
+LARGE_B = 55
+LARGE_GX = 0
+LARGE_GY = 4724
+LARGE_ORDER = 48731
+
+
+def fixture_large() -> GroupSpec:
+    """Group of prime order 48,731 over F_48,619, matched to C(18, 9) = 48,620."""
+    curve = Curve(PrimeField(LARGE_Q), LARGE_A, LARGE_B)
+    return GroupSpec(curve, curve.point(LARGE_GX, LARGE_GY), LARGE_ORDER)
+
+
 @dataclass
 class SuiteReport:
     name: str

@@ -4,12 +4,20 @@ The ordering contract for every matrix column, kernel vector, and dumped
 coefficient vector in this package: all monomials of total degree n, sorted
 graded-lexicographically with x > y > z, in descending order.  For n = 2 that
 reads x^2, xy, xz, y^2, yz, z^2.
+
+Points come in normal form, so z is 1 or 0.  An affine point's row is
+x^i * y^j for each monomial x^i y^j z^k, read from the power tables
+[1, x, ..., x^n] and [1, y, ..., y^n]; the identity (0 : 1 : 0) has the row
+with 1 at y^n and 0 elsewhere.  The monomials include x z^(n-1), y z^(n-1)
+and z^n, so distinct points have distinct rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from operator import itemgetter, mul
+from typing import Iterable
 
 from .curve import Point
 
@@ -39,9 +47,26 @@ def basis(degree: int) -> MonomialBasis:
     return MonomialBasis(degree, tuple(exps))
 
 
-def evaluate_at(mb: MonomialBasis, x: int, y: int, z: int, p: int) -> list[int]:
-    """Componentwise monomial evaluation at an arbitrary coordinate triple."""
-    return [pow(x, i, p) * pow(y, j, p) * pow(z, k, p) % p for i, j, k in mb.exponents]
+def evaluate_rows(
+    mb: MonomialBasis, pairs: Iterable[tuple[int, int] | None], p: int
+) -> tuple[tuple[int, ...], ...]:
+    """Matrix rows, residues in [0, p), of points given as affine (x, y) pairs, None for the identity."""
+    x_powers, y_powers = _power_getters(mb.degree)
+    steps = range(mb.degree - 1)
+    reduce_mod = p.__rmod__
+    rows = []
+    for xy in pairs:
+        if xy is None:
+            rows.append(_identity_row(mb.degree))
+            continue
+        x, y = xy
+        xs = [1, x]
+        ys = [1, y]
+        for _ in steps:
+            xs.append(xs[-1] * x % p)
+            ys.append(ys[-1] * y % p)
+        rows.append(tuple(map(reduce_mod, map(mul, x_powers(xs), y_powers(ys)))))
+    return tuple(rows)
 
 
 def evaluate_row(mb: MonomialBasis, pt: Point, p: int) -> list[int]:
@@ -52,4 +77,17 @@ def evaluate_row(mb: MonomialBasis, pt: Point, p: int) -> list[int]:
     identity (0 : 1 : 0) is legal; the attack never does it because its
     multipliers are drawn from [1, p).
     """
-    return evaluate_at(mb, pt.x, pt.y, pt.z, p)
+    (row,) = evaluate_rows(mb, (pt.xy,), p)
+    return list(row)
+
+
+@cache
+def _power_getters(degree: int) -> tuple[itemgetter, itemgetter]:
+    """Getters of the x and of the y exponent of every degree-n monomial, in the fixed order."""
+    exponents = basis(degree).exponents
+    return itemgetter(*(i for i, _, _ in exponents)), itemgetter(*(j for _, j, _ in exponents))
+
+
+@cache
+def _identity_row(degree: int) -> tuple[int, ...]:
+    return tuple(int(exponent == (0, degree, 0)) for exponent in basis(degree).exponents)

@@ -6,6 +6,8 @@ multipliers, and is used only to cross-validate the exhaustive solver's
 verdict (AC-3 and ``test_attack.py``).  ``projective_span`` lists every
 span member of a small kernel, the full-span scan the exhaustive solver is
 checked against (``test_attack.py`` and ``test_problem_l.py``).
+``accident_by_points`` is accident detection on the points, the check
+``detect_accident`` makes on their rows.
 ``flat_singular_zero_sets`` and ``first_accepted`` are the zero-set scan as
 it ran before the minors test, one rank of the restricted basis per l-set:
 ``solve_exhaustive`` must find the same singular sets and return the same
@@ -25,6 +27,16 @@ from typing import Callable, Iterable, Iterator, Optional
 from lvecdlp.errors import BudgetExceededError
 from lvecdlp.linalg import KernelBasis, rref_rows
 from reference_linalg import reference_right_kernel_rows
+
+
+def accident_by_points(multipliers_p, multipliers_q, points_p, points_q) -> Optional[tuple[int, int]]:
+    """The first (r, r') with r * P == r' * (-Q), found by comparing the points
+    themselves, as ``detect_accident`` did before samples kept only rows."""
+    q_index = {pt: multipliers_q[j] for j, pt in enumerate(points_q)}
+    for i, pt in enumerate(points_p):
+        if pt in q_index:
+            return multipliers_p[i], q_index[pt]
+    return None
 
 
 def subset_sum_oracle(

@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 from itertools import islice
+from math import comb
 
 import pytest
 
@@ -28,8 +29,9 @@ from lvecdlp.field import PrimeField
 from lvecdlp.linalg import left_kernel
 from lvecdlp.problem_l import _singular_zero_sets, solve_alg2, solve_exhaustive
 from lvecdlp.veronese import basis, evaluate_row
-from lvecdlp.verification import clean_iteration
-from reference_attack import projective_span, subset_sum_oracle
+from lvecdlp.verification import LARGE_ORDER, clean_iteration, fixture_large
+from reference_attack import accident_by_points, projective_span, subset_sum_oracle
+from reference_curve import reference_scalar_mul
 
 
 def make_sample(group, m, multipliers_p, multipliers_q, n_prime):
@@ -41,7 +43,7 @@ def make_sample(group, m, multipliers_p, multipliers_q, n_prime):
     points_q = tuple(curve.scalar_mul(r, neg_target) for r in multipliers_q)
     mb = basis(n_prime)
     rows = tuple(tuple(evaluate_row(mb, pt, curve.q)) for pt in points_p + points_q)
-    return IterationSample(0, tuple(multipliers_p), tuple(multipliers_q), points_p, points_q, rows)
+    return IterationSample(0, tuple(multipliers_p), tuple(multipliers_q), rows)
 
 
 def test_sample_shapes_and_determinism(group_p907):
@@ -100,6 +102,29 @@ def test_detect_accident_planted(group_p907):
     accident = detect_accident(sample)
     assert accident == (r1, r2)
     assert accident_logarithm(r1, r2, p) == m
+
+
+@pytest.mark.parametrize("n_prime", [1, 2])
+def test_accident_by_rows_matches_accident_by_points(group_p19, group_p907, n_prime):
+    """On seeded samples, collision samples included, comparing rows finds the
+    same (r, r') as comparing the reference points of the two blocks."""
+    collided = 0
+    for group, m, seeds in ((group_p19, 1, range(3)), (group_p19, 7, range(3)), (group_p907, 123, range(2))):
+        if 6 * n_prime > group.order - 1:
+            continue
+        curve = group.curve
+        cfg = AttackConfig(group=group, target=group.scalar_mul(m), n_prime=n_prime, seed=0)
+        neg_target = curve.negate(cfg.target)
+        for seed in seeds:
+            cfg = dataclasses.replace(cfg, seed=seed)
+            for index in range(1, 61):
+                sample = sample_iteration(cfg, index)
+                points_p = [reference_scalar_mul(curve, r, group.generator) for r in sample.multipliers_p]
+                points_q = [reference_scalar_mul(curve, r, neg_target) for r in sample.multipliers_q]
+                expected = accident_by_points(sample.multipliers_p, sample.multipliers_q, points_p, points_q)
+                assert detect_accident(sample) == expected, (group.order, m, seed, index)
+                collided += expected is not None
+    assert collided >= 20
 
 
 def test_detect_accident_absent_generically(group_p907):
@@ -454,3 +479,18 @@ def test_exhaustive_matches_span_scan_on_attack_kernels(group_p19):
                     assert solution is not None and decode(solution) == decode(vector)
                     alg2_decoded += 1
         assert collisions > 0 and 0 < agreed_found < trials and alg2_decoded > 0
+
+
+def test_fixture_large_is_the_matched_n3_group_and_solves_a_seeded_log():
+    """The pinned q = 48,619 group has the prime order it states, by point
+    count, with C(18, 9) / order within 1% of 1; one seeded n' = 3 attack
+    on it returns a verified m that BSGS confirms."""
+    group = fixture_large()
+    assert group.curve.group_order() == group.order == LARGE_ORDER
+    assert abs(comb(18, 9) / group.order - 1) < 0.01
+    m = 12346
+    target = group.scalar_mul(m)
+    outcome = run_attack(AttackConfig(group=group, target=target, n_prime=3, seed=1))
+    assert outcome.succeeded and outcome.m == m == solve_bsgs(group, target)
+    assert group.scalar_mul(outcome.m) == target
+    assert all(record.kernel_dim == 9 for record in outcome.records)

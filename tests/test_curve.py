@@ -9,8 +9,8 @@ from lvecdlp.curve import Curve, GroupSpec, Point, curve_to_text, find_prime_ord
 from lvecdlp.errors import BudgetExceededError
 from lvecdlp.field import PrimeField
 from lvecdlp.linalg import rref_rows
-from lvecdlp.veronese import basis, evaluate_row
-from lvecdlp.verification import fixture_medium
+from lvecdlp.veronese import basis, evaluate_row, evaluate_rows
+from lvecdlp.verification import fixture_large, fixture_medium
 from reference_curve import reference_add, reference_scalar_mul
 
 
@@ -317,24 +317,43 @@ def test_find_prime_order_curve_skips_j0_and_j1728_rows():
     group = find_prime_order_curve(PrimeField(48619), 48400, 48840, max_candidates=60)
     assert (group.curve.a, group.curve.b, group.order) == (1, 55, 48731)
     assert group.generator == Point.affine(0, 4724)
+    assert group == fixture_large()
 
 
 def test_chain_matches_reference_for_every_scalar_p19(group_p19):
     """Every k below 2^bits, on one shared memo per base (the generator's and
     -target's), once with k decreasing and once increasing from a fresh memo,
-    so that digits are met both cold and warm."""
+    so that digits are met both cold and warm.  Each k is asked as a pair
+    and then again as a Point, the second time a whole-multiple hit that
+    leaves the memo as it is."""
     curve, gen, p = group_p19.curve, group_p19.generator, group_p19.order
-    for scalars in (reversed(range(1 << p.bit_length())), range(1 << p.bit_length())):
+    gen_xy = (gen.x, gen.y)
+    bits = p.bit_length()
+    for scalars in (reversed(range(1 << bits)), range(1 << bits)):
         cfg = AttackConfig(group=group_p19, target=group_p19.scalar_mul(5))
         neg_target = curve.negate(cfg.target)
         memo = {}
         for k in scalars:
-            assert curve.scalar_mul(k, gen, memo) == reference_scalar_mul(curve, k, gen), k
-            assert group_p19.scalar_mul(k) == reference_scalar_mul(curve, k % p, gen), k
-            assert cfg.neg_target_mul(k) == reference_scalar_mul(curve, k, neg_target), k
-        # The chain up to the top bit and every digit of each window, nothing else.
-        assert sorted(memo) == [d << shift for shift in (0, 4) for d in range(1, 16) if d << shift < 1 << p.bit_length()]
+            expected = reference_scalar_mul(curve, k, gen)
+            assert expected.xy == memo_entry(expected), k
+            before = dict(memo)
+            assert curve.scalar_mul_xy(k, gen_xy, memo) == memo_entry(expected), k
+            # The chain up to k's top bit, the digits of k's windows and k itself, nothing else.
+            assert set(memo) == set(before) | memo_keys(k), k
+            assert all(memo[s] == before[s] for s in before), k
+            after = dict(memo)
+            assert curve.scalar_mul(k, gen, memo) == expected, k
+            assert memo == after, k
+            for r in (k, k):
+                assert group_p19.scalar_mul(r) == reference_scalar_mul(curve, r % p, gen), r
+                assert group_p19.scalar_mul_xy(r) == memo_entry(reference_scalar_mul(curve, r % p, gen)), r
+                assert cfg.neg_target_xy(r) == memo_entry(reference_scalar_mul(curve, r, neg_target)), r
+        # Every digit of each window and every whole multiple asked for, nothing else.
+        windows = [d << shift for shift in (0, 4) for d in range(1, 16) if d << shift < 1 << bits]
+        assert sorted(s for s in memo if is_window_entry(s)) == windows
+        assert sorted(memo) == sorted(set(windows) | set(range(1, 1 << bits)))
         assert memo[1 << 4] == memo_entry(reference_scalar_mul(curve, 16, gen))
+        assert all(memo[s] == memo_entry(reference_scalar_mul(curve, s, gen)) for s in memo)
 
 
 def memo_entry(pt):
@@ -342,10 +361,32 @@ def memo_entry(pt):
     return None if pt.is_identity else (pt.x, pt.y)
 
 
+def is_window_entry(s):
+    """Whether s > 0 is d * 2^(4i) for a digit 0 < d < 16, the form of a window entry."""
+    return s > 0 and s >> 4 * (((s & -s).bit_length() - 1) // 4) < 16
+
+
+def memo_keys(k):
+    """The keys a call for k leaves in the memo: the doubling chain up to k's
+    top bit, in each 4-bit window the partial sums of its bits taken from the
+    lowest up, and k itself; none for k = 0."""
+    keys = {1 << j for j in range(k.bit_length())}
+    for shift in range(0, k.bit_length(), 4):
+        rest, done = k & (15 << shift), 0
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            done |= bit
+            keys.add(done)
+    return keys | {k} if k else keys
+
+
 def test_window_memo_addition_counts(group_p907, monkeypatch):
     """On an empty memo a call makes exactly the group operations of
-    double-and-add, (bits - 1) doublings and (popcount - 1) additions; warm,
-    one addition fewer than its nonzero 4-bit digits, so at most two below 2^10."""
+    double-and-add, (bits - 1) doublings and (popcount - 1) additions; with
+    its window entries warm but not k itself, one addition fewer than its
+    nonzero 4-bit digits, so at most two below 2^10; and none once k's whole
+    multiple is kept."""
     curve, gen, p = group_p907.curve, group_p907.generator, group_p907.order
     calls = []
     add_xy = Curve._add_xy
@@ -360,10 +401,15 @@ def test_window_memo_addition_counts(group_p907, monkeypatch):
         calls.clear()
         assert curve.scalar_mul(k, gen, memo) == reference_scalar_mul(curve, k, gen), k
         assert len(calls) == k.bit_length() - 1 + k.bit_count() - 1, k
+        windows = {s: entry for s, entry in memo.items() if is_window_entry(s)}
+        assert set(memo) - set(windows) <= {k}
         calls.clear()
-        assert curve.scalar_mul(k, gen, memo) == reference_scalar_mul(curve, k, gen), k
+        assert curve.scalar_mul(k, gen, windows) == reference_scalar_mul(curve, k, gen), k
         digits = sum(1 for shift in range(0, 12, 4) if k >> shift & 15)
         assert len(calls) == digits - 1 <= 2, k
+        calls.clear()
+        assert curve.scalar_mul(k, gen, memo) == reference_scalar_mul(curve, k, gen), k
+        assert memo[k] == memo_entry(reference_scalar_mul(curve, k, gen)) and calls == [], k
 
 
 def test_chain_matches_reference_with_two_torsion():
@@ -387,14 +433,18 @@ def test_chain_matches_reference_with_two_torsion():
                     for scalars in (reversed(range(bound)), range(bound)):
                         memo = {}
                         for k in scalars:
+                            before = set(memo)
                             assert curve.scalar_mul(k, pt, memo) == expected[k], (curve, k, pt)
+                            assert set(memo) == (before if pt.is_identity else before | memo_keys(k)), (curve, k, pt)
                         for part, entry in memo.items():
                             assert entry == memo_entry(expected[part]), (curve, part, pt)
                         chain = [part for part in memo if part & part - 1 == 0]
                         stops = [part.bit_length() - 1 for part in chain if memo[part] is None]
                         if stops:
                             identity_chain_bits.add(min(stops))
-                        identity_digits += sum(1 for part in memo if part & part - 1 and memo[part] is None)
+                        identity_digits += sum(
+                            1 for part in memo if part & part - 1 and is_window_entry(part) and memo[part] is None
+                        )
     assert {1, 2, 3} <= identity_chain_bits
     assert identity_digits > 0
 
@@ -404,10 +454,44 @@ def test_sampled_points_match_reference(group_p907, n_prime):
     curve = group_p907.curve
     cfg = AttackConfig(group=group_p907, target=group_p907.scalar_mul(321), n_prime=n_prime, seed=4)
     neg_target = curve.negate(cfg.target)
+    mb = basis(n_prime)
     for index in range(1, 6):
         sample = sample_iteration(cfg, index)
-        assert sample.points_p == tuple(reference_scalar_mul(curve, r, group_p907.generator) for r in sample.multipliers_p)
-        assert sample.points_q == tuple(reference_scalar_mul(curve, r, neg_target) for r in sample.multipliers_q)
+        points = [reference_scalar_mul(curve, r, group_p907.generator) for r in sample.multipliers_p]
+        points += [reference_scalar_mul(curve, r, neg_target) for r in sample.multipliers_q]
+        assert sample.rows == tuple(tuple(evaluate_row(mb, pt, curve.q)) for pt in points)
+
+
+@pytest.mark.parametrize("n_prime", [1, 2, 3])
+def test_pair_multiples_match_reference_on_sampled_multipliers(group_p907, n_prime):
+    """On a fresh group and config, the sampled multipliers' pairs equal the
+    reference multiples when first computed, and again as whole-multiple
+    hits; sampling on that config then reads the same pairs."""
+    curve = group_p907.curve
+    group = GroupSpec(curve, group_p907.generator, group_p907.order)
+    cfg = AttackConfig(group=group, target=group.scalar_mul(321), n_prime=n_prime, seed=4)
+    neg_target = curve.negate(cfg.target)
+    mb = basis(n_prime)
+    cold = warm = 0
+    for index in range(1, 21):
+        multipliers = sample_iteration(AttackConfig(group=group_p907, target=cfg.target, n_prime=n_prime, seed=4), index)
+        pairs = []
+        for rs, base, multiple, memo in (
+            (multipliers.multipliers_p, group.generator, group.scalar_mul_xy, group._memo),
+            (multipliers.multipliers_q, neg_target, cfg.neg_target_xy, cfg._neg_target_memo),
+        ):
+            for r in rs:
+                expected = memo_entry(reference_scalar_mul(curve, r, base))
+                if r in memo:
+                    warm += 1
+                else:
+                    cold += 1
+                assert multiple(r) == expected, r
+                assert memo[r] == expected and multiple(r) == expected, r
+                pairs.append(expected)
+        sample = sample_iteration(cfg, index)
+        assert sample.rows == evaluate_rows(mb, pairs, curve.q)
+    assert cold + warm == 20 * 6 * n_prime and cold > 0 and warm > 0
 
 
 def test_chain_rejects_negative_scalars(group_p19):
@@ -415,7 +499,9 @@ def test_chain_rejects_negative_scalars(group_p19):
     with pytest.raises(ValueError):
         group_p19.curve.scalar_mul(-1, group_p19.generator, [])
     with pytest.raises(ValueError):
-        cfg.neg_target_mul(-1)
+        group_p19.curve.scalar_mul_xy(-1, (group_p19.generator.x, group_p19.generator.y), {})
+    with pytest.raises(ValueError):
+        cfg.neg_target_xy(-1)
 
 
 def test_cached_chain_leaves_group_spec_equality_and_hash(group_p907):

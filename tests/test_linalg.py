@@ -250,3 +250,34 @@ def test_right_kernel_matches_reference_on_attack_matrices(group_p907, monkeypat
             assert problem_l.solve_exhaustive(kernel, cfg.l, accept=lambda vec: False) is None
         assert reduced == planes
     assert checked_sets  # some singular sets were checked
+
+
+@pytest.mark.parametrize("n_prime", [1, 2, 3])
+def test_left_kernel_hands_over_the_pivots_of_its_basis(group_p19, group_p907, monkeypatch, n_prime):
+    """The pivots ``left_kernel`` hands on, its elimination's free columns,
+    are the ones ``_canonical_pivots`` reads off the basis, on attack kernels
+    with and without collisions; the scan then uses them without that check,
+    and finds what it finds on the same vectors handed over without pivots."""
+    groups = [group_p907] + ([group_p19] if 6 * n_prime <= group_p19.order - 1 else [])
+    original = problem_l._canonical_pivots
+    checked = 0
+    for group in groups:
+        cfg, samples = attack_kernel_inputs(group, n_prime)
+        q = group.curve.q
+        for sample in samples:
+            kernel = left_kernel(sample.rows, q)
+            assert kernel.pivots == tuple(original(kernel.vectors, q))
+            bare = KernelBasis(q, kernel.ambient, kernel.vectors)
+            assert bare.pivots is None and bare == kernel and hash(bare) == hash(kernel)
+
+            def accept(vec):
+                return vec.count(0) == cfg.l and sum(vec) % 3 == 0
+
+            expected = problem_l.solve_exhaustive(bare, cfg.l, accept=accept)
+            with monkeypatch.context() as patched:
+                patched.setattr(problem_l, "_canonical_pivots", lambda *args: pytest.fail("pivots checked again"))
+                assert problem_l.solve_exhaustive(kernel, cfg.l, accept=accept) == expected
+            checked += 1
+    assert checked == len(groups) * 6
+    assert left_kernel([[1, 0], [0, 1]], 5).pivots == ()
+    assert left_kernel([[1, 2], [2, 4]], 5).pivots == (0,)

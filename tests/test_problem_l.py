@@ -9,7 +9,16 @@ import pytest
 from lvecdlp.attack import AttackConfig, decode_solution, detect_accident, sample_iteration
 from lvecdlp.errors import BudgetExceededError
 from lvecdlp import problem_l
-from lvecdlp.linalg import KernelBasis, in_row_space, left_kernel, right_kernel_rows, rref_rows
+from lvecdlp.linalg import (
+    DIAGONAL,
+    LOWER_TRIANGULAR,
+    KernelBasis,
+    eliminate_block,
+    in_row_space,
+    left_kernel,
+    right_kernel_rows,
+    rref_rows,
+)
 from lvecdlp.problem_l import _singular_zero_sets, plant_instance, solve_alg2, solve_exhaustive
 from reference_attack import first_accepted, flat_singular_zero_sets, fraction_free_rank, projective_span
 from reference_linalg import reference_right_kernel_rows
@@ -577,3 +586,41 @@ def test_minors_scan_frees_its_memo(group_p907):
         tracemalloc.stop()
         gc.enable()
     assert grown < 4096, f"{grown} bytes still traced after 20 scans"
+
+
+@pytest.mark.parametrize("n_prime", [1, 2])
+def test_exhaustive_on_eliminate_block_output_equals_its_span_rref(group_p907, n_prime):
+    """``eliminate_block`` never hands on pivots, though its input from
+    ``left_kernel`` has them, and its output is in general not in RREF;
+    ``solve_exhaustive`` on it returns what it returns on the RREF of its
+    span, at each of alg2's four stages, under the decode filter."""
+    p = group_p907.order
+    l = 3 * n_prime
+    not_rref = 0
+    for sample in attack_samples(group_p907, n_prime, 20, seed=8):
+        kernel = left_kernel(sample.rows, group_p907.curve.q)
+        assert kernel.pivots is not None
+
+        def accept(vec):
+            return decode_solution(vec, sample.multipliers_p, sample.multipliers_q, p)[0] is not None
+
+        current = kernel
+        for start, stop in ((0, l), (l, 2 * l)):
+            for stage in (LOWER_TRIANGULAR, DIAGONAL):
+                current = eliminate_block(current, start, stop, stage)
+                assert current.pivots is None
+                reduced, rank, pivots = rref_rows(current.vector_lists(), current.p)
+                span_rref = KernelBasis(current.p, current.ambient, tuple(map(tuple, reduced[:rank])), tuple(pivots))
+                not_rref += current.vectors != span_rref.vectors
+                for filter_ in (None, accept):
+                    assert solve_exhaustive(current, l, accept=filter_) == solve_exhaustive(span_rref, l, accept=filter_)
+                    assert solve_exhaustive(current, l, accept=filter_) == solve_exhaustive(kernel, l, accept=filter_)
+    assert not_rref > 0
+
+
+def test_plant_instance_names_its_pivots():
+    """A planted basis is built as its own RREF and hands on its pivot columns."""
+    rng = random.Random(11)
+    for _ in range(30):
+        kb, _target = plant_instance(rng, rng.choice((5, 17, 907)), 1, rng.choice((2, 3)))
+        assert kb.pivots == tuple(problem_l._canonical_pivots(kb.vectors, kb.p))
