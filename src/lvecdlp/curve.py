@@ -11,14 +11,16 @@ Scalar multiplication has one routine, ``Curve.scalar_mul_xy`` (and its
 ``Point`` wrapper ``Curve.scalar_mul``), which splits k into 4-bit windows
 and adds up one window entry d * 2^(4i) * pt per nonzero digit d.  The
 entries are filled in lazily from the base's doubling chain [2^j * pt] and
-kept in a memo keyed by the scalar, which also holds the chain itself and
-every whole multiple k * pt the routine has returned.  A base multiplied
-many times keeps its memo: ``GroupSpec`` keeps the generator's, and the
-attack's ``AttackConfig`` keeps the one of -target.  Each multiple of a kept
-base is computed once and is one dict lookup after that; a multiple met for
-the first time costs at most two group additions once the window entries
-are warm (fixed-base windowing: Brickell, Gordon, McCurley and Wilson, "Fast
-exponentiation with precomputation", EUROCRYPT '92).
+kept in a memo keyed by the scalar, which also holds the chain itself.  A
+base multiplied many times keeps its memo: ``GroupSpec`` keeps the
+generator's, and the attack's ``AttackConfig`` keeps the one of -target.
+Once the window entries are warm, a multiple costs at most two group
+additions below 2^12 (fixed-base windowing: Brickell, Gordon, McCurley and
+Wilson, "Fast exponentiation with precomputation", EUROCRYPT '92).
+``GroupSpec`` also keeps the first ``KEPT_MULTIPLES`` whole multiples of the
+generator it returns, since the attack draws its generator multipliers
+from [1, order) and on a small group meets the same ones again; a kept
+multiple is one dict lookup.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ IDENTITY_TOKEN = "O"
 
 _WINDOW_BITS = 4
 _DIGIT_MASK = (1 << _WINDOW_BITS) - 1
+
+# Whole multiples of its generator a GroupSpec keeps: every one of a group of
+# order up to 4,097, and about 0.75 MiB of pairs at most on a larger one.
+KEPT_MULTIPLES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -148,26 +154,20 @@ class Curve:
     ) -> tuple[int, int] | None:
         """k * xy for k >= 0, on affine (x, y) pairs with None for the identity.
 
-        The memo maps a scalar s to the multiple s * xy.  Its entries are the
-        window entries d * 2^(4i), 0 < d < 16, whose powers of two are xy's
-        doubling chain, and every whole multiple k > 0 returned so far, so a
-        repeated k is one lookup.  Otherwise k is the sum of one window entry
-        per nonzero 4-bit digit; a missing entry is filled in by ``_window``,
-        so a call on an empty memo makes as many group operations as
-        double-and-add, and a warm one adds only its nonzero digits.  A caller
-        that multiplies one base many times passes the same dict each time
-        (empty at first, for that base only); it holds one entry per distinct
-        k asked for, so a caller that reduces k mod the base's order, as
-        ``GroupSpec`` does, keeps it below that order plus the window entries.
+        The memo maps a scalar d * 2^(4i), 0 < d < 16, to the window entry
+        d * 2^(4i) * xy; its powers of two are xy's doubling chain.  A missing
+        entry is filled in by ``_window``, so a call on an empty memo makes as
+        many group operations as double-and-add, and a warm one adds only its
+        nonzero digits.  A caller that multiplies one base many times passes
+        the same dict each time (empty at first, for that base only); it
+        never holds more than 15 entries per 4-bit window of the largest k.
         """
-        if memo is None:
-            memo = {}
-        elif k in memo:
-            return memo[k]
         if k < 0:
             raise ValueError("scalar must be non-negative; reduce mod the group order first")
         if not k or xy is None:
             return None
+        if memo is None:
+            memo = {}
         if not memo:
             memo[1] = xy
         add = self._add_xy
@@ -179,7 +179,6 @@ class Curve:
             step = memo[part] if part in memo else self._window(part, memo)
             if step is not None:
                 acc = step if acc is None else add(acc[0], acc[1], step[0], step[1])
-        memo[k] = acc
         return acc
 
     def _window(self, part: int, memo: dict) -> tuple[int, int] | None:
@@ -280,20 +279,33 @@ class GroupSpec:
             raise ValueError("generator is not on the curve")
         if not is_prime(self.order):
             raise ValueError(f"group order {self.order} is not prime")
-        # The generator as a pair and its window memo, not fields: equality and
-        # hashing ignore them.  The order check below builds its chain far
-        # enough for any r.
+        # The generator as a pair, its window memo and its kept whole multiples,
+        # not fields: equality and hashing ignore them.  The order check below
+        # builds the chain far enough for any r.
         object.__setattr__(self, "_xy", self.generator.xy)
         object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_multiples", {})
         if self.curve.scalar_mul_xy(self.order, self._xy, self._memo) is not None:
             raise ValueError(f"{self.order} * generator is not the identity")
 
     def scalar_mul(self, r: int) -> Point:
-        return self.curve.scalar_mul(r % self.order, self.generator, self._memo)
+        xy = self.scalar_mul_xy(r)
+        return Point.identity() if xy is None else Point.affine(*xy)
 
     def scalar_mul_xy(self, r: int) -> tuple[int, int] | None:
-        """r * generator as an affine (x, y) pair, or None for the identity."""
-        return self.curve.scalar_mul_xy(r % self.order, self._xy, self._memo)
+        """r * generator as an affine (x, y) pair, or None for the identity.
+
+        The first ``KEPT_MULTIPLES`` distinct r mod order asked for are kept,
+        so asking again is one lookup; later ones are computed each time.
+        """
+        r %= self.order
+        multiples = self._multiples
+        if r in multiples:
+            return multiples[r]
+        xy = self.curve.scalar_mul_xy(r, self._xy, self._memo)
+        if len(multiples) < KEPT_MULTIPLES:
+            multiples[r] = xy
+        return xy
 
 
 def find_prime_order_curve(

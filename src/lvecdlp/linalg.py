@@ -3,8 +3,8 @@
 Matrices are small (tens of rows) so everything is plain Gaussian elimination
 on lists of residues.  Every routine takes plain rows (a sequence of
 equal-length integer sequences) and the modulus p; the one wrapper is
-KernelBasis, a basis of a kernel that also names its pivot columns when it
-is known to be in RREF.
+KernelBasis, a basis of a kernel that also names its pivot columns when the
+package built it in RREF.
 
 A kernel takes one elimination: with the pivots chosen from the rightmost
 column leftwards, the vector that puts 1 on one free column and 0 on the
@@ -30,19 +30,20 @@ DIAGONAL = "diagonal"
 class KernelBasis:
     """Linearly independent kernel vectors, the rows of a basis matrix.
 
-    ``pivots`` is set only by a routine that built the vectors as their own
-    RREF, with entries in [0, p): it lists their pivot columns, and the
-    zero-set scan uses such a basis as it stands.  ``left_kernel`` and
-    ``plant_instance`` set it.  Otherwise it is None and the vectors are any
-    basis of the span (``eliminate_block`` returns such bases); the scan
-    checks or reduces them first.  It is not part of the value: equality
-    and hashing compare the vectors.
+    The vectors are any basis of the span.  ``pivots`` is not a constructor
+    argument: only ``left_kernel`` and ``span_basis``, which build the
+    vectors as their own RREF with entries in [0, p), set it, to the pivot
+    columns of those rows, and the zero-set scan then uses the basis as it
+    stands.  On every other basis (hand-built ones, and the results of
+    ``eliminate_block``) it is None, and the scan checks or reduces the
+    vectors first.  It is not part of the value: equality and hashing
+    compare the vectors.
     """
 
     p: int
     ambient: int
     vectors: tuple[tuple[int, ...], ...]
-    pivots: Optional[tuple[int, ...]] = field(default=None, compare=False, repr=False)
+    pivots: Optional[tuple[int, ...]] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.vectors and set(map(len, self.vectors)) != {self.ambient}:
@@ -64,7 +65,20 @@ def left_kernel(rows: Sequence[Sequence[int]], p: int) -> KernelBasis:
     if len(set(map(len, rows))) > 1:
         raise ValueError("matrix rows must all have the same length")
     vectors, free = _right_kernel(list(zip(*rows)), len(rows), p)
-    return KernelBasis(p, len(rows), tuple(map(tuple, vectors)), tuple(free))
+    return _in_rref(p, len(rows), vectors, free)
+
+
+def span_basis(rows: Sequence[Sequence[int]], ambient: int, p: int) -> KernelBasis:
+    """The RREF basis of the span of the rows, naming its pivots."""
+    reduced, rank, pivots = rref_rows(rows, p)
+    return _in_rref(p, ambient, reduced[:rank], pivots)
+
+
+def _in_rref(p: int, ambient: int, vectors: Sequence[Sequence[int]], pivots: Sequence[int]) -> KernelBasis:
+    """A basis of rows that are their own RREF, entries in [0, p), with pivot columns ``pivots``."""
+    kb = KernelBasis(p, ambient, tuple(map(tuple, vectors)))
+    object.__setattr__(kb, "pivots", tuple(pivots))
+    return kb
 
 
 def eliminate_block(kb: KernelBasis, start: int, stop: int, stage: str) -> KernelBasis:

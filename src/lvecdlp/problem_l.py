@@ -58,6 +58,7 @@ from .linalg import (
     eliminate_block,
     right_kernel_rows,
     rref_rows,
+    span_basis,
 )
 
 DEFAULT_ENUMERATION_BUDGET = 5_000_000
@@ -116,9 +117,9 @@ def solve_exhaustive(
 
     The search runs on the basis's RREF throughout, so the result depends
     only on the span, not on the basis that presents it.  A basis that
-    names its pivots (``left_kernel`` hands on those of its elimination) is
-    used as it stands; any other is checked for RREF and reduced if it is
-    not.
+    names its pivots (``left_kernel`` hands on those of its elimination,
+    ``span_basis`` those of its reduction) is used as it stands; any other
+    is checked for RREF and reduced if it is not.
 
     An optional accept predicate filters candidate vectors (the attack layer
     passes its decode conditions); only accepted solutions are returned.
@@ -265,8 +266,10 @@ def _canonical_pivots(rows: Sequence[Sequence[int]], p: int) -> Optional[list[in
 
     Such rows are their own reduction: each leading entry is 1, the leading
     entries sit in increasing columns, each pivot column is zero in the other
-    rows, and no entry needs reducing mod p.  A ``KernelBasis`` that names
-    its pivots is in this form and skips the check.
+    rows, and no entry needs reducing mod p.  Every RREF basis the package
+    builds (``left_kernel``, ``span_basis``) names its pivots and skips the
+    check, so it runs only on hand-built bases and for ``_singular_zero_sets``
+    callers.
     """
     if rows and (min(map(min, rows)) < 0 or max(map(max, rows)) >= p):
         return None
@@ -413,5 +416,4 @@ def plant_instance(rng: Random, p: int, n_prime: int, l: int) -> tuple[KernelBas
         [sum(mixer[r][k] * rows[k][c] for k in range(l)) % p for c in range(ambient)]
         for r in range(l)
     ]
-    canonical, _, pivots = rref_rows(mixed, p)
-    return KernelBasis(p, ambient, tuple(tuple(v) for v in canonical), tuple(pivots)), tuple(target)
+    return span_basis(mixed, ambient, p), tuple(target)

@@ -16,7 +16,7 @@ from . import attack as attack_mod
 from .analysis import audit_partition_counts
 from .curve import Curve, GroupSpec
 from .field import PrimeField
-from .linalg import KernelBasis, in_row_space, left_kernel, rref_rows
+from .linalg import in_row_space, left_kernel, rref_rows, span_basis
 from .problem_l import plant_instance, solve_alg2, solve_exhaustive
 from .veronese import basis, evaluate_row
 
@@ -228,8 +228,9 @@ def verify_problem_l(trials: int = 200, seed: int = 0) -> SuiteReport:
             row = [rng.randrange(p) for _ in range(ambient)]
             if rref_rows(vectors + [row], p)[1] == len(vectors) + 1:
                 vectors.append(row)
-        canonical, _, _ = rref_rows(vectors, p)
-        found = solve_exhaustive(KernelBasis(p, ambient, tuple(tuple(v) for v in canonical)), l) is not None
+        kb = span_basis(vectors, ambient, p)
+        canonical = kb.vectors
+        found = solve_exhaustive(kb, l) is not None
         brute = False
         for c0 in range(p):
             for c1 in range(p):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from lvecdlp.attack import AttackConfig, sample_iteration
-from lvecdlp.curve import Curve, GroupSpec, Point, curve_to_text, find_prime_order_curve, point_to_text
+from lvecdlp.curve import KEPT_MULTIPLES, Curve, GroupSpec, Point, curve_to_text, find_prime_order_curve, point_to_text
 from lvecdlp.errors import BudgetExceededError
 from lvecdlp.field import PrimeField
 from lvecdlp.linalg import rref_rows
@@ -324,8 +324,8 @@ def test_chain_matches_reference_for_every_scalar_p19(group_p19):
     """Every k below 2^bits, on one shared memo per base (the generator's and
     -target's), once with k decreasing and once increasing from a fresh memo,
     so that digits are met both cold and warm.  Each k is asked as a pair
-    and then again as a Point, the second time a whole-multiple hit that
-    leaves the memo as it is."""
+    and then again as a Point, the second time from warm window entries
+    that leave the memo as it is."""
     curve, gen, p = group_p19.curve, group_p19.generator, group_p19.order
     gen_xy = (gen.x, gen.y)
     bits = p.bit_length()
@@ -338,7 +338,7 @@ def test_chain_matches_reference_for_every_scalar_p19(group_p19):
             assert expected.xy == memo_entry(expected), k
             before = dict(memo)
             assert curve.scalar_mul_xy(k, gen_xy, memo) == memo_entry(expected), k
-            # The chain up to k's top bit, the digits of k's windows and k itself, nothing else.
+            # The chain up to k's top bit and the digits of k's windows, nothing else.
             assert set(memo) == set(before) | memo_keys(k), k
             assert all(memo[s] == before[s] for s in before), k
             after = dict(memo)
@@ -348,12 +348,15 @@ def test_chain_matches_reference_for_every_scalar_p19(group_p19):
                 assert group_p19.scalar_mul(r) == reference_scalar_mul(curve, r % p, gen), r
                 assert group_p19.scalar_mul_xy(r) == memo_entry(reference_scalar_mul(curve, r % p, gen)), r
                 assert cfg.neg_target_xy(r) == memo_entry(reference_scalar_mul(curve, r, neg_target)), r
-        # Every digit of each window and every whole multiple asked for, nothing else.
+        # The chain up to the top bit and every digit of each window, nothing else.
         windows = [d << shift for shift in (0, 4) for d in range(1, 16) if d << shift < 1 << bits]
-        assert sorted(s for s in memo if is_window_entry(s)) == windows
-        assert sorted(memo) == sorted(set(windows) | set(range(1, 1 << bits)))
+        assert sorted(memo) == windows
+        assert sorted(cfg._neg_target_memo) == windows
         assert memo[1 << 4] == memo_entry(reference_scalar_mul(curve, 16, gen))
         assert all(memo[s] == memo_entry(reference_scalar_mul(curve, s, gen)) for s in memo)
+    # The generator's whole multiples: every r mod p asked for, each the reference multiple.
+    assert sorted(group_p19._multiples) == list(range(p))
+    assert all(xy == memo_entry(reference_scalar_mul(curve, r, gen)) for r, xy in group_p19._multiples.items())
 
 
 def memo_entry(pt):
@@ -368,8 +371,8 @@ def is_window_entry(s):
 
 def memo_keys(k):
     """The keys a call for k leaves in the memo: the doubling chain up to k's
-    top bit, in each 4-bit window the partial sums of its bits taken from the
-    lowest up, and k itself; none for k = 0."""
+    top bit and, in each 4-bit window, the partial sums of its bits taken
+    from the lowest up; none for k = 0."""
     keys = {1 << j for j in range(k.bit_length())}
     for shift in range(0, k.bit_length(), 4):
         rest, done = k & (15 << shift), 0
@@ -378,16 +381,17 @@ def memo_keys(k):
             rest ^= bit
             done |= bit
             keys.add(done)
-    return keys | {k} if k else keys
+    return keys
 
 
 def test_window_memo_addition_counts(group_p907, monkeypatch):
     """On an empty memo a call makes exactly the group operations of
-    double-and-add, (bits - 1) doublings and (popcount - 1) additions; with
-    its window entries warm but not k itself, one addition fewer than its
-    nonzero 4-bit digits, so at most two below 2^10; and none once k's whole
-    multiple is kept."""
+    double-and-add, (bits - 1) doublings and (popcount - 1) additions, and
+    leaves only window entries; warm, one addition fewer than its nonzero
+    4-bit digits, so at most two below 2^10.  A group makes none for a
+    whole multiple it has kept."""
     curve, gen, p = group_p907.curve, group_p907.generator, group_p907.order
+    group = GroupSpec(curve, gen, p)
     calls = []
     add_xy = Curve._add_xy
 
@@ -401,15 +405,16 @@ def test_window_memo_addition_counts(group_p907, monkeypatch):
         calls.clear()
         assert curve.scalar_mul(k, gen, memo) == reference_scalar_mul(curve, k, gen), k
         assert len(calls) == k.bit_length() - 1 + k.bit_count() - 1, k
-        windows = {s: entry for s, entry in memo.items() if is_window_entry(s)}
-        assert set(memo) - set(windows) <= {k}
-        calls.clear()
-        assert curve.scalar_mul(k, gen, windows) == reference_scalar_mul(curve, k, gen), k
-        digits = sum(1 for shift in range(0, 12, 4) if k >> shift & 15)
-        assert len(calls) == digits - 1 <= 2, k
+        assert all(map(is_window_entry, memo)), k
         calls.clear()
         assert curve.scalar_mul(k, gen, memo) == reference_scalar_mul(curve, k, gen), k
-        assert memo[k] == memo_entry(reference_scalar_mul(curve, k, gen)) and calls == [], k
+        digits = sum(1 for shift in range(0, 12, 4) if k >> shift & 15)
+        assert len(calls) == digits - 1 <= 2, k
+        expected = memo_entry(reference_scalar_mul(curve, k, gen))
+        assert group.scalar_mul_xy(k) == expected and group._multiples[k] == expected, k
+        calls.clear()
+        assert group.scalar_mul_xy(k) == expected and group.scalar_mul(k + p) == reference_scalar_mul(curve, k, gen), k
+        assert calls == [], k
 
 
 def test_chain_matches_reference_with_two_torsion():
@@ -465,33 +470,54 @@ def test_sampled_points_match_reference(group_p907, n_prime):
 @pytest.mark.parametrize("n_prime", [1, 2, 3])
 def test_pair_multiples_match_reference_on_sampled_multipliers(group_p907, n_prime):
     """On a fresh group and config, the sampled multipliers' pairs equal the
-    reference multiples when first computed, and again as whole-multiple
-    hits; sampling on that config then reads the same pairs."""
+    reference multiples when first computed, and again as kept whole
+    multiples of the generator or from warm window entries of -target;
+    sampling on that config then reads the same pairs."""
     curve = group_p907.curve
     group = GroupSpec(curve, group_p907.generator, group_p907.order)
     cfg = AttackConfig(group=group, target=group.scalar_mul(321), n_prime=n_prime, seed=4)
     neg_target = curve.negate(cfg.target)
     mb = basis(n_prime)
     cold = warm = 0
-    for index in range(1, 21):
+    for index in range(1, 61):
         multipliers = sample_iteration(AttackConfig(group=group_p907, target=cfg.target, n_prime=n_prime, seed=4), index)
         pairs = []
-        for rs, base, multiple, memo in (
-            (multipliers.multipliers_p, group.generator, group.scalar_mul_xy, group._memo),
-            (multipliers.multipliers_q, neg_target, cfg.neg_target_xy, cfg._neg_target_memo),
-        ):
-            for r in rs:
-                expected = memo_entry(reference_scalar_mul(curve, r, base))
-                if r in memo:
-                    warm += 1
-                else:
-                    cold += 1
-                assert multiple(r) == expected, r
-                assert memo[r] == expected and multiple(r) == expected, r
-                pairs.append(expected)
+        for r in multipliers.multipliers_p:
+            expected = memo_entry(reference_scalar_mul(curve, r, group.generator))
+            if r in group._multiples:
+                warm += 1
+            else:
+                cold += 1
+            assert group.scalar_mul_xy(r) == expected, r
+            assert group._multiples[r] == expected and group.scalar_mul_xy(r) == expected, r
+            pairs.append(expected)
+        for r in multipliers.multipliers_q:
+            expected = memo_entry(reference_scalar_mul(curve, r, neg_target))
+            assert cfg.neg_target_xy(r) == expected and cfg.neg_target_xy(r) == expected, r
+            assert all(map(is_window_entry, cfg._neg_target_memo)), r
+            pairs.append(expected)
         sample = sample_iteration(cfg, index)
         assert sample.rows == evaluate_rows(mb, pairs, curve.q)
-    assert cold + warm == 20 * 6 * n_prime and cold > 0 and warm > 0
+    assert cold + warm == 60 * (3 * n_prime - 1) and cold > 0 and warm > 0
+
+
+def test_kept_multiples_stay_bounded_on_a_large_group():
+    """On the order-48,731 group the generator keeps at most KEPT_MULTIPLES
+    whole multiples and at most 15 window entries per 4-bit window, however
+    many distinct multipliers it is asked for; every answer, kept or not,
+    is the reference multiple."""
+    group = fixture_large()
+    curve, gen, order = group.curve, group.generator, group.order
+    rng = random.Random(7)
+    asked = rng.sample(range(1, order), KEPT_MULTIPLES + 2000)
+    for r in asked:
+        group.scalar_mul_xy(r)
+    assert list(group._multiples) == asked[:KEPT_MULTIPLES]
+    windows = -(-order.bit_length() // 4) * 15
+    assert len(group._memo) <= windows
+    for r in rng.sample(asked, 200) + asked[:50] + asked[-50:]:
+        assert group.scalar_mul_xy(r) == memo_entry(reference_scalar_mul(curve, r, gen)), r
+    assert len(group._multiples) == KEPT_MULTIPLES and len(group._memo) <= windows
 
 
 def test_chain_rejects_negative_scalars(group_p19):

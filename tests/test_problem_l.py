@@ -18,6 +18,7 @@ from lvecdlp.linalg import (
     left_kernel,
     right_kernel_rows,
     rref_rows,
+    span_basis,
 )
 from lvecdlp.problem_l import _singular_zero_sets, plant_instance, solve_alg2, solve_exhaustive
 from reference_attack import first_accepted, flat_singular_zero_sets, fraction_free_rank, projective_span
@@ -609,8 +610,8 @@ def test_exhaustive_on_eliminate_block_output_equals_its_span_rref(group_p907, n
             for stage in (LOWER_TRIANGULAR, DIAGONAL):
                 current = eliminate_block(current, start, stop, stage)
                 assert current.pivots is None
-                reduced, rank, pivots = rref_rows(current.vector_lists(), current.p)
-                span_rref = KernelBasis(current.p, current.ambient, tuple(map(tuple, reduced[:rank])), tuple(pivots))
+                span_rref = span_basis(current.vectors, current.ambient, current.p)
+                assert span_rref.pivots == tuple(problem_l._canonical_pivots(span_rref.vectors, current.p))
                 not_rref += current.vectors != span_rref.vectors
                 for filter_ in (None, accept):
                     assert solve_exhaustive(current, l, accept=filter_) == solve_exhaustive(span_rref, l, accept=filter_)
@@ -624,3 +625,24 @@ def test_plant_instance_names_its_pivots():
     for _ in range(30):
         kb, _target = plant_instance(rng, rng.choice((5, 17, 907)), 1, rng.choice((2, 3)))
         assert kb.pivots == tuple(problem_l._canonical_pivots(kb.vectors, kb.p))
+
+
+def test_span_basis_names_the_pivots_of_its_rref():
+    """``span_basis`` returns the nonzero rows of the RREF of any rows, as
+    ``rref_rows`` gives them, with their pivot columns, on spans of every
+    rank including dependent and zero rows; a hand-built basis cannot name
+    pivots, so the scan checks it."""
+    rng = random.Random(12)
+    for _ in range(200):
+        p = rng.choice((5, 17, 907))
+        ambient = rng.randrange(1, 8)
+        rows = [[rng.randrange(p) if rng.random() < 0.7 else 0 for _ in range(ambient)] for _ in range(rng.randrange(6))]
+        if len(rows) > 1 and rng.random() < 0.3:
+            rows.append([(a + 2 * b) % p for a, b in zip(rows[0], rows[1])])
+        kb = span_basis(rows, ambient, p)
+        reduced, rank, pivots = rref_rows(rows, p) if rows else ([], 0, [])
+        assert kb.vectors == tuple(map(tuple, reduced[:rank])) and kb.pivots == tuple(pivots)
+        assert kb.pivots == tuple(problem_l._canonical_pivots(kb.vectors, p))
+    with pytest.raises(TypeError):
+        KernelBasis(5, 2, ((1, 0),), (0,))
+    assert KernelBasis(5, 2, ((1, 0),)).pivots is None
