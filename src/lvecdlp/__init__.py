@@ -30,12 +30,12 @@ from .attack import (
     run_attack,
     sample_iteration,
 )
-from .curve import Curve, GroupSpec, Point, find_prime_order_curve
+from .curve import Curve, GroupSpec, find_prime_order_curve
 from .dlp import solve_bsgs
 from .errors import BudgetExceededError, InvariantViolationError
 from .field import PrimeField, is_prime
 from .linalg import KernelBasis, eliminate_block, left_kernel
 from .problem_l import solve_alg2, solve_exhaustive
-from .veronese import MonomialBasis, basis, evaluate_row
+from .veronese import MonomialBasis, basis, evaluate_rows
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from math import ceil
 from typing import Callable, Iterator, Optional
 
 from .analysis import success_model
-from .curve import GroupSpec, Point
+from .curve import XY, GroupSpec
 from .errors import InvariantViolationError
 from .linalg import left_kernel
 from .problem_l import DEFAULT_ENUMERATION_BUDGET, solve_alg2, solve_exhaustive
@@ -53,7 +53,7 @@ class AttackConfig:
     """
 
     group: GroupSpec
-    target: Point
+    target: XY
     n_prime: int = 1
     l: Optional[int] = None
     solver: str = SOLVER_EXHAUSTIVE
@@ -84,18 +84,17 @@ class AttackConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.enumeration_budget < 1:
             raise ValueError("enumeration_budget must be >= 1")
-        # -target as a pair and its window memo, not fields: equality and hashing ignore them.
-        object.__setattr__(self, "_neg_target_xy", self.group.curve.negate(self.target).xy)
+        # -target and its window memo, not fields: equality and hashing ignore them.
+        object.__setattr__(self, "_neg_target", self.group.curve.negate(self.target))
         object.__setattr__(self, "_neg_target_memo", {})
 
     @property
     def monomials(self) -> MonomialBasis:
         return basis(self.n_prime)
 
-    def neg_target_xy(self, r: int) -> tuple[int, int] | None:
-        """r * (-target) for 0 <= r as an affine (x, y) pair, or None for the identity,
-        from the window memo of -target this config keeps."""
-        return self.group.curve.scalar_mul_xy(r, self._neg_target_xy, self._neg_target_memo)
+    def neg_target_mul(self, r: int) -> XY:
+        """r * (-target) for 0 <= r, from the window memo of -target this config keeps."""
+        return self.group.curve.scalar_mul(r, self._neg_target, self._neg_target_memo)
 
 
 def default_max_iterations(p: int, n_prime: int, l: int, solver: str) -> int:
@@ -178,16 +177,16 @@ def sample_iteration(cfg: AttackConfig, index: int) -> IterationSample:
     """Sample I and J (distinct within themselves) and assemble the matrix.
 
     Generator rows come first, then rows for multiples of -target, matching
-    the decode layout.  The multiples stay affine (x, y) pairs from the
-    window memos to the rows.  Cross-block collisions are not resampled
-    here; they are the accidents handled by detect_accident.
+    the decode layout.  The multiples come from the window memos.
+    Cross-block collisions are not resampled here; they are the accidents
+    handled by detect_accident.
     """
     rng = iteration_rng(cfg.seed, index)
     p = cfg.group.order
     mult_p = _distinct_multipliers(rng, 3 * cfg.n_prime - 1, p)
     mult_q = _distinct_multipliers(rng, cfg.l + 1, p)
-    pairs = [*map(cfg.group.scalar_mul_xy, mult_p), *map(cfg.neg_target_xy, mult_q)]
-    rows = evaluate_rows(cfg.monomials, pairs, cfg.group.curve.q)
+    points = [*map(cfg.group.scalar_mul, mult_p), *map(cfg.neg_target_mul, mult_q)]
+    rows = evaluate_rows(cfg.monomials, points, cfg.group.curve.q)
     return IterationSample(index, tuple(mult_p), tuple(mult_q), rows)
 
 
@@ -305,7 +304,7 @@ def run_attack(cfg: AttackConfig, on_record: Optional[Callable[[IterationRecord]
     The output is never wrong, only possibly absent: a returned m always
     satisfies m * generator == target.
     """
-    if cfg.target.is_identity:
+    if cfg.target is None:
         return AttackOutcome(m=0, iterations_used=0, records=[])
     records: list[IterationRecord] = []
     for index in range(1, cfg.max_iterations + 1):

@@ -56,7 +56,7 @@ from .attack import (
     planted_trials,
     run_attack,
 )
-from .curve import Curve, GroupSpec, Point, curve_to_text, find_prime_order_curve, point_to_text
+from .curve import Curve, GroupSpec, curve_to_text, find_prime_order_curve, point_to_text
 from .dlp import solve_bsgs
 from .errors import BudgetExceededError, InvariantViolationError
 from .field import PrimeField
@@ -122,7 +122,7 @@ def build_group(args: argparse.Namespace) -> GroupSpec:
     return GroupSpec(curve, curve.point(args.gx, args.gy), args.order)
 
 
-def build_target(args: argparse.Namespace, group: GroupSpec) -> Point:
+def build_target(args: argparse.Namespace, group: GroupSpec) -> tuple[int, int]:
     _require(args, "qx", "qy")
     return group.curve.point(args.qx, args.qy)
 
@@ -134,8 +134,8 @@ def _config_echo(cfg: AttackConfig, timing: bool, **extra) -> dict:
         "q": group.curve.q,
         "a": group.curve.a,
         "b": group.curve.b,
-        "gx": group.generator.x,
-        "gy": group.generator.y,
+        "gx": group.generator[0],
+        "gy": group.generator[1],
         "order": group.order,
         "nprime": cfg.n_prime,
         "l": cfg.l,
@@ -208,7 +208,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     manifest = {
         "tool": {"name": "lvecdlp", "version": __version__, "schema": SCHEMA_VERSION},
         "command": "solve",
-        "config": _config_echo(cfg, args.timing, qx=target.x, qy=target.y, max_iterations=cfg.max_iterations),
+        "config": _config_echo(cfg, args.timing, qx=target[0], qy=target[1], max_iterations=cfg.max_iterations),
         "curve": curve_to_text(group.curve),
         "generator": point_to_text(group.generator),
         "target": point_to_text(target),

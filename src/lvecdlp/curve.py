@@ -1,22 +1,21 @@
 """Short-Weierstrass elliptic curve groups over prime fields, desk scale.
 
-Curves are y^2 z = x^3 + a x z^2 + b z^3 over F_q with q >= 5.  Points are
-kept in one of exactly two normal forms: affine (x : y : 1) or the identity
-(0 : 1 : 0), so that equal points compare equal and monomial rows built from
-them are unique per point.  The group law itself runs on plain ints in
-[0, q), on affine (x, y) pairs with None for the identity; a ``Point`` is
-built only at the API edge, by ``Curve.add`` and ``Curve.scalar_mul``.
+Curves are y^2 z = x^3 + a x z^2 + b z^3 over F_q with q >= 5.  A point is
+a plain value: an affine (x, y) pair of ints in [0, q), standing for
+(x : y : 1), or None for the identity (0 : 1 : 0).  Each point has exactly
+one such value, so equal points compare equal and monomial rows built from
+them are unique per point.
 
-Scalar multiplication has one routine, ``Curve.scalar_mul_xy`` (and its
-``Point`` wrapper ``Curve.scalar_mul``), which splits k into 4-bit windows
-and adds up one window entry d * 2^(4i) * pt per nonzero digit d.  The
-entries are filled in lazily from the base's doubling chain [2^j * pt] and
-kept in a memo keyed by the scalar, which also holds the chain itself.  A
-base multiplied many times keeps its memo: ``GroupSpec`` keeps the
-generator's, and the attack's ``AttackConfig`` keeps the one of -target.
-Once the window entries are warm, a multiple costs at most two group
-additions below 2^12 (fixed-base windowing: Brickell, Gordon, McCurley and
-Wilson, "Fast exponentiation with precomputation", EUROCRYPT '92).
+Scalar multiplication has one routine, ``Curve.scalar_mul``, which splits k
+into 4-bit windows and adds up one window entry d * 2^(4i) * pt per nonzero
+digit d.  The entries are filled in lazily from the base's doubling chain
+[2^j * pt] and kept in a memo keyed by the scalar, which also holds the
+chain itself.  A base multiplied many times keeps its memo: ``GroupSpec``
+keeps the generator's, and the attack's ``AttackConfig`` keeps the one of
+-target.  Once the window entries are warm, a multiple costs at most two
+group additions below 2^12 (fixed-base windowing: Brickell, Gordon,
+McCurley and Wilson, "Fast exponentiation with precomputation", EUROCRYPT
+'92).
 ``GroupSpec`` also keeps the first ``KEPT_MULTIPLES`` whole multiples of the
 generator it returns, since the attack draws its generator multipliers
 from [1, order) and on a small group meets the same ones again; a kept
@@ -42,42 +41,8 @@ _DIGIT_MASK = (1 << _WINDOW_BITS) - 1
 # order up to 4,097, and about 0.75 MiB of pairs at most on a larger one.
 KEPT_MULTIPLES = 1 << 12
 
-
-@dataclass(frozen=True)
-class Point:
-    """Projective point in normal form: z == 1, or the identity (0, 1, 0)."""
-
-    x: int
-    y: int
-    z: int
-
-    def __post_init__(self):
-        if self.z not in (0, 1):
-            raise ValueError("points must be normalized (z = 1) or the identity (z = 0)")
-        if self.z == 0 and (self.x, self.y) != (0, 1):
-            raise ValueError("the identity point is represented as (0 : 1 : 0)")
-
-    @classmethod
-    def affine(cls, x: int, y: int) -> Point:
-        return cls(x, y, 1)
-
-    @classmethod
-    def identity(cls) -> Point:
-        return cls(0, 1, 0)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.z == 0
-
-    @property
-    def xy(self) -> tuple[int, int] | None:
-        """The point as the group law holds it: an affine (x, y) pair, or None for the identity."""
-        return None if self.z == 0 else (self.x, self.y)
-
-    def __repr__(self) -> str:
-        if self.is_identity:
-            return "Point(O)"
-        return f"Point({self.x}, {self.y})"
+# A point: an affine (x, y) pair of residues in [0, q), or None for the identity.
+XY = tuple[int, int] | None
 
 
 @dataclass(frozen=True)
@@ -102,29 +67,35 @@ class Curve:
     def q(self) -> int:
         return self.field.p
 
-    def contains(self, pt: Point) -> bool:
-        if pt.is_identity:
+    def contains(self, pt: XY) -> bool:
+        """Whether pt is a point of the curve: None, or a pair of residues in [0, q) on it."""
+        if pt is None:
             return True
+        x, y = pt
         q = self.q
-        return (pt.y * pt.y - (pt.x**3 + self.a * pt.x + self.b)) % q == 0
+        return 0 <= x < q and 0 <= y < q and (y * y - (x**3 + self.a * x + self.b)) % q == 0
 
-    def point(self, x: int, y: int) -> Point:
-        """Validated affine point constructor."""
-        pt = Point.affine(x % self.q, y % self.q)
+    def point(self, x: int, y: int) -> tuple[int, int]:
+        """Validated affine point constructor; the coordinates are reduced mod q first."""
+        pt = (x % self.q, y % self.q)
         if not self.contains(pt):
             raise ValueError(f"({x}, {y}) is not on y^2 = x^3 + {self.a}x + {self.b} over F_{self.q}")
         return pt
 
-    def negate(self, pt: Point) -> Point:
-        if pt.is_identity:
-            return pt
-        return Point.affine(pt.x, -pt.y % self.q)
+    def negate(self, pt: XY) -> XY:
+        if pt is None:
+            return None
+        x, y = pt
+        return x, -y % self.q
 
-    def _add_xy(self, x1: int, y1: int, x2: int, y2: int) -> tuple[int, int] | None:
-        """Chord-tangent sum of two affine points given as residues in [0, q).
-
-        Returns the affine sum as an (x, y) pair, or None for the identity.
-        """
+    def add(self, lhs: XY, rhs: XY) -> XY:
+        """Chord-tangent group law on points of the curve."""
+        if lhs is None:
+            return rhs
+        if rhs is None:
+            return lhs
+        x1, y1 = lhs
+        x2, y2 = rhs
         q = self.field.p
         if x1 == x2:
             if (y1 + y2) % q == 0:
@@ -135,27 +106,11 @@ class Curve:
         x3 = (slope * slope - x1 - x2) % q
         return x3, (slope * (x1 - x3) - y1) % q
 
-    def add(self, lhs: Point, rhs: Point) -> Point:
-        """Chord-tangent group law with identity (0 : 1 : 0)."""
-        if lhs.is_identity:
-            return rhs
-        if rhs.is_identity:
-            return lhs
-        xy = self._add_xy(lhs.x, lhs.y, rhs.x, rhs.y)
-        return Point.identity() if xy is None else Point.affine(*xy)
-
-    def scalar_mul(self, k: int, pt: Point, memo: dict | None = None) -> Point:
-        """k-fold sum as a Point, k >= 0; see ``scalar_mul_xy`` for the memo."""
-        xy = self.scalar_mul_xy(k, pt.xy, memo)
-        return Point.identity() if xy is None else Point.affine(*xy)
-
-    def scalar_mul_xy(
-        self, k: int, xy: tuple[int, int] | None, memo: dict | None = None
-    ) -> tuple[int, int] | None:
-        """k * xy for k >= 0, on affine (x, y) pairs with None for the identity.
+    def scalar_mul(self, k: int, pt: XY, memo: dict | None = None) -> XY:
+        """k * pt for k >= 0.
 
         The memo maps a scalar d * 2^(4i), 0 < d < 16, to the window entry
-        d * 2^(4i) * xy; its powers of two are xy's doubling chain.  A missing
+        d * 2^(4i) * pt; its powers of two are pt's doubling chain.  A missing
         entry is filled in by ``_window``, so a call on an empty memo makes as
         many group operations as double-and-add, and a warm one adds only its
         nonzero digits.  A caller that multiplies one base many times passes
@@ -164,43 +119,38 @@ class Curve:
         """
         if k < 0:
             raise ValueError("scalar must be non-negative; reduce mod the group order first")
-        if not k or xy is None:
+        if not k or pt is None:
             return None
         if memo is None:
             memo = {}
         if not memo:
-            memo[1] = xy
-        add = self._add_xy
+            memo[1] = pt
+        add = self.add
         acc = None
         for shift in range(0, k.bit_length(), _WINDOW_BITS):
             part = k & (_DIGIT_MASK << shift)
-            if not part:
-                continue
-            step = memo[part] if part in memo else self._window(part, memo)
-            if step is not None:
-                acc = step if acc is None else add(acc[0], acc[1], step[0], step[1])
+            if part:
+                acc = add(acc, memo[part] if part in memo else self._window(part, memo))
         return acc
 
-    def _window(self, part: int, memo: dict) -> tuple[int, int] | None:
+    def _window(self, part: int, memo: dict) -> XY:
         """part * base for part = d * 2^(4i), 0 < d < 16, stored in the memo of
         the base, which holds the base itself under 1.
 
         The doubling chain is first extended up to part's top bit; once it
-        reaches the identity, every later entry is the identity, got without
-        doubling.  The chain entries of part's bits are then added from the
-        lowest up, and each partial sum, itself a digit of the same window, is
-        kept, so a digit met for the first time costs at most popcount(d) - 1
-        additions.
+        reaches the identity, every later entry is the identity.  The chain
+        entries of part's bits are then added from the lowest up, and each
+        partial sum, itself a digit of the same window, is kept, so a digit
+        met for the first time costs at most popcount(d) - 1 additions.
         """
-        add = self._add_xy
+        add = self.add
         top = 1 << (part.bit_length() - 1)
         known = top
         while known not in memo:
             known >>= 1
         entry = memo[known]
         while known < top:
-            if entry is not None:
-                entry = add(entry[0], entry[1], entry[0], entry[1])
+            entry = add(entry, entry)
             known <<= 1
             memo[known] = entry
         acc = None
@@ -213,9 +163,7 @@ class Curve:
             if done in memo:
                 acc = memo[done]
                 continue
-            step = memo[bit]
-            if step is not None:
-                acc = step if acc is None else add(acc[0], acc[1], step[0], step[1])
+            acc = add(acc, memo[bit])
             memo[done] = acc
         return acc
 
@@ -238,12 +186,12 @@ class Curve:
                 count += 2
         return count
 
-    def points(self, max_field: int = DEFAULT_ENUMERATION_LIMIT) -> list[Point]:
+    def points(self, max_field: int = DEFAULT_ENUMERATION_LIMIT) -> list[XY]:
         """All rational points (identity first), enumeration order fixed by x then y."""
         q = self.q
         if q > max_field:
             raise BudgetExceededError(f"point enumeration limited to q <= {max_field}, got q = {q}")
-        return [Point.identity()] + [Point.affine(x, y) for x, y in self._affine_xy()]
+        return [None, *self._affine_xy()]
 
     def _affine_xy(self):
         """Affine points as (x, y) pairs, x ascending and then y ascending.
@@ -269,31 +217,26 @@ class GroupSpec:
     """A curve, a generator, and the generator's prime order, validated together."""
 
     curve: Curve
-    generator: Point
+    generator: tuple[int, int]
     order: int
 
     def __post_init__(self):
-        if self.generator.is_identity:
+        if self.generator is None:
             raise ValueError("generator must not be the identity")
         if not self.curve.contains(self.generator):
             raise ValueError("generator is not on the curve")
         if not is_prime(self.order):
             raise ValueError(f"group order {self.order} is not prime")
-        # The generator as a pair, its window memo and its kept whole multiples,
-        # not fields: equality and hashing ignore them.  The order check below
-        # builds the chain far enough for any r.
-        object.__setattr__(self, "_xy", self.generator.xy)
+        # The generator's window memo and its kept whole multiples, not fields:
+        # equality and hashing ignore them.  The order check below builds the
+        # chain far enough for any r.
         object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "_multiples", {})
-        if self.curve.scalar_mul_xy(self.order, self._xy, self._memo) is not None:
+        if self.curve.scalar_mul(self.order, self.generator, self._memo) is not None:
             raise ValueError(f"{self.order} * generator is not the identity")
 
-    def scalar_mul(self, r: int) -> Point:
-        xy = self.scalar_mul_xy(r)
-        return Point.identity() if xy is None else Point.affine(*xy)
-
-    def scalar_mul_xy(self, r: int) -> tuple[int, int] | None:
-        """r * generator as an affine (x, y) pair, or None for the identity.
+    def scalar_mul(self, r: int) -> XY:
+        """r * generator.
 
         The first ``KEPT_MULTIPLES`` distinct r mod order asked for are kept,
         so asking again is one lookup; later ones are computed each time.
@@ -302,10 +245,10 @@ class GroupSpec:
         multiples = self._multiples
         if r in multiples:
             return multiples[r]
-        xy = self.curve.scalar_mul_xy(r, self._xy, self._memo)
+        pt = self.curve.scalar_mul(r, self.generator, self._memo)
         if len(multiples) < KEPT_MULTIPLES:
-            multiples[r] = xy
-        return xy
+            multiples[r] = pt
+        return pt
 
 
 def find_prime_order_curve(
@@ -342,24 +285,17 @@ def find_prime_order_curve(
             curve = Curve(field, a, b)
             n = curve.group_order()
             if order_min <= n <= order_max and is_prime(n):
-                gen = _first_affine_point(curve)
-                return GroupSpec(curve, gen, n)
+                return GroupSpec(curve, next(curve._affine_xy()), n)
     raise BudgetExceededError(
         f"no curve over F_{q} with prime order in [{order_min}, {order_max}]"
     )
 
 
-def _first_affine_point(curve: Curve) -> Point:
-    for x, y in curve._affine_xy():
-        return Point.affine(x, y)
-    raise BudgetExceededError(f"curve over F_{curve.q} has no affine points")
-
-
-def point_to_text(pt: Point) -> str:
+def point_to_text(pt: XY) -> str:
     """Point text format: 'x y' for affine points, 'O' for the identity."""
-    if pt.is_identity:
+    if pt is None:
         return IDENTITY_TOKEN
-    return f"{pt.x} {pt.y}"
+    return f"{pt[0]} {pt[1]}"
 
 
 def curve_to_text(curve: Curve) -> str:

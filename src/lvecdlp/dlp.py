@@ -4,16 +4,16 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .curve import GroupSpec, Point
+from .curve import XY, GroupSpec
 from .errors import BudgetExceededError
 
 BSGS_ORDER_LIMIT = 1 << 32
 
 
-def solve_bsgs(group: GroupSpec, target: Point, max_order: int = BSGS_ORDER_LIMIT) -> int:
+def solve_bsgs(group: GroupSpec, target: XY, max_order: int = BSGS_ORDER_LIMIT) -> int:
     """Baby-step giant-step: the unique m in [0, p) with m * generator == target.
 
-    Baby steps are keyed by the normalized point, so lookups are exact.
+    Baby steps are keyed by the point itself, a pair or None, so lookups are exact.
     """
     p = group.order
     if p > max_order:
@@ -22,8 +22,8 @@ def solve_bsgs(group: GroupSpec, target: Point, max_order: int = BSGS_ORDER_LIMI
         raise ValueError("target point is not on the curve")
     step_count = isqrt(p - 1) + 1
     curve = group.curve
-    table: dict[Point, int] = {}
-    walker = Point.identity()
+    table: dict[XY, int] = {}
+    walker = None
     for j in range(step_count):
         table.setdefault(walker, j)
         walker = curve.add(walker, group.generator)

@@ -35,9 +35,9 @@ class KernelBasis:
     vectors as their own RREF with entries in [0, p), set it, to the pivot
     columns of those rows, and the zero-set scan then uses the basis as it
     stands.  On every other basis (hand-built ones, and the results of
-    ``eliminate_block``) it is None, and the scan checks or reduces the
-    vectors first.  It is not part of the value: equality and hashing
-    compare the vectors.
+    ``eliminate_block``) it is None, and the scan reduces the vectors
+    first.  It is not part of the value: equality and hashing compare the
+    vectors.
     """
 
     p: int

@@ -119,7 +119,7 @@ def solve_exhaustive(
     only on the span, not on the basis that presents it.  A basis that
     names its pivots (``left_kernel`` hands on those of its elimination,
     ``span_basis`` those of its reduction) is used as it stands; any other
-    is checked for RREF and reduced if it is not.
+    is reduced first.
 
     An optional accept predicate filters candidate vectors (the attack layer
     passes its decode conditions); only accepted solutions are returned.
@@ -135,7 +135,8 @@ def solve_exhaustive(
     if kb.dim == 0:
         return None
     if kb.pivots is None:
-        vectors, pivots = _rref_basis(kb.vectors, p)
+        reduced, rank, pivots = rref_rows(kb.vectors, p)
+        vectors = reduced[:rank]
     else:
         vectors, pivots = kb.vectors, list(kb.pivots)
     columns = list(zip(*vectors))
@@ -156,33 +157,15 @@ def solve_exhaustive(
     return None
 
 
-def _singular_zero_sets(
-    vectors: Sequence[Sequence[int]], n: int, l: int, p: int
-) -> Iterator[tuple[tuple[int, ...], Optional[tuple[int, ...]]]]:
-    """(Z, line) for the l-sets Z, in lexicographic order, on which a nonzero span member vanishes.
-
-    ``line`` is the coefficient vector, over the rows of the basis's RREF,
-    of the members vanishing on Z when they form one line (corank 1),
-    scaled so that its first nonzero entry is 1; it is None when they span
-    more.  A basis already in RREF, as ``left_kernel`` returns it, is used
-    as it stands; any other basis is reduced first (see ``_scan``).
-    """
-    return _scan(*_rref_basis(vectors, p), n, l, p)
-
-
-def _rref_basis(vectors: Sequence[Sequence[int]], p: int) -> tuple[Sequence[Sequence[int]], list[int]]:
-    """(rows, pivots): the nonzero rows of the basis's RREF and their pivot columns."""
-    pivots = _canonical_pivots(vectors, p)
-    if pivots is not None:
-        return vectors, pivots
-    reduced, rank, pivots = rref_rows(vectors, p)
-    return reduced[:rank], pivots
-
-
 def _scan(
     vectors: Sequence[Sequence[int]], pivots: list[int], n: int, l: int, p: int
 ) -> Iterator[tuple[tuple[int, ...], Optional[tuple[int, ...]]]]:
-    """``_singular_zero_sets`` of the RREF rows ``vectors``, whose pivot columns are ``pivots``.
+    """(Z, line) for the l-sets Z, in lexicographic order, on which a nonzero
+    member of the span of ``vectors`` vanishes.  ``vectors`` are the nonzero
+    rows of an RREF, with entries in [0, p), and ``pivots`` their pivot
+    columns.  ``line`` is the coefficient vector, over those rows, of the
+    members vanishing on Z when they form one line (corank 1), scaled so
+    that its first nonzero entry is 1; it is None when they span more.
 
     With l rows each Z is one minor of X (see the module docstring).  The
     minors are computed by top row: for t = l-1 down to 0, every minor
@@ -259,33 +242,6 @@ def _scan(
                 cut = bisect_left(found, (tuple(c for c in range(l + 1) if c != skipped)[:l],))
             yield from found[:cut]
             del found[:cut]
-
-
-def _canonical_pivots(rows: Sequence[Sequence[int]], p: int) -> Optional[list[int]]:
-    """The pivot columns of rows already in RREF with entries in [0, p), else None.
-
-    Such rows are their own reduction: each leading entry is 1, the leading
-    entries sit in increasing columns, each pivot column is zero in the other
-    rows, and no entry needs reducing mod p.  Every RREF basis the package
-    builds (``left_kernel``, ``span_basis``) names its pivots and skips the
-    check, so it runs only on hand-built bases and for ``_singular_zero_sets``
-    callers.
-    """
-    if rows and (min(map(min, rows)) < 0 or max(map(max, rows)) >= p):
-        return None
-    pivots = []
-    for row in rows:
-        if 1 not in row:
-            return None
-        lead = row.index(1)
-        if any(row[:lead]) or (pivots and lead <= pivots[-1]):
-            return None
-        pivots.append(lead)
-    # The entries are non-negative and each row has 1 on its own pivot, so the
-    # pivot columns are zero elsewhere iff their entries sum to the rank.
-    if len(pivots) > 1 and sum(map(sum, map(itemgetter(*pivots), rows))) != len(pivots):
-        return None
-    return pivots
 
 
 def _line(

@@ -18,7 +18,7 @@ from .curve import Curve, GroupSpec
 from .field import PrimeField
 from .linalg import in_row_space, left_kernel, rref_rows, span_basis
 from .problem_l import plant_instance, solve_alg2, solve_exhaustive
-from .veronese import basis, evaluate_row
+from .veronese import basis, evaluate_rows
 
 PARTITION_PRIMES = (5, 7, 11, 13, 17)
 PARTITION_KS = (3, 4, 5)
@@ -70,10 +70,8 @@ class SuiteReport:
 
 
 def _triple_rank(group: GroupSpec, scalars: tuple[int, int, int]) -> int:
-    mb = basis(1)
     q = group.curve.q
-    rows = [evaluate_row(mb, group.scalar_mul(s), q) for s in scalars]
-    return rref_rows(rows, q)[1]
+    return rref_rows(evaluate_rows(basis(1), map(group.scalar_mul, scalars), q), q)[1]
 
 
 def verify_chord_law(group: GroupSpec | None = None, trials: int = 1000, seed: int = 0) -> SuiteReport:

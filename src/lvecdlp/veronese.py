@@ -5,10 +5,10 @@ coefficient vector in this package: all monomials of total degree n, sorted
 graded-lexicographically with x > y > z, in descending order.  For n = 2 that
 reads x^2, xy, xz, y^2, yz, z^2.
 
-Points come in normal form, so z is 1 or 0.  An affine point's row is
-x^i * y^j for each monomial x^i y^j z^k, read from the power tables
-[1, x, ..., x^n] and [1, y, ..., y^n]; the identity (0 : 1 : 0) has the row
-with 1 at y^n and 0 elsewhere.  The monomials include x z^(n-1), y z^(n-1)
+A point is an affine (x, y) pair, standing for (x : y : 1), or None for the
+identity (0 : 1 : 0).  An affine point's row is x^i * y^j for each monomial
+x^i y^j z^k, read from the power tables [1, x, ..., x^n] and
+[1, y, ..., y^n]; the identity has the row with 1 at y^n and 0 elsewhere.  The monomials include x z^(n-1), y z^(n-1)
 and z^n, so distinct points have distinct rows.
 """
 
@@ -19,7 +19,7 @@ from functools import cache
 from operator import itemgetter, mul
 from typing import Iterable
 
-from .curve import Point
+from .curve import XY
 
 
 @dataclass(frozen=True)
@@ -47,19 +47,22 @@ def basis(degree: int) -> MonomialBasis:
     return MonomialBasis(degree, tuple(exps))
 
 
-def evaluate_rows(
-    mb: MonomialBasis, pairs: Iterable[tuple[int, int] | None], p: int
-) -> tuple[tuple[int, ...], ...]:
-    """Matrix rows, residues in [0, p), of points given as affine (x, y) pairs, None for the identity."""
+def evaluate_rows(mb: MonomialBasis, points: Iterable[XY], p: int) -> tuple[tuple[int, ...], ...]:
+    """Matrix rows, residues in [0, p), one per point.
+
+    Rows are unique per point, so repeated rows in an assembled matrix can
+    be detected by plain equality.  Evaluating at the identity is legal; the
+    attack never does it because its multipliers are drawn from [1, p).
+    """
     x_powers, y_powers = _power_getters(mb.degree)
     steps = range(mb.degree - 1)
     reduce_mod = p.__rmod__
     rows = []
-    for xy in pairs:
-        if xy is None:
+    for pt in points:
+        if pt is None:
             rows.append(_identity_row(mb.degree))
             continue
-        x, y = xy
+        x, y = pt
         xs = [1, x]
         ys = [1, y]
         for _ in steps:
@@ -67,18 +70,6 @@ def evaluate_rows(
             ys.append(ys[-1] * y % p)
         rows.append(tuple(map(reduce_mod, map(mul, x_powers(xs), y_powers(ys)))))
     return tuple(rows)
-
-
-def evaluate_row(mb: MonomialBasis, pt: Point, p: int) -> list[int]:
-    """Matrix row for a normalized point.
-
-    Normal-form coordinates make rows unique per point, so repeated rows in
-    an assembled matrix can be detected by plain equality.  Evaluating at the
-    identity (0 : 1 : 0) is legal; the attack never does it because its
-    multipliers are drawn from [1, p).
-    """
-    (row,) = evaluate_rows(mb, (pt.xy,), p)
-    return list(row)
 
 
 @cache

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from lvecdlp.curve import Curve, Point
+from lvecdlp.curve import XY, Curve
 from lvecdlp.field import PrimeField
 
 
@@ -60,31 +60,31 @@ def elem(field: PrimeField, value: int) -> FieldElement:
     return FieldElement(value % field.p, field)
 
 
-def reference_add(curve: Curve, lhs: Point, rhs: Point) -> Point:
-    """Chord-tangent group law with identity (0 : 1 : 0), on field elements."""
-    if lhs.is_identity:
+def reference_add(curve: Curve, lhs: XY, rhs: XY) -> XY:
+    """Chord-tangent group law with None for the identity, on field elements."""
+    if lhs is None:
         return rhs
-    if rhs.is_identity:
+    if rhs is None:
         return lhs
     f = curve.field
-    x1, y1 = elem(f, lhs.x), elem(f, lhs.y)
-    x2, y2 = elem(f, rhs.x), elem(f, rhs.y)
+    x1, y1 = elem(f, lhs[0]), elem(f, lhs[1])
+    x2, y2 = elem(f, rhs[0]), elem(f, rhs[1])
     if x1 == x2 and (y1 + y2).value == 0:
-        return Point.identity()
+        return None
     if lhs == rhs:
         slope = (elem(f, 3) * x1 * x1 + elem(f, curve.a)) / (elem(f, 2) * y1)
     else:
         slope = (y2 - y1) / (x2 - x1)
     x3 = slope * slope - x1 - x2
     y3 = slope * (x1 - x3) - y1
-    return Point.affine(x3.value, y3.value)
+    return x3.value, y3.value
 
 
-def reference_scalar_mul(curve: Curve, k: int, pt: Point) -> Point:
+def reference_scalar_mul(curve: Curve, k: int, pt: XY) -> XY:
     """k-fold sum by double-and-add, k >= 0."""
     if k < 0:
         raise ValueError("scalar must be non-negative; reduce mod the group order first")
-    acc = Point.identity()
+    acc = None
     step = pt
     while k:
         if k & 1:

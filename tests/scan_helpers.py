@@ -1,0 +1,23 @@
+"""Test helpers around the zero-set scan: its (zero set, line) stream on any
+basis, and the RREF check a basis that names its pivots must pass."""
+
+from lvecdlp import problem_l
+from lvecdlp.linalg import rref_rows, span_basis
+
+
+def singular_zero_sets(vectors, n, l, p):
+    """(Z, line) for the l-sets Z, in lexicographic order, on which a nonzero
+    member of the span of ``vectors`` vanishes: ``problem_l._scan`` on the
+    span's RREF basis, over whose rows ``line`` is given (None for a set of
+    corank 2 or more)."""
+    kb = span_basis(vectors, n, p)
+    return problem_l._scan(kb.vectors, list(kb.pivots), n, l, p)
+
+
+def own_rref_pivots(vectors, p):
+    """The pivot columns of ``vectors`` when they are their own RREF, with
+    entries in [0, p), by ``rref_rows``; else None."""
+    reduced, rank, pivots = rref_rows(vectors, p)
+    if rank == len(vectors) and list(map(tuple, reduced)) == list(map(tuple, vectors)):
+        return pivots
+    return None

@@ -22,16 +22,17 @@ from lvecdlp.attack import (
     run_attack,
     sample_iteration,
 )
-from lvecdlp.curve import find_prime_order_curve
+from lvecdlp.curve import GroupSpec, find_prime_order_curve
 from lvecdlp.dlp import solve_bsgs
 from lvecdlp.errors import BudgetExceededError
 from lvecdlp.field import PrimeField
 from lvecdlp.linalg import left_kernel
-from lvecdlp.problem_l import _singular_zero_sets, solve_alg2, solve_exhaustive
-from lvecdlp.veronese import basis, evaluate_row
+from lvecdlp.problem_l import solve_alg2, solve_exhaustive
+from lvecdlp.veronese import basis, evaluate_rows
 from lvecdlp.verification import LARGE_ORDER, clean_iteration, fixture_large
 from reference_attack import accident_by_points, projective_span, subset_sum_oracle
 from reference_curve import reference_scalar_mul
+from scan_helpers import singular_zero_sets
 
 
 def make_sample(group, m, multipliers_p, multipliers_q, n_prime):
@@ -42,7 +43,7 @@ def make_sample(group, m, multipliers_p, multipliers_q, n_prime):
     points_p = tuple(group.scalar_mul(r) for r in multipliers_p)
     points_q = tuple(curve.scalar_mul(r, neg_target) for r in multipliers_q)
     mb = basis(n_prime)
-    rows = tuple(tuple(evaluate_row(mb, pt, curve.q)) for pt in points_p + points_q)
+    rows = evaluate_rows(mb, points_p + points_q, curve.q)
     return IterationSample(0, tuple(multipliers_p), tuple(multipliers_q), rows)
 
 
@@ -69,11 +70,11 @@ def test_sample_layout_n1(group_p19):
     q = group_p19.curve.q
     mb = basis(1)
     for i, r in enumerate(sample.multipliers_p):
-        assert list(sample.rows[i]) == evaluate_row(mb, group_p19.scalar_mul(r), q)
+        assert sample.rows[i] == evaluate_rows(mb, [group_p19.scalar_mul(r)], q)[0]
     neg_target = group_p19.curve.negate(cfg.target)
     for j, r in enumerate(sample.multipliers_q):
-        expected = evaluate_row(mb, group_p19.curve.scalar_mul(r, neg_target), q)
-        assert list(sample.rows[len(sample.multipliers_p) + j]) == expected
+        expected = evaluate_rows(mb, [group_p19.curve.scalar_mul(r, neg_target)], q)[0]
+        assert sample.rows[len(sample.multipliers_p) + j] == expected
 
 
 def test_config_validation(group_p19):
@@ -251,11 +252,29 @@ def test_run_attack_recovers_and_matches_bsgs(group_p19):
 
 
 def test_run_attack_identity_target(group_p19):
-    from lvecdlp.curve import Point
-
-    cfg = AttackConfig(group=group_p19, target=Point.identity(), n_prime=1, seed=0)
+    cfg = AttackConfig(group=group_p19, target=None, n_prime=1, seed=0)
     outcome = run_attack(cfg)
     assert outcome.m == 0 and outcome.iterations_used == 0
+
+
+def test_unreduced_coordinates_are_rejected(group_p907):
+    """A point is a pair of residues in [0, q): a target, a generator or a BSGS
+    target with a coordinate off by a multiple of q is not on the curve and
+    raises ValueError at construction, before any attack runs.  ``Curve.point``
+    still reduces its input."""
+    curve, q = group_p907.curve, group_p907.curve.q
+    x, y = group_p907.scalar_mul(123)
+    for bad in ((x + q, y), (x, y - q), (x - q, y + 2 * q)):
+        assert not curve.contains(bad)
+        with pytest.raises(ValueError, match="not on the curve"):
+            AttackConfig(group=group_p907, target=bad)
+        with pytest.raises(ValueError, match="not on the curve"):
+            solve_bsgs(group_p907, bad)
+    gx, gy = group_p907.generator
+    for bad in ((gx + q, gy), (gx, gy - q)):
+        with pytest.raises(ValueError, match="not on the curve"):
+            GroupSpec(curve, bad, group_p907.order)
+    assert curve.point(x + q, y - 2 * q) == (x, y)
 
 
 def test_run_attack_budget_exhaustion(group_p19):
@@ -472,7 +491,7 @@ def test_exhaustive_matches_span_scan_on_attack_kernels(group_p19):
                 assert decode(solution) == trial.m
                 agreed_found += 1
             if not collision:
-                pairs = _singular_zero_sets(kernel.vector_lists(), kernel.ambient, l, kernel.p)
+                pairs = singular_zero_sets(kernel.vectors, kernel.ambient, l, kernel.p)
                 assert all(line for _, line in pairs)
                 vector = solve_alg2(kernel, l)
                 if vector is not None and decode(vector) is not None:

@@ -5,11 +5,11 @@ import random
 import pytest
 
 from lvecdlp.attack import AttackConfig, sample_iteration
-from lvecdlp.curve import KEPT_MULTIPLES, Curve, GroupSpec, Point, curve_to_text, find_prime_order_curve, point_to_text
+from lvecdlp.curve import KEPT_MULTIPLES, Curve, GroupSpec, curve_to_text, find_prime_order_curve, point_to_text
 from lvecdlp.errors import BudgetExceededError
 from lvecdlp.field import PrimeField
 from lvecdlp.linalg import rref_rows
-from lvecdlp.veronese import basis, evaluate_row, evaluate_rows
+from lvecdlp.veronese import basis, evaluate_rows
 from lvecdlp.verification import fixture_large, fixture_medium
 from reference_curve import reference_add, reference_scalar_mul
 
@@ -20,14 +20,13 @@ def chord_oracle(curve, a, b):
     Only valid for distinct affine points with different x.  Returns None in
     the tangent case where the line meets the curve again at a or b itself.
     """
-    assert not a.is_identity and not b.is_identity and a.x != b.x
+    assert a is not None and b is not None and a[0] != b[0]
     mb = basis(1)
     q = curve.q
-    rows = [evaluate_row(mb, a, q), evaluate_row(mb, b, q)]
     for candidate in curve.points():
         if candidate in (a, b):
             continue
-        if rref_rows(rows + [evaluate_row(mb, candidate, q)], q)[1] < 3:
+        if rref_rows(evaluate_rows(mb, (a, b, candidate), q), q)[1] < 3:
             return curve.negate(candidate)
     return None
 
@@ -35,13 +34,15 @@ def chord_oracle(curve, a, b):
 def double_oracle(curve, pt):
     """Doubling as (A + X) + (A - X) via chords, independent of the tangent formula."""
     for helper in curve.points():
-        if helper.is_identity or helper in (pt, curve.negate(pt)) or pt.x == helper.x:
+        if helper is None or helper in (pt, curve.negate(pt)) or pt[0] == helper[0]:
             continue
         s1 = chord_oracle(curve, pt, helper)
         s2 = chord_oracle(curve, pt, curve.negate(helper))
-        if s1 is None or s2 is None or s1.is_identity or s2.is_identity:
+        # None is the tangent case here: a chord of two affine points with
+        # different x never meets the identity.
+        if s1 is None or s2 is None:
             continue
-        if s1 == s2 or s1.x == s2.x:
+        if s1 == s2 or s1[0] == s2[0]:
             continue
         result = chord_oracle(curve, s1, s2)
         if result is not None:
@@ -68,39 +69,31 @@ def test_small_characteristic_rejected():
         Curve(PrimeField(3), 1, 1)
 
 
-def test_point_normal_forms():
-    with pytest.raises(ValueError):
-        Point(1, 1, 2)
-    with pytest.raises(ValueError):
-        Point(1, 1, 0)
-    assert Point.identity().is_identity
-
-
 def test_point_validation(curve17):
-    assert curve17.point(5, 1) == Point.affine(5, 1)
+    assert curve17.point(5, 1) == (5, 1)
     with pytest.raises(ValueError):
         curve17.point(5, 2)
 
 
 def test_doubling_example(curve17):
     doubled = curve17.add(curve17.point(5, 1), curve17.point(5, 1))
-    assert doubled == Point.affine(6, 3)
+    assert doubled == (6, 3)
     assert double_oracle(curve17, curve17.point(5, 1)) == doubled
 
 
 def test_add_identity_and_inverse(curve17):
     pt = curve17.point(5, 1)
-    assert curve17.add(pt, Point.identity()) == pt
-    assert curve17.add(Point.identity(), pt) == pt
-    assert curve17.add(pt, curve17.negate(pt)).is_identity
+    assert curve17.add(pt, None) == pt
+    assert curve17.add(None, pt) == pt
+    assert curve17.add(pt, curve17.negate(pt)) is None
 
 
 def test_chord_addition_against_enumeration_oracle(curve17):
-    points = [pt for pt in curve17.points() if not pt.is_identity]
+    points = [pt for pt in curve17.points() if pt is not None]
     rng = random.Random(7)
     for _ in range(50):
         a, b = rng.sample(points, 2)
-        if a.x == b.x:
+        if a[0] == b[0]:
             continue
         expected = chord_oracle(curve17, a, b)
         if expected is not None:
@@ -148,7 +141,7 @@ def test_group_axioms_randomized(group_p19):
         a, b, c = (group_p19.scalar_mul(rng.randrange(p)) for _ in range(3))
         assert curve.add(curve.add(a, b), c) == curve.add(a, curve.add(b, c))
         assert curve.add(a, b) == curve.add(b, a)
-        assert curve.add(a, curve.negate(a)).is_identity
+        assert curve.add(a, curve.negate(a)) is None
         assert curve.contains(curve.add(a, b))
 
 
@@ -163,9 +156,9 @@ def test_scalar_mul_homomorphism(group_p907):
 
 
 def test_scalar_mul_edges(group_p19):
-    assert group_p19.scalar_mul(0).is_identity
+    assert group_p19.scalar_mul(0) is None
     assert group_p19.scalar_mul(1) == group_p19.generator
-    assert group_p19.scalar_mul(group_p19.order).is_identity
+    assert group_p19.scalar_mul(group_p19.order) is None
 
 
 def test_chord_law_collinearity(group_p19):
@@ -180,17 +173,17 @@ def test_chord_law_collinearity(group_p19):
         if a == b or (a + b) % p == 0:
             continue
         triple = [a, b, (-a - b) % p]
-        rows = [evaluate_row(mb, group_p19.scalar_mul(s), q) for s in triple]
+        rows = evaluate_rows(mb, map(group_p19.scalar_mul, triple), q)
         assert rref_rows(rows, q)[1] < 3
         scalars = [rng.randrange(1, p) for _ in range(3)]
         if len(set(scalars)) == 3 and sum(scalars) % p != 0:
-            rows = [evaluate_row(mb, group_p19.scalar_mul(s), q) for s in scalars]
+            rows = evaluate_rows(mb, map(group_p19.scalar_mul, scalars), q)
             assert rref_rows(rows, q)[1] == 3
 
 
 def test_group_spec_validation(curve17):
     with pytest.raises(ValueError):
-        GroupSpec(curve17, Point.identity(), 19)
+        GroupSpec(curve17, None, 19)
     with pytest.raises(ValueError):
         GroupSpec(curve17, curve17.point(5, 1), 18)
     with pytest.raises(ValueError):
@@ -221,7 +214,7 @@ def test_find_prime_order_curve_rejects_range_outside_hasse(q, order_min, order_
 def test_text_round_trip(curve17):
     assert curve_to_text(curve17) == "17 2 2"
     assert point_to_text(curve17.point(5, 1)) == "5 1"
-    assert point_to_text(Point.identity()) == "O"
+    assert point_to_text(None) == "O"
 
 
 def test_add_matches_reference_on_every_pair(curve17):
@@ -249,15 +242,15 @@ def test_arithmetic_matches_reference_with_two_torsion():
                         assert curve.add(lhs, rhs) == reference_add(curve, lhs, rhs), (curve, lhs, rhs)
                     for k in range(len(points) + 2):
                         assert curve.scalar_mul(k, lhs) == reference_scalar_mul(curve, k, lhs), (curve, k, lhs)
-                    if not lhs.is_identity and lhs.y == 0:
-                        assert curve.add(lhs, lhs).is_identity
+                    if lhs is not None and lhs[1] == 0:
+                        assert curve.add(lhs, lhs) is None
                         doubled_two_torsion += 1
     assert doubled_two_torsion > 0
     seven = Curve(PrimeField(7), 0, 1)
-    two_torsion = [pt for pt in seven.points() if not pt.is_identity and pt.y == 0]
+    two_torsion = [pt for pt in seven.points() if pt is not None and pt[1] == 0]
     assert len(two_torsion) == 3
     for pt in two_torsion:
-        assert seven.scalar_mul(2, pt).is_identity
+        assert seven.scalar_mul(2, pt) is None
         assert seven.scalar_mul(3, pt) == pt
 
 
@@ -283,8 +276,8 @@ def test_chord_law_on_integer_results(group_p907):
         pa, pb = group_p907.scalar_mul(a), group_p907.scalar_mul(b)
         pc = group_p907.scalar_mul((-a - b) % p)
         assert curve.add(pa, pb) == curve.negate(pc)
-        assert curve.add(curve.add(pa, pb), pc).is_identity
-        rows = [evaluate_row(mb, pt, q) for pt in (pa, pb, pc)]
+        assert curve.add(curve.add(pa, pb), pc) is None
+        rows = evaluate_rows(mb, (pa, pb, pc), q)
         assert rref_rows(rows, q)[1] < 3
 
 
@@ -297,9 +290,7 @@ def test_points_enumeration_order():
         if (4 * a**3 + 27 * b**2) % q == 0:
             continue
         curve = Curve(PrimeField(q), a, b)
-        expected = [Point.identity()] + [
-            Point.affine(x, y) for x in range(q) for y in range(q) if (y * y - x**3 - a * x - b) % q == 0
-        ]
+        expected = [None] + [(x, y) for x in range(q) for y in range(q) if (y * y - x**3 - a * x - b) % q == 0]
         assert curve.points() == expected
 
 
@@ -307,7 +298,7 @@ def test_find_prime_order_curve_reproduces_medium_fixture():
     group = find_prime_order_curve(PrimeField(853), 907, 907)
     assert group == fixture_medium()
     assert (group.curve.a, group.curve.b) == (1, 348)
-    assert group.generator == Point.affine(1, 297)
+    assert group.generator == (1, 297)
 
 
 def test_find_prime_order_curve_skips_j0_and_j1728_rows():
@@ -316,18 +307,16 @@ def test_find_prime_order_curve_skips_j0_and_j1728_rows():
     skipped, the a = 1 row hits at b = 55 within 60 candidates."""
     group = find_prime_order_curve(PrimeField(48619), 48400, 48840, max_candidates=60)
     assert (group.curve.a, group.curve.b, group.order) == (1, 55, 48731)
-    assert group.generator == Point.affine(0, 4724)
+    assert group.generator == (0, 4724)
     assert group == fixture_large()
 
 
 def test_chain_matches_reference_for_every_scalar_p19(group_p19):
     """Every k below 2^bits, on one shared memo per base (the generator's and
     -target's), once with k decreasing and once increasing from a fresh memo,
-    so that digits are met both cold and warm.  Each k is asked as a pair
-    and then again as a Point, the second time from warm window entries
-    that leave the memo as it is."""
+    so that digits are met both cold and warm.  Each k is asked twice, the
+    second time from warm window entries that leave the memo as it is."""
     curve, gen, p = group_p19.curve, group_p19.generator, group_p19.order
-    gen_xy = (gen.x, gen.y)
     bits = p.bit_length()
     for scalars in (reversed(range(1 << bits)), range(1 << bits)):
         cfg = AttackConfig(group=group_p19, target=group_p19.scalar_mul(5))
@@ -335,9 +324,8 @@ def test_chain_matches_reference_for_every_scalar_p19(group_p19):
         memo = {}
         for k in scalars:
             expected = reference_scalar_mul(curve, k, gen)
-            assert expected.xy == memo_entry(expected), k
             before = dict(memo)
-            assert curve.scalar_mul_xy(k, gen_xy, memo) == memo_entry(expected), k
+            assert curve.scalar_mul(k, gen, memo) == expected, k
             # The chain up to k's top bit and the digits of k's windows, nothing else.
             assert set(memo) == set(before) | memo_keys(k), k
             assert all(memo[s] == before[s] for s in before), k
@@ -346,22 +334,16 @@ def test_chain_matches_reference_for_every_scalar_p19(group_p19):
             assert memo == after, k
             for r in (k, k):
                 assert group_p19.scalar_mul(r) == reference_scalar_mul(curve, r % p, gen), r
-                assert group_p19.scalar_mul_xy(r) == memo_entry(reference_scalar_mul(curve, r % p, gen)), r
-                assert cfg.neg_target_xy(r) == memo_entry(reference_scalar_mul(curve, r, neg_target)), r
+                assert cfg.neg_target_mul(r) == reference_scalar_mul(curve, r, neg_target), r
         # The chain up to the top bit and every digit of each window, nothing else.
         windows = [d << shift for shift in (0, 4) for d in range(1, 16) if d << shift < 1 << bits]
         assert sorted(memo) == windows
         assert sorted(cfg._neg_target_memo) == windows
-        assert memo[1 << 4] == memo_entry(reference_scalar_mul(curve, 16, gen))
-        assert all(memo[s] == memo_entry(reference_scalar_mul(curve, s, gen)) for s in memo)
+        assert memo[1 << 4] == reference_scalar_mul(curve, 16, gen)
+        assert all(memo[s] == reference_scalar_mul(curve, s, gen) for s in memo)
     # The generator's whole multiples: every r mod p asked for, each the reference multiple.
     assert sorted(group_p19._multiples) == list(range(p))
-    assert all(xy == memo_entry(reference_scalar_mul(curve, r, gen)) for r, xy in group_p19._multiples.items())
-
-
-def memo_entry(pt):
-    """A point as the window memo holds it: an affine pair, or None for the identity."""
-    return None if pt.is_identity else (pt.x, pt.y)
+    assert all(pt == reference_scalar_mul(curve, r, gen) for r, pt in group_p19._multiples.items())
 
 
 def is_window_entry(s):
@@ -393,13 +375,15 @@ def test_window_memo_addition_counts(group_p907, monkeypatch):
     curve, gen, p = group_p907.curve, group_p907.generator, group_p907.order
     group = GroupSpec(curve, gen, p)
     calls = []
-    add_xy = Curve._add_xy
+    add = Curve.add
 
-    def counted(self, *args):
-        calls.append(args)
-        return add_xy(self, *args)
+    def counted(self, lhs, rhs):
+        """Curve.add, recording each group operation: a call with no identity operand."""
+        if lhs is not None and rhs is not None:
+            calls.append((lhs, rhs))
+        return add(self, lhs, rhs)
 
-    monkeypatch.setattr(Curve, "_add_xy", counted)
+    monkeypatch.setattr(Curve, "add", counted)
     for k in random.Random(5).sample(range(1, p), 200):
         memo = {}
         calls.clear()
@@ -410,10 +394,10 @@ def test_window_memo_addition_counts(group_p907, monkeypatch):
         assert curve.scalar_mul(k, gen, memo) == reference_scalar_mul(curve, k, gen), k
         digits = sum(1 for shift in range(0, 12, 4) if k >> shift & 15)
         assert len(calls) == digits - 1 <= 2, k
-        expected = memo_entry(reference_scalar_mul(curve, k, gen))
-        assert group.scalar_mul_xy(k) == expected and group._multiples[k] == expected, k
+        expected = reference_scalar_mul(curve, k, gen)
+        assert group.scalar_mul(k) == expected and group._multiples[k] == expected, k
         calls.clear()
-        assert group.scalar_mul_xy(k) == expected and group.scalar_mul(k + p) == reference_scalar_mul(curve, k, gen), k
+        assert group.scalar_mul(k) == expected and group.scalar_mul(k + p) == expected, k
         assert calls == [], k
 
 
@@ -440,9 +424,9 @@ def test_chain_matches_reference_with_two_torsion():
                         for k in scalars:
                             before = set(memo)
                             assert curve.scalar_mul(k, pt, memo) == expected[k], (curve, k, pt)
-                            assert set(memo) == (before if pt.is_identity else before | memo_keys(k)), (curve, k, pt)
+                            assert set(memo) == (before if pt is None else before | memo_keys(k)), (curve, k, pt)
                         for part, entry in memo.items():
-                            assert entry == memo_entry(expected[part]), (curve, part, pt)
+                            assert entry == expected[part], (curve, part, pt)
                         chain = [part for part in memo if part & part - 1 == 0]
                         stops = [part.bit_length() - 1 for part in chain if memo[part] is None]
                         if stops:
@@ -464,7 +448,7 @@ def test_sampled_points_match_reference(group_p907, n_prime):
         sample = sample_iteration(cfg, index)
         points = [reference_scalar_mul(curve, r, group_p907.generator) for r in sample.multipliers_p]
         points += [reference_scalar_mul(curve, r, neg_target) for r in sample.multipliers_q]
-        assert sample.rows == tuple(tuple(evaluate_row(mb, pt, curve.q)) for pt in points)
+        assert sample.rows == evaluate_rows(mb, points, curve.q)
 
 
 @pytest.mark.parametrize("n_prime", [1, 2, 3])
@@ -483,17 +467,17 @@ def test_pair_multiples_match_reference_on_sampled_multipliers(group_p907, n_pri
         multipliers = sample_iteration(AttackConfig(group=group_p907, target=cfg.target, n_prime=n_prime, seed=4), index)
         pairs = []
         for r in multipliers.multipliers_p:
-            expected = memo_entry(reference_scalar_mul(curve, r, group.generator))
+            expected = reference_scalar_mul(curve, r, group.generator)
             if r in group._multiples:
                 warm += 1
             else:
                 cold += 1
-            assert group.scalar_mul_xy(r) == expected, r
-            assert group._multiples[r] == expected and group.scalar_mul_xy(r) == expected, r
+            assert group.scalar_mul(r) == expected, r
+            assert group._multiples[r] == expected and group.scalar_mul(r) == expected, r
             pairs.append(expected)
         for r in multipliers.multipliers_q:
-            expected = memo_entry(reference_scalar_mul(curve, r, neg_target))
-            assert cfg.neg_target_xy(r) == expected and cfg.neg_target_xy(r) == expected, r
+            expected = reference_scalar_mul(curve, r, neg_target)
+            assert cfg.neg_target_mul(r) == expected and cfg.neg_target_mul(r) == expected, r
             assert all(map(is_window_entry, cfg._neg_target_memo)), r
             pairs.append(expected)
         sample = sample_iteration(cfg, index)
@@ -511,12 +495,12 @@ def test_kept_multiples_stay_bounded_on_a_large_group():
     rng = random.Random(7)
     asked = rng.sample(range(1, order), KEPT_MULTIPLES + 2000)
     for r in asked:
-        group.scalar_mul_xy(r)
+        group.scalar_mul(r)
     assert list(group._multiples) == asked[:KEPT_MULTIPLES]
     windows = -(-order.bit_length() // 4) * 15
     assert len(group._memo) <= windows
     for r in rng.sample(asked, 200) + asked[:50] + asked[-50:]:
-        assert group.scalar_mul_xy(r) == memo_entry(reference_scalar_mul(curve, r, gen)), r
+        assert group.scalar_mul(r) == reference_scalar_mul(curve, r, gen), r
     assert len(group._multiples) == KEPT_MULTIPLES and len(group._memo) <= windows
 
 
@@ -525,9 +509,9 @@ def test_chain_rejects_negative_scalars(group_p19):
     with pytest.raises(ValueError):
         group_p19.curve.scalar_mul(-1, group_p19.generator, [])
     with pytest.raises(ValueError):
-        group_p19.curve.scalar_mul_xy(-1, (group_p19.generator.x, group_p19.generator.y), {})
+        group_p19.curve.scalar_mul(-1, group_p19.generator, {})
     with pytest.raises(ValueError):
-        cfg.neg_target_xy(-1)
+        cfg.neg_target_mul(-1)
 
 
 def test_cached_chain_leaves_group_spec_equality_and_hash(group_p907):

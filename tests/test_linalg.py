@@ -16,6 +16,7 @@ from lvecdlp.linalg import (
     right_kernel_rows,
 )
 from reference_linalg import reference_right_kernel_rows
+from scan_helpers import own_rref_pivots, singular_zero_sets
 
 
 def random_rows(rng, p, nrows, ncols):
@@ -235,7 +236,7 @@ def test_right_kernel_matches_reference_on_attack_matrices(group_p907, monkeypat
         assert [list(v) for v in kernel.vectors] == expected
         lines = set()
         planes = 0
-        for zero_set, line in problem_l._singular_zero_sets(kernel.vectors, kernel.ambient, cfg.l, q):
+        for zero_set, line in singular_zero_sets(kernel.vectors, kernel.ambient, cfg.l, q):
             planes += line is None
             if line is None or line not in lines:
                 lines.add(line)
@@ -255,18 +256,17 @@ def test_right_kernel_matches_reference_on_attack_matrices(group_p907, monkeypat
 @pytest.mark.parametrize("n_prime", [1, 2, 3])
 def test_left_kernel_hands_over_the_pivots_of_its_basis(group_p19, group_p907, monkeypatch, n_prime):
     """The pivots ``left_kernel`` hands on, its elimination's free columns,
-    are the ones ``_canonical_pivots`` reads off the basis, on attack kernels
-    with and without collisions; the scan then uses them without that check,
+    are the pivots of the basis as its own RREF, on attack kernels with and
+    without collisions; the scan then uses the basis without reducing it,
     and finds what it finds on the same vectors handed over without pivots."""
     groups = [group_p907] + ([group_p19] if 6 * n_prime <= group_p19.order - 1 else [])
-    original = problem_l._canonical_pivots
     checked = 0
     for group in groups:
         cfg, samples = attack_kernel_inputs(group, n_prime)
         q = group.curve.q
         for sample in samples:
             kernel = left_kernel(sample.rows, q)
-            assert kernel.pivots == tuple(original(kernel.vectors, q))
+            assert kernel.pivots == tuple(own_rref_pivots(kernel.vectors, q))
             bare = KernelBasis(q, kernel.ambient, kernel.vectors)
             assert bare.pivots is None and bare == kernel and hash(bare) == hash(kernel)
 
@@ -275,7 +275,7 @@ def test_left_kernel_hands_over_the_pivots_of_its_basis(group_p19, group_p907, m
 
             expected = problem_l.solve_exhaustive(bare, cfg.l, accept=accept)
             with monkeypatch.context() as patched:
-                patched.setattr(problem_l, "_canonical_pivots", lambda *args: pytest.fail("pivots checked again"))
+                patched.setattr(problem_l, "rref_rows", lambda *args: pytest.fail("basis reduced again"))
                 assert problem_l.solve_exhaustive(kernel, cfg.l, accept=accept) == expected
             checked += 1
     assert checked == len(groups) * 6

@@ -20,9 +20,10 @@ from lvecdlp.linalg import (
     rref_rows,
     span_basis,
 )
-from lvecdlp.problem_l import _singular_zero_sets, plant_instance, solve_alg2, solve_exhaustive
+from lvecdlp.problem_l import plant_instance, solve_alg2, solve_exhaustive
 from reference_attack import first_accepted, flat_singular_zero_sets, fraction_free_rank, projective_span
 from reference_linalg import reference_right_kernel_rows
+from scan_helpers import own_rref_pivots, singular_zero_sets
 
 
 def random_basis(rng, p, l, ambient):
@@ -146,10 +147,10 @@ def reference_line(kb, zero_set, vectors=None):
 
 
 def scanned_pairs(kb, l):
-    """The (zero set, line) pairs ``_singular_zero_sets`` yields, after checking
-    each line: on a corank-1 set the member a reduction through the reference
+    """The (zero set, line) pairs the minors scan yields, after checking each
+    line: on a corank-1 set the member a reduction through the reference
     kernel gives, on a set of corank 2 or more None."""
-    found = list(_singular_zero_sets(kb.vector_lists(), kb.ambient, l, kb.p))
+    found = list(singular_zero_sets(kb.vectors, kb.ambient, l, kb.p))
     vectors = rref_basis(kb).vectors
     for zero_set, line in found:
         rank_lost = corank(kb, zero_set)
@@ -313,7 +314,7 @@ def test_minors_scan_yields_before_computing_later_blocks(monkeypatch, rows, fir
     kb = KernelBasis(907, 8, rows)
     line = reference_line(kb, first)
     assert next(flat_singular_zero_sets(kb, 4)) == first and line is not None
-    assert next(_singular_zero_sets(kb.vector_lists(), 8, 4, 907)) == (first, line)
+    assert next(singular_zero_sets(kb.vectors, 8, 4, 907)) == (first, line)
     assert blocks_computed == [3]
 
 
@@ -357,7 +358,7 @@ def test_minors_scan_yields_before_computing_later_entries(monkeypatch, rows, fi
     kb = KernelBasis(907, 8, rows)
     line = reference_line(kb, first)
     assert next(flat_singular_zero_sets(kb, 4)) == first and line is not None
-    assert next(_singular_zero_sets(kb.vector_lists(), 8, 4, 907)) == (first, line)
+    assert next(singular_zero_sets(kb.vectors, 8, 4, 907)) == (first, line)
     assert recorded == computed
 
 
@@ -540,8 +541,9 @@ def test_minors_scan_ranks_no_zero_set(monkeypatch, group_p907):
 
 
 def test_minors_scan_reduces_a_basis_not_in_rref(monkeypatch, group_p907):
-    """A basis that is not its own RREF is reduced once, and the scan still
-    finds the flat scan's singular sets: a mixed basis, one with a row scaled so
+    """A basis that is not its own RREF is reduced once by ``solve_exhaustive``,
+    which returns what it returns on the RREF basis, and the scan still finds
+    the flat scan's singular sets: a mixed basis, one with a row scaled so
     that its leading entry is not 1, and one with entries outside [0, p)."""
     rng = random.Random(3)
     reduced = []
@@ -561,8 +563,9 @@ def test_minors_scan_reduces_a_basis_not_in_rref(monkeypatch, group_p907):
         shifted[0][-1] += p
         shifted[-1][l] -= p
         for other in (mixed(kb, rng), KernelBasis(p, kb.ambient, scaled), KernelBasis(p, kb.ambient, shifted)):
-            reduced.clear()
             assert [zero_set for zero_set, _ in scanned_pairs(other, l)] == list(flat_singular_zero_sets(kb, l))
+            reduced.clear()
+            assert solve_exhaustive(other, l) == solve_exhaustive(kb, l)
             assert reduced == [other.vector_lists()]
 
 
@@ -611,7 +614,7 @@ def test_exhaustive_on_eliminate_block_output_equals_its_span_rref(group_p907, n
                 current = eliminate_block(current, start, stop, stage)
                 assert current.pivots is None
                 span_rref = span_basis(current.vectors, current.ambient, current.p)
-                assert span_rref.pivots == tuple(problem_l._canonical_pivots(span_rref.vectors, current.p))
+                assert span_rref.pivots == tuple(own_rref_pivots(span_rref.vectors, current.p))
                 not_rref += current.vectors != span_rref.vectors
                 for filter_ in (None, accept):
                     assert solve_exhaustive(current, l, accept=filter_) == solve_exhaustive(span_rref, l, accept=filter_)
@@ -624,14 +627,14 @@ def test_plant_instance_names_its_pivots():
     rng = random.Random(11)
     for _ in range(30):
         kb, _target = plant_instance(rng, rng.choice((5, 17, 907)), 1, rng.choice((2, 3)))
-        assert kb.pivots == tuple(problem_l._canonical_pivots(kb.vectors, kb.p))
+        assert kb.pivots == tuple(own_rref_pivots(kb.vectors, kb.p))
 
 
 def test_span_basis_names_the_pivots_of_its_rref():
     """``span_basis`` returns the nonzero rows of the RREF of any rows, as
     ``rref_rows`` gives them, with their pivot columns, on spans of every
     rank including dependent and zero rows; a hand-built basis cannot name
-    pivots, so the scan checks it."""
+    pivots, so the scan reduces it."""
     rng = random.Random(12)
     for _ in range(200):
         p = rng.choice((5, 17, 907))
@@ -642,7 +645,7 @@ def test_span_basis_names_the_pivots_of_its_rref():
         kb = span_basis(rows, ambient, p)
         reduced, rank, pivots = rref_rows(rows, p) if rows else ([], 0, [])
         assert kb.vectors == tuple(map(tuple, reduced[:rank])) and kb.pivots == tuple(pivots)
-        assert kb.pivots == tuple(problem_l._canonical_pivots(kb.vectors, p))
+        assert kb.pivots == tuple(own_rref_pivots(kb.vectors, p))
     with pytest.raises(TypeError):
         KernelBasis(5, 2, ((1, 0),), (0,))
     assert KernelBasis(5, 2, ((1, 0),)).pivots is None

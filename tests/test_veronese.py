@@ -3,8 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from lvecdlp.curve import Point
-from lvecdlp.veronese import basis, evaluate_row, evaluate_rows
+from lvecdlp.veronese import basis, evaluate_rows
 from reference_veronese import reference_evaluate_at
 
 
@@ -53,9 +52,8 @@ def test_basis_rejects_degree_zero():
 
 
 def test_evaluate_row_examples():
-    assert evaluate_row(basis(1), Point.affine(3, 4), 17) == [3, 4, 1]
-    assert evaluate_row(basis(2), Point.affine(3, 4), 17) == [9, 12, 3, 16, 4, 1]
-    assert evaluate_row(basis(2), Point.identity(), 17) == [0, 0, 0, 1, 0, 0]
+    assert evaluate_rows(basis(1), [(3, 4)], 17) == ((3, 4, 1),)
+    assert evaluate_rows(basis(2), [(3, 4), None], 17) == ((9, 12, 3, 16, 4, 1), (0, 0, 0, 1, 0, 0))
 
 
 @given(
@@ -75,8 +73,8 @@ def test_homogeneity(x, y, z, lam, degree):
     base = reference_evaluate_at(mb, x, y, z, p)
     scaled = reference_evaluate_at(mb, lam * x % p, lam * y % p, lam * z % p, p)
     assert scaled == [v * factor % p for v in base]
-    for pt, (px, py, pz) in ((Point.affine(x, y), (x, y, 1)), (Point.identity(), (0, 1, 0))):
-        row = evaluate_row(mb, pt, p)
+    rows = evaluate_rows(mb, [(x, y), None], p)
+    for row, (px, py, pz) in zip(rows, ((x, y, 1), (0, 1, 0)), strict=True):
         assert reference_evaluate_at(mb, lam * px % p, lam * py % p, lam * pz % p, p) == [v * factor % p for v in row]
 
 
@@ -91,14 +89,14 @@ def test_row_dot_coefficients_matches_polynomial_evaluation():
             row = reference_evaluate_at(mb, x, y, z, p)
             dot = sum(r * c for r, c in zip(row, coeffs)) % p
             assert dot == poly_eval_oracle(mb.exponents, coeffs, x, y, z, p)
-            affine = evaluate_row(mb, Point.affine(x, y), p)
+            (affine,) = evaluate_rows(mb, [(x, y)], p)
             assert sum(r * c for r, c in zip(affine, coeffs)) % p == poly_eval_oracle(mb.exponents, coeffs, x, y, 1, p)
 
 
 def test_distinct_points_distinct_rows_degree_one(group_p19):
     q = group_p19.curve.q
     mb = basis(1)
-    rows = [tuple(evaluate_row(mb, pt, q)) for pt in group_p19.curve.points()]
+    rows = evaluate_rows(mb, group_p19.curve.points(), q)
     assert len(set(rows)) == len(rows)
 
 
@@ -109,14 +107,14 @@ def test_power_table_rows_match_pow_formula(group_p19, degree):
     mb = basis(degree)
     cases = [(pt, 17) for pt in group_p19.curve.points()]
     edges = (0, 1, 2, 852)
-    cases += [(Point.affine(x, y), 853) for x in edges for y in edges]
+    cases += [((x, y), 853) for x in edges for y in edges]
     rng = random.Random(degree)
-    cases += [(Point.affine(rng.randrange(853), rng.randrange(853)), 853) for _ in range(200)]
-    assert cases[0][0].is_identity
+    cases += [((rng.randrange(853), rng.randrange(853)), 853) for _ in range(200)]
+    assert cases[0][0] is None
     for p in (17, 853):
         points = [pt for pt, modulus in cases if modulus == p]
-        expected = [reference_evaluate_at(mb, pt.x, pt.y, pt.z, p) for pt in points]
-        pairs = [None if pt.is_identity else (pt.x, pt.y) for pt in points]
-        assert evaluate_rows(mb, pairs, p) == tuple(map(tuple, expected))
-        assert [evaluate_row(mb, pt, p) for pt in points] == expected
+        # The projective normal form: (x : y : 1), or (0 : 1 : 0) for the identity.
+        triples = [(0, 1, 0) if pt is None else (*pt, 1) for pt in points]
+        expected = [reference_evaluate_at(mb, x, y, z, p) for x, y, z in triples]
+        assert evaluate_rows(mb, points, p) == tuple(map(tuple, expected))
     assert evaluate_rows(mb, [], 17) == ()
