@@ -32,7 +32,7 @@ def main():
     unsound = 0
     for trial in planted_trials(group, seed=args.seed, n_prime=args.nprime):
         l = trial.cfg.l
-        kernel = left_kernel(sample_iteration(trial.cfg, trial.index).rows, group.curve.q)
+        kernel = left_kernel(trial.cfg.monomials, sample_iteration(trial.cfg, trial.index).points, group.curve.q)
         # A decoded logarithm already proves the instance solvable.
         if trial.record.m is None and solve_exhaustive(kernel, l) is None:
             continue

@@ -36,6 +36,6 @@ from .errors import BudgetExceededError, InvariantViolationError
 from .field import PrimeField, is_prime
 from .linalg import KernelBasis, eliminate_block, left_kernel
 from .problem_l import solve_alg2, solve_exhaustive
-from .veronese import MonomialBasis, basis, evaluate_rows
+from .veronese import MonomialBasis, basis
 
 __version__ = "0.1.0"

@@ -1,14 +1,14 @@
 """End-to-end Las Vegas discrete-log attack.
 
-Each iteration samples fresh multipliers, evaluates the corresponding curve
-points into a monomial matrix, extracts the left kernel, hands it to a
-zero-pattern solver, and decodes any qualifying vector into the logarithm.
+Each iteration samples fresh multipliers, takes the left kernel of the
+corresponding curve points' monomial matrix, hands it to a zero-pattern
+solver, and decodes any qualifying vector into the logarithm.
 Every decoded answer is verified against the target before being returned,
 so the attack can fail to answer but can never answer wrongly.
 
-Row layout per iteration: 3n' - 1 rows from multiples of the generator, then
-l + 1 rows from multiples of the negated target (one more generator row than
-target rows, so a full-support block is always mixed).  Multipliers are
+Row layout per iteration: 3n' - 1 points, so rows, from multiples of the
+generator, then l + 1 from multiples of the negated target (one more
+generator row than target rows, so a full-support block is always mixed).  Multipliers are
 distinct within each block; a cross-block point collision is an "accident"
 that immediately yields the logarithm and is reported separately.
 """
@@ -26,7 +26,7 @@ from .curve import XY, GroupSpec
 from .errors import InvariantViolationError
 from .linalg import left_kernel
 from .problem_l import DEFAULT_ENUMERATION_BUDGET, solve_alg2, solve_exhaustive
-from .veronese import MonomialBasis, basis, evaluate_rows
+from .veronese import MonomialBasis, basis
 
 SOLVER_ALG2 = "alg2"
 SOLVER_EXHAUSTIVE = "exhaustive"
@@ -109,17 +109,17 @@ def default_max_iterations(p: int, n_prime: int, l: int, solver: str) -> int:
 
 @dataclass(frozen=True)
 class IterationSample:
-    """One iteration's multipliers and assembled matrix rows over F_q.
+    """One iteration's multipliers and points.
 
-    Row i is the monomial row of the i-th point, r * generator for the r of
-    ``multipliers_p`` and then r * (-target) for the r of ``multipliers_q``;
-    rows are unique per point, so they stand for the points.
+    The points are r * generator for the r of ``multipliers_p`` and then
+    r * (-target) for the r of ``multipliers_q``; point i gives row i of the
+    matrix whose left kernel the iteration searches.
     """
 
     index: int
     multipliers_p: tuple[int, ...]
     multipliers_q: tuple[int, ...]
-    rows: tuple[tuple[int, ...], ...]
+    points: tuple[XY, ...]
 
 
 @dataclass
@@ -174,9 +174,9 @@ def _distinct_multipliers(rng: random.Random, count: int, p: int) -> list[int]:
 
 
 def sample_iteration(cfg: AttackConfig, index: int) -> IterationSample:
-    """Sample I and J (distinct within themselves) and assemble the matrix.
+    """Sample I and J (distinct within themselves) and their points.
 
-    Generator rows come first, then rows for multiples of -target, matching
+    Generator multiples come first, then multiples of -target, matching
     the decode layout.  The multiples come from the window memos.
     Cross-block collisions are not resampled here; they are the accidents
     handled by detect_accident.
@@ -185,23 +185,22 @@ def sample_iteration(cfg: AttackConfig, index: int) -> IterationSample:
     p = cfg.group.order
     mult_p = _distinct_multipliers(rng, 3 * cfg.n_prime - 1, p)
     mult_q = _distinct_multipliers(rng, cfg.l + 1, p)
-    points = [*map(cfg.group.scalar_mul, mult_p), *map(cfg.neg_target_mul, mult_q)]
-    rows = evaluate_rows(cfg.monomials, points, cfg.group.curve.q)
-    return IterationSample(index, tuple(mult_p), tuple(mult_q), rows)
+    points = (*map(cfg.group.scalar_mul, mult_p), *map(cfg.neg_target_mul, mult_q))
+    return IterationSample(index, tuple(mult_p), tuple(mult_q), points)
 
 
 def detect_accident(sample: IterationSample) -> Optional[tuple[int, int]]:
     """Cross-block point collision r * P == r' * (-Q), reported as (r, r').
 
-    Such a collision makes two matrix rows identical, and rows are unique per
-    point, so it is found by comparing rows.  It directly reveals the
-    logarithm as -r * r'^-1 mod p.
+    Each point has one value, so the collision is found by comparing the
+    points of the two blocks.  It makes two matrix rows identical and
+    directly reveals the logarithm as -r * r'^-1 mod p.
     """
     n_p = len(sample.multipliers_p)
-    q_index = dict(zip(sample.rows[n_p:], sample.multipliers_q))
-    for r, row in zip(sample.multipliers_p, sample.rows):
-        if row in q_index:
-            return r, q_index[row]
+    q_index = dict(zip(sample.points[n_p:], sample.multipliers_q))
+    for r, pt in zip(sample.multipliers_p, sample.points):
+        if pt in q_index:
+            return r, q_index[pt]
     return None
 
 
@@ -267,7 +266,7 @@ def execute_iteration(cfg: AttackConfig, index: int) -> IterationRecord:
             record.found_by = "accident"
             record.m = m
             return record
-    kernel = left_kernel(sample.rows, cfg.group.curve.q)
+    kernel = left_kernel(cfg.monomials, sample.points, cfg.group.curve.q)
     record.kernel_dim = kernel.dim
     if kernel.dim == 0:
         record.reject_reasons.append(REJECT_NOT_FOUND)

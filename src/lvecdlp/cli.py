@@ -301,8 +301,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if not math.isfinite(args.scale):
-        raise UsageError(f"scale must be a finite number, got {args.scale}")
+    if not math.isfinite(args.scale) or args.scale <= 0:
+        raise UsageError(f"scale must be a finite number above 0, got {args.scale}")
     for path in (args.report_csv, args.report_json):
         if path:
             check_writable(path)

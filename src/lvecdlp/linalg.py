@@ -1,26 +1,24 @@
 """Dense exact linear algebra over F_p: left kernels, block elimination, RREF and rank.
 
 Matrices are small (tens of rows) so everything is plain Gaussian elimination
-on lists of residues.  Every routine takes plain rows (a sequence of
-equal-length integer sequences) and the modulus p; the one wrapper is
+on lists of residues.  Every routine but one takes plain rows (a sequence of
+equal-length integer sequences) and the modulus p; ``left_kernel`` takes the
+points whose monomial rows make the attack's matrix.  The one wrapper is
 KernelBasis, a basis of a kernel that also names its pivot columns when the
 package built it in RREF.
 
-A kernel takes one elimination: with the pivots chosen from the rightmost
-column leftwards, the vector that puts 1 on one free column and 0 on the
-others is already a row of the kernel's RREF (see right_kernel_rows), so
-the basis needs no second reduction.  That elimination packs each row into
-one int, a fixed-width slot per column, wide enough (from p and the number
-of pivots) that no slot carries into the next: a row operation is one
-multiply-add of ints, and residues are read only in the pivot column and
-when the kernel vectors are written out.
+A kernel takes one elimination (see right_kernel_rows), on rows packed
+into one int each, a carry-free slot per column (see _right_kernel);
+``left_kernel`` has the points' columns evaluated straight into those ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import lshift
 from typing import Optional, Sequence
+
+from .curve import XY
+from .veronese import MonomialBasis, columns
 
 LOWER_TRIANGULAR = "lower_triangular"
 DIAGONAL = "diagonal"
@@ -57,27 +55,32 @@ class KernelBasis:
         return [list(v) for v in self.vectors]
 
 
-def left_kernel(rows: Sequence[Sequence[int]], p: int) -> KernelBasis:
-    """Canonical (RREF) basis of {v : v^T M = 0}, the right kernel of the transpose.
+def left_kernel(mb: MonomialBasis, points: Sequence[XY], p: int) -> KernelBasis:
+    """Canonical (RREF) basis of the left kernel of the points' monomial matrix
+    over F_p: the coefficient vectors, one entry per point, of the linear
+    relations among the points' rows.
 
-    Its pivots are the elimination's free columns, handed on with the basis.
+    It is the right kernel of the transpose, whose rows, the matrix's
+    columns, are packed straight from their values, with no row built, for
+    ``_right_kernel`` to eliminate.  Its pivots are the elimination's free
+    columns, handed on with the basis.
     """
-    if len(set(map(len, rows))) > 1:
-        raise ValueError("matrix rows must all have the same length")
-    vectors, free = _right_kernel(list(zip(*rows)), len(rows), p)
-    return _in_rref(p, len(rows), vectors, free)
+    width = _slot_width(p, min(mb.size, len(points)))
+    work = [_pack(column, width) for column in columns(mb, points, p)]
+    vectors, free = _right_kernel(work, len(points), p, width)
+    return _in_rref(p, len(points), vectors, free)
 
 
 def span_basis(rows: Sequence[Sequence[int]], ambient: int, p: int) -> KernelBasis:
     """The RREF basis of the span of the rows, naming its pivots."""
     reduced, rank, pivots = rref_rows(rows, p)
-    return _in_rref(p, ambient, reduced[:rank], pivots)
+    return _in_rref(p, ambient, tuple(map(tuple, reduced[:rank])), tuple(pivots))
 
 
-def _in_rref(p: int, ambient: int, vectors: Sequence[Sequence[int]], pivots: Sequence[int]) -> KernelBasis:
+def _in_rref(p: int, ambient: int, vectors: tuple[tuple[int, ...], ...], pivots: tuple[int, ...]) -> KernelBasis:
     """A basis of rows that are their own RREF, entries in [0, p), with pivot columns ``pivots``."""
-    kb = KernelBasis(p, ambient, tuple(map(tuple, vectors)))
-    object.__setattr__(kb, "pivots", tuple(pivots))
+    kb = KernelBasis(p, ambient, vectors)
+    object.__setattr__(kb, "pivots", pivots)
     return kb
 
 
@@ -172,46 +175,62 @@ def rref_rows(rows: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], i
     return work, rank, pivots
 
 
-def right_kernel_rows(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[list[int]]:
+def right_kernel_rows(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[tuple[int, ...]]:
     """Canonical (RREF) basis of the right kernel of a raw row list, in one elimination.
 
     Pivots are taken from the rightmost column leftwards, so each pivot row is
     zero right of its pivot and, once reduced, in every other pivot column.
     For a free column f, the kernel vector with 1 at f and 0 at the other free
     columns is then nonzero only at f and at pivot columns right of f: it is
-    already the row of the kernel's RREF whose pivot is f.
+    already the row of the kernel's RREF whose pivot is f.  The rows are
+    packed for ``_right_kernel``.
+    """
+    if rows and set(map(len, rows)) != {ncols}:
+        raise ValueError(f"matrix rows must all have length {ncols}")
+    width = _slot_width(p, min(len(rows), ncols))
+    work = [_pack(list(map(p.__rmod__, row)), width) for row in rows]
+    return list(_right_kernel(work, ncols, p, width)[0])
 
-    Each row is packed into one int, column c in the slot of ``width`` bits
-    at bit c * width, so a row operation is one multiply-add of ints,
-    ``row + factor * lead`` with factor = -entry / pivot in [0, p).  No slot
-    is reduced mod p: starting below p, every step multiplies the largest
-    slot value by at most p, so after at most min(rows, columns) pivots it
-    stays below p^(pivots + 1), and ``width`` is the bit length of that
+
+def _pack(values: Sequence[int], width: int) -> int:
+    """One int holding the values, the i-th in the ``width``-bit slot at bit i * width."""
+    packed = 0
+    for value in reversed(values):
+        packed = packed << width | value
+    return packed
+
+
+def _slot_width(p: int, pivots: int) -> int:
+    """Bits per slot for an elimination of at most ``pivots`` pivots on residues mod p."""
+    return (p ** (pivots + 1) - 1).bit_length()
+
+
+def _right_kernel(work: list[int], ncols: int, p: int, width: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """(vectors, free): the RREF basis of the right kernel of the packed rows
+    ``work``, and its pivots, the free columns in increasing order.
+
+    ``work`` holds each row as one int, column c in the ``width``-bit slot at
+    bit c * width, every slot a residue in [0, p); it is eliminated in
+    place.  A row operation is one multiply-add of ints, ``row + factor *
+    lead`` with factor = -entry / pivot in [0, p).  No slot is reduced mod
+    p: starting below p, every step multiplies the largest slot value by at
+    most p, so after at most min(rows, columns) pivots it stays below
+    p^(pivots + 1), and ``width`` (``_slot_width``) is the bit length of that
     bound, so no slot carries into its neighbour.  Residues are read only
     where the elimination branches (the pivot column, top-down until a
     pivot is found, then in every row) and when the kernel vectors are
     written out; the pivot rows are not scaled, so each keeps the inverse of
     its pivot for that.
     """
-    return _right_kernel(rows, ncols, p)[0]
-
-
-def _right_kernel(rows: Sequence[Sequence[int]], ncols: int, p: int) -> tuple[list[list[int]], list[int]]:
-    """(vectors, free): ``right_kernel_rows`` and the free columns, in increasing
-    order, which are the pivot columns of those RREF vectors."""
-    nrows = len(rows)
-    width = (p ** (min(nrows, ncols) + 1) - 1).bit_length()
+    nrows = len(work)
     mask = (1 << width) - 1
-    shifts = range(0, ncols * width, width)
-    reduce_mod = p.__rmod__
-    work = [sum(map(lshift, map(reduce_mod, row), shifts)) for row in rows]
-    pivots: list[int] = []  # pivot column of row 0, 1, ...
+    pivots: list[int] = []  # pivot column of row 0, 1, ..., decreasing
     neg_invs: list[int] = []  # -1 / (pivot entry) of row 0, 1, ...
+    rank = 0
     for c in range(ncols - 1, -1, -1):
-        rank = len(pivots)
         if rank == nrows:
             break
-        shift = shifts[c]
+        shift = c * width
         for pivot_row in range(rank, nrows):
             entry = (work[pivot_row] >> shift & mask) % p
             if entry:
@@ -223,21 +242,23 @@ def _right_kernel(rows: Sequence[Sequence[int]], ncols: int, p: int) -> tuple[li
         work[rank] = lead
         inv = pow(entry, -1, p)
         for r, row in enumerate(work):
-            if r != rank:
-                entry = (row >> shift & mask) % p
-                if entry:
-                    work[r] = row + (p - entry) * inv % p * lead
+            # A slot that is a nonzero multiple of p adds 0 * lead.
+            entry = row >> shift & mask
+            if entry and r != rank:
+                work[r] = row + -entry * inv % p * lead
         pivots.append(c)
         neg_invs.append(p - inv)
+        rank += 1
     pivot_cols = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    free_cols = tuple(c for c in range(ncols) if c not in pivot_cols)
     vectors = []
     for free in free_cols:
         v = [0] * ncols
         v[free] = 1
-        shift = shifts[free]
+        shift = free * width
         for c, row, neg_inv in zip(pivots, work, neg_invs):
-            if c > free:
-                v[c] = (row >> shift & mask) * neg_inv % p
-        vectors.append(v)
-    return vectors, free_cols
+            if c < free:
+                break
+            v[c] = (row >> shift & mask) * neg_inv % p
+        vectors.append(tuple(v))
+    return tuple(vectors), free_cols

@@ -136,21 +136,20 @@ def solve_exhaustive(
         return None
     if kb.pivots is None:
         reduced, rank, pivots = rref_rows(kb.vectors, p)
-        vectors = reduced[:rank]
+        vectors, pivots = reduced[:rank], tuple(pivots)
     else:
-        vectors, pivots = kb.vectors, list(kb.pivots)
-    columns = list(zip(*vectors))
+        vectors, pivots = kb.vectors, kb.pivots
     rejected: set[tuple[int, ...]] = set()  # the combinations of the rejected candidates
     for zero_set, line in _scan(vectors, pivots, n, l, p):
         if line is None:
             restricted = [[vec[c] for vec in vectors] for c in zero_set]
-            combos = map(tuple, right_kernel_rows(restricted, len(vectors), p))
+            combos = right_kernel_rows(restricted, len(vectors), p)
         else:
             combos = (line,)
         for combo in combos:
             if combo in rejected:
                 continue
-            solution = tuple(sum(map(mul, combo, column)) % p for column in columns)
+            solution = tuple(sum(map(mul, combo, column)) % p for column in zip(*vectors))
             if accept is None or accept(solution):
                 return solution
             rejected.add(combo)
@@ -158,7 +157,7 @@ def solve_exhaustive(
 
 
 def _scan(
-    vectors: Sequence[Sequence[int]], pivots: list[int], n: int, l: int, p: int
+    vectors: Sequence[Sequence[int]], pivots: tuple[int, ...], n: int, l: int, p: int
 ) -> Iterator[tuple[tuple[int, ...], Optional[tuple[int, ...]]]]:
     """(Z, line) for the l-sets Z, in lexicographic order, on which a nonzero
     member of the span of ``vectors`` vanishes.  ``vectors`` are the nonzero
@@ -199,18 +198,18 @@ def _scan(
         for zero_set in combinations(range(n), l):
             kernel = right_kernel_rows([[vec[c] for vec in vectors] for c in zero_set], rank, p)
             if kernel:
-                yield zero_set, tuple(kernel[0]) if len(kernel) == 1 else None
+                yield zero_set, kernel[0] if len(kernel) == 1 else None
         return
     free = [c for c in range(n) if c not in pivots]
     width = len(free)
     X = [[row[c] for c in free] for row in vectors]
-    order = pivots + free
+    order = [*pivots, *free]
     numbers = _numbering(width)
     masks, faces = _faces(width)
     minors = [None] * (1 << l)
     minors[0] = [1]
     reduce_mod = p.__rmod__
-    pivots_first = pivots == list(range(l))
+    pivots_first = pivots == tuple(range(l))
     found = []
     for t, block in _blocks(l, width):
         row = X[t]

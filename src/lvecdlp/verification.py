@@ -18,7 +18,7 @@ from .curve import Curve, GroupSpec
 from .field import PrimeField
 from .linalg import in_row_space, left_kernel, rref_rows, span_basis
 from .problem_l import plant_instance, solve_alg2, solve_exhaustive
-from .veronese import basis, evaluate_rows
+from .veronese import basis
 
 PARTITION_PRIMES = (5, 7, 11, 13, 17)
 PARTITION_KS = (3, 4, 5)
@@ -70,8 +70,8 @@ class SuiteReport:
 
 
 def _triple_rank(group: GroupSpec, scalars: tuple[int, int, int]) -> int:
-    q = group.curve.q
-    return rref_rows(evaluate_rows(basis(1), map(group.scalar_mul, scalars), q), q)[1]
+    """Rank of the three points' degree-1 monomial matrix: 3 minus its left kernel's dimension."""
+    return 3 - left_kernel(basis(1), [*map(group.scalar_mul, scalars)], group.curve.q).dim
 
 
 def verify_chord_law(group: GroupSpec | None = None, trials: int = 1000, seed: int = 0) -> SuiteReport:
@@ -156,7 +156,7 @@ def verify_kernel_dimension(
         for _ in range(iterations):
             sample, index, skipped = clean_iteration(cfg, index)
             skipped_total += skipped
-            if left_kernel(sample.rows, group.curve.q).dim == cfg.l:
+            if left_kernel(cfg.monomials, sample.points, group.curve.q).dim == cfg.l:
                 exact += 1
         ok = exact == iterations
         passed = passed and ok

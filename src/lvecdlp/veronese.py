@@ -1,4 +1,4 @@
-"""Fixed monomial ordering in (x, y, z) and evaluation of points into matrix rows.
+"""Fixed monomial ordering in (x, y, z) and evaluation of points into matrix columns.
 
 The ordering contract for every matrix column, kernel vector, and dumped
 coefficient vector in this package: all monomials of total degree n, sorted
@@ -6,18 +6,24 @@ graded-lexicographically with x > y > z, in descending order.  For n = 2 that
 reads x^2, xy, xz, y^2, yz, z^2.
 
 A point is an affine (x, y) pair, standing for (x : y : 1), or None for the
-identity (0 : 1 : 0).  An affine point's row is x^i * y^j for each monomial
-x^i y^j z^k, read from the power tables [1, x, ..., x^n] and
-[1, y, ..., y^n]; the identity has the row with 1 at y^n and 0 elsewhere.  The monomials include x z^(n-1), y z^(n-1)
-and z^n, so distinct points have distinct rows.
+identity (0 : 1 : 0).  At an affine point the monomial x^i y^j z^k is
+x^i * y^j, read from the power tables [1, x, ..., x^n] and [1, y, ..., y^n].
+At the identity it is 1 for y^n and 0 for every other monomial.  The
+monomials include x z^(n-1), y z^(n-1) and z^n, so distinct points have
+distinct rows.
+
+The points' matrix has one row per point and one column per monomial.  Its
+left kernel is the right kernel of the transpose, whose rows are the
+matrix's columns, so ``columns`` evaluates the points column by column, for
+``linalg.left_kernel`` to pack, and no row is ever built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from operator import itemgetter, mul
-from typing import Iterable
+from operator import mul
+from typing import Sequence
 
 from .curve import XY
 
@@ -47,38 +53,31 @@ def basis(degree: int) -> MonomialBasis:
     return MonomialBasis(degree, tuple(exps))
 
 
-def evaluate_rows(mb: MonomialBasis, points: Iterable[XY], p: int) -> tuple[tuple[int, ...], ...]:
-    """Matrix rows, residues in [0, p), one per point.
+def columns(mb: MonomialBasis, points: Sequence[XY], p: int) -> list[list[int]]:
+    """The points' matrix by columns, one per monomial in the fixed order:
+    its values at the points, in order, residues in [0, p).
 
-    Rows are unique per point, so repeated rows in an assembled matrix can
-    be detected by plain equality.  Evaluating at the identity is legal; the
-    attack never does it because its multipliers are drawn from [1, p).
+    Each point's x and y are read once, into power tables kept per power
+    over all points; a monomial with both x and y is one product of two of
+    them, reduced once.  The identity takes x = 0 and y = 1, which gives
+    every monomial without z its value there, and its entry is set to 0 in
+    the monomials with z.
     """
-    x_powers, y_powers = _power_getters(mb.degree)
-    steps = range(mb.degree - 1)
     reduce_mod = p.__rmod__
-    rows = []
-    for pt in points:
-        if pt is None:
-            rows.append(_identity_row(mb.degree))
-            continue
-        x, y = pt
-        xs = [1, x]
-        ys = [1, y]
-        for _ in steps:
-            xs.append(xs[-1] * x % p)
-            ys.append(ys[-1] * y % p)
-        rows.append(tuple(map(reduce_mod, map(mul, x_powers(xs), y_powers(ys)))))
-    return tuple(rows)
-
-
-@cache
-def _power_getters(degree: int) -> tuple[itemgetter, itemgetter]:
-    """Getters of the x and of the y exponent of every degree-n monomial, in the fixed order."""
-    exponents = basis(degree).exponents
-    return itemgetter(*(i for i, _, _ in exponents)), itemgetter(*(j for _, j, _ in exponents))
-
-
-@cache
-def _identity_row(degree: int) -> tuple[int, ...]:
-    return tuple(int(exponent == (0, degree, 0)) for exponent in basis(degree).exponents)
+    xs = [0 if pt is None else pt[0] for pt in points]
+    ys = [1 if pt is None else pt[1] for pt in points]
+    x_powers = [[1] * len(points), xs]
+    y_powers = [x_powers[0], ys]
+    for _ in range(mb.degree - 1):
+        x_powers.append(list(map(reduce_mod, map(mul, x_powers[-1], xs))))
+        y_powers.append(list(map(reduce_mod, map(mul, y_powers[-1], ys))))
+    values = [
+        list(map(reduce_mod, map(mul, x_powers[i], y_powers[j]))) if i and j else x_powers[i] if i else y_powers[j]
+        for i, j, _ in mb.exponents
+    ]
+    if None in points:
+        values = [
+            [0 if pt is None else v for pt, v in zip(points, column)] if k else column
+            for column, (_, _, k) in zip(values, mb.exponents)
+        ]
+    return values

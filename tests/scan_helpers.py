@@ -11,7 +11,7 @@ def singular_zero_sets(vectors, n, l, p):
     span's RREF basis, over whose rows ``line`` is given (None for a set of
     corank 2 or more)."""
     kb = span_basis(vectors, n, p)
-    return problem_l._scan(kb.vectors, list(kb.pivots), n, l, p)
+    return problem_l._scan(kb.vectors, kb.pivots, n, l, p)
 
 
 def own_rref_pivots(vectors, p):

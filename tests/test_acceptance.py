@@ -77,7 +77,7 @@ def test_ac3_cross_validation(group_p907):
         sample, index, skipped = clean_iteration(cfg, index)
         skipped_total += skipped
         oracle_found, _ = subset_sum_oracle(sample.multipliers_p, sample.multipliers_q, m_true, p)
-        kernel = left_kernel(sample.rows, group_p907.curve.q)
+        kernel = left_kernel(cfg.monomials, sample.points, group_p907.curve.q)
 
         def accept(vec):
             return decode_solution(vec, sample.multipliers_p, sample.multipliers_q, p)[0] is not None
@@ -162,7 +162,7 @@ def test_ac6_block_solver_soundness_and_calibration(ac5_trial_stream):
     for trial in ac5_trial_stream:
         if solvable >= 1000:
             break
-        kernel = left_kernel(sample_iteration(trial.cfg, trial.index).rows, trial.cfg.group.curve.q)
+        kernel = left_kernel(trial.cfg.monomials, sample_iteration(trial.cfg, trial.index).points, trial.cfg.group.curve.q)
         if trial.record.m is None and solve_exhaustive(kernel, l) is None:
             continue
         solvable += 1

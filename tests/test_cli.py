@@ -375,8 +375,8 @@ def test_verify_unknown_suite():
     assert main(["verify", "--suite", "nope"]) == EXIT_USAGE
 
 
-@pytest.mark.parametrize("scale", ["inf", "-inf", "nan"])
-def test_verify_non_finite_scale_is_usage_error(capsys, monkeypatch, scale):
+@pytest.mark.parametrize("scale", ["inf", "-inf", "nan", "0", "-1"])
+def test_verify_non_finite_or_non_positive_scale_is_usage_error(capsys, monkeypatch, scale):
     _forbid(monkeypatch, "run_suites")
     assert main(["verify", "--suite", "theorem1", f"--scale={scale}"]) == EXIT_USAGE
     err = capsys.readouterr().err

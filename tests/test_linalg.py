@@ -15,8 +15,15 @@ from lvecdlp.linalg import (
     rref_rows,
     right_kernel_rows,
 )
-from reference_linalg import reference_right_kernel_rows
+from lvecdlp.verification import fixture_large
+from lvecdlp.veronese import basis
+from reference_linalg import reference_left_kernel, reference_right_kernel_rows
+from reference_veronese import reference_evaluate_rows
 from scan_helpers import own_rref_pivots, singular_zero_sets
+
+# Three collinear points mod 5, so their degree-1 rows (x, y, 1) have the
+# one relation row0 - 2 row1 + row2 = 0.
+COLLINEAR_MOD5 = [(0, 0), (1, 1), (2, 2)]
 
 
 def random_rows(rng, p, nrows, ncols):
@@ -51,16 +58,18 @@ def test_rref_zero_matrix():
 
 
 def test_left_kernel_identity_is_empty():
-    assert left_kernel([[1, 0], [0, 1]], 7).dim == 0
+    # Rows (1, 0, 1), (0, 1, 1), (0, 0, 1) and (0, 1, 0): full rank.
+    assert left_kernel(basis(1), [(1, 0), (0, 1), (0, 0)], 7).dim == 0
+    assert left_kernel(basis(1), [(1, 0), None, (0, 0)], 7).dim == 0
 
 
 def test_left_kernel_example_mod5():
-    rows = [[1, 2], [2, 4]]
-    kb = left_kernel(rows, 5)
+    rows = reference_evaluate_rows(basis(1), COLLINEAR_MOD5, 5)
+    kb = left_kernel(basis(1), COLLINEAR_MOD5, 5)
     assert kb.dim == 1
-    assert in_row_space(kb.vectors, [3, 1], 5)
+    assert in_row_space(kb.vectors, [1, 3, 1], 5)
     for v in kb.vectors:
-        assert vec_mat(v, rows, 5) == [0, 0]
+        assert vec_mat(v, rows, 5) == [0, 0, 0]
 
 
 def test_right_kernel_zero_matrix():
@@ -71,14 +80,25 @@ def test_right_kernel_zero_matrix():
         assert mat_vec(rows, v, 5) == [0, 0]
 
 
+def random_points(rng, p, count):
+    """Pairs mod p, repeats and the identity (None) included."""
+    points = [None if rng.random() < 0.1 else (rng.randrange(p), rng.randrange(p)) for _ in range(count)]
+    if points and rng.random() < 0.3:
+        points.append(rng.choice(points))
+    return points
+
+
 def test_kernel_vectors_annihilate_random_matrices():
     rng = random.Random(1)
     for _ in range(50):
         p = rng.choice((5, 7, 907))
+        mb = basis(rng.randrange(1, 4))
+        points = random_points(rng, p, rng.randrange(1, 12))
+        point_rows = reference_evaluate_rows(mb, points, p)
+        for v in left_kernel(mb, points, p).vectors:
+            assert all(x == 0 for x in vec_mat(v, point_rows, p))
         ncols = rng.randrange(1, 7)
         rows = random_rows(rng, p, rng.randrange(1, 7), ncols)
-        for v in left_kernel(rows, p).vectors:
-            assert all(x == 0 for x in vec_mat(v, rows, p))
         for v in right_kernel_rows(rows, ncols, p):
             assert all(x == 0 for x in mat_vec(rows, v, p))
 
@@ -97,12 +117,16 @@ def test_rank_nullity(data):
         )
     )
     _, rank, _ = rref_rows(entries, p)
-    assert left_kernel(entries, p).dim + rank == nrows
     assert len(right_kernel_rows(entries, ncols, p)) + rank == ncols
+    mb = basis(data.draw(st.integers(min_value=1, max_value=3)))
+    coordinate = st.integers(min_value=0, max_value=p - 1)
+    points = data.draw(st.lists(st.none() | st.tuples(coordinate, coordinate), min_size=1, max_size=12))
+    _, rank, _ = rref_rows(reference_evaluate_rows(mb, points, p), p)
+    assert left_kernel(mb, points, p).dim + rank == len(points)
 
 
 def test_rref_is_canonical_for_kernels():
-    kb = left_kernel([[1, 2], [2, 4]], 5)
+    kb = left_kernel(basis(1), COLLINEAR_MOD5, 5)
     again, rank, _ = rref_rows(kb.vector_lists(), 5)
     assert tuple(tuple(r) for r in again) == kb.vectors
     assert rank == kb.dim
@@ -165,7 +189,9 @@ def test_eliminate_block_preserves_row_space():
 
 def test_ragged_rows_rejected():
     with pytest.raises(ValueError):
-        left_kernel([[1, 2], [1]], 5)
+        right_kernel_rows([[1, 2], [1]], 2, 5)
+    with pytest.raises(ValueError):
+        right_kernel_rows([[1, 2, 3]], 2, 5)
 
 
 @st.composite
@@ -197,8 +223,8 @@ def test_right_kernel_matches_two_pass_reference(matrix):
 
 
 def attack_kernel_inputs(group, n_prime, plain=4, collisions=2):
-    """The transposed rows of the first ``plain`` samples and of the first
-    ``collisions`` samples with a cross-block point collision."""
+    """The first ``plain`` samples and the first ``collisions`` samples with
+    a cross-block point collision."""
     cfg = AttackConfig(group=group, target=group.scalar_mul(123), n_prime=n_prime, seed=1)
     samples = [sample_iteration(cfg, index) for index in range(1, plain + 1)]
     found = 0
@@ -210,6 +236,52 @@ def attack_kernel_inputs(group, n_prime, plain=4, collisions=2):
             samples.append(sample)
             found += 1
     return cfg, samples
+
+
+def seeded_samples(group, n_prime, count, seed):
+    """The first ``count`` samples of a seeded run with the accident check
+    off, and how many of them have a cross-block point collision."""
+    cfg = AttackConfig(group=group, target=group.scalar_mul(77), n_prime=n_prime, seed=seed, accident_check=False)
+    samples = [sample_iteration(cfg, index) for index in range(1, count + 1)]
+    return cfg.monomials, samples, sum(detect_accident(sample) is not None for sample in samples)
+
+
+@pytest.mark.parametrize(
+    "group_name, n_prime, count, collisions",
+    [
+        ("group_p907", 1, 400, 3),
+        ("group_p907", 2, 150, 3),
+        ("group_p907", 3, 60, 9),
+        ("group_p19", 1, 150, 57),
+        ("group_p19", 2, 60, 58),
+    ],
+)
+def test_left_kernel_of_points_matches_reference_on_attack_samples(request, group_name, n_prime, count, collisions):
+    """The kernel ``left_kernel`` takes straight from the sampled points
+    equals, vectors and pivots, the two-pass kernel of the transpose of the
+    reference rows, on seeded runs, collision samples included."""
+    group = request.getfixturevalue(group_name)
+    mb, samples, collided = seeded_samples(group, n_prime, count, seed=17)
+    assert collided == collisions
+    for sample in samples:
+        kernel = left_kernel(mb, sample.points, group.curve.q)
+        assert (list(kernel.vectors), kernel.pivots) == reference_left_kernel(mb, sample.points, group.curve.q)
+
+
+def test_left_kernel_of_points_matches_reference_beyond_attack_samples(group_p19):
+    """The same on one n' = 3 sample of the order-48,731 group, and on every
+    point of the q = 17 curve, the identity included, at degrees 1 to 3."""
+    group = fixture_large()
+    mb, (sample,), _ = seeded_samples(group, 3, 1, seed=17)
+    q = group.curve.q
+    kernel = left_kernel(mb, sample.points, q)
+    assert (list(kernel.vectors), kernel.pivots) == reference_left_kernel(mb, sample.points, q)
+    points = group_p19.curve.points()
+    assert None in points
+    for degree in (1, 2, 3):
+        kernel = left_kernel(basis(degree), points, 17)
+        assert kernel.dim == len(points) - 3 * degree
+        assert (list(kernel.vectors), kernel.pivots) == reference_left_kernel(basis(degree), points, 17)
 
 
 @pytest.mark.parametrize("n_prime", [1, 2, 3])
@@ -230,10 +302,8 @@ def test_right_kernel_matches_reference_on_attack_matrices(group_p907, monkeypat
         return result
 
     for sample in samples:
-        transposed = list(zip(*sample.rows))
-        expected = reference_right_kernel_rows(transposed, len(sample.rows), q)
-        kernel = left_kernel(sample.rows, q)
-        assert [list(v) for v in kernel.vectors] == expected
+        kernel = left_kernel(cfg.monomials, sample.points, q)
+        assert (list(kernel.vectors), kernel.pivots) == reference_left_kernel(cfg.monomials, sample.points, q)
         lines = set()
         planes = 0
         for zero_set, line in singular_zero_sets(kernel.vectors, kernel.ambient, cfg.l, q):
@@ -265,7 +335,7 @@ def test_left_kernel_hands_over_the_pivots_of_its_basis(group_p19, group_p907, m
         cfg, samples = attack_kernel_inputs(group, n_prime)
         q = group.curve.q
         for sample in samples:
-            kernel = left_kernel(sample.rows, q)
+            kernel = left_kernel(cfg.monomials, sample.points, q)
             assert kernel.pivots == tuple(own_rref_pivots(kernel.vectors, q))
             bare = KernelBasis(q, kernel.ambient, kernel.vectors)
             assert bare.pivots is None and bare == kernel and hash(bare) == hash(kernel)
@@ -279,5 +349,5 @@ def test_left_kernel_hands_over_the_pivots_of_its_basis(group_p19, group_p907, m
                 assert problem_l.solve_exhaustive(kernel, cfg.l, accept=accept) == expected
             checked += 1
     assert checked == len(groups) * 6
-    assert left_kernel([[1, 0], [0, 1]], 5).pivots == ()
-    assert left_kernel([[1, 2], [2, 4]], 5).pivots == (0,)
+    assert left_kernel(basis(1), [(1, 0), (0, 1), (0, 0)], 5).pivots == ()
+    assert left_kernel(basis(1), COLLINEAR_MOD5, 5).pivots == (0,)

@@ -21,6 +21,7 @@ from lvecdlp.linalg import (
     span_basis,
 )
 from lvecdlp.problem_l import plant_instance, solve_alg2, solve_exhaustive
+from lvecdlp.veronese import basis
 from reference_attack import first_accepted, flat_singular_zero_sets, fraction_free_rank, projective_span
 from reference_linalg import reference_right_kernel_rows
 from scan_helpers import own_rref_pivots, singular_zero_sets
@@ -126,6 +127,11 @@ def attack_samples(group, n_prime, count, seed):
     return [sample_iteration(cfg, index) for index in range(1, count + 1)]
 
 
+def first_kernel(group, n_prime, seed):
+    """The kernel of the first of ``attack_samples``."""
+    return left_kernel(basis(n_prime), attack_samples(group, n_prime, 1, seed)[0].points, group.curve.q)
+
+
 def corank(kb, zero_set):
     """Dimension of the span members vanishing on ``zero_set``."""
     return kb.dim - fraction_free_rank([[vec[c] for vec in kb.vectors] for c in zero_set], kb.p)
@@ -210,7 +216,7 @@ def test_minors_scan_matches_flat_scan_on_attack_kernels(group_p907, n_prime, co
     rng = random.Random(n_prime)
     collisions = singular = alg2_decoded = 0
     for sample in attack_samples(group_p907, n_prime, count, seed=60 + n_prime):
-        kb = left_kernel(sample.rows, q)
+        kb = left_kernel(basis(n_prime), sample.points, q)
         collision = detect_accident(sample) is not None
         collisions += collision
 
@@ -393,7 +399,7 @@ def collision_kernels(group, count, seed):
         index += 1
         sample = sample_iteration(cfg, index)
         if detect_accident(sample) is not None:
-            found.append((sample, left_kernel(sample.rows, group.curve.q)))
+            found.append((sample, left_kernel(cfg.monomials, sample.points, group.curve.q)))
     return found
 
 
@@ -449,7 +455,7 @@ def test_early_stopping_scan_matches_lazy_flat_scan_at_n3(group_p907):
     p, q = group_p907.order, group_p907.curve.q
     hits = [0, 0, 0]
     for sample in attack_samples(group_p907, 3, 30, seed=63):
-        kb = left_kernel(sample.rows, q)
+        kb = left_kernel(basis(3), sample.points, q)
 
         def decodes(vec):
             return decode_solution(vec, sample.multipliers_p, sample.multipliers_q, p)[0] is not None
@@ -506,7 +512,7 @@ def test_scan_lines_match_reference_reduction(request, monkeypatch, group_name, 
         index += 1
         sample = sample_iteration(cfg, index)
         if (detect_accident(sample) is not None) == (len(kernels) >= count):
-            kernels.append(left_kernel(sample.rows, q))
+            kernels.append(left_kernel(cfg.monomials, sample.points, q))
     reduced = []
 
     def counted(rows, ncols, p):
@@ -533,7 +539,7 @@ def test_minors_scan_ranks_no_zero_set(monkeypatch, group_p907):
     def fail(*args):
         raise AssertionError("a zero set was ranked or the basis reduced")
 
-    kb = left_kernel(attack_samples(group_p907, 2, 1, seed=5)[0].rows, group_p907.curve.q)
+    kb = first_kernel(group_p907, 2, seed=5)
     flat = list(flat_singular_zero_sets(kb, 6))
     monkeypatch.setattr("lvecdlp.problem_l.rref_rows", fail)
     assert [zero_set for zero_set, _ in scanned_pairs(kb, 6)] == flat
@@ -554,7 +560,7 @@ def test_minors_scan_reduces_a_basis_not_in_rref(monkeypatch, group_p907):
 
     monkeypatch.setattr("lvecdlp.problem_l.rref_rows", counted)
     for n_prime, seed in ((1, 5), (2, 5), (2, 6)):
-        kb = left_kernel(attack_samples(group_p907, n_prime, 1, seed=seed)[0].rows, group_p907.curve.q)
+        kb = first_kernel(group_p907, n_prime, seed=seed)
         p, l = kb.p, 3 * n_prime
         rows = kb.vector_lists()
         scaled = [row[:] for row in rows]
@@ -571,8 +577,12 @@ def test_minors_scan_reduces_a_basis_not_in_rref(monkeypatch, group_p907):
 
 def test_minors_scan_frees_its_memo(group_p907):
     """With the cycle collector off, repeated full scans leave no memo behind:
-    the memo must not sit in a reference cycle (a recursive closure does)."""
-    kb = left_kernel(attack_samples(group_p907, 2, 1, seed=5)[0].rows, group_p907.curve.q)
+    the memo must not sit in a reference cycle (a recursive closure does).
+
+    From a cold interpreter the first scans leave some 400 KB traced in the
+    interpreter's free lists, which level off within 20 scans; so 20 scans
+    warm up, and the 20 after them are measured."""
+    kb = first_kernel(group_p907, 2, seed=5)
 
     def scan():
         assert solve_exhaustive(kb, 6, accept=lambda v: False) is None
@@ -580,8 +590,8 @@ def test_minors_scan_frees_its_memo(group_p907):
     gc.disable()
     tracemalloc.start()
     try:
-        scan()
-        scan()
+        for _ in range(20):
+            scan()
         before = tracemalloc.get_traced_memory()[0]
         for _ in range(20):
             scan()
@@ -602,7 +612,7 @@ def test_exhaustive_on_eliminate_block_output_equals_its_span_rref(group_p907, n
     l = 3 * n_prime
     not_rref = 0
     for sample in attack_samples(group_p907, n_prime, 20, seed=8):
-        kernel = left_kernel(sample.rows, group_p907.curve.q)
+        kernel = left_kernel(basis(n_prime), sample.points, group_p907.curve.q)
         assert kernel.pivots is not None
 
         def accept(vec):

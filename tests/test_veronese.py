@@ -3,8 +3,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from lvecdlp.veronese import basis, evaluate_rows
+from lvecdlp.veronese import basis, columns
 from reference_veronese import reference_evaluate_at
+
+
+def evaluate_rows(mb, points, p):
+    """The points' rows: the transpose of their ``columns``."""
+    return tuple(zip(*columns(mb, points, p)))
 
 
 def poly_eval_oracle(exponents, coeffs, x, y, z, p):
@@ -103,7 +108,8 @@ def test_distinct_points_distinct_rows_degree_one(group_p19):
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])
 def test_power_table_rows_match_pow_formula(group_p19, degree):
     """Rows from power tables equal the pow formula at every point of the
-    q = 17 curve, the identity included, and at edge and random pairs mod 853."""
+    q = 17 curve, the identity included, and at edge and random pairs mod
+    853, evaluated together and one point at a time."""
     mb = basis(degree)
     cases = [(pt, 17) for pt in group_p19.curve.points()]
     edges = (0, 1, 2, 852)
@@ -117,4 +123,5 @@ def test_power_table_rows_match_pow_formula(group_p19, degree):
         triples = [(0, 1, 0) if pt is None else (*pt, 1) for pt in points]
         expected = [reference_evaluate_at(mb, x, y, z, p) for x, y, z in triples]
         assert evaluate_rows(mb, points, p) == tuple(map(tuple, expected))
+        assert [evaluate_rows(mb, [pt], p)[0] for pt in points] == list(map(tuple, expected))
     assert evaluate_rows(mb, [], 17) == ()
