@@ -146,6 +146,11 @@ PINNED_CLI_RUNS = {
         ["experiment", "--nprime", "2", "--trials", "30", "--seed", "3", "--solver", "alg2"],
         "2abb3ef345d232dafcdf56e02031b45afa7f85688d07985f2c01dffc5b0c5413",
     ),
+    # Iteration 1 is an alg2 miss and iteration 2 an alg2 find.
+    "solve-n2-alg2": (
+        ["solve", "--qx", "782", "--qy", "272", "--nprime", "2", "--seed", "2", "--solver", "alg2"],
+        "f3a4081dcdc336b11e7c8e0cffe0ce02338d349f833d1e91fa20b1eab9b050c5",
+    ),
 }
 
 
@@ -369,6 +374,14 @@ def test_verify_suites_smoke(capsys):
     assert "PASS" in capsys.readouterr().out
     assert main(["verify", "--suite", "problem-l", "--scale", "0.1"]) == EXIT_OK
     assert main(["verify", "--suite", "partitions"]) == EXIT_OK
+
+
+def test_verify_problem_l_stdout_matches_pinned_digest(capsys):
+    """The seeded problem-l report, which runs ``plant_instance``, alg2 and the
+    scan on planted bases, hashes to a pinned value."""
+    assert main(["verify", "--suite", "problem-l", "--scale", "0.1"]) == EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "e8e8e37557309a89130474a86c435ae7c79cddfa538a3dd191bfc9d2d2c4ccc9"
 
 
 def test_verify_unknown_suite():
