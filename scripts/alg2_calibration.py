@@ -37,7 +37,7 @@ def main():
         if trial.record.m is None and solve_exhaustive(kernel, l) is None:
             continue
         solvable += 1
-        candidate = solve_alg2(kernel, l)
+        candidate = solve_alg2(kernel.vectors, l, kernel.p)
         if candidate is not None:
             finds += 1
             unsound += candidate.count(0) < l or not in_row_space(kernel.vectors, candidate, kernel.p)

@@ -283,7 +283,7 @@ def execute_iteration(cfg: AttackConfig, index: int) -> IterationRecord:
         return reason
 
     if cfg.solver == SOLVER_ALG2:
-        vector = solve_alg2(kernel, cfg.l)
+        vector = solve_alg2(kernel.vectors, cfg.l, kernel.p)
         reason = REJECT_NOT_FOUND if vector is None else decode(vector)
     else:
         vector = solve_exhaustive(kernel, cfg.l, accept=lambda vec: decode(vec) is None, budget=cfg.enumeration_budget)

@@ -2,10 +2,10 @@
 
 Matrices are small (tens of rows) so everything is plain Gaussian elimination
 on lists of residues.  Every routine but one takes plain rows (a sequence of
-equal-length integer sequences) and the modulus p; ``left_kernel`` takes the
-points whose monomial rows make the attack's matrix.  The one wrapper is
-KernelBasis, a basis of a kernel that also names its pivot columns when the
-package built it in RREF.
+equal-length integer sequences) and the modulus p, and returns plain rows;
+``left_kernel`` takes the points whose monomial rows make the attack's
+matrix.  The one wrapper is KernelBasis, a span held as its RREF basis with
+its pivot columns named.
 
 A kernel takes one elimination (see right_kernel_rows), on rows packed
 into one int each, a carry-free slot per column (see _right_kernel);
@@ -15,7 +15,7 @@ into one int each, a carry-free slot per column (see _right_kernel);
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .curve import XY
 from .veronese import MonomialBasis, columns
@@ -26,33 +26,31 @@ DIAGONAL = "diagonal"
 
 @dataclass(frozen=True)
 class KernelBasis:
-    """Linearly independent kernel vectors, the rows of a basis matrix.
+    """A subspace of F_p^ambient held as its RREF basis: the nonzero rows of
+    the RREF, entries in [0, p), and ``pivots``, their pivot columns.
 
-    The vectors are any basis of the span.  ``pivots`` is not a constructor
-    argument: only ``left_kernel`` and ``span_basis``, which build the
-    vectors as their own RREF with entries in [0, p), set it, to the pivot
-    columns of those rows, and the zero-set scan then uses the basis as it
-    stands.  On every other basis (hand-built ones, and the results of
-    ``eliminate_block``) it is None, and the scan reduces the vectors
-    first.  It is not part of the value: equality and hashing compare the
-    vectors.
+    The constructor takes any rows that span the subspace (zero, repeated or
+    dependent rows, entries outside [0, p)) and reduces them, so two bases of
+    one span are equal.  ``pivots`` is not a constructor argument; it is set
+    from the reduction, and ``left_kernel``, whose elimination already gives
+    the RREF and its pivots, hands both on without reducing again.
     """
 
     p: int
     ambient: int
     vectors: tuple[tuple[int, ...], ...]
-    pivots: Optional[tuple[int, ...]] = field(default=None, init=False, compare=False, repr=False)
+    pivots: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.vectors and set(map(len, self.vectors)) != {self.ambient}:
             raise ValueError("kernel vectors must have the ambient length")
+        reduced, rank, pivots = rref_rows(self.vectors, self.p)
+        object.__setattr__(self, "vectors", tuple(map(tuple, reduced[:rank])))
+        object.__setattr__(self, "pivots", tuple(pivots))
 
     @property
     def dim(self) -> int:
         return len(self.vectors)
-
-    def vector_lists(self) -> list[list[int]]:
-        return [list(v) for v in self.vectors]
 
 
 def left_kernel(mb: MonomialBasis, points: Sequence[XY], p: int) -> KernelBasis:
@@ -62,36 +60,28 @@ def left_kernel(mb: MonomialBasis, points: Sequence[XY], p: int) -> KernelBasis:
 
     It is the right kernel of the transpose, whose rows, the matrix's
     columns, are packed straight from their values, with no row built, for
-    ``_right_kernel`` to eliminate.  Its pivots are the elimination's free
-    columns, handed on with the basis.
+    ``_right_kernel`` to eliminate.  That one elimination gives the RREF
+    vectors and their pivots, the free columns, and the basis takes both as
+    they are, without the constructor's reduction.
     """
     width = _slot_width(p, min(mb.size, len(points)))
     work = [_pack(column, width) for column in columns(mb, points, p)]
     vectors, free = _right_kernel(work, len(points), p, width)
-    return _in_rref(p, len(points), vectors, free)
-
-
-def span_basis(rows: Sequence[Sequence[int]], ambient: int, p: int) -> KernelBasis:
-    """The RREF basis of the span of the rows, naming its pivots."""
-    reduced, rank, pivots = rref_rows(rows, p)
-    return _in_rref(p, ambient, tuple(map(tuple, reduced[:rank])), tuple(pivots))
-
-
-def _in_rref(p: int, ambient: int, vectors: tuple[tuple[int, ...], ...], pivots: tuple[int, ...]) -> KernelBasis:
-    """A basis of rows that are their own RREF, entries in [0, p), with pivot columns ``pivots``."""
-    kb = KernelBasis(p, ambient, vectors)
-    object.__setattr__(kb, "pivots", pivots)
+    kb = object.__new__(KernelBasis)
+    vars(kb).update(p=p, ambient=len(points), vectors=vectors, pivots=free)
     return kb
 
 
-def eliminate_block(kb: KernelBasis, start: int, stop: int, stage: str) -> KernelBasis:
-    """Row-reduce the column window [start, stop) of a kernel-basis matrix.
+def eliminate_block(
+    rows: Sequence[Sequence[int]], start: int, stop: int, stage: str, p: int
+) -> tuple[tuple[int, ...], ...]:
+    """Row-reduce the column window [start, stop) of a matrix over F_p.
 
     stage = LOWER_TRIANGULAR clears entries above the block diagonal (pivot
     row t paired with the t-th block column, processed bottom-up); DIAGONAL
     clears everything off the block diagonal.  Only row operations are used,
-    so the row span (the kernel subspace) is preserved exactly.  The result
-    is in general not in RREF and carries no pivots.
+    so the row span is preserved exactly; the rows returned are in general
+    not in RREF, and their order and form are the result.
 
     When the natural diagonal pivot vanishes, a different unused block column
     is pivoted on instead; a position with no pivot at all is skipped and
@@ -99,10 +89,9 @@ def eliminate_block(kb: KernelBasis, start: int, stop: int, stage: str) -> Kerne
     """
     if stage not in (LOWER_TRIANGULAR, DIAGONAL):
         raise ValueError(f"unknown stage {stage!r}")
-    p = kb.p
-    vecs = kb.vector_lists()
+    vecs = [list(row) for row in rows]
     nrows = len(vecs)
-    cols = list(range(max(start, 0), min(stop, kb.ambient)))
+    cols = list(range(max(start, 0), min(stop, len(vecs[0]) if vecs else 0)))
     width = min(nrows, len(cols))
     used: set[int] = set()
 
@@ -135,7 +124,7 @@ def eliminate_block(kb: KernelBasis, start: int, stop: int, stage: str) -> Kerne
                 row = vecs[r]
                 vecs[r] = [(a - factor * b) % p for a, b in zip(row, pivot_vec)]
 
-    return KernelBasis(p, kb.ambient, tuple(tuple(v) for v in vecs))
+    return tuple(map(tuple, vecs))
 
 
 def in_row_space(vectors: Sequence[Sequence[int]], candidate: Sequence[int], p: int) -> bool:

@@ -1,10 +1,11 @@
 """Zero-pattern search in a subspace of F_p^n.
 
-Given an l-dimensional subspace presented as a kernel basis, find a nonzero
-vector with at least l zero coordinates.  Two solvers are provided: the
-block-elimination heuristic (incomplete) and an exhaustive zero-set
-enumerator (complete: the attack's default solver, and the measurement
-standard for the heuristic's conditional success rate).
+Given an l-dimensional subspace, find a nonzero vector with at least l zero
+coordinates.  Two solvers are provided: the block-elimination heuristic
+(incomplete), which works on the rows of a basis as they are given, and an
+exhaustive zero-set enumerator (complete: the attack's default solver, and
+the measurement standard for the heuristic's conditional success rate),
+which takes the span as a KernelBasis, its RREF basis.
 
 The enumerator tests each l-set by one minor.  Write the span's RREF basis
 as [I | X] with the pivot columns moved first: a span member vanishes on Z
@@ -58,39 +59,32 @@ from .linalg import (
     eliminate_block,
     right_kernel_rows,
     rref_rows,
-    span_basis,
 )
 
 DEFAULT_ENUMERATION_BUDGET = 5_000_000
 
 
-def _first_row_with_zeros(kb: KernelBasis, want: int) -> Optional[tuple[int, ...]]:
-    for row in kb.vectors:
-        if any(row) and row.count(0) >= want:
-            return row
-    return None
-
-
-def solve_alg2(kb: KernelBasis, l: int) -> Optional[tuple[int, ...]]:
-    """Block-elimination solver with four checkpoints.
+def solve_alg2(rows: Sequence[Sequence[int]], l: int, p: int) -> Optional[tuple[int, ...]]:
+    """Block-elimination solver with four checkpoints, on the rows of a basis over F_p.
 
     The basis matrix is treated as two l-column windows.  Each window is row
     reduced first to lower-triangular and then to diagonal form, and after
     each of the four reductions every row is scanned for at least l zeros.
-    The first qualifying row is returned; if no checkpoint fires (or the basis
-    is empty) the search stops unresolved, which is a legitimate outcome for
-    this solver.
+    The first qualifying row is returned; if no checkpoint fires (or there
+    are no rows) the search stops unresolved, which is a legitimate outcome
+    for this solver.  Each stage works on the rows the one before it left,
+    so the answer depends on the rows given, not only on their span.
     """
-    windows = [(0, min(l, kb.ambient))]
-    if kb.ambient > l:
-        windows.append((l, min(2 * l, kb.ambient)))
-    current = kb
+    ambient = len(rows[0]) if rows else 0
+    windows = [(0, min(l, ambient))]
+    if ambient > l:
+        windows.append((l, min(2 * l, ambient)))
     for start, stop in windows:
         for stage in (LOWER_TRIANGULAR, DIAGONAL):
-            current = eliminate_block(current, start, stop, stage)
-            found = _first_row_with_zeros(current, l)
-            if found is not None:
-                return found
+            rows = eliminate_block(rows, start, stop, stage, p)
+            for row in rows:
+                if any(row) and row.count(0) >= l:
+                    return row
     return None
 
 
@@ -115,11 +109,8 @@ def solve_exhaustive(
     returned, so a nonzero result is guaranteed whenever one exists; an
     empty basis has none.
 
-    The search runs on the basis's RREF throughout, so the result depends
-    only on the span, not on the basis that presents it.  A basis that
-    names its pivots (``left_kernel`` hands on those of its elimination,
-    ``span_basis`` those of its reduction) is used as it stands; any other
-    is reduced first.
+    The search runs on the RREF basis the KernelBasis holds, with the
+    pivots it names, so the result depends only on the span.
 
     An optional accept predicate filters candidate vectors (the attack layer
     passes its decode conditions); only accepted solutions are returned.
@@ -134,13 +125,9 @@ def solve_exhaustive(
         raise BudgetExceededError(f"C({n}, {l}) exceeds the enumeration budget {budget}")
     if kb.dim == 0:
         return None
-    if kb.pivots is None:
-        reduced, rank, pivots = rref_rows(kb.vectors, p)
-        vectors, pivots = reduced[:rank], tuple(pivots)
-    else:
-        vectors, pivots = kb.vectors, kb.pivots
+    vectors = kb.vectors
     rejected: set[tuple[int, ...]] = set()  # the combinations of the rejected candidates
-    for zero_set, line in _scan(vectors, pivots, n, l, p):
+    for zero_set, line in _scan(vectors, kb.pivots, n, l, p):
         if line is None:
             restricted = [[vec[c] for vec in vectors] for c in zero_set]
             combos = right_kernel_rows(restricted, len(vectors), p)
@@ -350,7 +337,8 @@ def plant_instance(rng: Random, p: int, n_prime: int, l: int) -> tuple[KernelBas
 
     A hidden target vector with exactly l zero coordinates is embedded in a
     random independent row set, then the rows are mixed by a random invertible
-    matrix so no basis row gives the pattern away.
+    matrix so no basis row gives the pattern away; the instance is their span,
+    as a KernelBasis.
     """
     ambient = 3 * n_prime + l
     zero_positions = sorted(rng.sample(range(ambient), l))
@@ -371,4 +359,4 @@ def plant_instance(rng: Random, p: int, n_prime: int, l: int) -> tuple[KernelBas
         [sum(mixer[r][k] * rows[k][c] for k in range(l)) % p for c in range(ambient)]
         for r in range(l)
     ]
-    return span_basis(mixed, ambient, p), tuple(target)
+    return KernelBasis(p, ambient, mixed), tuple(target)

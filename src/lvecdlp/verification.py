@@ -16,7 +16,7 @@ from . import attack as attack_mod
 from .analysis import audit_partition_counts
 from .curve import Curve, GroupSpec
 from .field import PrimeField
-from .linalg import in_row_space, left_kernel, rref_rows, span_basis
+from .linalg import KernelBasis, in_row_space, left_kernel, rref_rows
 from .problem_l import plant_instance, solve_alg2, solve_exhaustive
 from .veronese import basis
 
@@ -209,7 +209,7 @@ def verify_problem_l(trials: int = 200, seed: int = 0) -> SuiteReport:
         planted_found += 1
         if exhaustive.count(0) < l or not in_row_space(kb.vectors, exhaustive, p):
             sound = False
-        candidate = solve_alg2(kb, l)
+        candidate = solve_alg2(kb.vectors, l, p)
         if candidate is not None:
             alg2_found += 1
             if candidate.count(0) < l or not in_row_space(kb.vectors, candidate, p):
@@ -226,7 +226,7 @@ def verify_problem_l(trials: int = 200, seed: int = 0) -> SuiteReport:
             row = [rng.randrange(p) for _ in range(ambient)]
             if rref_rows(vectors + [row], p)[1] == len(vectors) + 1:
                 vectors.append(row)
-        kb = span_basis(vectors, ambient, p)
+        kb = KernelBasis(p, ambient, vectors)
         canonical = kb.vectors
         found = solve_exhaustive(kb, l) is not None
         brute = False

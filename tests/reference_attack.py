@@ -25,7 +25,7 @@ from math import comb
 from typing import Callable, Iterable, Iterator, Optional
 
 from lvecdlp.errors import BudgetExceededError
-from lvecdlp.linalg import KernelBasis, rref_rows
+from lvecdlp.linalg import KernelBasis
 from reference_linalg import reference_right_kernel_rows
 
 
@@ -84,7 +84,7 @@ def projective_span(kb: KernelBasis) -> Iterator[tuple[int, ...]]:
 
 def flat_singular_zero_sets(kb: KernelBasis, l: int) -> Iterator[tuple[int, ...]]:
     """Every l-set Z, in lexicographic order, on which the basis restricted to Z loses rank."""
-    vectors = kb.vector_lists()
+    vectors = kb.vectors
     for zero_set in combinations(range(kb.ambient), l):
         if fraction_free_rank([[vec[c] for vec in vectors] for c in zero_set], kb.p) < kb.dim:
             yield zero_set
@@ -121,10 +121,10 @@ def first_accepted(
     accept: Optional[Callable[[tuple[int, ...]], bool]] = None,
 ) -> Optional[tuple[int, ...]]:
     """First accepted combination of the RREF basis vectors vanishing on one of
-    ``zero_sets``, in order: the search depends only on the span."""
+    ``zero_sets``, in order: the search depends only on the span, which a
+    KernelBasis holds as its RREF basis."""
     p, n = kb.p, kb.ambient
-    reduced, rank, _ = rref_rows(kb.vector_lists(), p)
-    vectors = reduced[:rank]
+    vectors, rank = kb.vectors, kb.dim
     for zero_set in zero_sets:
         restricted = [[vec[c] for vec in vectors] for c in zero_set]
         for combo in reference_right_kernel_rows(restricted, rank, p):

@@ -2,7 +2,7 @@
 basis, and the RREF check a basis that names its pivots must pass."""
 
 from lvecdlp import problem_l
-from lvecdlp.linalg import rref_rows, span_basis
+from lvecdlp.linalg import KernelBasis, rref_rows
 
 
 def singular_zero_sets(vectors, n, l, p):
@@ -10,7 +10,7 @@ def singular_zero_sets(vectors, n, l, p):
     member of the span of ``vectors`` vanishes: ``problem_l._scan`` on the
     span's RREF basis, over whose rows ``line`` is given (None for a set of
     corank 2 or more)."""
-    kb = span_basis(vectors, n, p)
+    kb = KernelBasis(p, n, vectors)
     return problem_l._scan(kb.vectors, kb.pivots, n, l, p)
 
 

@@ -166,7 +166,7 @@ def test_ac6_block_solver_soundness_and_calibration(ac5_trial_stream):
         if trial.record.m is None and solve_exhaustive(kernel, l) is None:
             continue
         solvable += 1
-        candidate = solve_alg2(kernel, l)
+        candidate = solve_alg2(kernel.vectors, l, kernel.p)
         if candidate is None:
             continue
         finds += 1

@@ -513,7 +513,7 @@ def test_exhaustive_matches_span_scan_on_attack_kernels(group_p19):
             if not collision:
                 pairs = singular_zero_sets(kernel.vectors, kernel.ambient, l, kernel.p)
                 assert all(line for _, line in pairs)
-                vector = solve_alg2(kernel, l)
+                vector = solve_alg2(kernel.vectors, l, kernel.p)
                 if vector is not None and decode(vector) is not None:
                     assert solution is not None and decode(solution) == decode(vector)
                     alg2_decoded += 1

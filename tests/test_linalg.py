@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lvecdlp import problem_l
+from lvecdlp import linalg, problem_l
 from lvecdlp.attack import AttackConfig, detect_accident, sample_iteration
 from lvecdlp.linalg import (
     DIAGONAL,
@@ -17,7 +17,7 @@ from lvecdlp.linalg import (
 )
 from lvecdlp.verification import fixture_large
 from lvecdlp.veronese import basis
-from reference_linalg import reference_left_kernel, reference_right_kernel_rows
+from reference_linalg import reference_left_kernel, reference_right_kernel_rows, reference_rref
 from reference_veronese import reference_evaluate_rows
 from scan_helpers import own_rref_pivots, singular_zero_sets
 
@@ -127,19 +127,18 @@ def test_rank_nullity(data):
 
 def test_rref_is_canonical_for_kernels():
     kb = left_kernel(basis(1), COLLINEAR_MOD5, 5)
-    again, rank, _ = rref_rows(kb.vector_lists(), 5)
+    again, rank, _ = rref_rows(kb.vectors, 5)
     assert tuple(tuple(r) for r in again) == kb.vectors
     assert rank == kb.dim
 
 
 def test_eliminate_block_already_diagonal_unchanged():
-    kb = KernelBasis(5, 4, ((2, 0, 1, 1), (0, 3, 2, 4)))
-    assert eliminate_block(kb, 0, 2, DIAGONAL).vectors == kb.vectors
+    rows = ((2, 0, 1, 1), (0, 3, 2, 4))
+    assert eliminate_block(rows, 0, 2, DIAGONAL, 5) == rows
 
 
 def test_eliminate_block_worked_example():
-    kb = KernelBasis(5, 4, ((1, 1, 1, 0), (0, 1, 1, 1)))
-    assert eliminate_block(kb, 0, 2, DIAGONAL).vectors == ((1, 0, 0, 4), (0, 1, 1, 1))
+    assert eliminate_block(((1, 1, 1, 0), (0, 1, 1, 1)), 0, 2, DIAGONAL, 5) == ((1, 0, 0, 4), (0, 1, 1, 1))
 
 
 def test_eliminate_block_lower_triangular_shape():
@@ -153,18 +152,17 @@ def test_eliminate_block_lower_triangular_shape():
             row = [rng.randrange(p) for _ in range(ambient)]
             if rref_rows(vectors + [row], p)[1] == len(vectors) + 1:
                 vectors.append(row)
-        kb = KernelBasis(p, ambient, tuple(tuple(v) for v in vectors))
         if rref_rows([v[:l] for v in vectors], p)[1] < l:
             continue  # singular window: some block position has no pivot
-        lower = eliminate_block(kb, 0, l, LOWER_TRIANGULAR)
+        lower = eliminate_block(vectors, 0, l, LOWER_TRIANGULAR, p)
         for r in range(l):
             for c in range(r + 1, l):
-                assert lower.vectors[r][c] == 0
-        diag = eliminate_block(lower, 0, l, DIAGONAL)
+                assert lower[r][c] == 0
+        diag = eliminate_block(lower, 0, l, DIAGONAL, p)
         for r in range(l):
             for c in range(l):
                 if r != c:
-                    assert diag.vectors[r][c] == 0
+                    assert diag[r][c] == 0
 
 
 def test_eliminate_block_preserves_row_space():
@@ -178,12 +176,11 @@ def test_eliminate_block_preserves_row_space():
             row = [rng.randrange(p) for _ in range(ambient)]
             if rref_rows(vectors + [row], p)[1] == len(vectors) + 1:
                 vectors.append(row)
-        kb = KernelBasis(p, ambient, tuple(tuple(v) for v in vectors))
         start = rng.randrange(0, max(1, ambient - l))
         for stage in (LOWER_TRIANGULAR, DIAGONAL):
-            result = eliminate_block(kb, start, start + l, stage)
-            before, _, _ = rref_rows(kb.vector_lists(), p)
-            after, _, _ = rref_rows(result.vector_lists(), p)
+            result = eliminate_block(vectors, start, start + l, stage, p)
+            before, _, _ = rref_rows(vectors, p)
+            after, _, _ = rref_rows(result, p)
             assert before == after
 
 
@@ -192,6 +189,49 @@ def test_ragged_rows_rejected():
         right_kernel_rows([[1, 2], [1]], 2, 5)
     with pytest.raises(ValueError):
         right_kernel_rows([[1, 2, 3]], 2, 5)
+
+
+@st.composite
+def spanning_rows(draw):
+    """(rows, ambient, p) for p in {2, 5, 907}: up to 9 rows with entries
+    outside [0, p), and maybe a dependent, a repeated and a zero row."""
+    p = draw(st.sampled_from((2, 5, 907)))
+    ambient = draw(st.integers(min_value=0, max_value=8))
+    entry = st.integers(min_value=-2 * p, max_value=3 * p)
+    rows = draw(st.lists(st.lists(entry, min_size=ambient, max_size=ambient), max_size=6))
+    if len(rows) > 1 and draw(st.booleans()):
+        a, b = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+        rows.insert(draw(st.integers(0, len(rows))), [a * x + b * y for x, y in zip(rows[0], rows[1])])
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * ambient)
+    return rows, ambient, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(spanning_rows())
+@example(([], 3, 5))
+@example(([[0, 0, 0, 0], [2, 4, 0, 1], [4, 8, 0, 2], [-3, 11, 5, 6], [2, 4, 0, 1]], 4, 5))
+@example(([[1, 1, 0], [1, 1, 0], [0, 3, 1]], 3, 2))
+def test_kernel_basis_is_the_rref_of_its_rows(matrix):
+    """Any rows construct the RREF basis of their span as the reference
+    reduction gives it, entries in [0, p), each pivot at its row's first
+    nonzero entry; constructing it again from its own vectors changes nothing."""
+    rows, ambient, p = matrix
+    kb = KernelBasis(p, ambient, rows)
+    assert (list(kb.vectors), kb.pivots) == reference_rref(rows, p)
+    assert all(0 <= v < p for vec in kb.vectors for v in vec)
+    assert kb.pivots == tuple(next(c for c, v in enumerate(vec) if v) for vec in kb.vectors)
+    again = KernelBasis(p, ambient, kb.vectors)
+    assert (again.vectors, again.pivots) == (kb.vectors, kb.pivots)
+
+
+def test_kernel_basis_rejects_pivots_and_ragged_rows():
+    with pytest.raises(TypeError):
+        KernelBasis(5, 2, ((1, 0),), (0,))
+    with pytest.raises(ValueError):
+        KernelBasis(5, 2, ((1, 0), (1,)))
 
 
 @st.composite
@@ -325,20 +365,24 @@ def test_right_kernel_matches_reference_on_attack_matrices(group_p907, monkeypat
 
 @pytest.mark.parametrize("n_prime", [1, 2, 3])
 def test_left_kernel_hands_over_the_pivots_of_its_basis(group_p19, group_p907, monkeypatch, n_prime):
-    """The pivots ``left_kernel`` hands on, its elimination's free columns,
-    are the pivots of the basis as its own RREF, on attack kernels with and
-    without collisions; the scan then uses the basis without reducing it,
-    and finds what it finds on the same vectors handed over without pivots."""
+    """``left_kernel`` makes its one elimination and no RREF reduction: the
+    vectors and pivots it hands on, its elimination's free columns, are the
+    basis as its own RREF and its pivots, what the constructor gives for the
+    same vectors, on attack kernels with and without collisions; the scan
+    then uses the basis without reducing it, and finds the same on both."""
     groups = [group_p907] + ([group_p19] if 6 * n_prime <= group_p19.order - 1 else [])
     checked = 0
     for group in groups:
         cfg, samples = attack_kernel_inputs(group, n_prime)
         q = group.curve.q
         for sample in samples:
-            kernel = left_kernel(cfg.monomials, sample.points, q)
+            with monkeypatch.context() as patched:
+                patched.setattr(linalg, "rref_rows", lambda *args: pytest.fail("left_kernel reduced its basis"))
+                kernel = left_kernel(cfg.monomials, sample.points, q)
             assert kernel.pivots == tuple(own_rref_pivots(kernel.vectors, q))
             bare = KernelBasis(q, kernel.ambient, kernel.vectors)
-            assert bare.pivots is None and bare == kernel and hash(bare) == hash(kernel)
+            assert (bare.vectors, bare.pivots) == (kernel.vectors, kernel.pivots)
+            assert bare == kernel and hash(bare) == hash(kernel)
 
             def accept(vec):
                 return vec.count(0) == cfg.l and sum(vec) % 3 == 0

@@ -18,7 +18,6 @@ from lvecdlp.linalg import (
     left_kernel,
     right_kernel_rows,
     rref_rows,
-    span_basis,
 )
 from lvecdlp.problem_l import plant_instance, solve_alg2, solve_exhaustive
 from lvecdlp.veronese import basis
@@ -33,13 +32,11 @@ def random_basis(rng, p, l, ambient):
         row = [rng.randrange(p) for _ in range(ambient)]
         if rref_rows(vectors + [row], p)[1] == len(vectors) + 1:
             vectors.append(row)
-    canonical, _, _ = rref_rows(vectors, p)
-    return KernelBasis(p, ambient, tuple(tuple(v) for v in canonical))
+    return KernelBasis(p, ambient, vectors)
 
 
 def test_alg2_finds_basis_vector_at_first_checkpoint():
-    kb = KernelBasis(5, 4, ((1, 0, 0, 0), (0, 1, 0, 0)))
-    assert solve_alg2(kb, 2) == (1, 0, 0, 0)
+    assert solve_alg2(((1, 0, 0, 0), (0, 1, 0, 0)), 2, 5) == (1, 0, 0, 0)
 
 
 def test_alg2_soundness_on_planted_instances():
@@ -49,7 +46,7 @@ def test_alg2_soundness_on_planted_instances():
         n_prime = rng.choice((1, 2))
         l = 3 * n_prime
         kb, _ = plant_instance(rng, p, n_prime, l)
-        vec = solve_alg2(kb, l)
+        vec = solve_alg2(kb.vectors, l, p)
         if vec is not None:
             assert vec.count(0) >= l
             assert in_row_space(kb.vectors, vec, p)
@@ -85,7 +82,7 @@ def test_alg2_dominated_by_exhaustive():
         p = rng.choice((5, 7, 17))
         ambient = rng.choice((4, 6))
         kb = random_basis(rng, p, 2, ambient)
-        if solve_alg2(kb, 2) is not None:
+        if solve_alg2(kb.vectors, 2, p) is not None:
             assert solve_exhaustive(kb, 2) is not None
 
 
@@ -114,7 +111,7 @@ def test_solvers_return_none_on_empty_basis(monkeypatch):
 
     monkeypatch.setattr("lvecdlp.problem_l.rref_rows", fail)
     empty = KernelBasis(5, 4, ())
-    assert solve_alg2(empty, 2) is None
+    assert solve_alg2((), 2, 5) is None
     assert solve_exhaustive(empty, 2) is None
     assert solve_exhaustive(empty, 2, accept=lambda v: True) is None
     with pytest.raises(BudgetExceededError):
@@ -137,18 +134,11 @@ def corank(kb, zero_set):
     return kb.dim - fraction_free_rank([[vec[c] for vec in kb.vectors] for c in zero_set], kb.p)
 
 
-def rref_basis(kb):
-    """The same span as its RREF basis."""
-    reduced, rank, _ = rref_rows(kb.vector_lists(), kb.p)
-    return KernelBasis(kb.p, kb.ambient, tuple(map(tuple, reduced[:rank])))
-
-
-def reference_line(kb, zero_set, vectors=None):
+def reference_line(kb, zero_set):
     """The members of the span vanishing on ``zero_set`` as a line: the
-    reference reduction of the RREF basis (``vectors``, else computed)
-    restricted to the set, when it has one kernel vector; else None."""
-    vectors = rref_basis(kb).vectors if vectors is None else vectors
-    kernel = reference_right_kernel_rows([[vec[c] for vec in vectors] for c in zero_set], len(vectors), kb.p)
+    reference reduction of the RREF basis restricted to the set, when it has
+    one kernel vector; else None."""
+    kernel = reference_right_kernel_rows([[vec[c] for vec in kb.vectors] for c in zero_set], kb.dim, kb.p)
     return tuple(kernel[0]) if len(kernel) == 1 else None
 
 
@@ -157,23 +147,21 @@ def scanned_pairs(kb, l):
     line: on a corank-1 set the member a reduction through the reference
     kernel gives, on a set of corank 2 or more None."""
     found = list(singular_zero_sets(kb.vectors, kb.ambient, l, kb.p))
-    vectors = rref_basis(kb).vectors
     for zero_set, line in found:
         rank_lost = corank(kb, zero_set)
         assert rank_lost >= 1, zero_set
-        assert line == reference_line(kb, zero_set, vectors), zero_set
+        assert line == reference_line(kb, zero_set), zero_set
         assert (line is None) == (rank_lost >= 2), zero_set
     return found
 
 
 def assert_matches_flat_scan(kb, l, accept=None):
     """Same singular sets, Z by Z, with the right lines, and the same returned
-    vector as the flat rank scan, which is also the vector returned for the
-    span's RREF basis.  Returns the scan's pairs."""
+    vector as the flat rank scan.  Returns the scan's pairs."""
     flat = list(flat_singular_zero_sets(kb, l))
     found = scanned_pairs(kb, l)
     assert [zero_set for zero_set, _ in found] == flat
-    assert solve_exhaustive(kb, l) == first_accepted(kb, flat) == solve_exhaustive(rref_basis(kb), l)
+    assert solve_exhaustive(kb, l) == first_accepted(kb, flat)
     if accept is not None:
         assert solve_exhaustive(kb, l, accept=accept) == first_accepted(kb, flat, accept)
     return found
@@ -185,7 +173,7 @@ def assert_scan_covers_alg2(kb, l, decode, found):
     under the decode filter decodes to the same m.  Returns whether alg2's
     vector decoded."""
     assert all(line is not None for _, line in found)
-    vector = solve_alg2(kb, l)
+    vector = solve_alg2(kb.vectors, l, kb.p)
     m = None if vector is None else decode(vector)
     if m is not None:
         assert decode(solve_exhaustive(kb, l, accept=lambda vec: decode(vec) is not None)) == m
@@ -193,7 +181,7 @@ def assert_scan_covers_alg2(kb, l, decode, found):
 
 
 def mixed(kb, rng):
-    """The same span under a random invertible row mix, so the basis is no longer in RREF."""
+    """The rows of the basis under a random invertible mix: the same span, in general not in RREF."""
     p, dim = kb.p, kb.dim
     while True:
         mixer = [[rng.randrange(p) for _ in range(dim)] for _ in range(dim)]
@@ -203,14 +191,20 @@ def mixed(kb, rng):
         tuple(sum(mixer[r][k] * kb.vectors[k][c] for k in range(dim)) % p for c in range(kb.ambient))
         for r in range(dim)
     )
-    return KernelBasis(p, kb.ambient, rows)
+    return rows
+
+
+def assert_constructs(kb, rows):
+    """Other rows of the span of ``kb`` construct ``kb`` itself, vectors and pivots."""
+    other = KernelBasis(kb.p, kb.ambient, rows)
+    assert (other.vectors, other.pivots) == (kb.vectors, kb.pivots)
 
 
 @pytest.mark.parametrize("n_prime, count", [(1, 150), (2, 60), (3, 2)])
 def test_minors_scan_matches_flat_scan_on_attack_kernels(group_p907, n_prime, count):
     """Real p = 907 kernels, collision samples included: every one of the
     C(6n', 3n') sets is tested, without and with the decode filter, and at
-    n' <= 2 one kernel also as a non-RREF basis of the same span.  On the
+    n' <= 2 a non-RREF basis of one kernel's span constructs that kernel.  On the
     collision-free samples the scan finds every logarithm alg2 finds."""
     p, q, l = group_p907.order, group_p907.curve.q, 3 * n_prime
     rng = random.Random(n_prime)
@@ -233,18 +227,18 @@ def test_minors_scan_matches_flat_scan_on_attack_kernels(group_p907, n_prime, co
     assert singular > 0 and alg2_decoded > 0
     if n_prime < 3:
         assert collisions > 0
-        assert_matches_flat_scan(mixed(kb, rng), l, accept)
+        assert_constructs(kb, mixed(kb, rng))
 
 
 def test_minors_scan_matches_flat_scan_on_planted_and_other_bases():
     rng = random.Random(11)
-    # Planted bases, raw and mixed, for p from one byte to beyond 64 bits.
+    # Planted bases, and their spans mixed, for p from one byte to beyond 64 bits.
     for p in (11, 907, 65537, 2**61 - 1, 2**89 - 1):
         for n_prime in (1, 2):
             kb, _ = plant_instance(rng, p, n_prime, 3 * n_prime)
             assert list(flat_singular_zero_sets(kb, 3 * n_prime))
             assert_matches_flat_scan(kb, 3 * n_prime)
-            assert_matches_flat_scan(mixed(kb, rng), 3 * n_prime)
+            assert_constructs(kb, mixed(kb, rng))
     # Minors with more free columns than pivots; dim != l and a basis too wide
     # for the face tables (2^38 entries) rank each set instead.
     for dim, l, ambient in ((3, 3, 8), (3, 2, 6), (2, 3, 6), (2, 2, 40)):
@@ -257,9 +251,9 @@ def test_minors_scan_matches_flat_scan_on_planted_and_other_bases():
         for _ in range(8):
             p = rng.choice((2, 3, 5, 7))
             kb = echelon_basis(rng, p, pivots, ambient)
-            assert rref_rows(kb.vector_lists(), p)[2] == list(pivots)
+            assert kb.pivots == pivots
             assert_matches_flat_scan(kb, len(pivots), hashed_accept(rng.randrange(1 << 30), 96))
-            assert_matches_flat_scan(mixed(kb, rng), len(pivots))
+            assert_constructs(kb, mixed(kb, rng))
 
 
 @pytest.mark.parametrize("l, width", [(3, 3), (6, 6), (9, 9), (3, 5)])
@@ -546,33 +540,24 @@ def test_minors_scan_ranks_no_zero_set(monkeypatch, group_p907):
     assert solve_exhaustive(kb, 6, accept=lambda v: False) is None
 
 
-def test_minors_scan_reduces_a_basis_not_in_rref(monkeypatch, group_p907):
-    """A basis that is not its own RREF is reduced once by ``solve_exhaustive``,
-    which returns what it returns on the RREF basis, and the scan still finds
-    the flat scan's singular sets: a mixed basis, one with a row scaled so
-    that its leading entry is not 1, and one with entries outside [0, p)."""
+def test_kernel_basis_reduces_a_basis_not_in_rref(group_p907):
+    """Rows of a kernel's span that are not its RREF construct the kernel
+    itself, vectors and pivots, and ``solve_exhaustive`` returns on them what
+    it returns on the kernel: a mixed basis, one with a row scaled so that
+    its leading entry is not 1, and one with entries outside [0, p)."""
     rng = random.Random(3)
-    reduced = []
-
-    def counted(rows, p):
-        reduced.append([list(row) for row in rows])
-        return rref_rows(rows, p)
-
-    monkeypatch.setattr("lvecdlp.problem_l.rref_rows", counted)
     for n_prime, seed in ((1, 5), (2, 5), (2, 6)):
         kb = first_kernel(group_p907, n_prime, seed=seed)
         p, l = kb.p, 3 * n_prime
-        rows = kb.vector_lists()
+        rows = [list(row) for row in kb.vectors]
         scaled = [row[:] for row in rows]
         scaled[1] = [v * 5 % p for v in scaled[1]]
         shifted = [row[:] for row in rows]
         shifted[0][-1] += p
         shifted[-1][l] -= p
-        for other in (mixed(kb, rng), KernelBasis(p, kb.ambient, scaled), KernelBasis(p, kb.ambient, shifted)):
-            assert [zero_set for zero_set, _ in scanned_pairs(other, l)] == list(flat_singular_zero_sets(kb, l))
-            reduced.clear()
-            assert solve_exhaustive(other, l) == solve_exhaustive(kb, l)
-            assert reduced == [other.vector_lists()]
+        for other in (mixed(kb, rng), scaled, shifted):
+            assert_constructs(kb, other)
+            assert solve_exhaustive(KernelBasis(p, kb.ambient, other), l) == solve_exhaustive(kb, l)
 
 
 def test_minors_scan_frees_its_memo(group_p907):
@@ -604,31 +589,28 @@ def test_minors_scan_frees_its_memo(group_p907):
 
 @pytest.mark.parametrize("n_prime", [1, 2])
 def test_exhaustive_on_eliminate_block_output_equals_its_span_rref(group_p907, n_prime):
-    """``eliminate_block`` never hands on pivots, though its input from
-    ``left_kernel`` has them, and its output is in general not in RREF;
-    ``solve_exhaustive`` on it returns what it returns on the RREF of its
-    span, at each of alg2's four stages, under the decode filter."""
+    """``eliminate_block`` hands on plain rows, in general not in RREF though
+    its input from ``left_kernel`` is; at each of alg2's four stages the
+    KernelBasis of those rows is the kernel itself, and ``solve_exhaustive``
+    on it returns what it returns on the kernel, under the decode filter."""
     p = group_p907.order
     l = 3 * n_prime
     not_rref = 0
     for sample in attack_samples(group_p907, n_prime, 20, seed=8):
         kernel = left_kernel(basis(n_prime), sample.points, group_p907.curve.q)
-        assert kernel.pivots is not None
 
         def accept(vec):
             return decode_solution(vec, sample.multipliers_p, sample.multipliers_q, p)[0] is not None
 
-        current = kernel
+        current = kernel.vectors
         for start, stop in ((0, l), (l, 2 * l)):
             for stage in (LOWER_TRIANGULAR, DIAGONAL):
-                current = eliminate_block(current, start, stop, stage)
-                assert current.pivots is None
-                span_rref = span_basis(current.vectors, current.ambient, current.p)
-                assert span_rref.pivots == tuple(own_rref_pivots(span_rref.vectors, current.p))
-                not_rref += current.vectors != span_rref.vectors
+                current = eliminate_block(current, start, stop, stage, kernel.p)
+                span_rref = KernelBasis(kernel.p, kernel.ambient, current)
+                assert (span_rref.vectors, span_rref.pivots) == (kernel.vectors, kernel.pivots)
+                not_rref += current != kernel.vectors
                 for filter_ in (None, accept):
-                    assert solve_exhaustive(current, l, accept=filter_) == solve_exhaustive(span_rref, l, accept=filter_)
-                    assert solve_exhaustive(current, l, accept=filter_) == solve_exhaustive(kernel, l, accept=filter_)
+                    assert solve_exhaustive(span_rref, l, accept=filter_) == solve_exhaustive(kernel, l, accept=filter_)
     assert not_rref > 0
 
 
@@ -638,24 +620,3 @@ def test_plant_instance_names_its_pivots():
     for _ in range(30):
         kb, _target = plant_instance(rng, rng.choice((5, 17, 907)), 1, rng.choice((2, 3)))
         assert kb.pivots == tuple(own_rref_pivots(kb.vectors, kb.p))
-
-
-def test_span_basis_names_the_pivots_of_its_rref():
-    """``span_basis`` returns the nonzero rows of the RREF of any rows, as
-    ``rref_rows`` gives them, with their pivot columns, on spans of every
-    rank including dependent and zero rows; a hand-built basis cannot name
-    pivots, so the scan reduces it."""
-    rng = random.Random(12)
-    for _ in range(200):
-        p = rng.choice((5, 17, 907))
-        ambient = rng.randrange(1, 8)
-        rows = [[rng.randrange(p) if rng.random() < 0.7 else 0 for _ in range(ambient)] for _ in range(rng.randrange(6))]
-        if len(rows) > 1 and rng.random() < 0.3:
-            rows.append([(a + 2 * b) % p for a, b in zip(rows[0], rows[1])])
-        kb = span_basis(rows, ambient, p)
-        reduced, rank, pivots = rref_rows(rows, p) if rows else ([], 0, [])
-        assert kb.vectors == tuple(map(tuple, reduced[:rank])) and kb.pivots == tuple(pivots)
-        assert kb.pivots == tuple(own_rref_pivots(kb.vectors, p))
-    with pytest.raises(TypeError):
-        KernelBasis(5, 2, ((1, 0),), (0,))
-    assert KernelBasis(5, 2, ((1, 0),)).pivots is None
