@@ -9,6 +9,7 @@ and maps hard failures to a nonzero exit.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -267,9 +268,12 @@ SUITE_NAMES = ("theorem1", "kernel-dim", "partitions", "problem-l")
 
 
 def run_suites(name: str, seed: int = 0, scale: float = 1.0) -> list[SuiteReport]:
-    """Run one suite or all of them.  scale shrinks trial counts for smoke runs."""
+    """Run one suite or all of them.  scale, a finite number above 0, shrinks
+    trial counts for smoke runs (to at least one trial each)."""
     if name not in SUITE_NAMES + ("all",):
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
+    if not math.isfinite(scale) or scale <= 0:
+        raise ValueError(f"scale must be a finite number above 0, got {scale}")
     chord_trials = max(1, int(1000 * scale))
     kernel_iterations = max(1, int(200 * scale))
     problem_trials = max(1, int(200 * scale))

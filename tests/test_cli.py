@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -24,7 +25,7 @@ from lvecdlp.cli import (
     main,
     parse_config_file,
 )
-from lvecdlp.verification import SUITE_NAMES
+from lvecdlp.verification import SUITE_NAMES, run_suites
 
 P19 = ["--q", "17", "--a", "2", "--b", "2", "--gx", "5", "--gy", "1", "--order", "19"]
 P907 = ["--q", "853", "--a", "1", "--b", "348", "--gx", "1", "--gy", "297", "--order", "907"]
@@ -394,6 +395,12 @@ def test_verify_non_finite_or_non_positive_scale_is_usage_error(capsys, monkeypa
     assert main(["verify", "--suite", "theorem1", f"--scale={scale}"]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "scale" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("scale", [0, -1, math.nan, math.inf])
+def test_run_suites_rejects_a_scale_not_finite_above_zero(scale):
+    with pytest.raises(ValueError, match="scale"):
+        run_suites("kernel-dim", scale=scale)
 
 
 def test_params_output(capsys):
