@@ -115,42 +115,64 @@ def test_solve_jsonl_log(tmp_path):
     assert lines[-1] == {"summary": payload["summary"]}
 
 
-# Seeded runs on the p = 907 fixture, timing off, and the sha256 of their
-# output files (solve: manifest then log; experiment: CSV then JSON).  The
-# solve targets are 123 * G = (434, 657) and 640 * G = (782, 272).
+# Seeded runs, timing off, and the sha256 of their output files (solve:
+# manifest then log; experiment: CSV then JSON).  Each argv names its group,
+# the p = 907 or the order-19 fixture.  The p = 907 solve targets are
+# 123 * G = (434, 657), 640 * G = (782, 272) and 451 * G = (16, 282).
 PINNED_CLI_RUNS = {
     "solve-n1": (
-        ["solve", "--qx", "434", "--qy", "657", "--nprime", "1", "--seed", "5"],
+        ["solve", *P907, "--qx", "434", "--qy", "657", "--nprime", "1", "--seed", "5"],
         "1c7d6d5767858cd416f14b79cb53a5e37a48e04bafb4e5d2836bbc97eb7f9c8d",
     ),
     "solve-n2": (
-        ["solve", "--qx", "782", "--qy", "272", "--nprime", "2", "--seed", "6"],
+        ["solve", *P907, "--qx", "782", "--qy", "272", "--nprime", "2", "--seed", "6"],
         "c3a659b85a97dec6d15e257bf0be6c2aa7b6d90a8cafcd959c80af3d34b33d3b",
     ),
     "experiment-n1": (
-        ["experiment", "--nprime", "1", "--trials", "30", "--seed", "3"],
+        ["experiment", *P907, "--nprime", "1", "--trials", "30", "--seed", "3"],
         "bef530afff2b611ea600351b4dd27a2469199595f26c84be9876418edffaeb41",
     ),
     "experiment-n1-m": (
-        ["experiment", "--nprime", "1", "--trials", "30", "--seed", "3", "--m", "123"],
+        ["experiment", *P907, "--nprime", "1", "--trials", "30", "--seed", "3", "--m", "123"],
         "1939d5cf493bdd19aca20973003c00a3907095d5cdc31ed20742d8f900b9326e",
     ),
     "experiment-n2": (
-        ["experiment", "--nprime", "2", "--trials", "30", "--seed", "3"],
+        ["experiment", *P907, "--nprime", "2", "--trials", "30", "--seed", "3"],
         "ac5411a62e03966ca11f7a20da4664f67d5f6f9858f3d94ddf38cf5e62969064",
     ),
     "experiment-n2-m": (
-        ["experiment", "--nprime", "2", "--trials", "30", "--seed", "3", "--m", "123"],
+        ["experiment", *P907, "--nprime", "2", "--trials", "30", "--seed", "3", "--m", "123"],
         "fa0ee7db96d8b11fc3736d483edfaeafe2116d8127de84ce4c6408a6d8112ed2",
     ),
     "experiment-n2-alg2": (
-        ["experiment", "--nprime", "2", "--trials", "30", "--seed", "3", "--solver", "alg2"],
+        ["experiment", *P907, "--nprime", "2", "--trials", "30", "--seed", "3", "--solver", "alg2"],
         "2abb3ef345d232dafcdf56e02031b45afa7f85688d07985f2c01dffc5b0c5413",
     ),
     # Iteration 1 is an alg2 miss and iteration 2 an alg2 find.
     "solve-n2-alg2": (
-        ["solve", "--qx", "782", "--qy", "272", "--nprime", "2", "--seed", "2", "--solver", "alg2"],
+        ["solve", *P907, "--qx", "782", "--qy", "272", "--nprime", "2", "--seed", "2", "--solver", "alg2"],
         "f3a4081dcdc336b11e7c8e0cffe0ce02338d349f833d1e91fa20b1eab9b050c5",
+    ),
+    "solve-n3": (
+        ["solve", *P907, "--qx", "16", "--qy", "282", "--nprime", "3", "--seed", "9"],
+        "5f03f370244e00b05ff15d28083cd50b2b59b7d12b8d9474d5352da5beb29cdd",
+    ),
+    # Order 19 (q = 17): multipliers repeat often and accidents occur.
+    "experiment-p19-n1-accident-on": (
+        ["experiment", *P19, "--nprime", "1", "--trials", "60", "--seed", "4", "--accident-check", "on"],
+        "143f096df9ffd8a3ca66fa54c5a637ef171e9cabda4c3882d6a20156e984f007",
+    ),
+    "experiment-p19-n1-accident-off": (
+        ["experiment", *P19, "--nprime", "1", "--trials", "60", "--seed", "4", "--accident-check", "off"],
+        "5979fbae335c638ffb0bae57058ea8cae8c99f015ecd4c9415f0b054edb6d36d",
+    ),
+    "experiment-p19-n2-accident-on": (
+        ["experiment", *P19, "--nprime", "2", "--trials", "60", "--seed", "4", "--accident-check", "on"],
+        "3dcc3327bdf9bd9b21ef9b4fb8be431207a040b2f3a85d3f7edf074022a195b5",
+    ),
+    "experiment-p19-n2-accident-off": (
+        ["experiment", *P19, "--nprime", "2", "--trials", "60", "--seed", "4", "--accident-check", "off"],
+        "9eafa3880cae3024bd33c0d11197d9bf1d33d43ab36a23daa294d661fe466a3a",
     ),
 }
 
@@ -160,10 +182,10 @@ def test_seeded_cli_outputs_match_pinned_digest(tmp_path, argv, sha256):
     """The bytes a seeded run writes hash to a pinned value, so a change that alters
     any output file, not only one that differs between two reruns of the same build,
     fails here.  A change that alters outputs on purpose updates the hash and says why."""
-    command, *settings = argv
+    command = argv[0]
     paths = [tmp_path / flag[2:] for flag in OUTPUT_FLAGS[command]]
     outputs = [arg for flag, path in zip(OUTPUT_FLAGS[command], paths) for arg in (flag, str(path))]
-    assert main([command, *P907, *settings, *outputs]) == EXIT_OK
+    assert main([*argv, *outputs]) == EXIT_OK
     assert hashlib.sha256(b"".join(path.read_bytes() for path in paths)).hexdigest() == sha256
 
 
@@ -180,7 +202,7 @@ def test_parser_is_built_once_and_reused(tmp_path):
             config_file = tmp_path / "settings.cfg"
             config_file.write_text("".join(f"{key[2:]} = {value}\n" for key, value in zip(*[iter(settings)] * 2)))
             settings = ["--config", str(config_file)]
-        assert main([command, *P907, *settings, *outputs]) == EXIT_OK
+        assert main([command, *settings, *outputs]) == EXIT_OK
         assert hashlib.sha256(b"".join(path.read_bytes() for path in paths)).hexdigest() == sha256
     assert build_parser() is build_parser()
 
