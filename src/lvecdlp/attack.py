@@ -155,21 +155,32 @@ class AttackOutcome:
 
 def iteration_rng(seed: int, index: int) -> random.Random:
     """Named substream per (seed, iteration): reproducible regardless of scheduling."""
-    return random.Random(f"{seed}:{index}")
+    return random.Random(_stream_name(seed, index))
+
+
+def _stream_name(seed: int, index: int) -> str:
+    return f"{seed}:{index}"
 
 
 def _distinct_multipliers(rng: random.Random, count: int, p: int) -> list[int]:
-    """count distinct values drawn from 1..p-1; ValueError if there are fewer."""
+    """count distinct values drawn from 1..p-1; ValueError if there are fewer.
+
+    Each draw is ``rng.randrange(1, p)``, made by its own rejection rule:
+    getrandbits of the bit length of p - 1 until the value is below p - 1.
+    """
     if count > p - 1:
         raise ValueError(f"need {count} distinct multipliers, but 1..{p - 1} holds only {p - 1}")
+    getrandbits = rng.getrandbits
+    width = p - 1
+    bits = width.bit_length()
     chosen: list[int] = []
     seen: set[int] = set()
     while len(chosen) < count:
-        r = rng.randrange(1, p)
-        if r in seen:
+        r = getrandbits(bits)
+        if r >= width or r in seen:
             continue
         seen.add(r)
-        chosen.append(r)
+        chosen.append(r + 1)
     return chosen
 
 
@@ -181,7 +192,11 @@ def sample_iteration(cfg: AttackConfig, index: int) -> IterationSample:
     Cross-block collisions are not resampled here; they are the accidents
     handled by detect_accident.
     """
-    rng = iteration_rng(cfg.seed, index)
+    return _sample(cfg, index, iteration_rng(cfg.seed, index))
+
+
+def _sample(cfg: AttackConfig, index: int, rng: random.Random) -> IterationSample:
+    """``sample_iteration`` drawing from rng, seeded as ``iteration_rng(cfg.seed, index)``."""
     p = cfg.group.order
     mult_p = _distinct_multipliers(rng, 3 * cfg.n_prime - 1, p)
     mult_q = _distinct_multipliers(rng, cfg.l + 1, p)
@@ -249,9 +264,13 @@ def execute_iteration(cfg: AttackConfig, index: int) -> IterationRecord:
     that decodes.  A decoded m that fails verification rejects its vector with
     reason "unverified".  A miss records the one reason "{solver}:{reason}".
     """
-    sample = sample_iteration(cfg, index)
+    return _execute(cfg, sample_iteration(cfg, index))
+
+
+def _execute(cfg: AttackConfig, sample: IterationSample) -> IterationRecord:
+    """``execute_iteration`` on a drawn sample."""
     record = IterationRecord(
-        iteration=index,
+        iteration=sample.index,
         multipliers_p=sample.multipliers_p,
         multipliers_q=sample.multipliers_q,
     )
@@ -306,8 +325,13 @@ def run_attack(cfg: AttackConfig, on_record: Optional[Callable[[IterationRecord]
     if cfg.target is None:
         return AttackOutcome(m=0, iterations_used=0, records=[])
     records: list[IterationRecord] = []
+    # One generator for the run, reseeded as each iteration's substream, so
+    # every iteration draws what execute_iteration(cfg, index) draws.
+    rng = iteration_rng(cfg.seed, 1)
     for index in range(1, cfg.max_iterations + 1):
-        record = execute_iteration(cfg, index)
+        if index > 1:
+            rng.seed(_stream_name(cfg.seed, index))
+        record = _execute(cfg, _sample(cfg, index, rng))
         records.append(record)
         if on_record is not None:
             on_record(record)

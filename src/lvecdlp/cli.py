@@ -59,7 +59,7 @@ from .attack import (
 from .curve import Curve, GroupSpec, curve_to_text, find_prime_order_curve, point_to_text
 from .dlp import solve_bsgs
 from .errors import BudgetExceededError, InvariantViolationError
-from .field import PrimeField
+from .field import PrimeField, is_prime
 from .problem_l import DEFAULT_ENUMERATION_BUDGET
 from .verification import SUITE_NAMES, run_suites
 
@@ -328,6 +328,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_params(args: argparse.Namespace) -> int:
     p = args.order
+    if not is_prime(p):
+        raise ValueError(f"group order {p} is not prime")
     choice = select_parameters(p)
     model = success_model(p, choice.n_prime, choice.l)
     print(f"order p = {p}")

@@ -125,12 +125,12 @@ class Curve:
             memo = {}
         if not memo:
             memo[1] = pt
-        add = self.add
         acc = None
         for shift in range(0, k.bit_length(), _WINDOW_BITS):
             part = k & (_DIGIT_MASK << shift)
             if part:
-                acc = add(acc, memo[part] if part in memo else self._window(part, memo))
+                entry = memo[part] if part in memo else self._window(part, memo)
+                acc = entry if acc is None else self.add(acc, entry)
         return acc
 
     def _window(self, part: int, memo: dict) -> XY:

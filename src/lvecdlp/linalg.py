@@ -15,6 +15,7 @@ into one int each, a carry-free slot per column (see _right_kernel);
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Sequence
 
 from .curve import XY
@@ -189,6 +190,7 @@ def _pack(values: Sequence[int], width: int) -> int:
     return packed
 
 
+@cache
 def _slot_width(p: int, pivots: int) -> int:
     """Bits per slot for an elimination of at most ``pivots`` pivots on residues mod p."""
     return (p ** (pivots + 1) - 1).bit_length()
@@ -217,8 +219,6 @@ def _right_kernel(work: list[int], ncols: int, p: int, width: int) -> tuple[tupl
     neg_invs: list[int] = []  # -1 / (pivot entry) of row 0, 1, ...
     rank = 0
     for c in range(ncols - 1, -1, -1):
-        if rank == nrows:
-            break
         shift = c * width
         for pivot_row in range(rank, nrows):
             entry = (work[pivot_row] >> shift & mask) % p
@@ -238,6 +238,8 @@ def _right_kernel(work: list[int], ncols: int, p: int, width: int) -> tuple[tupl
         pivots.append(c)
         neg_invs.append(p - inv)
         rank += 1
+        if rank == nrows:
+            break
     pivot_cols = set(pivots)
     free_cols = tuple(c for c in range(ncols) if c not in pivot_cols)
     vectors = []

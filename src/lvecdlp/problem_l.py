@@ -20,7 +20,8 @@ l-1 down to 0, every minor whose top row is t, each expanded along that row
 into the minors of the rows below, which earlier blocks hold.  Each row mask
 keeps its own list of minors, one per column mask of its size.  One block
 entry, a top row t and the rows below it, is one pass of ``map`` over
-getters cached per width.  When the pivots are the first l positions,
+getters cached per width; the entry of row t alone is row t itself, its
+1x1 minors.  When the pivots are the first l positions,
 block t holds exactly the sets that contain 0..t-1 and not t, and its
 entries come in the lexicographic order of their sets, so the schedule
 lists the l-sets in lexicographic order grouped by row mask: each entry's
@@ -181,32 +182,36 @@ def _scan(
     instead.
     """
     rank = len(vectors)
-    if not (rank == l and (1 << rank) + (1 << (n - rank)) <= comb(n, l)):
+    shape = _shape(l, n - l) if rank == l else None
+    if shape is None:
         for zero_set in combinations(range(n), l):
             kernel = right_kernel_rows([[vec[c] for vec in vectors] for c in zero_set], rank, p)
             if kernel:
                 yield zero_set, kernel[0] if len(kernel) == 1 else None
         return
+    numbers, masks, faces, first = shape
     free = [c for c in range(n) if c not in pivots]
     width = len(free)
     X = [[row[c] for c in free] for row in vectors]
     order = [*pivots, *free]
-    numbers = _numbering(width)
-    masks, faces = _faces(width)
     minors = [None] * (1 << l)
     minors[0] = [1]
     reduce_mod = p.__rmod__
-    pivots_first = pivots == tuple(range(l))
+    pivots_first = pivots == first
     found = []
     for t, block in _blocks(l, width):
         row = X[t]
         for rows, k in block:
-            rest = minors[rows ^ 1 << t]
-            total = None
-            for j, (columns, sub_numbers) in enumerate(faces[k]):
-                terms = map(mul, columns(row), sub_numbers(rest))
-                total = terms if total is None else map(sub if j & 1 else add, total, terms)
-            minors[rows] = dets = list(map(reduce_mod, total))
+            if k == 1:
+                # The 1x1 minors of row t are its entries, already in [0, p).
+                minors[rows] = dets = row
+            else:
+                rest = minors[rows ^ 1 << t]
+                total = None
+                for j, (columns, sub_numbers) in enumerate(faces[k]):
+                    terms = map(mul, columns(row), sub_numbers(rest))
+                    total = terms if total is None else map(sub if j & 1 else add, total, terms)
+                minors[rows] = dets = list(map(reduce_mod, total))
             if 0 in dets:
                 for number in compress(range(len(dets)), map(not_, dets)):
                     cols = masks[k][number]
@@ -263,6 +268,17 @@ def _line(
     for r, cofactor in zip(row_indices, signed):
         coefficients[r] = cofactor * scale % p
     return tuple(coefficients)
+
+
+@cache
+def _shape(height: int, width: int) -> Optional[tuple]:
+    """(numbers, masks, faces, first) for the minors scan of a basis of
+    ``height`` rows and ``width`` free columns, ``first`` the pivots that
+    come first; None when the row and face tables would outnumber the sets
+    (see ``_scan``)."""
+    if (1 << height) + (1 << width) > comb(height + width, height):
+        return None
+    return (_numbering(width), *_faces(width), tuple(range(height)))
 
 
 @cache

@@ -8,6 +8,9 @@ span member of a small kernel, the full-span scan the exhaustive solver is
 checked against (``test_attack.py`` and ``test_problem_l.py``).
 ``accident_by_points`` is accident detection on reference points, the
 check ``detect_accident`` makes on the sampled ones.
+``randrange_multipliers`` is the multiplier draw as the attack first made
+it, one ``randrange(1, p)`` per draw, which ``_distinct_multipliers`` must
+reproduce from ``getrandbits`` (``test_attack.py``).
 ``flat_singular_zero_sets`` and ``first_accepted`` are the zero-set scan as
 it ran before the minors test, one rank of the restricted basis per l-set:
 ``solve_exhaustive`` must find the same singular sets and return the same
@@ -20,6 +23,7 @@ reference shares code with the packed kernel or the scan's cofactor lines.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, product
 from math import comb
 from typing import Callable, Iterable, Iterator, Optional
@@ -37,6 +41,16 @@ def accident_by_points(multipliers_p, multipliers_q, points_p, points_q) -> Opti
         if pt in q_index:
             return multipliers_p[i], q_index[pt]
     return None
+
+
+def randrange_multipliers(rng: random.Random, count: int, p: int) -> list[int]:
+    """count distinct values drawn from 1..p-1 by ``rng.randrange(1, p)``, repeats skipped."""
+    chosen: list[int] = []
+    while len(chosen) < count:
+        r = rng.randrange(1, p)
+        if r not in chosen:
+            chosen.append(r)
+    return chosen
 
 
 def subset_sum_oracle(

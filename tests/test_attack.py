@@ -31,7 +31,7 @@ from lvecdlp.linalg import left_kernel
 from lvecdlp.problem_l import solve_alg2, solve_exhaustive
 from lvecdlp.veronese import basis
 from lvecdlp.verification import LARGE_ORDER, clean_iteration, fixture_large
-from reference_attack import accident_by_points, projective_span, subset_sum_oracle
+from reference_attack import accident_by_points, projective_span, randrange_multipliers, subset_sum_oracle
 from reference_curve import reference_scalar_mul
 from reference_veronese import reference_evaluate_rows
 from scan_helpers import singular_zero_sets
@@ -380,6 +380,33 @@ def test_distinct_multipliers_beyond_the_range_raises():
     """20 distinct multipliers among the 18 of 1..18 raise at once instead of drawing forever."""
     with pytest.raises(ValueError, match="20 distinct multipliers"):
         attack_mod._distinct_multipliers(random.Random(0), 20, 19)
+
+
+@pytest.mark.parametrize("p", [2, 3, 19, 907, 48_731, 2**31 - 1])
+def test_distinct_multipliers_match_randrange_draws(p):
+    """The getrandbits draws give the multipliers, and leave the generator in
+    the state, that one randrange(1, p) per draw does: for seeds 0-99 and
+    every count up to min(p - 1, 12), and count p - 1 when p <= 19."""
+    counts = set(range(1, min(p - 1, 12) + 1))
+    if p <= 19:
+        counts.add(p - 1)
+    for seed in range(100):
+        for count in counts:
+            ours, reference = random.Random(seed), random.Random(seed)
+            assert attack_mod._distinct_multipliers(ours, count, p) == randrange_multipliers(reference, count, p)
+            assert ours.getstate() == reference.getstate()
+
+
+def test_run_attack_records_match_standalone_iterations(group_p907):
+    """run_attack reseeds one generator per run; each of its records equals the
+    record execute_iteration gives for that index on its own, so no state of an
+    earlier iteration's draws reaches a later one (an n' = 1 run of 30 or more
+    iterations)."""
+    cfg = AttackConfig(group=group_p907, target=group_p907.scalar_mul(333), n_prime=1, seed=43)
+    outcome = run_attack(cfg)
+    assert outcome.succeeded and len(outcome.records) >= 30
+    for i, record in enumerate(outcome.records):
+        assert record == execute_iteration(cfg, i + 1)
 
 
 def test_accident_resolves_q_equals_p(group_p19):

@@ -431,6 +431,15 @@ def test_params_output(capsys):
     assert "n' = 2" in out and "924" in out
 
 
+@pytest.mark.parametrize("order", ["906", "21", "48620"])
+def test_params_refuses_a_composite_order(capsys, order):
+    """params refuses an order that is not prime, with the exit code and message
+    that solve, dlp and experiment give the same value."""
+    assert main(["params", "--order", order]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert f"group order {order} is not prime" in captured.err and not captured.out
+
+
 def test_find_curve(capsys):
     assert main(["find-curve", "--q", "17", "--order-min", "19", "--order-max", "19"]) == EXIT_OK
     out = capsys.readouterr().out

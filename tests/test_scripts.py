@@ -1,6 +1,9 @@
-"""Smoke runs of the experiment scripts in ``scripts/``, as subprocesses."""
+"""Smoke runs of the experiment scripts in ``scripts/``, as subprocesses, and the
+summary of ``bench_pairs.py`` on synthetic runs."""
 
+import importlib.util
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -36,3 +39,75 @@ def test_alg2_calibration_runs(nprime):
     assert done.returncode == 0, done.stderr
     assert "solvable instances: 5 " in done.stdout
     assert "unsound returns: 0 " in done.stdout
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def synthetic_runs(workload, parent_values, change_values, digest=lambda seed, side: "d"):
+    """Paired runs of one metric, ``ms``, alternating which side ran first."""
+    runs = []
+    for pair, (seed, values) in enumerate(zip(range(1, 100), zip(parent_values, change_values))):
+        first = "parent" if pair % 2 == 0 else "change"
+        for side, value in zip(("parent", "change"), values):
+            runs.append(
+                {
+                    "workload": workload,
+                    "side": side,
+                    "seed": seed,
+                    "ran_first": first,
+                    "attempted": 10,
+                    "failed": 0,
+                    "correct": True,
+                    "output_digest": digest(seed, side),
+                    "metrics": {"ms": value},
+                }
+            )
+    return runs
+
+
+MS = [{"name": "ms", "unit": "ms", "better": "lower", "bound": 0.1}]
+
+
+@pytest.mark.parametrize(
+    "parent, change, pairs_better, verdict",
+    [
+        # Ten pairs, the change faster in every one, by more than the parent's quartile spread.
+        ([10.0 + 0.1 * i for i in range(10)], [9.0 + 0.1 * i for i in range(10)], "10/10", "gain"),
+        # Faster in 8 of 10: no gain, and within the bound.
+        ([10.0] * 10, [9.0] * 8 + [10.5] * 2, "8/10", "within bound"),
+        # Faster in all of five pairs: too few pairs for a gain.
+        ([10.0, 10.1, 10.2, 10.3, 10.4], [9.0, 9.1, 9.2, 9.3, 9.4], "5/5", "within bound"),
+        # Slower by 20% against a 10% bound.
+        ([10.0, 10.1, 10.2, 10.3, 10.4], [12.0, 12.1, 12.2, 12.3, 12.4], "0/5", "worse"),
+        # The parent's own quartiles lie 40% apart: level medians are unresolved.
+        ([8.0, 8.0, 12.0, 12.0, 8.0, 12.0], [8.1, 8.1, 11.9, 11.9, 8.1, 11.9], "3/6", "unresolved"),
+        # The same spread, but every change run below every parent run.
+        ([8.0, 8.0, 12.0, 12.0, 8.0, 12.0], [7.0, 7.5, 7.0, 7.5, 7.0, 7.5], "6/6", "within bound"),
+    ],
+)
+def test_bench_pairs_summary_on_synthetic_runs(parent, change, pairs_better, verdict):
+    bench_pairs = load_bench_pairs()
+    runs = synthetic_runs("w", parent, change)
+    row = bench_pairs.summarize(runs, MS)["w"]["ms"]
+    assert row["pairs_change_better"] == pairs_better
+    assert row["verdict"] == verdict
+    assert row["parent_median"] == round(statistics.median(parent), 6)
+    assert row["change_vs_parent"] == round(statistics.median(change) / statistics.median(parent) - 1, 4)
+    assert row["parent_quartiles"] == [round(v, 6) for v in statistics.quantiles(parent, n=4, method="exclusive")]
+    assert bench_pairs.problems(runs) == []
+
+
+def test_bench_pairs_flags_wrong_output_and_digest_mismatch():
+    bench_pairs = load_bench_pairs()
+    assert bench_pairs.parse_seeds("1-3,7") == [1, 2, 3, 7]
+    runs = synthetic_runs("w", [1.0, 1.0], [1.0, 1.0], digest=lambda seed, side: side if seed == 2 else "d")
+    runs[0]["correct"] = False
+    assert bench_pairs.problems(runs) == [
+        "w seed 1 parent: correct is false",
+        "w seed 2: output_digest differs between the sides",
+    ]
