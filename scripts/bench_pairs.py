@@ -10,16 +10,18 @@ out (or exported) into its own directory:
 
 For each workload, and for each seed in turn, it runs
 ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`` once
-in each checkout, the parent first on the first, third, ... seed and the
-change first on the others.  It writes the ``command``, ``note``,
+in each checkout, T being ``BENCHMARK.json``'s ``run_seconds``: the parent
+first on the first, third, ... seed and the change first on the others.  It writes the ``command``, ``note``,
 ``parent_commit``, ``runs`` and ``summary`` of the BENCH files: per workload
 and end-to-end metric of ``BENCHMARK.json``, each side's median and
 quartiles (exclusive method), the change's median relative to the parent's,
 the pairs in which the change reads better, and a verdict:
 
 * ``gain``: the change reads better in at least nine tenths of ten or more
-  pairs (ties count for neither), and its median is better by more than the
-  distance between the parent's quartiles;
+  pairs (ties count for neither), its median is better by more than the
+  distance between the parent's quartiles, and on that workload no larger
+  share of its operations fails than of the parent's (failed against
+  attempted, summed over the runs);
 * ``worse``: its median is worse than the parent's by more than the bound;
 * ``unresolved``: the parent's quartiles lie further apart than the bound,
   relative to its median, and not every change run reads better than every
@@ -28,8 +30,9 @@ the pairs in which the change reads better, and a verdict:
 
 It reads ``perfbench/`` and ``BENCHMARK.json`` and writes neither (a
 perfbench run writes its reports under each checkout's ``perfbench/out/``).
-The exit code is 1 when a run reports ``correct: false`` or the two sides'
-``output_digest`` differ on a seed, 2 when a run does not finish, else 0.
+The exit code is 1 when a run reports ``correct: false``, the two sides'
+``output_digest`` differ on a seed, or a larger share of the change's
+operations fails on a workload; 2 when a run does not finish; else 0.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def perfbench_argv(workload: str, seed: int, seconds: float) -> list[str]:
+def perfbench_argv(workload: str, seed: int | str, seconds: float) -> list[str]:
     return ["perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"]
 
 
@@ -85,12 +88,31 @@ def quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4, method="exclusive")
 
 
-def verdict(parent: list[float], change: list[float], pairs_better: int, pairs: int, better: str, bound: float) -> str:
-    """The rule of the module docstring, on the paired runs of one metric."""
+def failed_counts(runs: list[dict], workload: str) -> dict:
+    """Per side, [failed, attempted] summed over the workload's runs."""
+    counts = {side: [0, 0] for side in SIDES}
+    for run in runs:
+        if run["workload"] == workload:
+            counts[run["side"]][0] += run["failed"]
+            counts[run["side"]][1] += run["attempted"]
+    return counts
+
+
+def more_failed(counts: dict) -> bool:
+    """Whether the change fails a larger share of its attempted operations."""
+    (parent_failed, parent_attempted), (change_failed, change_attempted) = counts["parent"], counts["change"]
+    return change_failed * parent_attempted > parent_failed * change_attempted
+
+
+def verdict(
+    parent: list[float], change: list[float], pairs_better: int, pairs: int, better: str, bound: float, failing: bool
+) -> str:
+    """The rule of the module docstring, on the paired runs of one metric;
+    ``failing`` is whether the change fails a larger share of operations."""
     sign = 1 if better == "higher" else -1
     q1, median, q3 = quartiles(parent)
     gap = sign * (statistics.median(change) - median)
-    if pairs >= 10 and pairs_better * 10 >= 9 * pairs and gap > q3 - q1:
+    if pairs >= 10 and pairs_better * 10 >= 9 * pairs and gap > q3 - q1 and not failing:
         return "gain"
     if median and -gap > bound * abs(median):
         return "worse"
@@ -109,6 +131,7 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             if run["workload"] == workload:
                 by_seed.setdefault(run["seed"], {})[run["side"]] = run["metrics"]
         paired = [sides for sides in by_seed.values() if set(sides) == set(SIDES)]
+        failing = more_failed(failed_counts(runs, workload))
         rows = {}
         for spec in end_to_end:
             name, better = spec["name"], spec["better"]
@@ -126,19 +149,25 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                 "parent_quartiles": [round(v, 6) for v in quartiles(parent)],
                 "change_quartiles": [round(v, 6) for v in quartiles(change)],
                 "pairs_change_better": f"{pairs_better}/{len(paired)}",
-                "verdict": verdict(parent, change, pairs_better, len(paired), better, spec["bound"]),
+                "verdict": verdict(parent, change, pairs_better, len(paired), better, spec["bound"], failing),
             }
         summary[workload] = rows
     return summary
 
 
 def problems(runs: list[dict]) -> list[str]:
-    """Runs that report wrong output, and seeds whose two sides' digests differ."""
+    """Runs that report wrong output, seeds whose two sides' digests differ, and
+    workloads on which a larger share of the change's operations fails."""
     found = [f"{r['workload']} seed {r['seed']} {r['side']}: correct is false" for r in runs if not r["correct"]]
     digests: dict = {}
     for run in runs:
         digests.setdefault((run["workload"], run["seed"]), set()).add(run["output_digest"])
     found += [f"{w} seed {s}: output_digest differs between the sides" for (w, s), d in digests.items() if len(d) > 1]
+    for workload in dict.fromkeys(run["workload"] for run in runs):
+        counts = failed_counts(runs, workload)
+        if more_failed(counts):
+            (pf, pa), (cf, ca) = counts["parent"], counts["change"]
+            found.append(f"{workload}: the change fails {cf} of {ca} operations, the parent {pf} of {pa}")
     return found
 
 
@@ -148,14 +177,12 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--workload", action="append", required=True, help="repeat for several workloads")
     parser.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 1901-1910")
-    parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's run_seconds)")
-    parser.add_argument("--benchmark", type=Path, default=ROOT / "BENCHMARK.json")
     parser.add_argument("--parent-commit", default=None)
     parser.add_argument("--note", default="")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    spec = json.loads(args.benchmark.read_text())
-    seconds = args.seconds or spec["run_seconds"]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     checkouts = {"parent": args.parent, "change": args.change}
     runs = []
     for workload in args.workload:
@@ -169,7 +196,7 @@ def main(argv=None) -> int:
                     return 2
                 runs.append({"workload": workload, "side": side, "seed": seed, "ran_first": order[0], **measured})
                 print(f"{workload} seed {seed} {side}: {json.dumps(measured['metrics'])}", file=sys.stderr)
-    command = " ".join(["python3", *perfbench_argv("<workload>", 0, seconds)]).replace("--seed 0", "--seed <seed>")
+    command = " ".join(["python3", *perfbench_argv("<workload>", "<seed>", seconds)])
     bench = {
         "command": command,
         "note": args.note,

@@ -155,11 +155,7 @@ class AttackOutcome:
 
 def iteration_rng(seed: int, index: int) -> random.Random:
     """Named substream per (seed, iteration): reproducible regardless of scheduling."""
-    return random.Random(_stream_name(seed, index))
-
-
-def _stream_name(seed: int, index: int) -> str:
-    return f"{seed}:{index}"
+    return random.Random(f"{seed}:{index}")
 
 
 def _distinct_multipliers(rng: random.Random, count: int, p: int) -> list[int]:
@@ -192,11 +188,7 @@ def sample_iteration(cfg: AttackConfig, index: int) -> IterationSample:
     Cross-block collisions are not resampled here; they are the accidents
     handled by detect_accident.
     """
-    return _sample(cfg, index, iteration_rng(cfg.seed, index))
-
-
-def _sample(cfg: AttackConfig, index: int, rng: random.Random) -> IterationSample:
-    """``sample_iteration`` drawing from rng, seeded as ``iteration_rng(cfg.seed, index)``."""
+    rng = iteration_rng(cfg.seed, index)
     p = cfg.group.order
     mult_p = _distinct_multipliers(rng, 3 * cfg.n_prime - 1, p)
     mult_q = _distinct_multipliers(rng, cfg.l + 1, p)
@@ -264,13 +256,9 @@ def execute_iteration(cfg: AttackConfig, index: int) -> IterationRecord:
     that decodes.  A decoded m that fails verification rejects its vector with
     reason "unverified".  A miss records the one reason "{solver}:{reason}".
     """
-    return _execute(cfg, sample_iteration(cfg, index))
-
-
-def _execute(cfg: AttackConfig, sample: IterationSample) -> IterationRecord:
-    """``execute_iteration`` on a drawn sample."""
+    sample = sample_iteration(cfg, index)
     record = IterationRecord(
-        iteration=sample.index,
+        iteration=index,
         multipliers_p=sample.multipliers_p,
         multipliers_q=sample.multipliers_q,
     )
@@ -325,13 +313,8 @@ def run_attack(cfg: AttackConfig, on_record: Optional[Callable[[IterationRecord]
     if cfg.target is None:
         return AttackOutcome(m=0, iterations_used=0, records=[])
     records: list[IterationRecord] = []
-    # One generator for the run, reseeded as each iteration's substream, so
-    # every iteration draws what execute_iteration(cfg, index) draws.
-    rng = iteration_rng(cfg.seed, 1)
     for index in range(1, cfg.max_iterations + 1):
-        if index > 1:
-            rng.seed(_stream_name(cfg.seed, index))
-        record = _execute(cfg, _sample(cfg, index, rng))
+        record = execute_iteration(cfg, index)
         records.append(record)
         if on_record is not None:
             on_record(record)

@@ -398,10 +398,9 @@ def test_distinct_multipliers_match_randrange_draws(p):
 
 
 def test_run_attack_records_match_standalone_iterations(group_p907):
-    """run_attack reseeds one generator per run; each of its records equals the
-    record execute_iteration gives for that index on its own, so no state of an
-    earlier iteration's draws reaches a later one (an n' = 1 run of 30 or more
-    iterations)."""
+    """Each record of run_attack equals the record execute_iteration gives for
+    that index on its own, so no state of an earlier iteration's draws reaches
+    a later one (an n' = 1 run of 30 or more iterations)."""
     cfg = AttackConfig(group=group_p907, target=group_p907.scalar_mul(333), n_prime=1, seed=43)
     outcome = run_attack(cfg)
     assert outcome.succeeded and len(outcome.records) >= 30
