@@ -22,6 +22,8 @@ def main():
     parser.add_argument("--nprime", type=int, default=2)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if args.instances < 1:
+        parser.error(f"--instances must be >= 1, got {args.instances}")
 
     group = fixture_medium()
     p = group.order

@@ -11,8 +11,13 @@ out (or exported) into its own directory:
 For each workload, and for each seed in turn, it runs
 ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`` once
 in each checkout, T being ``BENCHMARK.json``'s ``run_seconds``: the parent
-first on the first, third, ... seed and the change first on the others.  It writes the ``command``, ``note``,
-``parent_commit``, ``runs`` and ``summary`` of the BENCH files: per workload
+first on the first, third, ... seed and the change first on the others.  It
+writes the ``command``, ``note``, ``parent_commit``, ``runs`` and ``summary``
+of the BENCH files.  Each run keeps its result line (``attempted``,
+``failed``, ``correct`` and the metrics) and, from the perfbench report,
+``output_digest``, ``operations`` (the closed-loop operations run, each one
+record in the run's memory) and ``errors`` (the first failed operations'
+messages).  The summary holds, per workload
 and end-to-end metric of ``BENCHMARK.json``, each side's median and
 quartiles (exclusive method), the change's median relative to the parent's,
 the pairs in which the change reads better, and a verdict:
@@ -63,7 +68,9 @@ def perfbench_argv(workload: str, seed: int | str, seconds: float) -> list[str]:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run in ``checkout``: its result line and its report's digest."""
+    """One untraced perfbench run in ``checkout``: its result line, and from its
+    report the output digest, the number of operations run and the first
+    errors of failed ones."""
     done = subprocess.run(
         [sys.executable, *perfbench_argv(workload, seed, seconds)], cwd=checkout, capture_output=True, text=True
     )
@@ -77,6 +84,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         "failed": result["failed"],
         "correct": result["correct"],
         "output_digest": report["output_digest"],
+        "operations": report["operations"],
+        "errors": report["errors"],
         "metrics": {name: entry["value"] for name, entry in sorted(result["metrics"].items())},
     }
 

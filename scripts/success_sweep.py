@@ -20,6 +20,8 @@ def main():
     parser.add_argument("--trials", type=int, default=500)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if args.trials < 1:
+        parser.error(f"--trials must be >= 1, got {args.trials}")
 
     cells = [
         (fixture_small(), 1),

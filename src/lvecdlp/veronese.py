@@ -3,7 +3,9 @@
 The ordering contract for every matrix column, kernel vector, and dumped
 coefficient vector in this package: all monomials of total degree n, sorted
 graded-lexicographically with x > y > z, in descending order.  For n = 2 that
-reads x^2, xy, xz, y^2, yz, z^2.
+reads x^2, xy, xz, y^2, yz, z^2.  A basis may keep only some of them, in the
+same order: the attack's matrix drops those of x-degree 3 or more, which are
+combinations of the others on the curve (``attack.curve_monomials``).
 
 A point is an affine (x, y) pair, standing for (x : y : 1), or None for the
 identity (0 : 1 : 0).  At an affine point the monomial x^i y^j z^k is
@@ -30,14 +32,15 @@ from .curve import XY
 
 @dataclass(frozen=True)
 class MonomialBasis:
-    """Exponent triples (i, j, k), i + j + k = degree, in the fixed order."""
+    """Exponent triples (i, j, k), i + j + k = degree, in the fixed order:
+    all of them (``basis``) or a subsequence."""
 
     degree: int
     exponents: tuple[tuple[int, int, int], ...]
 
     @property
     def size(self) -> int:
-        """Number of monomials, (degree + 1)(degree + 2) / 2."""
+        """Number of monomials, (degree + 1)(degree + 2) / 2 for ``basis(degree)``."""
         return len(self.exponents)
 
 

@@ -483,7 +483,8 @@ def test_kernel_dimension_exact_on_clean_iterations(group_p907):
 def test_right_kernel_dimension_on_attack_matrices(group_p907):
     """No low-degree curve passes through all sampled points; from degree 3 on,
     the only ones are multiples of the group's cubic, of dimension
-    (degree - 2)(degree - 1) / 2."""
+    (degree - 2)(degree - 1) / 2.  The attack's columns, which leave out the
+    monomials of x-degree 3 or more, hold none of them."""
     from lvecdlp.linalg import right_kernel_rows
 
     for degree in (1, 2, 3, 4):
@@ -494,11 +495,13 @@ def test_right_kernel_dimension_on_attack_matrices(group_p907):
             n_prime=degree,
             seed=10 + degree,
         )
+        assert basis(degree).size - cfg.monomials.size == expected
         index = 1
         for _ in range(10):
             sample, index, _ = clean_iteration(cfg, index)
-            rows = reference_evaluate_rows(cfg.monomials, sample.points, group_p907.curve.q)
-            assert len(right_kernel_rows(rows, cfg.monomials.size, group_p907.curve.q)) == expected
+            for mb, dim in ((basis(degree), expected), (cfg.monomials, 0)):
+                rows = reference_evaluate_rows(mb, sample.points, group_p907.curve.q)
+                assert len(right_kernel_rows(rows, mb.size, group_p907.curve.q)) == dim
 
 
 def test_exhaustive_matches_span_scan_on_attack_kernels(group_p19):

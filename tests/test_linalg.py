@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lvecdlp import linalg, problem_l
-from lvecdlp.attack import AttackConfig, detect_accident, sample_iteration
+from lvecdlp.attack import AttackConfig, curve_monomials, detect_accident, sample_iteration
 from lvecdlp.linalg import (
     DIAGONAL,
     LOWER_TRIANGULAR,
@@ -322,6 +322,24 @@ def test_left_kernel_of_points_matches_reference_beyond_attack_samples(group_p19
         kernel = left_kernel(basis(degree), points, 17)
         assert kernel.dim == len(points) - 3 * degree
         assert (list(kernel.vectors), kernel.pivots) == reference_left_kernel(basis(degree), points, 17)
+
+
+@pytest.mark.parametrize("group_name, n_prime, count", [("group_p907", 3, 300), ("large", 3, 100), ("large", 4, 40)])
+def test_curve_monomials_keep_the_left_kernel(request, group_p19, group_name, n_prime, count):
+    """Leaving out the monomials of x-degree 3 or more keeps every vector and
+    pivot of the left kernel: on seeded attack samples, and on every point of
+    the q = 17 curve, the identity included."""
+    group = fixture_large() if group_name == "large" else request.getfixturevalue(group_name)
+    mb, samples, _ = seeded_samples(group, n_prime, count, seed=23)
+    assert mb == curve_monomials(n_prime)
+    assert (basis(n_prime).size, mb.size) == {3: (10, 9), 4: (15, 12)}[n_prime]
+    assert all(i <= 2 for i, _, _ in mb.exponents)
+    cases = [(sample.points, group.curve.q) for sample in samples] + [(group_p19.curve.points(), 17)]
+    for points, q in cases:
+        reduced, full = left_kernel(mb, points, q), left_kernel(basis(n_prime), points, q)
+        assert (reduced.vectors, reduced.pivots) == (full.vectors, full.pivots)
+    for degree in (1, 2):
+        assert curve_monomials(degree) == basis(degree)
 
 
 @pytest.mark.parametrize("n_prime", [1, 2, 3])

@@ -41,6 +41,23 @@ def test_alg2_calibration_runs(nprime):
     assert "unsound returns: 0 " in done.stdout
 
 
+@pytest.mark.parametrize(
+    "script, option, value",
+    [
+        ("success_sweep.py", "--trials", "0"),
+        ("success_sweep.py", "--trials", "-5"),
+        ("alg2_calibration.py", "--instances", "0"),
+        ("alg2_calibration.py", "--instances", "-1"),
+    ],
+)
+def test_scripts_reject_counts_below_one(script, option, value):
+    done = run_script(script, option, value)
+    assert done.returncode == 2, done.stderr
+    assert f"{option} must be >= 1, got {value}" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
+
+
 def load_bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
     module = importlib.util.module_from_spec(spec)
@@ -64,6 +81,8 @@ def synthetic_runs(workload, parent_values, change_values, digest=lambda seed, s
                     "failed": 0,
                     "correct": True,
                     "output_digest": digest(seed, side),
+                    "operations": 10,
+                    "errors": [],
                     "metrics": {"ms": value},
                 }
             )
@@ -121,3 +140,27 @@ def test_bench_pairs_flags_wrong_output_and_digest_mismatch():
     runs[0]["failed"], runs[1]["failed"], runs[1]["attempted"] = 1, 2, 300
     assert bench_pairs.summarize(runs, MS)["w"]["ms"]["verdict"] == "gain"
     assert bench_pairs.problems(runs) == []
+
+
+FAKE_PERFBENCH = """
+import json, sys
+report = {"output_digest": "abc", "operations": 7, "errors": ["target 3: iteration-budget-exhausted"], "seed": 1}
+print("perfbench-report " + json.dumps(report))
+result = {"correct": True, "attempted": 7, "failed": 1, "metrics": {"ms_per_log": {"value": 2.5, "unit": "ms"}}}
+print(json.dumps(result))
+"""
+
+
+def test_bench_pairs_keeps_operations_and_errors_of_each_run(tmp_path):
+    bench_pairs = load_bench_pairs()
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(FAKE_PERFBENCH)
+    assert bench_pairs.run_once(tmp_path, "solve-p907-n1", 1, 36) == {
+        "attempted": 7,
+        "failed": 1,
+        "correct": True,
+        "output_digest": "abc",
+        "operations": 7,
+        "errors": ["target 3: iteration-budget-exhausted"],
+        "metrics": {"ms_per_log": 2.5},
+    }
