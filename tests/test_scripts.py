@@ -143,8 +143,8 @@ def test_bench_pairs_flags_wrong_output_and_digest_mismatch():
 
 
 FAKE_PERFBENCH = """
-import json, sys
-report = {"output_digest": "abc", "operations": 7, "errors": ["target 3: iteration-budget-exhausted"], "seed": 1}
+import json
+report = {"output_digest": "abc", "operations": 7, "errors": ["target 3: iteration-budget-exhausted"]}
 print("perfbench-report " + json.dumps(report))
 result = {"correct": True, "attempted": 7, "failed": 1, "metrics": {"ms_per_log": {"value": 2.5, "unit": "ms"}}}
 print(json.dumps(result))
