@@ -64,11 +64,6 @@ def small_group(q, a, b, gx, gy, order):
     return GroupSpec(curve, curve.point(gx, gy), order)
 
 
-def giant_bound(order):
-    """ceil(p / (2T - 1)) - 1, T = isqrt(p - 1) + 1: the most giant steps one log takes."""
-    return -(-order // (2 * isqrt(order - 1) + 1)) - 1
-
-
 @pytest.mark.parametrize(
     "make_group",
     [
@@ -100,8 +95,7 @@ def test_giant_steps_per_log_stay_within_the_bound(group_p19, group_p907, monkey
     2 at p = 19, 14 at p = 907 and 110 at p = 48,731: every m of the first two
     and every 37th m of the third."""
     large = fixture_large()
-    cases = [(group, range(group.order)) for group in (group_p19, group_p907)]
-    cases.append((large, range(0, large.order, 37)))
+    cases = [(group_p19, range(19), 2), (group_p907, range(907), 14), (large, range(0, large.order, 37), 110)]
     calls = []
     add = Curve.add
 
@@ -109,7 +103,8 @@ def test_giant_steps_per_log_stay_within_the_bound(group_p19, group_p907, monkey
         calls.append(None)
         return add(self, lhs, rhs)
 
-    for group, ms in cases:
+    for group, ms, bound in cases:
+        assert bound == -(-group.order // (2 * isqrt(group.order - 1) + 1)) - 1
         targets = [group.scalar_mul(m) for m in ms]
         solve_bsgs(group, group.generator)
         with monkeypatch.context() as patch:
@@ -119,12 +114,12 @@ def test_giant_steps_per_log_stay_within_the_bound(group_p19, group_p907, monkey
                 calls.clear()
                 assert solve_bsgs(group, target) == m
                 counts.append(len(calls))
-        assert max(counts) <= giant_bound(group.order) == {19: 2, 907: 14, 48731: 110}[group.order]
+        assert max(counts) <= bound
 
 
 def test_the_table_leaves_the_groups_caches_untouched(group_p907):
     """The oracle builds its table by adding the generator: neither the call
-    that builds it nor a later one reads into or adds to ``GroupSpec``'s
+    that builds it nor a later one changes ``GroupSpec``'s
     window memo and kept multiples."""
     curve = group_p907.curve
     group = GroupSpec(curve, curve.scalar_mul(5, group_p907.generator), group_p907.order)
