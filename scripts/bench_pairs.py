@@ -20,7 +20,10 @@ record in the run's memory) and ``errors`` (the first failed operations'
 messages).  The summary holds, per workload
 and end-to-end metric of ``BENCHMARK.json``, each side's median and
 quartiles (exclusive method), the change's median relative to the parent's,
-the pairs in which the change reads better, and a verdict:
+the pairs in which the change reads better, and a verdict; under
+``operations``, each side's median operations per run, against which a
+move in ``peak_rss_mib`` can be read (perfbench keeps one record per
+operation).  The verdicts:
 
 * ``gain``: the change reads better in at least nine tenths of ten or more
   pairs (ties count for neither), its median is better by more than the
@@ -132,7 +135,8 @@ def verdict(
 
 
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
-    """Per workload and end-to-end metric: medians, quartiles, pairs better and the verdict."""
+    """Per workload and end-to-end metric: medians, quartiles, pairs better and
+    the verdict; per workload, each side's median operations."""
     summary: dict = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         by_seed: dict = {}
@@ -160,6 +164,12 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                 "pairs_change_better": f"{pairs_better}/{len(paired)}",
                 "verdict": verdict(parent, change, pairs_better, len(paired), better, spec["bound"], failing),
             }
+        rows["operations"] = {
+            f"{side}_median": statistics.median(
+                run["operations"] for run in runs if run["workload"] == workload and run["side"] == side
+            )
+            for side in SIDES
+        }
         summary[workload] = rows
     return summary
 

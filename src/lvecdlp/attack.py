@@ -2,7 +2,9 @@
 
 Each iteration samples fresh multipliers, takes the left kernel of the
 corresponding curve points' monomial matrix, hands it to a zero-pattern
-solver, and decodes any qualifying vector into the logarithm.
+solver, and decodes any qualifying vector into the logarithm.  At n' = 1 it
+first tests the matrix's maximal minors, and when none is zero it skips
+the kernel and the solver, which could find nothing.
 Every decoded answer is verified against the target before being returned,
 so the attack can fail to answer but can never answer wrongly.
 
@@ -19,15 +21,15 @@ import random
 from dataclasses import asdict, dataclass, field
 from functools import cache
 from itertools import count
-from math import ceil
+from math import ceil, comb
 from typing import Callable, Iterator, Optional
 
 from .analysis import success_model
 from .curve import XY, GroupSpec
 from .errors import InvariantViolationError
 from .linalg import left_kernel
-from .problem_l import DEFAULT_ENUMERATION_BUDGET, solve_alg2, solve_exhaustive
-from .veronese import MonomialBasis, basis
+from .problem_l import DEFAULT_ENUMERATION_BUDGET, solve_alg2, solve_exhaustive, spans_mds_code
+from .veronese import MonomialBasis, basis, columns
 
 SOLVER_ALG2 = "alg2"
 SOLVER_EXHAUSTIVE = "exhaustive"
@@ -271,6 +273,11 @@ def execute_iteration(cfg: AttackConfig, index: int) -> IterationRecord:
     alg2's one vector is decoded; the exhaustive scan stops at the first vector
     that decodes.  A decoded m that fails verification rejects its vector with
     reason "unverified".  A miss records the one reason "{solver}:{reason}".
+
+    At n' = 1, when the C(3 + l, l) sets fit the enumeration budget, the
+    points' matrix is tested first: with no maximal minor zero, no l-set is
+    singular, so the iteration records kernel dimension l and
+    "{solver}:not-found" without taking the kernel or calling the solver.
     """
     sample = sample_iteration(cfg, index)
     record = IterationRecord(
@@ -289,7 +296,19 @@ def execute_iteration(cfg: AttackConfig, index: int) -> IterationRecord:
             record.found_by = "accident"
             record.m = m
             return record
-    kernel = left_kernel(cfg.monomials, sample.points, cfg.group.curve.q)
+    q = cfg.group.curve.q
+    # With no maximal minor of the points' matrix zero, no l-set is singular
+    # and either solver would find nothing (see problem_l).  Only at n' = 1
+    # is the test cheaper than the kernel and the scan.
+    if (
+        cfg.n_prime == 1
+        and comb(len(sample.points), cfg.l) <= cfg.enumeration_budget
+        and spans_mds_code(columns(cfg.monomials, sample.points, q), q)
+    ):
+        record.kernel_dim = cfg.l
+        record.reject_reasons.append(f"{cfg.solver}:{REJECT_NOT_FOUND}")
+        return record
+    kernel = left_kernel(cfg.monomials, sample.points, q)
     record.kernel_dim = kernel.dim
     if kernel.dim == 0:
         record.reject_reasons.append(REJECT_NOT_FOUND)

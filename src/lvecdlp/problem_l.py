@@ -15,6 +15,21 @@ spanned by the kernel fails to be MDS, since a code with generator [I | X]
 is MDS iff every square submatrix of X is nonsingular (MacWilliams and
 Sloane, The Theory of Error-Correcting Codes, ch. 11).
 
+The attack can settle Problem L before it takes the kernel.  Its kernel is
+the left kernel of the points' N x K matrix M, K = 3n' monomial columns and
+N = K + l points.  A kernel member vanishes on Z iff its support lies in the
+K points outside Z, which exist iff the K x K minor of M on those points is
+zero.  So when no maximal minor of M is zero, no l-set is singular: the
+[N, K] code spanned by M's columns is MDS, and so is its dual, the kernel
+(MacWilliams and Sloane, ch. 11).  ``spans_mds_code`` tests that.  At
+n' = 1 the minors are the C(6, 3) = 20 determinants of three points'
+(x, y, 1), zero iff the three are collinear, which on the curve means they
+sum to O (or two of them are equal); about C(6, 3)/p of the iterations
+have such a triple, 20/907 at p = 907.  The attack tests only at n' = 1,
+where the test cost 23 us against 51 us for the kernel and a full scan; at
+n' = 2 its C(12, k) minors of every size k cost 1.8 ms against 0.86 ms (2
+vCPU, Python 3.11).
+
 The minors are computed in blocks by top row, without recursion: for t =
 l-1 down to 0, every minor whose top row is t, each expanded along that row
 into the minors of the rows below, which earlier blocks hold.  Each row mask
@@ -142,6 +157,30 @@ def solve_exhaustive(
                 return solution
             rejected.add(combo)
     return None
+
+
+def spans_mds_code(rows: Sequence[Sequence[int]], p: int) -> bool:
+    """Whether every maximal minor of the matrix with these rows, entries in
+    [0, p), is nonzero mod p: whether the rows span an MDS code of their
+    length (see the module docstring for what that certifies).
+
+    The minors are taken level by level from the bottom row up, with the
+    scan's ``_faces`` tables over every column: level k holds the minors of
+    the last k rows on each k-column mask, each expanded along its top row
+    into level k-1.  Only the last level is tested.
+    """
+    height = len(rows)
+    faces = _faces(len(rows[0]))[1]
+    reduce_mod = p.__rmod__
+    minors = rows[-1]
+    for k in range(2, height + 1):
+        row = rows[height - k]
+        total = None
+        for j, (columns, sub_numbers) in enumerate(faces[k]):
+            terms = map(mul, columns(row), sub_numbers(minors))
+            total = terms if total is None else map(sub if j & 1 else add, total, terms)
+        minors = list(map(reduce_mod, total))
+    return 0 not in minors
 
 
 def _scan(

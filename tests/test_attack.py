@@ -28,8 +28,8 @@ from lvecdlp.dlp import solve_bsgs
 from lvecdlp.errors import BudgetExceededError
 from lvecdlp.field import PrimeField
 from lvecdlp.linalg import left_kernel
-from lvecdlp.problem_l import solve_alg2, solve_exhaustive
-from lvecdlp.veronese import basis
+from lvecdlp.problem_l import solve_alg2, solve_exhaustive, spans_mds_code
+from lvecdlp.veronese import basis, columns
 from lvecdlp.verification import LARGE_ORDER, clean_iteration, fixture_large
 from reference_attack import accident_by_points, projective_span, randrange_multipliers, subset_sum_oracle
 from reference_curve import reference_scalar_mul
@@ -167,8 +167,12 @@ def test_decode_rejects():
 @pytest.mark.parametrize("solver", ["exhaustive", "alg2"])
 def test_iteration_goes_once_through_each_traced_boundary(group_p907, monkeypatch, solver):
     """An iteration without an accident calls ``attack.left_kernel`` once and
-    its solver's ``attack`` attribute once: perfbench's tracer rebinds
-    exactly these names, so a path around them would read 0 there."""
+    its solver's ``attack`` attribute once, except at n' = 1 when no maximal
+    minor of the points' matrix is zero: then it calls neither, since no
+    l-set is singular.  perfbench's tracer rebinds exactly these names, so a
+    path around them reads 0 there; at n' = 1 it sees them on the
+    iterations whose points include three on a line (or a collision, with
+    the accident check off)."""
     calls = Counter()
     for name in ("left_kernel", "solve_exhaustive", "solve_alg2"):
 
@@ -177,12 +181,75 @@ def test_iteration_goes_once_through_each_traced_boundary(group_p907, monkeypatc
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(attack_mod, name, counted)
-    for n_prime in (1, 2):
-        cfg = AttackConfig(group=group_p907, target=group_p907.scalar_mul(321), n_prime=n_prime, solver=solver, seed=2)
-        for index in range(1, 21):
-            calls.clear()
-            assert execute_iteration(cfg, index).accident is None
-            assert calls == {"left_kernel": 1, f"solve_{solver}": 1}, (n_prime, index)
+    q = group_p907.curve.q
+    cfg = AttackConfig(
+        group=group_p907, target=group_p907.scalar_mul(321), solver=solver, seed=2, accident_check=False
+    )
+    certified = Counter()
+    for index in range(1, 81):
+        calls.clear()
+        sample = sample_iteration(cfg, index)
+        no_zero_minor = spans_mds_code(columns(cfg.monomials, sample.points, q), q)
+        certified[no_zero_minor] += 1
+        assert execute_iteration(cfg, index).kernel_dim == 3
+        assert calls == ({} if no_zero_minor else {"left_kernel": 1, f"solve_{solver}": 1}), index
+    # Index 33 is a collision sample.
+    assert certified == {True: 75, False: 5}
+    cfg = AttackConfig(group=group_p907, target=group_p907.scalar_mul(321), n_prime=2, solver=solver, seed=2)
+    for index in range(1, 21):
+        calls.clear()
+        assert execute_iteration(cfg, index).accident is None
+        assert calls == {"left_kernel": 1, f"solve_{solver}": 1}, index
+
+
+@pytest.mark.parametrize("group_name, count, kernels", [("group_p907", 400, (14, 8)), ("group_p19", 200, (163, 89))])
+def test_n1_records_equal_those_of_the_kernel_path(request, monkeypatch, group_name, count, kernels):
+    """At n' = 1 the records equal, field by field, those of the path that takes
+    the kernel and runs the solver on every iteration (the minors test patched
+    to report a zero minor): both solvers, with the accident check off and
+    on, on p = 907 and on order 19, collision samples included.  ``kernels``
+    counts the iterations that still take the kernel, check off and on."""
+    group = request.getfixturevalue(group_name)
+    kernel_calls = Counter()
+    original = attack_mod.left_kernel
+
+    def counted(*args):
+        kernel_calls["left_kernel"] += 1
+        return original(*args)
+
+    def records(solver, accident_check):
+        cfg = AttackConfig(
+            group=group, target=group.scalar_mul(401), solver=solver, seed=11, accident_check=accident_check
+        )
+        kernel_calls.clear()
+        return [execute_iteration(cfg, index) for index in range(1, count + 1)], kernel_calls["left_kernel"]
+
+    monkeypatch.setattr(attack_mod, "left_kernel", counted)
+    for solver in ("exhaustive", "alg2"):
+        tested = [records(solver, accident_check) for accident_check in (False, True)]
+        with monkeypatch.context() as patched:
+            patched.setattr(attack_mod, "spans_mds_code", lambda rows, p: False)
+            untested = [records(solver, accident_check) for accident_check in (False, True)]
+        for (fast, fast_kernels), (slow, slow_kernels) in zip(tested, untested):
+            assert fast == slow
+            assert slow_kernels == sum(record.accident is None for record in slow)
+        assert tuple(fast_kernels for _, fast_kernels in tested) == kernels
+
+
+def test_n1_budget_below_the_sets_takes_the_kernel_path(group_p907, monkeypatch):
+    """With an enumeration budget below C(6, 3) = 20 an n' = 1 iteration skips
+    the minors test: the exhaustive solver raises on an iteration the test
+    would have settled, and an alg2 run takes the kernel on every iteration,
+    its records hashing to what the kernel-and-solver path gave before the
+    test existed."""
+    settings = dict(group=group_p907, target=group_p907.scalar_mul(321), seed=2, enumeration_budget=19)
+    with pytest.raises(BudgetExceededError, match="C\\(6, 3\\) exceeds the enumeration budget 19"):
+        execute_iteration(AttackConfig(**settings), 1)
+    monkeypatch.setattr(attack_mod, "spans_mds_code", None)
+    outcome = run_attack(AttackConfig(solver="alg2", max_iterations=60, **settings))
+    assert (outcome.m, outcome.iterations_used) == (321, 31)
+    records = json.dumps([record.to_dict() for record in outcome.records], sort_keys=True)
+    assert hashlib.sha256(records.encode()).hexdigest() == "b19b215bec767e148c5d7c7c5e8e82cfa6343711b380ee4833bdd42bc5e57592"
 
 
 def test_unverified_decode_is_a_rejection(group_p907, monkeypatch):

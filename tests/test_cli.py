@@ -94,6 +94,14 @@ def test_solve_budget_exhaustion_exit(tmp_path, capsys):
     assert payload["summary"]["failure_reason"] == "iteration-budget-exhausted"
 
 
+def test_solve_enumeration_budget_below_the_n1_sets_exits_budget(tmp_path, capsys):
+    """An n' = 1 solve with --enum-budget below C(6, 3) = 20 skips the minors
+    test of the points and stops on the exhaustive solver's budget guard."""
+    code, _ = run_solve(tmp_path, "enum", ["--qx", "0", "--qy", "6", "--nprime", "1", "--enum-budget", "19"])
+    assert code == EXIT_BUDGET
+    assert "budget exhausted: C(6, 3) exceeds the enumeration budget 19" in capsys.readouterr().err
+
+
 def test_solve_manifest_byte_determinism(tmp_path):
     extra = ["--qx", "0", "--qy", "6", "--solver", "exhaustive", "--seed", "9"]
     _, m1 = run_solve(tmp_path, "d1", extra)

@@ -2,11 +2,12 @@ import gc
 import hashlib
 import random
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from lvecdlp.attack import AttackConfig, decode_solution, detect_accident, sample_iteration
+from lvecdlp.attack import AttackConfig, curve_monomials, decode_solution, detect_accident, sample_iteration
 from lvecdlp.errors import BudgetExceededError
 from lvecdlp import problem_l
 from lvecdlp.linalg import (
@@ -20,7 +21,7 @@ from lvecdlp.linalg import (
     rref_rows,
 )
 from lvecdlp.problem_l import plant_instance, solve_alg2, solve_exhaustive
-from lvecdlp.veronese import basis
+from lvecdlp.veronese import basis, columns
 from reference_attack import first_accepted, flat_singular_zero_sets, fraction_free_rank, projective_span
 from reference_linalg import reference_right_kernel_rows
 from scan_helpers import own_rref_pivots, singular_zero_sets
@@ -254,6 +255,62 @@ def test_minors_scan_matches_flat_scan_on_planted_and_other_bases():
             assert kb.pivots == pivots
             assert_matches_flat_scan(kb, len(pivots), hashed_accept(rng.randrange(1 << 30), 96))
             assert_constructs(kb, mixed(kb, rng))
+
+
+def test_mds_test_matches_the_rank_of_every_maximal_square():
+    """``spans_mds_code`` says True exactly when every maximal square of the
+    matrix has full rank by the reference elimination: random matrices over
+    F_5 and F_7, where zero minors are common, of every height up to 4 and
+    width up to 7, and planted ones with two equal or proportional columns."""
+    rng = random.Random(5)
+    sides = Counter()
+    for height in range(1, 5):
+        for width in range(height, 8):
+            for _ in range(12):
+                p = rng.choice((5, 7))
+                rows = [[rng.randrange(p) for _ in range(width)] for _ in range(height)]
+                if width > height and rng.random() < 0.25:
+                    a, b = rng.sample(range(width), 2)
+                    scale = rng.randrange(1, p)
+                    for row in rows:
+                        row[b] = row[a] * scale % p
+                expected = all(
+                    fraction_free_rank([[row[c] for row in rows] for c in cols], p) == height
+                    for cols in combinations(range(width), height)
+                )
+                assert problem_l.spans_mds_code(rows, p) == expected, (rows, p)
+                sides[expected] += 1
+    assert sides == {True: 92, False: 172}
+
+
+@pytest.mark.parametrize(
+    "group_name, n_prime, count, sides",
+    [
+        ("group_p907", 1, 400, {(True, False): 386, (False, False): 8, (False, True): 6}),
+        ("group_p19", 1, 200, {(True, False): 37, (False, False): 89, (False, True): 74}),
+        ("group_p907", 2, 40, {(True, False): 11, (False, False): 25, (False, True): 4}),
+        ("group_p19", 2, 40, {(False, False): 2, (False, True): 38}),
+    ],
+)
+def test_mds_test_holds_exactly_when_the_scan_finds_no_set(request, group_name, n_prime, count, sides):
+    """On real attack samples, collision samples included, no maximal minor
+    of the points' matrix is zero exactly when the scan of its kernel yields
+    no singular l-set.  ``sides`` counts the samples by (no zero minor,
+    collision): at n' = 1 on p = 907 about 98% have no singular set; on
+    order 19 a collision, two equal rows, always gives one.  The attack
+    tests its points only at n' = 1; n' = 2 checks the function."""
+    group = request.getfixturevalue(group_name)
+    q, l = group.curve.q, 3 * n_prime
+    monomials = curve_monomials(n_prime)
+    seen = Counter()
+    for sample in attack_samples(group, n_prime, count, seed=11):
+        kb = left_kernel(monomials, sample.points, q)
+        no_set = next(problem_l._scan(kb.vectors, kb.pivots, kb.ambient, l, q), None) is None
+        certified = problem_l.spans_mds_code(columns(monomials, sample.points, q), q)
+        assert certified == no_set, sample.index
+        assert kb.dim == l or not certified
+        seen[certified, detect_accident(sample) is not None] += 1
+    assert seen == sides
 
 
 @pytest.mark.parametrize("l, width", [(3, 3), (6, 6), (9, 9), (3, 5)])

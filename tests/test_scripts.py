@@ -140,6 +140,11 @@ def test_bench_pairs_flags_wrong_output_and_digest_mismatch():
     runs[0]["failed"], runs[1]["failed"], runs[1]["attempted"] = 1, 2, 300
     assert bench_pairs.summarize(runs, MS)["w"]["ms"]["verdict"] == "gain"
     assert bench_pairs.problems(runs) == []
+    # Each side's median operations per run sit beside the metrics, so that a
+    # peak_rss_mib move can be read against them.
+    for run in runs:
+        run["operations"] = run["seed"] * (3 if run["side"] == "change" else 2)
+    assert bench_pairs.summarize(runs, MS)["w"]["operations"] == {"parent_median": 11.0, "change_median": 16.5}
 
 
 FAKE_PERFBENCH = """
