@@ -26,9 +26,9 @@ n' = 1 the minors are the C(6, 3) = 20 determinants of three points'
 (x, y, 1), zero iff the three are collinear, which on the curve means they
 sum to O (or two of them are equal); about C(6, 3)/p of the iterations
 have such a triple, 20/907 at p = 907.  The attack tests only at n' = 1,
-where the test cost 23 us against 51 us for the kernel and a full scan; at
-n' = 2 its C(12, k) minors of every size k cost 1.8 ms against 0.86 ms (2
-vCPU, Python 3.11).
+where the test cost 23 microseconds against 51 for the kernel and a full
+scan; at n' = 2 its C(12, k) minors of every size k cost 1.8 ms against
+0.86 ms (2 vCPU, Python 3.11).
 
 The minors are computed in blocks by top row, without recursion: for t =
 l-1 down to 0, every minor whose top row is t, each expanded along that row
