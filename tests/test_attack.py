@@ -236,6 +236,42 @@ def test_n1_records_equal_those_of_the_kernel_path(request, monkeypatch, group_n
         assert tuple(fast_kernels for _, fast_kernels in tested) == kernels
 
 
+def test_n1_records_at_a_large_l_equal_those_of_the_kernel_path(group_p907, monkeypatch):
+    """At n' = 1 with l = 20, so N = 23 points and C(23, 3) = 1771 maximal
+    minors, the records also equal those of the kernel path: alg2 over 40
+    iterations with the accident check off and on, and the exhaustive solver,
+    whose kernel path scans each of the 1771 sets by a restricted kernel, on
+    iterations 4 and 5 with the check off.  The minors test settles
+    iterations 5, 16 and 39; the others take the kernel."""
+    kernel_calls = Counter()
+    original = attack_mod.left_kernel
+
+    def counted(*args):
+        kernel_calls["left_kernel"] += 1
+        return original(*args)
+
+    def records(solver, accident_check, indices):
+        cfg = AttackConfig(
+            group=group_p907,
+            target=group_p907.scalar_mul(401),
+            solver=solver,
+            seed=11,
+            l=20,
+            accident_check=accident_check,
+        )
+        kernel_calls.clear()
+        return [execute_iteration(cfg, index) for index in indices], kernel_calls["left_kernel"]
+
+    monkeypatch.setattr(attack_mod, "left_kernel", counted)
+    runs = [("alg2", False, range(1, 41)), ("alg2", True, range(1, 41)), ("exhaustive", False, (4, 5))]
+    tested = [records(*run) for run in runs]
+    monkeypatch.setattr(attack_mod, "spans_mds_code", lambda rows, p: False)
+    untested = [records(*run) for run in runs]
+    assert [run for run, _ in tested] == [run for run, _ in untested]
+    assert [kernels for _, kernels in tested] == [37, 31, 1]
+    assert [kernels for _, kernels in untested] == [40, 34, 2]
+
+
 def test_n1_budget_below_the_sets_takes_the_kernel_path(group_p907, monkeypatch):
     """With an enumeration budget below C(6, 3) = 20 an n' = 1 iteration skips
     the minors test: the exhaustive solver raises on an iteration the test
