@@ -2,9 +2,9 @@
 
 Each iteration samples fresh multipliers, takes the left kernel of the
 corresponding curve points' monomial matrix, hands it to a zero-pattern
-solver, and decodes any qualifying vector into the logarithm.  At n' = 1 it
-first tests the matrix's maximal minors, and when none is zero it skips
-the kernel and the solver, which could find nothing.
+solver, and decodes any qualifying vector into the logarithm.  At n' = 1
+with l = 3 it first tests the matrix's maximal minors, and when none is
+zero it skips the kernel and the solver, which could find nothing.
 Every decoded answer is verified against the target before being returned,
 so the attack can fail to answer but can never answer wrongly.
 
@@ -274,9 +274,9 @@ def execute_iteration(cfg: AttackConfig, index: int) -> IterationRecord:
     that decodes.  A decoded m that fails verification rejects its vector with
     reason "unverified".  A miss records the one reason "{solver}:{reason}".
 
-    At n' = 1, when the C(3 + l, l) sets fit the enumeration budget, the
-    points' matrix is tested first: with no maximal minor zero, no l-set is
-    singular, so the iteration records kernel dimension l and
+    At n' = 1 with l = 3, when the C(6, 3) sets fit the enumeration budget,
+    the points' matrix is tested first: with no maximal minor zero, no l-set
+    is singular, so the iteration records kernel dimension l and
     "{solver}:not-found" without taking the kernel or calling the solver.
     """
     sample = sample_iteration(cfg, index)
@@ -298,10 +298,12 @@ def execute_iteration(cfg: AttackConfig, index: int) -> IterationRecord:
             return record
     q = cfg.group.curve.q
     # With no maximal minor of the points' matrix zero, no l-set is singular
-    # and either solver would find nothing (see problem_l).  Only at n' = 1
-    # is the test cheaper than the kernel and the scan.
+    # and either solver would find nothing (see problem_l).  The test was
+    # measured cheaper than the kernel and the scan at n' = 1 with l = 3
+    # only; its tables grow as 2^(3n' + l).
     if (
         cfg.n_prime == 1
+        and cfg.l == 3
         and comb(len(sample.points), cfg.l) <= cfg.enumeration_budget
         and spans_mds_code(columns(cfg.monomials, sample.points, q), q)
     ):

@@ -25,13 +25,12 @@ zero.  So when no maximal minor of M is zero, no l-set is singular: the
 n' = 1 the minors are the C(6, 3) = 20 determinants of three points'
 (x, y, 1), zero iff the three are collinear, which on the curve means they
 sum to O (or two of them are equal); about C(6, 3)/p of the iterations
-have such a triple, 20/907 at p = 907.  The test takes the C(N, K) squares
-one at a time, so its time grows with their number, which at n' = 1 is
-C(N, 3) = C(N, l), the number of sets the scan would test, and its memory
-does not grow.  The attack tests only at n' = 1, where the 20 straight-line
-3x3 determinants cost 7 microseconds against 26 for the kernel and a full
-scan; at n' = 2 the C(12, 6) = 924 eliminations of 6 x 6 squares cost
-29 ms against 0.44 ms (2 vCPU, Python 3.11).
+have such a triple, 20/907 at p = 907.  The attack tests only at n' = 1
+with l = 3, where the test cost 23 microseconds against 51 for the kernel
+and a full scan; at n' = 2 its C(12, k) minors of every size k cost 1.8 ms
+against 0.86 ms (2 vCPU, Python 3.11).  Its tables cover every column
+mask, about N 2^(N-1) entries kept for the process, so a wider matrix
+(N = 23 at l = 20 is 2^23 masks) would cost more than the sets it settles.
 
 The minors are computed in blocks by top row, without recursion: for t =
 l-1 down to 0, every minor whose top row is t, each expanded along that row
@@ -167,27 +166,25 @@ def spans_mds_code(rows: Sequence[Sequence[int]], p: int) -> bool:
     [0, p), is nonzero mod p: whether the rows span an MDS code of their
     length (see the module docstring for what that certifies).
 
-    The C(width, height) maximal squares are taken one at a time, stopping at
-    the first singular one, so the time grows with their number and the
-    memory does not.  With three rows, the attack's case at n' = 1, each
-    minor is one straight-line 3x3 determinant; other heights take the rank
-    of each square by elimination.
+    The minors are taken level by level from the bottom row up, with the
+    scan's ``_faces`` tables over every column: level k holds the minors of
+    the last k rows on each k-column mask, each expanded along its top row
+    into level k-1.  Only the last level is tested.  The tables take about
+    width * 2^(width - 1) entries, so the width should stay small: the
+    attack passes 6.
     """
     height = len(rows)
-    if height == 3:
-        top, middle, bottom = rows
-        for a, b, c in combinations(range(len(top)), 3):
-            if not (
-                top[a] * (middle[b] * bottom[c] - middle[c] * bottom[b])
-                - top[b] * (middle[a] * bottom[c] - middle[c] * bottom[a])
-                + top[c] * (middle[a] * bottom[b] - middle[b] * bottom[a])
-            ) % p:
-                return False
-        return True
-    return all(
-        rref_rows([[row[c] for c in cols] for row in rows], p)[1] == height
-        for cols in combinations(range(len(rows[0])), height)
-    )
+    faces = _faces(len(rows[0]))[1]
+    reduce_mod = p.__rmod__
+    minors = rows[-1]
+    for k in range(2, height + 1):
+        row = rows[height - k]
+        total = None
+        for j, (columns, sub_numbers) in enumerate(faces[k]):
+            terms = map(mul, columns(row), sub_numbers(minors))
+            total = terms if total is None else map(sub if j & 1 else add, total, terms)
+        minors = list(map(reduce_mod, total))
+    return 0 not in minors
 
 
 def _scan(

@@ -283,26 +283,6 @@ def test_mds_test_matches_the_rank_of_every_maximal_square():
     assert sides == {True: 92, False: 172}
 
 
-def test_mds_test_takes_one_square_at_a_time():
-    """``spans_mds_code`` keeps no table over the column masks: on the 3 x 23
-    rows (1, t, t^2), t = 1..23, whose C(23, 3) = 1771 minors are nonzero
-    Vandermonde determinants mod 907, it takes every square within 16 KiB of
-    traced memory, where tables over the 2^23 masks would take gigabytes.
-    Moving the last point to (1, 23, 67) puts it on the line through the
-    first two, s = 3t - 2."""
-    p = 907
-    rows = [[1] * 23, list(range(1, 24)), [t * t % p for t in range(1, 24)]]
-    tracemalloc.start()
-    try:
-        assert problem_l.spans_mds_code(rows, p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16384, f"{peak} bytes at the peak"
-    rows[2][-1] = 67
-    assert not problem_l.spans_mds_code(rows, p)
-
-
 @pytest.mark.parametrize(
     "group_name, n_prime, count, sides",
     [
