@@ -3,8 +3,8 @@
 Each iteration samples fresh multipliers, takes the left kernel of the
 corresponding curve points' monomial matrix, hands it to a zero-pattern
 solver, and decodes any qualifying vector into the logarithm.  At n' = 1
-with l = 3 it first tests the matrix's maximal minors, and when none is
-zero it skips the kernel and the solver, which could find nothing.
+it first tests whether three of its points lie on a line, and when none
+do it skips the kernel and the solver, which could find nothing.
 Every decoded answer is verified against the target before being returned,
 so the attack can fail to answer but can never answer wrongly.
 
@@ -28,8 +28,8 @@ from .analysis import success_model
 from .curve import XY, GroupSpec
 from .errors import InvariantViolationError
 from .linalg import left_kernel
-from .problem_l import DEFAULT_ENUMERATION_BUDGET, solve_alg2, solve_exhaustive, spans_mds_code
-from .veronese import MonomialBasis, basis, columns
+from .problem_l import DEFAULT_ENUMERATION_BUDGET, in_general_position, solve_alg2, solve_exhaustive
+from .veronese import MonomialBasis, basis
 
 SOLVER_ALG2 = "alg2"
 SOLVER_EXHAUSTIVE = "exhaustive"
@@ -274,10 +274,11 @@ def execute_iteration(cfg: AttackConfig, index: int) -> IterationRecord:
     that decodes.  A decoded m that fails verification rejects its vector with
     reason "unverified".  A miss records the one reason "{solver}:{reason}".
 
-    At n' = 1 with l = 3, when the C(6, 3) sets fit the enumeration budget,
-    the points' matrix is tested first: with no maximal minor zero, no l-set
-    is singular, so the iteration records kernel dimension l and
-    "{solver}:not-found" without taking the kernel or calling the solver.
+    At n' = 1, when the C(3 + l, l) sets fit the enumeration budget, the
+    points are tested first: with no three on a line (no maximal minor of
+    their matrix zero), no l-set is singular, so the iteration records
+    kernel dimension l and "{solver}:not-found" without taking the kernel or
+    calling the solver.
     """
     sample = sample_iteration(cfg, index)
     record = IterationRecord(
@@ -297,15 +298,14 @@ def execute_iteration(cfg: AttackConfig, index: int) -> IterationRecord:
             record.m = m
             return record
     q = cfg.group.curve.q
-    # With no maximal minor of the points' matrix zero, no l-set is singular
-    # and either solver would find nothing (see problem_l).  The test was
-    # measured cheaper than the kernel and the scan at n' = 1 with l = 3
-    # only; its tables grow as 2^(3n' + l).
+    # With no three points on a line, no maximal minor of the points' matrix
+    # is zero, no l-set is singular and either solver would find nothing
+    # (see problem_l).  The test's C(3 + l, 3) determinants are as many as
+    # the scan's sets, so the budget that bounds those bounds it.
     if (
         cfg.n_prime == 1
-        and cfg.l == 3
         and comb(len(sample.points), cfg.l) <= cfg.enumeration_budget
-        and spans_mds_code(columns(cfg.monomials, sample.points, q), q)
+        and in_general_position(sample.points, q)
     ):
         record.kernel_dim = cfg.l
         record.reject_reasons.append(f"{cfg.solver}:{REJECT_NOT_FOUND}")

@@ -21,16 +21,15 @@ N = K + l points.  A kernel member vanishes on Z iff its support lies in the
 K points outside Z, which exist iff the K x K minor of M on those points is
 zero.  So when no maximal minor of M is zero, no l-set is singular: the
 [N, K] code spanned by M's columns is MDS, and so is its dual, the kernel
-(MacWilliams and Sloane, ch. 11).  ``spans_mds_code`` tests that.  At
-n' = 1 the minors are the C(6, 3) = 20 determinants of three points'
-(x, y, 1), zero iff the three are collinear, which on the curve means they
-sum to O (or two of them are equal); about C(6, 3)/p of the iterations
-have such a triple, 20/907 at p = 907.  The attack tests only at n' = 1
-with l = 3, where the test cost 23 microseconds against 51 for the kernel
-and a full scan; at n' = 2 its C(12, k) minors of every size k cost 1.8 ms
-against 0.86 ms (2 vCPU, Python 3.11).  Its tables cover every column
-mask, about N 2^(N-1) entries kept for the process, so a wider matrix
-(N = 23 at l = 20 is 2^23 masks) would cost more than the sets it settles.
+(MacWilliams and Sloane, ch. 11).  At n' = 1 the maximal minors are the
+C(N, 3) determinants of three points' (x, y, 1), zero iff the three are
+collinear, which on the curve means they sum to O (Semaev's third
+summation polynomial, IACR ePrint 2004/031), or two of them are equal.
+``in_general_position`` takes them straight from the points, one at a
+time, and tests their product; about C(N, 3)/p of the iterations have such
+a triple, 20/907 at l = 3 and p = 907.  Its time grows with C(N, 3) =
+C(N, l), the sets the enumeration budget bounds, and its memory stays
+flat, so the attack runs it at n' = 1 at every l within that budget.
 
 The minors are computed in blocks by top row, without recursion: for t =
 l-1 down to 0, every minor whose top row is t, each expanded along that row
@@ -69,6 +68,7 @@ from operator import add, itemgetter, mul, not_, sub
 from random import Random
 from typing import Callable, Iterator, Optional, Sequence
 
+from .curve import XY
 from .errors import BudgetExceededError
 from .linalg import (
     DIAGONAL,
@@ -161,30 +161,31 @@ def solve_exhaustive(
     return None
 
 
-def spans_mds_code(rows: Sequence[Sequence[int]], p: int) -> bool:
-    """Whether every maximal minor of the matrix with these rows, entries in
-    [0, p), is nonzero mod p: whether the rows span an MDS code of their
-    length (see the module docstring for what that certifies).
+def in_general_position(points: Sequence[XY], q: int) -> bool:
+    """Whether no three of the affine points over F_q, coordinates in [0, q),
+    lie on a line, two equal points counting as on a line with any third:
+    whether every 3 x 3 minor of their (x, y, 1) rows is nonzero mod q (see
+    the module docstring for what that certifies).  False when a point is
+    None, the identity, whose row (0, 1, 0) is not of that form.
 
-    The minors are taken level by level from the bottom row up, with the
-    scan's ``_faces`` tables over every column: level k holds the minors of
-    the last k rows on each k-column mask, each expanded along its top row
-    into level k-1.  Only the last level is tested.  The tables take about
-    width * 2^(width - 1) entries, so the width should stay small: the
-    attack passes 6.
+    The determinants (x2 - x1)(y3 - y1) - (x3 - x1)(y2 - y1) of the C(N, 3)
+    triples are multiplied together, and q prime makes the product zero
+    mod q exactly when one of them is.  The product is reduced once per
+    first point of the triples, which keeps it short at a large N.
     """
-    height = len(rows)
-    faces = _faces(len(rows[0]))[1]
-    reduce_mod = p.__rmod__
-    minors = rows[-1]
-    for k in range(2, height + 1):
-        row = rows[height - k]
-        total = None
-        for j, (columns, sub_numbers) in enumerate(faces[k]):
-            terms = map(mul, columns(row), sub_numbers(minors))
-            total = terms if total is None else map(sub if j & 1 else add, total, terms)
-        minors = list(map(reduce_mod, total))
-    return 0 not in minors
+    if None in points:
+        return False
+    product = 1
+    for i in range(len(points) - 2):
+        x1, y1 = points[i]
+        rest = points[i + 1:]
+        for j in range(len(rest) - 1):
+            x2, y2 = rest[j]
+            dx, dy = x2 - x1, y2 - y1
+            for x3, y3 in rest[j + 1:]:
+                product *= dx * (y3 - y1) - (x3 - x1) * dy
+        product %= q
+    return product != 0
 
 
 def _scan(

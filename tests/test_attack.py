@@ -28,8 +28,8 @@ from lvecdlp.dlp import solve_bsgs
 from lvecdlp.errors import BudgetExceededError
 from lvecdlp.field import PrimeField
 from lvecdlp.linalg import left_kernel
-from lvecdlp.problem_l import solve_alg2, solve_exhaustive, spans_mds_code
-from lvecdlp.veronese import basis, columns
+from lvecdlp.problem_l import in_general_position, solve_alg2, solve_exhaustive
+from lvecdlp.veronese import basis
 from lvecdlp.verification import LARGE_ORDER, clean_iteration, fixture_large
 from reference_attack import accident_by_points, projective_span, randrange_multipliers, subset_sum_oracle
 from reference_curve import reference_scalar_mul
@@ -189,10 +189,10 @@ def test_iteration_goes_once_through_each_traced_boundary(group_p907, monkeypatc
     for index in range(1, 81):
         calls.clear()
         sample = sample_iteration(cfg, index)
-        no_zero_minor = spans_mds_code(columns(cfg.monomials, sample.points, q), q)
-        certified[no_zero_minor] += 1
+        no_line = in_general_position(sample.points, q)
+        certified[no_line] += 1
         assert execute_iteration(cfg, index).kernel_dim == 3
-        assert calls == ({} if no_zero_minor else {"left_kernel": 1, f"solve_{solver}": 1}), index
+        assert calls == ({} if no_line else {"left_kernel": 1, f"solve_{solver}": 1}), index
     # Index 33 is a collision sample.
     assert certified == {True: 75, False: 5}
     cfg = AttackConfig(group=group_p907, target=group_p907.scalar_mul(321), n_prime=2, solver=solver, seed=2)
@@ -202,13 +202,20 @@ def test_iteration_goes_once_through_each_traced_boundary(group_p907, monkeypatc
         assert calls == {"left_kernel": 1, f"solve_{solver}": 1}, index
 
 
-@pytest.mark.parametrize("group_name, count, kernels", [("group_p907", 400, (14, 8)), ("group_p19", 200, (163, 89))])
+@pytest.mark.parametrize(
+    "group_name, count, kernels",
+    [
+        ("group_p907", 400, {3: (14, 8), 4: (17, 11), 6: (35, 28)}),
+        ("group_p19", 200, {3: (163, 89), 4: (197, 103), 6: (200, 75)}),
+    ],
+)
 def test_n1_records_equal_those_of_the_kernel_path(request, monkeypatch, group_name, count, kernels):
-    """At n' = 1 the records equal, field by field, those of the path that takes
-    the kernel and runs the solver on every iteration (the minors test patched
-    to report a zero minor): both solvers, with the accident check off and
-    on, on p = 907 and on order 19, collision samples included.  ``kernels``
-    counts the iterations that still take the kernel, check off and on."""
+    """At n' = 1 with l = 3, 4 and 6 the records equal, field by field, those
+    of the path that takes the kernel and runs the solver on every iteration
+    (the collinearity test patched to report a line): both solvers, with the
+    accident check off and on, on p = 907 and on order 19, collision samples
+    included.  ``kernels[l]`` counts the iterations that still take the
+    kernel, check off and on."""
     group = request.getfixturevalue(group_name)
     kernel_calls = Counter()
     original = attack_mod.left_kernel
@@ -217,41 +224,39 @@ def test_n1_records_equal_those_of_the_kernel_path(request, monkeypatch, group_n
         kernel_calls["left_kernel"] += 1
         return original(*args)
 
-    def records(solver, accident_check):
+    def records(l, solver, accident_check):
         cfg = AttackConfig(
-            group=group, target=group.scalar_mul(401), solver=solver, seed=11, accident_check=accident_check
+            group=group, target=group.scalar_mul(401), l=l, solver=solver, seed=11, accident_check=accident_check
         )
         kernel_calls.clear()
         return [execute_iteration(cfg, index) for index in range(1, count + 1)], kernel_calls["left_kernel"]
 
     monkeypatch.setattr(attack_mod, "left_kernel", counted)
-    for solver in ("exhaustive", "alg2"):
-        tested = [records(solver, accident_check) for accident_check in (False, True)]
-        with monkeypatch.context() as patched:
-            patched.setattr(attack_mod, "spans_mds_code", lambda rows, p: False)
-            untested = [records(solver, accident_check) for accident_check in (False, True)]
-        for (fast, fast_kernels), (slow, slow_kernels) in zip(tested, untested):
-            assert fast == slow
-            assert slow_kernels == sum(record.accident is None for record in slow)
-        assert tuple(fast_kernels for _, fast_kernels in tested) == kernels
+    for l, expected in kernels.items():
+        for solver in ("exhaustive", "alg2"):
+            tested = [records(l, solver, accident_check) for accident_check in (False, True)]
+            with monkeypatch.context() as patched:
+                patched.setattr(attack_mod, "in_general_position", lambda points, q: False)
+                untested = [records(l, solver, accident_check) for accident_check in (False, True)]
+            for (fast, fast_kernels), (slow, slow_kernels) in zip(tested, untested):
+                assert fast == slow
+                assert slow_kernels == sum(record.accident is None for record in slow)
+            assert tuple(fast_kernels for _, fast_kernels in tested) == expected, (l, solver)
 
 
-def test_n1_at_a_large_l_skips_the_minors_test(group_p907, monkeypatch):
-    """At n' = 1 with l = 20 (N = 23 points, whose minors test would build
-    tables over 2^23 column masks) the minors test is not run: every
-    iteration without an accident takes the kernel, and the records of alg2
-    over 40 iterations with the accident check off and on, and of the
-    exhaustive solver on iterations 4 and 5 with the check off, hash to
-    what the parent commit, without the test, gave."""
+def test_n1_at_a_large_l_runs_the_collinearity_test(group_p907, monkeypatch):
+    """At n' = 1 with l = 20 (N = 23 points, C(23, 3) = 1,771 triples) the
+    collinearity test runs and settles the iterations with no three points on
+    a line; the rest take the kernel.  The records of alg2 over 40 iterations
+    with the accident check off and on, and of the exhaustive solver on
+    iterations 4 and 5 with the check off, hash to what the kernel path on
+    every iteration gave."""
     kernel_calls = Counter()
     original = attack_mod.left_kernel
 
     def counted(*args):
         kernel_calls["left_kernel"] += 1
         return original(*args)
-
-    def not_called(rows, p):
-        raise AssertionError(f"minors test on {len(rows[0])} points")
 
     def records(solver, accident_check, indices):
         cfg = AttackConfig(
@@ -265,23 +270,22 @@ def test_n1_at_a_large_l_skips_the_minors_test(group_p907, monkeypatch):
         return [execute_iteration(cfg, index).to_dict() for index in indices]
 
     monkeypatch.setattr(attack_mod, "left_kernel", counted)
-    monkeypatch.setattr(attack_mod, "spans_mds_code", not_called)
     runs = [("alg2", False, range(1, 41)), ("alg2", True, range(1, 41)), ("exhaustive", False, (4, 5))]
     text = json.dumps([records(*run) for run in runs], sort_keys=True)
-    assert kernel_calls["left_kernel"] == 40 + 34 + 2
+    assert kernel_calls["left_kernel"] == 69
     assert hashlib.sha256(text.encode()).hexdigest() == "9b8bebc81d36c1509431f4aebeef13ae3b0e6e05d7ff112fd8759db9fd9f77ed"
 
 
 def test_n1_budget_below_the_sets_takes_the_kernel_path(group_p907, monkeypatch):
     """With an enumeration budget below C(6, 3) = 20 an n' = 1 iteration skips
-    the minors test: the exhaustive solver raises on an iteration the test
+    the collinearity test: the exhaustive solver raises on an iteration the test
     would have settled, and an alg2 run takes the kernel on every iteration,
     its records hashing to what the kernel-and-solver path gave before the
     test existed."""
     settings = dict(group=group_p907, target=group_p907.scalar_mul(321), seed=2, enumeration_budget=19)
     with pytest.raises(BudgetExceededError, match="C\\(6, 3\\) exceeds the enumeration budget 19"):
         execute_iteration(AttackConfig(**settings), 1)
-    monkeypatch.setattr(attack_mod, "spans_mds_code", None)
+    monkeypatch.setattr(attack_mod, "in_general_position", None)
     outcome = run_attack(AttackConfig(solver="alg2", max_iterations=60, **settings))
     assert (outcome.m, outcome.iterations_used) == (321, 31)
     records = json.dumps([record.to_dict() for record in outcome.records], sort_keys=True)

@@ -21,7 +21,7 @@ from lvecdlp.linalg import (
     rref_rows,
 )
 from lvecdlp.problem_l import plant_instance, solve_alg2, solve_exhaustive
-from lvecdlp.veronese import basis, columns
+from lvecdlp.veronese import basis
 from reference_attack import first_accepted, flat_singular_zero_sets, fraction_free_rank, projective_span
 from reference_linalg import reference_right_kernel_rows
 from scan_helpers import own_rref_pivots, singular_zero_sets
@@ -119,9 +119,9 @@ def test_solvers_return_none_on_empty_basis(monkeypatch):
         solve_exhaustive(KernelBasis(5, 18, ()), 9, budget=100)
 
 
-def attack_samples(group, n_prime, count, seed):
+def attack_samples(group, n_prime, count, seed, l=None):
     """The first ``count`` samples of one seeded attack, collision samples included."""
-    cfg = AttackConfig(group=group, target=group.scalar_mul(400 + n_prime), n_prime=n_prime, seed=seed)
+    cfg = AttackConfig(group=group, target=group.scalar_mul(400 + n_prime), n_prime=n_prime, l=l, seed=seed)
     return [sample_iteration(cfg, index) for index in range(1, count + 1)]
 
 
@@ -258,55 +258,59 @@ def test_minors_scan_matches_flat_scan_on_planted_and_other_bases():
 
 
 def test_mds_test_matches_the_rank_of_every_maximal_square():
-    """``spans_mds_code`` says True exactly when every maximal square of the
-    matrix has full rank by the reference elimination: random matrices over
-    F_5 and F_7, where zero minors are common, of every height up to 4 and
-    width up to 7, and planted ones with two equal or proportional columns."""
+    """``in_general_position`` says True exactly when every maximal square of
+    the points' (x, y, 1) rows, every 3 x 3 one, has full rank by the
+    reference elimination: random point sets over F_5 and F_7, where lines
+    through three points are common, of 3 to 8 points, some with a point
+    repeated and some with a third point planted on the line of two others.
+    A point that is None (the identity) answers False."""
     rng = random.Random(5)
     sides = Counter()
-    for height in range(1, 5):
-        for width in range(height, 8):
-            for _ in range(12):
-                p = rng.choice((5, 7))
-                rows = [[rng.randrange(p) for _ in range(width)] for _ in range(height)]
-                if width > height and rng.random() < 0.25:
-                    a, b = rng.sample(range(width), 2)
-                    scale = rng.randrange(1, p)
-                    for row in rows:
-                        row[b] = row[a] * scale % p
-                expected = all(
-                    fraction_free_rank([[row[c] for row in rows] for c in cols], p) == height
-                    for cols in combinations(range(width), height)
-                )
-                assert problem_l.spans_mds_code(rows, p) == expected, (rows, p)
-                sides[expected] += 1
-    assert sides == {True: 92, False: 172}
+    for n in range(3, 9):
+        for _ in range(40):
+            p = rng.choice((5, 7))
+            points = [(rng.randrange(p), rng.randrange(p)) for _ in range(n)]
+            plant = rng.random()
+            if plant < 0.2:
+                a, b = rng.sample(range(n), 2)
+                points[b] = points[a]
+            elif plant < 0.4:
+                a, b, c = rng.sample(range(n), 3)
+                t = rng.randrange(p)
+                points[c] = tuple((u + t * (v - u)) % p for u, v in zip(points[a], points[b]))
+            rows = [[x, y, 1] for x, y in points]
+            expected = all(fraction_free_rank(list(square), p) == 3 for square in combinations(rows, 3))
+            assert problem_l.in_general_position(points, p) == expected, (points, p)
+            sides[expected] += 1
+    assert not problem_l.in_general_position([(0, 1), (1, 0), (1, 1), None], 7)
+    assert sides == {True: 38, False: 202}
 
 
 @pytest.mark.parametrize(
-    "group_name, n_prime, count, sides",
+    "group_name, l, count, sides",
     [
-        ("group_p907", 1, 400, {(True, False): 386, (False, False): 8, (False, True): 6}),
-        ("group_p19", 1, 200, {(True, False): 37, (False, False): 89, (False, True): 74}),
-        ("group_p907", 2, 40, {(True, False): 11, (False, False): 25, (False, True): 4}),
-        ("group_p19", 2, 40, {(False, False): 2, (False, True): 38}),
+        ("group_p907", 3, 400, {(True, False): 386, (False, False): 8, (False, True): 6}),
+        ("group_p19", 3, 200, {(True, False): 37, (False, False): 89, (False, True): 74}),
+        ("group_p907", 4, 400, {(True, False): 383, (False, False): 11, (False, True): 6}),
+        ("group_p19", 4, 200, {(True, False): 3, (False, False): 103, (False, True): 94}),
+        ("group_p907", 6, 400, {(True, False): 365, (False, False): 28, (False, True): 7}),
+        ("group_p19", 6, 200, {(False, False): 75, (False, True): 125}),
     ],
 )
-def test_mds_test_holds_exactly_when_the_scan_finds_no_set(request, group_name, n_prime, count, sides):
-    """On real attack samples, collision samples included, no maximal minor
-    of the points' matrix is zero exactly when the scan of its kernel yields
-    no singular l-set.  ``sides`` counts the samples by (no zero minor,
-    collision): at n' = 1 on p = 907 about 98% have no singular set; on
-    order 19 a collision, two equal rows, always gives one.  The attack
-    tests its points only at n' = 1; n' = 2 checks the function."""
+def test_mds_test_holds_exactly_when_the_scan_finds_no_set(request, group_name, l, count, sides):
+    """On real attack samples at n' = 1, collision samples included, no three
+    points lie on a line exactly when the scan of their kernel yields no
+    singular l-set.  ``sides`` counts the samples by (no three on a line,
+    collision): at l = 3 on p = 907 about 98% have no singular set; on order
+    19 a collision, two equal rows, always gives one."""
     group = request.getfixturevalue(group_name)
-    q, l = group.curve.q, 3 * n_prime
-    monomials = curve_monomials(n_prime)
+    q = group.curve.q
+    monomials = curve_monomials(1)
     seen = Counter()
-    for sample in attack_samples(group, n_prime, count, seed=11):
+    for sample in attack_samples(group, 1, count, seed=11, l=l):
         kb = left_kernel(monomials, sample.points, q)
         no_set = next(problem_l._scan(kb.vectors, kb.pivots, kb.ambient, l, q), None) is None
-        certified = problem_l.spans_mds_code(columns(monomials, sample.points, q), q)
+        certified = problem_l.in_general_position(sample.points, q)
         assert certified == no_set, sample.index
         assert kb.dim == l or not certified
         seen[certified, detect_accident(sample) is not None] += 1
