@@ -170,8 +170,11 @@ def in_general_position(points: Sequence[XY], q: int) -> bool:
 
     The determinants (x2 - x1)(y3 - y1) - (x3 - x1)(y2 - y1) of the C(N, 3)
     triples are multiplied together, and q prime makes the product zero
-    mod q exactly when one of them is.  The product is reduced once per
-    first point of the triples, which keeps it short at a large N.
+    mod q exactly when one of them is.  The product is reduced mod q at the
+    end and, after the triples of each first point, whenever it has grown
+    past 512 bits: at N = 6 and q = 907 its 20 factors, each below 2^21 in
+    absolute value, keep it below 2^420, so it is reduced once, and at a
+    large N it stays short.
     """
     if None in points:
         return False
@@ -184,8 +187,9 @@ def in_general_position(points: Sequence[XY], q: int) -> bool:
             dx, dy = x2 - x1, y2 - y1
             for x3, y3 in rest[j + 1:]:
                 product *= dx * (y3 - y1) - (x3 - x1) * dy
-        product %= q
-    return product != 0
+        if product.bit_length() > 512:
+            product %= q
+    return product % q != 0
 
 
 def _scan(
