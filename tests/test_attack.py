@@ -244,13 +244,13 @@ def test_n1_records_equal_those_of_the_kernel_path(request, monkeypatch, group_n
             assert tuple(fast_kernels for _, fast_kernels in tested) == expected, (l, solver)
 
 
-def test_n1_at_a_large_l_runs_the_collinearity_test(group_p907, monkeypatch):
-    """At n' = 1 with l = 20 (N = 23 points, C(23, 3) = 1,771 triples) the
-    collinearity test runs and settles the iterations with no three points on
-    a line; the rest take the kernel.  The records of alg2 over 40 iterations
-    with the accident check off and on, and of the exhaustive solver on
-    iterations 4 and 5 with the check off, hash to what the kernel path on
-    every iteration gave."""
+def test_n1_at_a_large_l_skips_the_minors_test(group_p907, monkeypatch):
+    """At n' = 1 with l = 20 (N = 23 points, C(23, 3) = 1,771 triples) an
+    iteration whose points hold no three on a line skips the kernel and the
+    scan's minors test; the rest take the kernel.  The records of alg2 over
+    40 iterations with the accident check off and on, and of the exhaustive
+    solver on iterations 4 and 5 with the check off, hash to what the kernel
+    path on every iteration gave."""
     kernel_calls = Counter()
     original = attack_mod.left_kernel
 
