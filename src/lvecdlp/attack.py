@@ -25,7 +25,7 @@ from math import ceil, comb
 from typing import Callable, Iterator, Optional
 
 from .analysis import success_model
-from .curve import XY, GroupSpec
+from .curve import XY, FixedBaseTable, GroupSpec
 from .errors import InvariantViolationError
 from .linalg import left_kernel
 from .problem_l import DEFAULT_ENUMERATION_BUDGET, in_general_position, solve_alg2, solve_exhaustive
@@ -87,9 +87,9 @@ class AttackConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.enumeration_budget < 1:
             raise ValueError("enumeration_budget must be >= 1")
-        # -target and its window memo, not fields: equality and hashing ignore them.
-        object.__setattr__(self, "_neg_target", self.group.curve.negate(self.target))
-        object.__setattr__(self, "_neg_target_memo", {})
+        # The table of -target, not a field: equality and hashing ignore it.
+        neg_target = self.group.curve.negate(self.target)
+        object.__setattr__(self, "_neg_target_table", FixedBaseTable(self.group.curve, neg_target, p))
 
     @property
     def monomials(self) -> MonomialBasis:
@@ -97,8 +97,8 @@ class AttackConfig:
         return curve_monomials(self.n_prime)
 
     def neg_target_mul(self, r: int) -> XY:
-        """r * (-target) for 0 <= r, from the window memo of -target this config keeps."""
-        return self.group.curve.scalar_mul(r, self._neg_target, self._neg_target_memo)
+        """r * (-target) for 0 <= r <= order, from the table of -target this config keeps."""
+        return self._neg_target_table.multiple(r)
 
 
 @cache
@@ -287,6 +287,20 @@ def execute_iteration(cfg: AttackConfig, index: int) -> IterationRecord:
         multipliers_q=sample.multipliers_q,
     )
     p = cfg.group.order
+    q = cfg.group.curve.q
+    # With no three points on a line, no maximal minor of the points' matrix
+    # is zero, no l-set is singular and either solver would find nothing
+    # (see problem_l).  The test's C(3 + l, 3) determinants are as many as
+    # the scan's sets, so the budget that bounds those bounds it.  Two equal
+    # points are on a line with any third, so there is no accident either.
+    if (
+        cfg.n_prime == 1
+        and comb(len(sample.points), cfg.l) <= cfg.enumeration_budget
+        and in_general_position(sample.points, q)
+    ):
+        record.kernel_dim = cfg.l
+        record.reject_reasons.append(f"{cfg.solver}:{REJECT_NOT_FOUND}")
+        return record
     if cfg.accident_check:
         accident = detect_accident(sample)
         if accident is not None:
@@ -297,19 +311,6 @@ def execute_iteration(cfg: AttackConfig, index: int) -> IterationRecord:
             record.found_by = "accident"
             record.m = m
             return record
-    q = cfg.group.curve.q
-    # With no three points on a line, no maximal minor of the points' matrix
-    # is zero, no l-set is singular and either solver would find nothing
-    # (see problem_l).  The test's C(3 + l, 3) determinants are as many as
-    # the scan's sets, so the budget that bounds those bounds it.
-    if (
-        cfg.n_prime == 1
-        and comb(len(sample.points), cfg.l) <= cfg.enumeration_budget
-        and in_general_position(sample.points, q)
-    ):
-        record.kernel_dim = cfg.l
-        record.reject_reasons.append(f"{cfg.solver}:{REJECT_NOT_FOUND}")
-        return record
     kernel = left_kernel(cfg.monomials, sample.points, q)
     record.kernel_dim = kernel.dim
     if kernel.dim == 0:

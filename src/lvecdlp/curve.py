@@ -34,9 +34,6 @@ DEFAULT_ENUMERATION_LIMIT = 1 << 20
 
 IDENTITY_TOKEN = "O"
 
-_WINDOW_BITS = 4
-_DIGIT_MASK = (1 << _WINDOW_BITS) - 1
-
 # Whole multiples of its generator a GroupSpec keeps: every one of a group of
 # order up to 4,097, and about 0.75 MiB of pairs at most on a larger one.
 KEPT_MULTIPLES = 1 << 12
@@ -106,66 +103,14 @@ class Curve:
         x3 = (slope * slope - x1 - x2) % q
         return x3, (slope * (x1 - x3) - y1) % q
 
-    def scalar_mul(self, k: int, pt: XY, memo: dict | None = None) -> XY:
-        """k * pt for k >= 0.
+    def scalar_mul(self, k: int, pt: XY) -> XY:
+        """k * pt for k >= 0, from a table of pt that is used once.
 
-        The memo maps a scalar d * 2^(4i), 0 < d < 16, to the window entry
-        d * 2^(4i) * pt; its powers of two are pt's doubling chain.  A missing
-        entry is filled in by ``_window``, so a call on an empty memo makes as
-        many group operations as double-and-add, and a warm one adds only its
-        nonzero digits.  A caller that multiplies one base many times passes
-        the same dict each time (empty at first, for that base only); it
-        never holds more than 15 entries per 4-bit window of the largest k.
+        The table is filled for k alone, so the call makes the group
+        operations of double-and-add.  A base multiplied many times keeps its
+        own ``FixedBaseTable`` instead.
         """
-        if k < 0:
-            raise ValueError("scalar must be non-negative; reduce mod the group order first")
-        if not k or pt is None:
-            return None
-        if memo is None:
-            memo = {}
-        if not memo:
-            memo[1] = pt
-        acc = None
-        for shift in range(0, k.bit_length(), _WINDOW_BITS):
-            part = k & (_DIGIT_MASK << shift)
-            if part:
-                entry = memo[part] if part in memo else self._window(part, memo)
-                acc = entry if acc is None else self.add(acc, entry)
-        return acc
-
-    def _window(self, part: int, memo: dict) -> XY:
-        """part * base for part = d * 2^(4i), 0 < d < 16, stored in the memo of
-        the base, which holds the base itself under 1.
-
-        The doubling chain is first extended up to part's top bit; once it
-        reaches the identity, every later entry is the identity.  The chain
-        entries of part's bits are then added from the lowest up, and each
-        partial sum, itself a digit of the same window, is kept, so a digit
-        met for the first time costs at most popcount(d) - 1 additions.
-        """
-        add = self.add
-        top = 1 << (part.bit_length() - 1)
-        known = top
-        while known not in memo:
-            known >>= 1
-        entry = memo[known]
-        while known < top:
-            entry = add(entry, entry)
-            known <<= 1
-            memo[known] = entry
-        acc = None
-        done = 0
-        rest = part
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            done |= bit
-            if done in memo:
-                acc = memo[done]
-                continue
-            acc = add(acc, memo[bit])
-            memo[done] = acc
-        return acc
+        return FixedBaseTable(self, pt, k).multiple(k)
 
     def group_order(self, max_field: int = DEFAULT_ENUMERATION_LIMIT) -> int:
         """Number of rational points including the identity, by exhaustive x-sweep.
@@ -212,6 +157,80 @@ class Curve:
                 yield x, q - y
 
 
+class FixedBaseTable:
+    """Multiples r * base for 0 <= r <= bound, each from two table entries.
+
+    With w = ceil(bitlen(bound) / 2), r * base = lo[r mod 2^w] + hi[r >> w],
+    where lo[d] = d * base and hi[e] = e * 2^w * base (the two-digit case of
+    Lim and Lee's fixed-base combing).  Both tables are dicts filled lazily,
+    so nothing proportional to 2^w is allocated until it is asked for, and
+    each entry is made by one group operation from entries already present:
+    a power of two doubles the one below it, hi[1] doubles lo[2^(w - 1)],
+    and any other index adds its top bit's entry to the entry of the bits
+    below it, so its partial sums from the lowest bit up are kept too.  A
+    multiple whose two entries are present costs one addition, inlined on
+    ints, and none when a digit is 0.  Entries may be the identity, on a base
+    whose order is not prime.
+    """
+
+    __slots__ = ("curve", "bound", "_q", "_a", "_w", "_mask", "_lo", "_hi")
+
+    def __init__(self, curve: Curve, base: XY, bound: int):
+        w = max(1, -(-bound.bit_length() // 2))
+        self.curve = curve
+        self.bound = bound
+        self._q = curve.field.p
+        self._a = curve.a
+        self._w = w
+        self._mask = (1 << w) - 1
+        self._lo: dict[int, XY] = {0: None, 1: base}
+        self._hi: dict[int, XY] = {0: None}
+
+    def multiple(self, r: int) -> XY:
+        """r * base, for 0 <= r <= bound."""
+        if not 0 <= r <= self.bound:
+            raise ValueError(f"scalar {r} is outside [0, {self.bound}]; reduce mod the group order first")
+        lo, hi = self._lo, self._hi
+        d, e = r & self._mask, r >> self._w
+        try:
+            lhs = lo[d]
+        except KeyError:
+            lhs = self._fill(lo, d)
+        try:
+            rhs = hi[e]
+        except KeyError:
+            rhs = self._fill(hi, e)
+        if lhs is None:
+            return rhs
+        if rhs is None:
+            return lhs
+        # Curve.add, inlined.
+        x1, y1 = lhs
+        x2, y2 = rhs
+        q = self._q
+        if x1 == x2:
+            if (y1 + y2) % q == 0:
+                return None
+            slope = (3 * x1 * x1 + self._a) * pow(2 * y1, -1, q) % q
+        else:
+            slope = (y2 - y1) * pow(x2 - x1, -1, q) % q
+        x3 = (slope * slope - x1 - x2) % q
+        return x3, (slope * (x1 - x3) - y1) % q
+
+    def _fill(self, entries: dict[int, XY], k: int) -> XY:
+        """entries[k] for k > 0, entries being lo or hi, filled in with what it needs."""
+        if k in entries:
+            return entries[k]
+        top = 1 << (k.bit_length() - 1)
+        if k != top:
+            entry = self.curve.add(self._fill(entries, k ^ top), self._fill(entries, top))
+        else:
+            half = self._fill(entries, top >> 1) if top > 1 else self._fill(self._lo, 1 << (self._w - 1))
+            entry = self.curve.add(half, half)
+        entries[k] = entry
+        return entry
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """A curve, a generator, and the generator's prime order, validated together."""
@@ -227,12 +246,11 @@ class GroupSpec:
             raise ValueError("generator is not on the curve")
         if not is_prime(self.order):
             raise ValueError(f"group order {self.order} is not prime")
-        # The generator's window memo and its kept whole multiples, not fields:
-        # equality and hashing ignore them.  The order check below builds the
-        # chain far enough for any r.
-        object.__setattr__(self, "_memo", {})
+        # The generator's table and its kept whole multiples, not fields:
+        # equality and hashing ignore them.
+        object.__setattr__(self, "_table", FixedBaseTable(self.curve, self.generator, self.order))
         object.__setattr__(self, "_multiples", {})
-        if self.curve.scalar_mul(self.order, self.generator, self._memo) is not None:
+        if self._table.multiple(self.order) is not None:
             raise ValueError(f"{self.order} * generator is not the identity")
 
     def scalar_mul(self, r: int) -> XY:
@@ -245,7 +263,7 @@ class GroupSpec:
         multiples = self._multiples
         if r in multiples:
             return multiples[r]
-        pt = self.curve.scalar_mul(r, self.generator, self._memo)
+        pt = self._table.multiple(r)
         if len(multiples) < KEPT_MULTIPLES:
             multiples[r] = pt
         return pt
