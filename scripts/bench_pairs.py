@@ -23,7 +23,10 @@ quartiles (exclusive method), the change's median relative to the parent's,
 the pairs in which the change reads better, and a verdict; under
 ``operations``, each side's median operations per run, against which a
 move in ``peak_rss_mib`` can be read (perfbench keeps one record per
-operation).  The verdicts:
+operation), with the slope of ``peak_rss_mib`` against operations fitted
+over the parent's runs (KiB per operation) and the change's median
+residual from that line (MiB), which separates record growth from program
+memory.  The verdicts:
 
 * ``gain``: the change reads better in at least nine tenths of ten or more
   pairs (ties count for neither), its median is better by more than the
@@ -170,8 +173,31 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             )
             for side in SIDES
         }
+        rows["operations"].update(rss_per_operation([run for run in runs if run["workload"] == workload]))
         summary[workload] = rows
     return summary
+
+
+def rss_per_operation(runs: list[dict]) -> dict:
+    """``peak_rss_mib`` against operations: the least-squares line through the
+    parent's runs, its slope in KiB per operation, and the median of the
+    change's runs' distances above that line in MiB.  A change that only runs
+    more operations, each kept as one record, lands on the line (residual
+    near 0); one whose program holds more memory lands above it.  Empty when
+    a run lacks the metric or the parent's runs do not all run the same
+    number of operations."""
+    sides = {side: [run for run in runs if run["side"] == side] for side in SIDES}
+    if not all(sides.values()) or any("peak_rss_mib" not in run["metrics"] for run in runs):
+        return {}
+    ops = [run["operations"] for run in sides["parent"]]
+    if len(set(ops)) < 2:
+        return {}
+    slope, intercept = statistics.linear_regression(ops, [run["metrics"]["peak_rss_mib"] for run in sides["parent"]])
+    residuals = [run["metrics"]["peak_rss_mib"] - (intercept + slope * run["operations"]) for run in sides["change"]]
+    return {
+        "parent_peak_rss_kib_per_operation": round(slope * 1024, 6),
+        "change_peak_rss_residual_mib": round(statistics.median(residuals), 6),
+    }
 
 
 def problems(runs: list[dict]) -> list[str]:

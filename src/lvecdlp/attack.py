@@ -4,7 +4,8 @@ Each iteration samples fresh multipliers, takes the left kernel of the
 corresponding curve points' monomial matrix, hands it to a zero-pattern
 solver, and decodes any qualifying vector into the logarithm.  At n' = 1
 it first tests whether three of its points lie on a line, and when none
-do it skips the kernel and the solver, which could find nothing.
+do it skips the accident check, the kernel and the solver, which could find
+nothing: two equal points would be on a line with any third.
 Every decoded answer is verified against the target before being returned,
 so the attack can fail to answer but can never answer wrongly.
 
@@ -49,8 +50,8 @@ class AttackConfig:
     """The settings of one attack run, an immutable value.
 
     ``l`` defaults to 3 * n_prime and ``max_iterations`` to a budget sized
-    from the success model.  Both are resolved once, at construction, as are
-    -target and the window memo that sampling multiplies it from, so every
+    from the success model.  Both are resolved once, at construction, as is
+    the table of -target that sampling multiplies it from, so every
     iteration of a run uses the same settings.  Assigning a field raises
     ``dataclasses.FrozenInstanceError``; other settings mean a new config.
     """
@@ -202,7 +203,8 @@ def sample_iteration(cfg: AttackConfig, index: int) -> IterationSample:
     """Sample I and J (distinct within themselves) and their points.
 
     Generator multiples come first, then multiples of -target, matching
-    the decode layout.  The multiples come from the window memos.
+    the decode layout.  The multiples come from the generator's and
+    -target's tables.
     Cross-block collisions are not resampled here; they are the accidents
     handled by detect_accident.
     """
@@ -275,10 +277,12 @@ def execute_iteration(cfg: AttackConfig, index: int) -> IterationRecord:
     reason "unverified".  A miss records the one reason "{solver}:{reason}".
 
     At n' = 1, when the C(3 + l, l) sets fit the enumeration budget, the
-    points are tested first: with no three on a line (no maximal minor of
-    their matrix zero), no l-set is singular, so the iteration records
-    kernel dimension l and "{solver}:not-found" without taking the kernel or
-    calling the solver.
+    points are tested first, ahead of the accident check: with no three on
+    a line (no maximal minor of their matrix zero), no two points are equal,
+    so there is no accident, and no l-set is singular, so the iteration
+    records kernel dimension l and "{solver}:not-found" without looking for
+    an accident, taking the kernel or calling the solver.  Records are the
+    same as with the accident check first.
     """
     sample = sample_iteration(cfg, index)
     record = IterationRecord(

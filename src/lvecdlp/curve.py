@@ -6,16 +6,17 @@ a plain value: an affine (x, y) pair of ints in [0, q), standing for
 one such value, so equal points compare equal and monomial rows built from
 them are unique per point.
 
-Scalar multiplication has one routine, ``Curve.scalar_mul``, which splits k
-into 4-bit windows and adds up one window entry d * 2^(4i) * pt per nonzero
-digit d.  The entries are filled in lazily from the base's doubling chain
-[2^j * pt] and kept in a memo keyed by the scalar, which also holds the
-chain itself.  A base multiplied many times keeps its memo: ``GroupSpec``
-keeps the generator's, and the attack's ``AttackConfig`` keeps the one of
--target.  Once the window entries are warm, a multiple costs at most two
-group additions below 2^12 (fixed-base windowing: Brickell, Gordon,
-McCurley and Wilson, "Fast exponentiation with precomputation", EUROCRYPT
-'92).
+Scalar multiplication has one scheme, the ``FixedBaseTable`` of a base:
+with w = ceil(bitlen(bound) / 2), r * base is lo[r mod 2^w] + hi[r >> w],
+two entries filled in lazily from the base's doubling chain, so a multiple
+whose entries are present costs one group addition (fixed-base
+precomputation: Brickell, Gordon, McCurley and Wilson, "Fast exponentiation
+with precomputation", EUROCRYPT '92; two digits per multiplier as in Lim
+and Lee, "More flexible exponentiation with precomputation", CRYPTO '94).
+A base multiplied many times keeps its table: ``GroupSpec`` keeps the
+generator's, and the attack's ``AttackConfig`` keeps the one of -target.
+``Curve.scalar_mul`` fills a table for one multiple and drops it, which
+costs the group operations of double-and-add.
 ``GroupSpec`` also keeps the first ``KEPT_MULTIPLES`` whole multiples of the
 generator it returns, since the attack draws its generator multipliers
 from [1, order) and on a small group meets the same ones again; a kept
@@ -44,7 +45,11 @@ XY = tuple[int, int] | None
 
 @dataclass(frozen=True)
 class Curve:
-    """Nonsingular short-Weierstrass curve over a prime field with q >= 5."""
+    """Nonsingular short-Weierstrass curve over a prime field with q >= 5.
+
+    ``add`` is the group law; ``scalar_mul`` is for a one-off multiple, a
+    base multiplied many times keeps a ``FixedBaseTable``.
+    """
 
     field: PrimeField
     a: int
@@ -169,8 +174,8 @@ class FixedBaseTable:
     and any other index adds its top bit's entry to the entry of the bits
     below it, so its partial sums from the lowest bit up are kept too.  A
     multiple whose two entries are present costs one addition, inlined on
-    ints, and none when a digit is 0.  Entries may be the identity, on a base
-    whose order is not prime.
+    ints, and none when a digit is 0.  An entry whose index is a multiple of
+    the base's order is the identity.
     """
 
     __slots__ = ("curve", "bound", "_q", "_a", "_w", "_mask", "_lo", "_hi")
@@ -204,7 +209,7 @@ class FixedBaseTable:
             return rhs
         if rhs is None:
             return lhs
-        # Curve.add, inlined.
+        # Curve.add, inlined: this runs for every sampled multiple.
         x1, y1 = lhs
         x2, y2 = rhs
         q = self._q
@@ -233,7 +238,11 @@ class FixedBaseTable:
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """A curve, a generator, and the generator's prime order, validated together."""
+    """A curve, a generator, and the generator's prime order, validated together.
+
+    The generator's ``FixedBaseTable``, bounded by the order, gives its
+    multiples; the order check reads order * generator from it.
+    """
 
     curve: Curve
     generator: tuple[int, int]

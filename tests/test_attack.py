@@ -43,7 +43,7 @@ def make_sample(group, m, multipliers_p, multipliers_q, n_prime):
     target = group.scalar_mul(m)
     neg_target = curve.negate(target)
     points_p = tuple(group.scalar_mul(r) for r in multipliers_p)
-    points_q = tuple(curve.scalar_mul(r, neg_target) for r in multipliers_q)
+    points_q = tuple(reference_scalar_mul(curve, r, neg_target) for r in multipliers_q)
     return IterationSample(0, tuple(multipliers_p), tuple(multipliers_q), points_p + points_q)
 
 
@@ -276,6 +276,40 @@ def test_n1_at_a_large_l_skips_the_minors_test(group_p907, monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == "9b8bebc81d36c1509431f4aebeef13ae3b0e6e05d7ff112fd8759db9fd9f77ed"
 
 
+@pytest.mark.parametrize("accident_check", [False, True])
+def test_general_position_rules_out_accidents_at_n1(group_p19, group_p907, accident_check):
+    """At n' = 1 ``execute_iteration`` tests the points for collinearity before
+    it looks for an accident.  Two equal points are on a line with any third,
+    so a sample in general position holds no accident and the order cannot
+    change a record: on p = 907 and on the order-19 group, where a
+    generator multiple often equals a target multiple, every sample in
+    general position has none, and every record is the one the accident
+    check, run first, would give."""
+    seen = Counter()
+    for group, ms in ((group_p19, range(1, 19)), (group_p907, (5, 321, 906))):
+        q = group.curve.q
+        for m in ms:
+            cfg = AttackConfig(group=group, target=group.scalar_mul(m), seed=m, accident_check=accident_check)
+            for index in range(1, 41):
+                sample = sample_iteration(cfg, index)
+                general = in_general_position(sample.points, q)
+                accident = detect_accident(sample)
+                if general:
+                    assert accident is None, (group.order, m, index)
+                record = execute_iteration(cfg, index)
+                if accident_check and accident is not None:
+                    assert (record.accident, record.found_by, record.m) == (accident, "accident", m)
+                elif general:
+                    assert (record.kernel_dim, record.reject_reasons) == (3, [f"{cfg.solver}:not-found"])
+                    assert record.accident is None and record.m is None
+                else:
+                    assert record.kernel_dim is not None and record.accident is None
+                seen[group.order, general, accident is not None] += 1
+    for order in (19, 907):
+        assert seen[order, True, False] > 0 and seen[order, False, False] > 0
+    assert seen[19, False, True] > 0 and seen[19, True, True] == seen[907, True, True] == 0
+
+
 def test_n1_budget_below_the_sets_takes_the_kernel_path(group_p907, monkeypatch):
     """With an enumeration budget below C(6, 3) = 20 an n' = 1 iteration skips
     the collinearity test: the exhaustive solver raises on an iteration the test
@@ -470,7 +504,7 @@ def test_seeded_records_match_pinned_digest(group_p907):
 
 def test_config_is_frozen_and_its_memo_is_no_field(group_p907):
     """A config's settings are fixed at construction: assigning a field raises,
-    and the -target memo that sampling fills is not part of its value."""
+    and the table of -target that sampling fills is not part of its value."""
     settings = dict(group=group_p907, target=group_p907.scalar_mul(400), n_prime=1, seed=1)
     cfg = AttackConfig(**settings)
     for name, value in (("target", group_p907.scalar_mul(123)), ("n_prime", 2), ("l", 6), ("max_iterations", 16)):
@@ -478,9 +512,10 @@ def test_config_is_frozen_and_its_memo_is_no_field(group_p907):
             setattr(cfg, name, value)
     assert (cfg.n_prime, cfg.l, cfg.max_iterations) == (1, 3, 459)
     run_attack(cfg)
-    assert cfg._neg_target_memo
+    assert len(cfg._neg_target_table._lo) > 2 and len(cfg._neg_target_table._hi) > 1
+    assert "_neg_target_table" not in [f.name for f in dataclasses.fields(AttackConfig)]
     fresh = AttackConfig(**settings)
-    assert cfg == fresh and hash(cfg) == hash(fresh)
+    assert cfg == fresh and hash(cfg) == hash(fresh) and repr(cfg) == repr(fresh)
 
 
 def test_distinct_multipliers_beyond_the_range_raises():

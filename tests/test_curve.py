@@ -5,7 +5,16 @@ import random
 import pytest
 
 from lvecdlp.attack import AttackConfig, sample_iteration
-from lvecdlp.curve import KEPT_MULTIPLES, Curve, GroupSpec, curve_to_text, find_prime_order_curve, point_to_text
+import lvecdlp.curve as curve_module
+from lvecdlp.curve import (
+    KEPT_MULTIPLES,
+    Curve,
+    FixedBaseTable,
+    GroupSpec,
+    curve_to_text,
+    find_prime_order_curve,
+    point_to_text,
+)
 from lvecdlp.errors import BudgetExceededError
 from lvecdlp.field import PrimeField
 from lvecdlp.linalg import rref_rows
@@ -312,103 +321,145 @@ def test_find_prime_order_curve_skips_j0_and_j1728_rows():
     assert group == fixture_large()
 
 
+def table_keys(k):
+    """The indices filling entry k of a lo or hi table leaves in it: the
+    doubling chain up to k's top bit and the partial sums of k's bits taken
+    from the lowest up; none for k = 0."""
+    keys = {1 << j for j in range(k.bit_length())}
+    done = 0
+    while k:
+        bit = k & -k
+        k ^= bit
+        done |= bit
+        keys.add(done)
+    return keys
+
+
+def digit_keys(r, w):
+    """The (lo, hi) indices a multiple of r leaves in a table of width w: r's
+    two digits, and lo's chain up to 2^(w - 1) when the high digit, which
+    starts from hi[1] = 2 * lo[2^(w - 1)], is nonzero."""
+    d, e = r & (1 << w) - 1, r >> w
+    return table_keys(d) | (table_keys(1 << w - 1) if e else set()), table_keys(e)
+
+
+def table_state(table):
+    return dict(table._lo), dict(table._hi)
+
+
+def assert_fills_exactly(table, r, expected):
+    """table.multiple(r) == expected, adding exactly digit_keys(r) to the
+    tables and changing no entry; asked again, it leaves them as they are."""
+    lo, hi = table_state(table)
+    assert table.multiple(r) == expected, r
+    lo_keys, hi_keys = digit_keys(r, table._w)
+    assert set(table._lo) == set(lo) | lo_keys and set(table._hi) == set(hi) | hi_keys, r
+    assert all(table._lo[d] == lo[d] for d in lo) and all(table._hi[e] == hi[e] for e in hi), r
+    after = table_state(table)
+    assert table.multiple(r) == expected, r
+    assert table_state(table) == after, r
+
+
 def test_chain_matches_reference_for_every_scalar_p19(group_p19):
-    """Every k below 2^bits, on one shared memo per base (the generator's and
-    -target's), once with k decreasing and once increasing from a fresh memo,
-    so that digits are met both cold and warm.  Each k is asked twice, the
-    second time from warm window entries that leave the memo as it is."""
+    """Every r in [0, order], from the generator's table and -target's, once
+    with r decreasing and once increasing from fresh tables, so that entries
+    are met both cold and warm: each r equals the reference multiple, its
+    first call adds exactly the entries of its two digits and their chains,
+    and its second leaves the tables as they are."""
     curve, gen, p = group_p19.curve, group_p19.generator, group_p19.order
-    bits = p.bit_length()
-    for scalars in (reversed(range(1 << bits)), range(1 << bits)):
+    w = 3
+    for scalars in (range(p, -1, -1), range(p + 1)):
         cfg = AttackConfig(group=group_p19, target=group_p19.scalar_mul(5))
         neg_target = curve.negate(cfg.target)
-        memo = {}
-        for k in scalars:
-            expected = reference_scalar_mul(curve, k, gen)
-            before = dict(memo)
-            assert curve.scalar_mul(k, gen, memo) == expected, k
-            # The chain up to k's top bit and the digits of k's windows, nothing else.
-            assert set(memo) == set(before) | memo_keys(k), k
-            assert all(memo[s] == before[s] for s in before), k
-            after = dict(memo)
-            assert curve.scalar_mul(k, gen, memo) == expected, k
-            assert memo == after, k
-            for r in (k, k):
-                assert group_p19.scalar_mul(r) == reference_scalar_mul(curve, r % p, gen), r
-                assert cfg.neg_target_mul(r) == reference_scalar_mul(curve, r, neg_target), r
-        # The chain up to the top bit and every digit of each window, nothing else.
-        windows = [d << shift for shift in (0, 4) for d in range(1, 16) if d << shift < 1 << bits]
-        assert sorted(memo) == windows
-        assert sorted(cfg._neg_target_memo) == windows
-        assert memo[1 << 4] == reference_scalar_mul(curve, 16, gen)
-        assert all(memo[s] == reference_scalar_mul(curve, s, gen) for s in memo)
+        table = FixedBaseTable(curve, gen, p)
+        assert table._w == cfg._neg_target_table._w == w
+        for r in scalars:
+            assert_fills_exactly(table, r, reference_scalar_mul(curve, r, gen))
+            assert_fills_exactly(cfg._neg_target_table, r, reference_scalar_mul(curve, r, neg_target))
+            assert cfg.neg_target_mul(r) == reference_scalar_mul(curve, r, neg_target), r
+            for k in (r, r + p, r + 2 * p):
+                assert group_p19.scalar_mul(k) == reference_scalar_mul(curve, r, gen), k
+        # Every digit of [0, 19]: lo[0..7] and hi[0..2], nothing else.
+        for base, t in ((gen, table), (neg_target, cfg._neg_target_table)):
+            assert sorted(t._lo) == list(range(8)) and sorted(t._hi) == [0, 1, 2]
+            assert all(t._lo[d] == reference_scalar_mul(curve, d, base) for d in t._lo)
+            assert all(t._hi[e] == reference_scalar_mul(curve, e << w, base) for e in t._hi)
     # The generator's whole multiples: every r mod p asked for, each the reference multiple.
     assert sorted(group_p19._multiples) == list(range(p))
     assert all(pt == reference_scalar_mul(curve, r, gen) for r, pt in group_p19._multiples.items())
 
 
-def is_window_entry(s):
-    """Whether s > 0 is d * 2^(4i) for a digit 0 < d < 16, the form of a window entry."""
-    return s > 0 and s >> 4 * (((s & -s).bit_length() - 1) // 4) < 16
+def count_group_operations(monkeypatch):
+    """A list that grows by one per group operation of the curve module from
+    here on.  Each chord or tangent step with no identity operand and no
+    P + (-P) takes exactly one modular inverse, in ``Curve.add`` and in a
+    table's inlined addition alike, so the module's ``pow`` is counted."""
+    calls = []
 
+    def counted(base, exp, mod):
+        if exp == -1:
+            calls.append(base)
+        return pow(base, exp, mod)
 
-def memo_keys(k):
-    """The keys a call for k leaves in the memo: the doubling chain up to k's
-    top bit and, in each 4-bit window, the partial sums of its bits taken
-    from the lowest up; none for k = 0."""
-    keys = {1 << j for j in range(k.bit_length())}
-    for shift in range(0, k.bit_length(), 4):
-        rest, done = k & (15 << shift), 0
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            done |= bit
-            keys.add(done)
-    return keys
+    monkeypatch.setattr(curve_module, "pow", counted, raising=False)
+    return calls
 
 
 def test_window_memo_addition_counts(group_p907, monkeypatch):
-    """On an empty memo a call makes exactly the group operations of
-    double-and-add, (bits - 1) doublings and (popcount - 1) additions, and
-    leaves only window entries; warm, one addition fewer than its nonzero
-    4-bit digits, so at most two below 2^10.  A group makes none for a
-    whole multiple it has kept."""
+    """Group operations on the p = 907 generator, counted: a one-shot
+    ``Curve.scalar_mul`` makes exactly those of double-and-add,
+    (bits - 1) doublings and (popcount - 1) additions, and so does a first
+    multiple on an empty table; on a table in use, a multiple makes one per
+    entry it fills plus one when both digits are nonzero, so warm it makes
+    at most one.  A group makes none for a whole multiple it has kept."""
     curve, gen, p = group_p907.curve, group_p907.generator, group_p907.order
     group = GroupSpec(curve, gen, p)
-    calls = []
-    add = Curve.add
-
-    def counted(self, lhs, rhs):
-        """Curve.add, recording each group operation: a call with no identity operand."""
-        if lhs is not None and rhs is not None:
-            calls.append((lhs, rhs))
-        return add(self, lhs, rhs)
-
-    monkeypatch.setattr(Curve, "add", counted)
+    shared = FixedBaseTable(curve, gen, p)
+    calls = count_group_operations(monkeypatch)
+    w = shared._w
+    assert w == 5
     for k in random.Random(5).sample(range(1, p), 200):
-        memo = {}
-        calls.clear()
-        assert curve.scalar_mul(k, gen, memo) == reference_scalar_mul(curve, k, gen), k
-        assert len(calls) == k.bit_length() - 1 + k.bit_count() - 1, k
-        assert all(map(is_window_entry, memo)), k
-        calls.clear()
-        assert curve.scalar_mul(k, gen, memo) == reference_scalar_mul(curve, k, gen), k
-        digits = sum(1 for shift in range(0, 12, 4) if k >> shift & 15)
-        assert len(calls) == digits - 1 <= 2, k
         expected = reference_scalar_mul(curve, k, gen)
+        double_and_add = k.bit_length() - 1 + k.bit_count() - 1
+        both_digits = int(k & 31 != 0 and k >> 5 != 0)
+        calls.clear()
+        assert curve.scalar_mul(k, gen) == expected, k
+        assert len(calls) == double_and_add, k
+        fresh = FixedBaseTable(curve, gen, p)
+        calls.clear()
+        assert fresh.multiple(k) == expected, k
+        assert len(calls) == double_and_add == len(fresh._lo) + len(fresh._hi) - 3 + both_digits, k
+        before = len(shared._lo) + len(shared._hi)
+        calls.clear()
+        assert shared.multiple(k) == expected, k
+        assert len(calls) == len(shared._lo) + len(shared._hi) - before + both_digits, k
+        for table in (fresh, shared):
+            calls.clear()
+            assert table.multiple(k) == expected, k
+            assert len(calls) == both_digits, k
+        before = len(group._table._lo) + len(group._table._hi)
+        calls.clear()
         assert group.scalar_mul(k) == expected and group._multiples[k] == expected, k
+        assert len(calls) == len(group._table._lo) + len(group._table._hi) - before + both_digits, k
         calls.clear()
         assert group.scalar_mul(k) == expected and group.scalar_mul(k + p) == expected, k
         assert calls == [], k
+    # 200 multipliers meet every low digit and every high one: the table is whole.
+    assert sorted(shared._lo) == list(range(32)) and sorted(shared._hi) == list(range((p >> 5) + 1))
 
 
 def test_chain_matches_reference_with_two_torsion():
-    """The curves of the two-torsion test, with one memo per point, filled once
-    with k decreasing and once increasing.  The chain of a point of order 2, 4
-    or 8 reaches the identity inside the first 4-bit window and stops there,
-    and a digit of a point of order 3 (or 5, 6, ...) sums to the identity."""
+    """Every base on every curve mod 5, 7 and 11, the identity included, with
+    a table bounded by the curve's order N, filled once with r decreasing
+    and once increasing: every r in [0, N] equals the reference multiple and
+    adds exactly its digits' entries, and every entry is the reference
+    multiple of its index.  The bases have every order from 2 to 8; the
+    chain of a base of order 2, 4 or 8 reaches the identity and stays there,
+    entries of other orders sum to it, and the inlined addition meets both
+    its doubling (two equal entries) and its P + (-P) case."""
+    orders = set()
     identity_chain_bits = set()
-    identity_digits = 0
+    identity_sums = doublings = inverses = 0
     for q in (5, 7, 11):
         field = PrimeField(q)
         for a in range(q):
@@ -417,26 +468,33 @@ def test_chain_matches_reference_with_two_torsion():
                     continue
                 curve = Curve(field, a, b)
                 points = curve.points()
-                bound = 1 << (len(points) + 2).bit_length()
+                n = len(points)
                 for pt in points:
-                    expected = [reference_scalar_mul(curve, k, pt) for k in range(bound)]
-                    for scalars in (reversed(range(bound)), range(bound)):
-                        memo = {}
-                        for k in scalars:
-                            before = set(memo)
-                            assert curve.scalar_mul(k, pt, memo) == expected[k], (curve, k, pt)
-                            assert set(memo) == (before if pt is None else before | memo_keys(k)), (curve, k, pt)
-                        for part, entry in memo.items():
-                            assert entry == expected[part], (curve, part, pt)
-                        chain = [part for part in memo if part & part - 1 == 0]
-                        stops = [part.bit_length() - 1 for part in chain if memo[part] is None]
+                    expected = [reference_scalar_mul(curve, r, pt) for r in range(n + 1)]
+                    assert expected[n] is None
+                    orders.add(next(r for r in range(1, n + 1) if expected[r] is None))
+                    for scalars in (range(n, -1, -1), range(n + 1)):
+                        table = FixedBaseTable(curve, pt, n)
+                        w = table._w
+                        for r in scalars:
+                            assert_fills_exactly(table, r, expected[r])
+                            lhs, rhs = table._lo[r & (1 << w) - 1], table._hi[r >> w]
+                            if lhs is not None and rhs is not None:
+                                doublings += lhs == rhs
+                                inverses += lhs == curve.negate(rhs)
+                        assert all(entry == expected[d] for d, entry in table._lo.items()), (curve, pt)
+                        assert all(entry == reference_scalar_mul(curve, e << w, pt) for e, entry in table._hi.items())
+                        # The chain 2^j * pt, from lo's powers of two and then hi's.
+                        chain = {d.bit_length() - 1: pt for d, pt in table._lo.items() if d and d & d - 1 == 0}
+                        chain |= {w + e.bit_length() - 1: pt for e, pt in table._hi.items() if e and e & e - 1 == 0}
+                        stops = [j for j in chain if chain[j] is None]
                         if stops:
                             identity_chain_bits.add(min(stops))
-                        identity_digits += sum(
-                            1 for part in memo if part & part - 1 and is_window_entry(part) and memo[part] is None
-                        )
+                            assert all(chain[j] is None for j in chain if j >= min(stops)), (curve, pt)
+                        identity_sums += sum(1 for d in table._lo if d & d - 1 and table._lo[d] is None)
+    assert set(range(1, 9)) <= orders
     assert {1, 2, 3} <= identity_chain_bits
-    assert identity_digits > 0
+    assert identity_sums > 0 and doublings > 0 and inverses > 0
 
 
 @pytest.mark.parametrize("n_prime", [1, 2, 3])
@@ -455,12 +513,15 @@ def test_sampled_points_match_reference(group_p907, n_prime):
 def test_pair_multiples_match_reference_on_sampled_multipliers(group_p907, n_prime):
     """On a fresh group and config, the sampled multipliers' pairs equal the
     reference multiples when first computed, and again as kept whole
-    multiples of the generator or from warm window entries of -target;
-    sampling on that config then reads the same pairs."""
+    multiples of the generator or from warm entries of -target's table,
+    every entry of which is the reference multiple of its index; sampling
+    on that config then reads the same pairs."""
     curve = group_p907.curve
     group = GroupSpec(curve, group_p907.generator, group_p907.order)
     cfg = AttackConfig(group=group, target=group.scalar_mul(321), n_prime=n_prime, seed=4)
     neg_target = curve.negate(cfg.target)
+    table = cfg._neg_target_table
+    checked = {"lo": set(), "hi": set()}
     cold = warm = 0
     for index in range(1, 61):
         multipliers = sample_iteration(AttackConfig(group=group_p907, target=cfg.target, n_prime=n_prime, seed=4), index)
@@ -477,7 +538,11 @@ def test_pair_multiples_match_reference_on_sampled_multipliers(group_p907, n_pri
         for r in multipliers.multipliers_q:
             expected = reference_scalar_mul(curve, r, neg_target)
             assert cfg.neg_target_mul(r) == expected and cfg.neg_target_mul(r) == expected, r
-            assert all(map(is_window_entry, cfg._neg_target_memo)), r
+            # Every entry, once it is filled, is the reference multiple of its index.
+            for name, entries, shift in (("lo", table._lo, 0), ("hi", table._hi, 5)):
+                for k in entries.keys() - checked[name]:
+                    assert entries[k] == reference_scalar_mul(curve, k << shift, neg_target), (name, k)
+                checked[name] |= entries.keys()
             pairs.append(expected)
         sample = sample_iteration(cfg, index)
         assert sample.points == tuple(pairs)
@@ -486,31 +551,55 @@ def test_pair_multiples_match_reference_on_sampled_multipliers(group_p907, n_pri
 
 def test_kept_multiples_stay_bounded_on_a_large_group():
     """On the order-48,731 group the generator keeps at most KEPT_MULTIPLES
-    whole multiples and at most 15 window entries per 4-bit window, however
-    many distinct multipliers it is asked for; every answer, kept or not,
-    is the reference multiple."""
+    whole multiples and at most 2^w + (order >> w) + 1 table entries,
+    w = 8, however many distinct multipliers it is asked for; every answer,
+    kept or not, is the reference multiple."""
     group = fixture_large()
     curve, gen, order = group.curve, group.generator, group.order
+    w = group._table._w
+    assert w == 8
+    entries = (1 << w) + (order >> w) + 1
     rng = random.Random(7)
     asked = rng.sample(range(1, order), KEPT_MULTIPLES + 2000)
     for r in asked:
         group.scalar_mul(r)
     assert list(group._multiples) == asked[:KEPT_MULTIPLES]
-    windows = -(-order.bit_length() // 4) * 15
-    assert len(group._memo) <= windows
+    assert len(group._table._lo) + len(group._table._hi) <= entries
     for r in rng.sample(asked, 200) + asked[:50] + asked[-50:]:
         assert group.scalar_mul(r) == reference_scalar_mul(curve, r, gen), r
-    assert len(group._multiples) == KEPT_MULTIPLES and len(group._memo) <= windows
+    assert len(group._multiples) == KEPT_MULTIPLES and len(group._table._lo) + len(group._table._hi) <= entries
+
+
+def test_table_on_a_61_bit_bound_fills_lazily():
+    """A table of a point over F_(2^61 - 1) with bound 2^61 - 1, whose digits
+    are 31 bits wide: each multiple adds only its digits' entries, at most
+    about 4 * 31, and equals the reference multiple."""
+    q = (1 << 61) - 1
+    curve = Curve(PrimeField(q), 3, 7)
+    x = next(x for x in range(1, 100) if pow(x**3 + 3 * x + 7, (q - 1) // 2, q) == 1)
+    base = curve.point(x, pow(x**3 + 3 * x + 7, (q + 1) // 4, q))
+    table = FixedBaseTable(curve, base, q)
+    assert table._w == 31
+    rng = random.Random(61)
+    for r in [0, 1, q, (1 << 31) - 1, 1 << 31, q - 1] + [rng.randrange(q + 1) for _ in range(40)]:
+        assert_fills_exactly(table, r, reference_scalar_mul(curve, r, base))
+    assert len(table._lo) + len(table._hi) <= 46 * 4 * 31
 
 
 def test_chain_rejects_negative_scalars(group_p19):
+    """A table answers for 0 <= r <= its bound and raises ValueError, not
+    IndexError, outside; -target's is bounded by the order, and a one-shot
+    ``Curve.scalar_mul`` by its own k."""
     cfg = AttackConfig(group=group_p19, target=group_p19.scalar_mul(5))
-    with pytest.raises(ValueError):
-        group_p19.curve.scalar_mul(-1, group_p19.generator, [])
-    with pytest.raises(ValueError):
-        group_p19.curve.scalar_mul(-1, group_p19.generator, {})
-    with pytest.raises(ValueError):
-        cfg.neg_target_mul(-1)
+    table = FixedBaseTable(group_p19.curve, group_p19.generator, 19)
+    for r in (-1, -20, 20, 1 << 70):
+        with pytest.raises(ValueError, match="outside"):
+            table.multiple(r)
+        with pytest.raises(ValueError, match="outside"):
+            cfg.neg_target_mul(r)
+    with pytest.raises(ValueError, match="outside"):
+        group_p19.curve.scalar_mul(-1, group_p19.generator)
+    assert cfg.neg_target_mul(19) is None and table.multiple(19) is None
 
 
 def test_cached_chain_leaves_group_spec_equality_and_hash(group_p907):

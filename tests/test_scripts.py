@@ -147,6 +147,35 @@ def test_bench_pairs_flags_wrong_output_and_digest_mismatch():
     assert bench_pairs.summarize(runs, MS)["w"]["operations"] == {"parent_median": 11.0, "change_median": 16.5}
 
 
+def test_bench_pairs_fits_peak_rss_against_operations():
+    """Under ``operations``: the parent's runs lie on 0.5 + 0.1 * operations MiB,
+    a slope of 102.4 KiB per operation, and the change's runs lie 0.25, 0.5
+    and 2.0 MiB above that line, so their median residual is 0.5 MiB.
+    Without the metric, or with one operation count on every parent run,
+    there is no line and no fit is reported."""
+    bench_pairs = load_bench_pairs()
+    runs = synthetic_runs("w", [1.0] * 3, [1.0] * 3)
+    parent_ops, change_ops, change_above = [10, 20, 40], [15, 30, 25], [0.25, 2.0, 0.5]
+    for run in runs:
+        side_ops = parent_ops if run["side"] == "parent" else change_ops
+        run["operations"] = side_ops[run["seed"] - 1]
+        above = change_above[run["seed"] - 1] if run["side"] == "change" else 0.0
+        run["metrics"]["peak_rss_mib"] = 0.5 + 0.1 * run["operations"] + above
+    spec = MS + [{"name": "peak_rss_mib", "unit": "MiB", "better": "lower", "bound": 0.1}]
+    assert bench_pairs.summarize(runs, spec)["w"]["operations"] == {
+        "parent_median": 20,
+        "change_median": 25,
+        "parent_peak_rss_kib_per_operation": 102.4,
+        "change_peak_rss_residual_mib": 0.5,
+    }
+    for run in runs:
+        run["operations"] = 10
+    assert set(bench_pairs.summarize(runs, spec)["w"]["operations"]) == {"parent_median", "change_median"}
+    for run in runs:
+        del run["metrics"]["peak_rss_mib"]
+    assert set(bench_pairs.summarize(runs, MS)["w"]["operations"]) == {"parent_median", "change_median"}
+
+
 FAKE_PERFBENCH = """
 import json
 report = {"output_digest": "abc", "operations": 7, "errors": ["target 3: iteration-budget-exhausted"]}
