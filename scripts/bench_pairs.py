@@ -43,7 +43,10 @@ It reads ``perfbench/`` and ``BENCHMARK.json`` and writes neither (a
 perfbench run writes its reports under each checkout's ``perfbench/out/``).
 The exit code is 1 when a run reports ``correct: false``, the two sides'
 ``output_digest`` differ on a seed, or a larger share of the change's
-operations fails on a workload; 2 when a run does not finish; else 0.
+operations fails on a workload; 2 when a run does not finish; else 0.  The
+message for a larger failed share also names the failed operations that
+both sides of a seed report, so that a share moved only by the attempted
+counts reads apart from a failure of the change's own.
 """
 
 from __future__ import annotations
@@ -200,6 +203,21 @@ def rss_per_operation(runs: list[dict]) -> dict:
     }
 
 
+def shared_errors(runs: list[dict], workload: str) -> list[str]:
+    """'seed S: message' for each failed-operation message that both sides of
+    a seed of the workload report."""
+    by_seed: dict = {}
+    for run in runs:
+        if run["workload"] == workload:
+            by_seed.setdefault(run["seed"], {})[run["side"]] = set(run.get("errors") or ())
+    return [
+        f"seed {seed}: {error}"
+        for seed, sides in by_seed.items()
+        if set(sides) == set(SIDES)
+        for error in sorted(sides["parent"] & sides["change"])
+    ]
+
+
 def problems(runs: list[dict]) -> list[str]:
     """Runs that report wrong output, seeds whose two sides' digests differ, and
     workloads on which a larger share of the change's operations fails."""
@@ -212,7 +230,9 @@ def problems(runs: list[dict]) -> list[str]:
         counts = failed_counts(runs, workload)
         if more_failed(counts):
             (pf, pa), (cf, ca) = counts["parent"], counts["change"]
-            found.append(f"{workload}: the change fails {cf} of {ca} operations, the parent {pf} of {pa}")
+            line = f"{workload}: the change fails {cf} of {ca} operations, the parent {pf} of {pa}"
+            shared = shared_errors(runs, workload)
+            found.append(f"{line}; both sides fail {', '.join(shared)}" if shared else line)
     return found
 
 

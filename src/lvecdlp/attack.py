@@ -25,7 +25,7 @@ from itertools import count
 from math import ceil, comb
 from typing import Callable, Iterator, Optional
 
-from .analysis import success_model
+from .analysis import per_iteration_success, success_model
 from .curve import XY, FixedBaseTable, GroupSpec
 from .errors import InvariantViolationError
 from .linalg import left_kernel
@@ -117,11 +117,17 @@ def curve_monomials(degree: int) -> MonomialBasis:
 
 
 def default_max_iterations(p: int, n_prime: int, l: int, solver: str) -> int:
-    """Budget sized so a default run succeeds with high probability (~1 - e^-10)."""
-    model = success_model(p, n_prime, l)
-    predicted = model.per_iteration
+    """Budget sized so a default run succeeds with high probability (~1 - e^-10).
+
+    The rate counts only the zero sets that can decode: of the C(3n' + l, l)
+    l-sets, the C(l + 1, 3n') whose 3n' points outside lie all in the target
+    block leave a vector that ``decode_solution`` rejects (``missing-block``).
+    alg2 is then scaled by the model's l^2 / C.
+    """
+    decodable = comb(3 * n_prime + l, l) - comb(l + 1, 3 * n_prime)
+    predicted = per_iteration_success(p, decodable)
     if solver == SOLVER_ALG2:
-        predicted *= float(model.alg2_conditional)
+        predicted *= float(success_model(p, n_prime, l).alg2_conditional)
     predicted = max(predicted, 1e-12)
     return max(1, ceil(10.0 / predicted))
 

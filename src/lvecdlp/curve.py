@@ -6,6 +6,10 @@ a plain value: an affine (x, y) pair of ints in [0, q), standing for
 one such value, so equal points compare equal and monomial rows built from
 them are unique per point.
 
+A curve's points are enumerated one way, by a sweep over x that reads a
+table of square roots mod q; ``points``, ``group_order`` and the fixture
+search's generator all come from it, for q <= ``DEFAULT_ENUMERATION_LIMIT``.
+
 Scalar multiplication has one scheme, the ``FixedBaseTable`` of a base:
 with w = ceil(bitlen(bound) / 2), r * base is lo[r mod 2^w] + hi[r >> w],
 two entries filled in lazily from the base's doubling chain, so a multiple
@@ -15,8 +19,6 @@ with precomputation", EUROCRYPT '92; two digits per multiplier as in Lim
 and Lee, "More flexible exponentiation with precomputation", CRYPTO '94).
 A base multiplied many times keeps its table: ``GroupSpec`` keeps the
 generator's, and the attack's ``AttackConfig`` keeps the one of -target.
-``Curve.scalar_mul`` fills a table for one multiple and drops it, which
-costs the group operations of double-and-add.
 ``GroupSpec`` also keeps the first ``KEPT_MULTIPLES`` whole multiples of the
 generator it returns, since the attack draws its generator multipliers
 from [1, order) and on a small group meets the same ones again; a kept
@@ -47,8 +49,9 @@ XY = tuple[int, int] | None
 class Curve:
     """Nonsingular short-Weierstrass curve over a prime field with q >= 5.
 
-    ``add`` is the group law; ``scalar_mul`` is for a one-off multiple, a
-    base multiplied many times keeps a ``FixedBaseTable``.
+    ``add`` is the group law; multiples of a point come from its
+    ``FixedBaseTable``.  ``points`` and ``group_order`` read one sweep of
+    the affine points.
     """
 
     field: PrimeField
@@ -108,47 +111,23 @@ class Curve:
         x3 = (slope * slope - x1 - x2) % q
         return x3, (slope * (x1 - x3) - y1) % q
 
-    def scalar_mul(self, k: int, pt: XY) -> XY:
-        """k * pt for k >= 0, from a table of pt that is used once.
+    def group_order(self) -> int:
+        """Number of rational points, the identity included."""
+        return 1 + sum(1 for _ in self._affine_xy())
 
-        The table is filled for k alone, so the call makes the group
-        operations of double-and-add.  A base multiplied many times keeps its
-        own ``FixedBaseTable`` instead.
-        """
-        return FixedBaseTable(self, pt, k).multiple(k)
-
-    def group_order(self, max_field: int = DEFAULT_ENUMERATION_LIMIT) -> int:
-        """Number of rational points including the identity, by exhaustive x-sweep.
-
-        Counts square roots of the cubic via Euler's criterion.  Desk scale
-        only; guarded by max_field.
-        """
-        q = self.q
-        if q > max_field:
-            raise BudgetExceededError(f"point counting limited to q <= {max_field}, got q = {q}")
-        half = (q - 1) // 2
-        count = 1
-        for x in range(q):
-            rhs = (x * x * x + self.a * x + self.b) % q
-            if rhs == 0:
-                count += 1
-            elif pow(rhs, half, q) == 1:
-                count += 2
-        return count
-
-    def points(self, max_field: int = DEFAULT_ENUMERATION_LIMIT) -> list[XY]:
+    def points(self) -> list[XY]:
         """All rational points (identity first), enumeration order fixed by x then y."""
-        q = self.q
-        if q > max_field:
-            raise BudgetExceededError(f"point enumeration limited to q <= {max_field}, got q = {q}")
         return [None, *self._affine_xy()]
 
     def _affine_xy(self):
         """Affine points as (x, y) pairs, x ascending and then y ascending.
 
-        One pass builds the table of square roots, so the sweep is O(q).
+        One pass builds the table of square roots, so the sweep is O(q);
+        desk scale only, guarded at q <= ``DEFAULT_ENUMERATION_LIMIT``.
         """
         q = self.q
+        if q > DEFAULT_ENUMERATION_LIMIT:
+            raise BudgetExceededError(f"point enumeration limited to q <= {DEFAULT_ENUMERATION_LIMIT}, got q = {q}")
         # root[s] is the smaller square root of s, or None for a non-residue.
         root: list[int | None] = [None] * q
         for y in range((q + 1) // 2):

@@ -3,12 +3,13 @@ import hashlib
 import json
 import random
 from collections import Counter
-from itertools import islice
-from math import comb
+from itertools import combinations, islice
+from math import comb, exp
 
 import pytest
 
 import lvecdlp.attack as attack_mod
+from lvecdlp.analysis import per_iteration_success
 from lvecdlp.attack import (
     AttackConfig,
     IterationSample,
@@ -17,6 +18,7 @@ from lvecdlp.attack import (
     REJECT_ZERO_DENOMINATOR,
     accident_logarithm,
     decode_solution,
+    default_max_iterations,
     detect_accident,
     execute_iteration,
     planted_trials,
@@ -461,6 +463,38 @@ def test_run_attack_budget_exhaustion(group_p19):
     assert failures > 0
 
 
+@pytest.mark.parametrize("n_prime, l", [(1, 3), (2, 6), (3, 9), (1, 10)])
+def test_budget_counts_the_zero_sets_that_can_decode(n_prime, l):
+    """A zero set can decode only if a point outside it lies in the generator
+    block (the first 3n' - 1 of the 3n' + l points): by enumeration those
+    sets number C(3n' + l, l) - C(l + 1, 3n'), and on every fixture order
+    the default budget misses all of them with probability at most e^-10,
+    at their rate and at alg2's l^2/C of it."""
+    generator_block = set(range(3 * n_prime - 1))
+    width = 3 * n_prime + l
+    decodable = sum(1 for zeros in combinations(range(width), l) if generator_block - set(zeros))
+    assert decodable == comb(width, l) - comb(l + 1, 3 * n_prime)
+    for p in (19, 907, LARGE_ORDER):
+        for solver, scale in (("exhaustive", 1), ("alg2", l * l / comb(width, l))):
+            rate = per_iteration_success(p, decodable) * scale
+            assert (1 - rate) ** default_max_iterations(p, n_prime, l, solver) <= exp(-10), (p, solver)
+
+
+@pytest.mark.parametrize(
+    "m, seed, iterations",
+    [(119, 219722602, 462), (589, 1078912052, 477)],
+    ids=["solve-p907-n1-seed1922-op8777", "solve-p907-n1-seed2102-op8056"],
+)
+def test_budget_covers_logs_that_exhausted_the_full_set_count(group_p907, m, seed, iterations):
+    """Two benchmark logs at n'=1 that ran out of the 459 iterations sized
+    from all C(6, 3) zero sets: with the budget sized from the 16 that can
+    decode (572), each returns its verified m."""
+    cfg = AttackConfig(group=group_p907, target=group_p907.scalar_mul(m), n_prime=1, seed=seed)
+    assert cfg.max_iterations == 572
+    outcome = run_attack(cfg)
+    assert (outcome.m, outcome.iterations_used, outcome.failure_reason) == (m, iterations, None)
+
+
 def test_run_attack_determinism(group_p907):
     def run():
         cfg = AttackConfig(
@@ -510,7 +544,7 @@ def test_config_is_frozen_and_its_memo_is_no_field(group_p907):
     for name, value in (("target", group_p907.scalar_mul(123)), ("n_prime", 2), ("l", 6), ("max_iterations", 16)):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(cfg, name, value)
-    assert (cfg.n_prime, cfg.l, cfg.max_iterations) == (1, 3, 459)
+    assert (cfg.n_prime, cfg.l, cfg.max_iterations) == (1, 3, 572)
     run_attack(cfg)
     assert len(cfg._neg_target_table._lo) > 2 and len(cfg._neg_target_table._hi) > 1
     assert "_neg_target_table" not in [f.name for f in dataclasses.fields(AttackConfig)]

@@ -130,7 +130,7 @@ def test_solve_jsonl_log(tmp_path):
 PINNED_CLI_RUNS = {
     "solve-n1": (
         ["solve", *P907, "--qx", "434", "--qy", "657", "--nprime", "1", "--seed", "5"],
-        "1c7d6d5767858cd416f14b79cb53a5e37a48e04bafb4e5d2836bbc97eb7f9c8d",
+        "9908ef0f24333519a8101b6aa4a046d1e3cb9d1ead59fe28c128a12074ed40c1",
     ),
     "solve-n2": (
         ["solve", *P907, "--qx", "782", "--qy", "272", "--nprime", "2", "--seed", "6"],
@@ -159,7 +159,7 @@ PINNED_CLI_RUNS = {
     # Iteration 1 is an alg2 miss and iteration 2 an alg2 find.
     "solve-n2-alg2": (
         ["solve", *P907, "--qx", "782", "--qy", "272", "--nprime", "2", "--seed", "2", "--solver", "alg2"],
-        "f3a4081dcdc336b11e7c8e0cffe0ce02338d349f833d1e91fa20b1eab9b050c5",
+        "3fb07d89f10b088f716e1b560e6e05a15d9c046963c47e3e3178110f5e3447ff",
     ),
     "solve-n3": (
         ["solve", *P907, "--qx", "16", "--qy", "282", "--nprime", "3", "--seed", "9"],

@@ -117,14 +117,18 @@ def test_group_order_examples(curve17):
 
 
 def test_group_order_matches_point_enumeration():
-    rng = random.Random(3)
-    for _ in range(10):
-        q = rng.choice([5, 7, 11, 13, 17, 19])
-        a, b = rng.randrange(q), rng.randrange(q)
-        if (4 * a**3 + 27 * b**2) % q == 0:
-            continue
-        curve = Curve(PrimeField(q), a, b)
-        assert curve.group_order() == len(curve.points())
+    """On every nonsingular curve mod 5 to 23, ``group_order`` and the number
+    of ``points`` equal one plus the number of pairs (x, y) in [0, q)^2 with
+    y^2 = x^3 + ax + b, counted without the sweep's square-root table."""
+    for q in (5, 7, 11, 13, 17, 19, 23):
+        field = PrimeField(q)
+        for a in range(q):
+            for b in range(q):
+                if (4 * a**3 + 27 * b**2) % q == 0:
+                    continue
+                curve = Curve(field, a, b)
+                count = 1 + sum((y * y - x**3 - a * x - b) % q == 0 for x in range(q) for y in range(q))
+                assert curve.group_order() == len(curve.points()) == count, curve
 
 
 def test_hasse_bound_sweep():
@@ -139,8 +143,11 @@ def test_hasse_bound_sweep():
 
 
 def test_group_order_budget_guard():
-    with pytest.raises(BudgetExceededError):
-        Curve(PrimeField(2**21 + 17), 1, 1).group_order()
+    curve = Curve(PrimeField(2**21 + 17), 1, 1)
+    with pytest.raises(BudgetExceededError, match="q <= 1048576"):
+        curve.group_order()
+    with pytest.raises(BudgetExceededError, match="q <= 1048576"):
+        curve.points()
 
 
 def test_group_axioms_randomized(group_p19):
@@ -251,7 +258,8 @@ def test_arithmetic_matches_reference_with_two_torsion():
                     for rhs in points:
                         assert curve.add(lhs, rhs) == reference_add(curve, lhs, rhs), (curve, lhs, rhs)
                     for k in range(len(points) + 2):
-                        assert curve.scalar_mul(k, lhs) == reference_scalar_mul(curve, k, lhs), (curve, k, lhs)
+                        expected = reference_scalar_mul(curve, k, lhs)
+                        assert FixedBaseTable(curve, lhs, k).multiple(k) == expected, (curve, k, lhs)
                     if lhs is not None and lhs[1] == 0:
                         assert curve.add(lhs, lhs) is None
                         doubled_two_torsion += 1
@@ -260,8 +268,8 @@ def test_arithmetic_matches_reference_with_two_torsion():
     two_torsion = [pt for pt in seven.points() if pt is not None and pt[1] == 0]
     assert len(two_torsion) == 3
     for pt in two_torsion:
-        assert seven.scalar_mul(2, pt) is None
-        assert seven.scalar_mul(3, pt) == pt
+        assert FixedBaseTable(seven, pt, 2).multiple(2) is None
+        assert FixedBaseTable(seven, pt, 3).multiple(3) == pt
 
 
 def test_scalar_mul_matches_reference_p907(group_p907):
@@ -269,9 +277,9 @@ def test_scalar_mul_matches_reference_p907(group_p907):
     rng = random.Random(907)
     scalars = [0, 1, p - 1, p] + [rng.randrange(4 * p) for _ in range(2000)]
     for k in scalars:
-        assert curve.scalar_mul(k, gen) == reference_scalar_mul(curve, k, gen), k
+        assert FixedBaseTable(curve, gen, k).multiple(k) == reference_scalar_mul(curve, k, gen), k
     with pytest.raises(ValueError):
-        curve.scalar_mul(-1, gen)
+        FixedBaseTable(curve, gen, -1).multiple(-1)
 
 
 def test_chord_law_on_integer_results(group_p907):
@@ -406,8 +414,8 @@ def count_group_operations(monkeypatch):
 
 
 def test_window_memo_addition_counts(group_p907, monkeypatch):
-    """Group operations on the p = 907 generator, counted: a one-shot
-    ``Curve.scalar_mul`` makes exactly those of double-and-add,
+    """Group operations on the p = 907 generator, counted: a one-shot table
+    bounded by k makes exactly those of double-and-add,
     (bits - 1) doublings and (popcount - 1) additions, and so does a first
     multiple on an empty table; on a table in use, a multiple makes one per
     entry it fills plus one when both digits are nonzero, so warm it makes
@@ -423,7 +431,7 @@ def test_window_memo_addition_counts(group_p907, monkeypatch):
         double_and_add = k.bit_length() - 1 + k.bit_count() - 1
         both_digits = int(k & 31 != 0 and k >> 5 != 0)
         calls.clear()
-        assert curve.scalar_mul(k, gen) == expected, k
+        assert FixedBaseTable(curve, gen, k).multiple(k) == expected, k
         assert len(calls) == double_and_add, k
         fresh = FixedBaseTable(curve, gen, p)
         calls.clear()
@@ -589,7 +597,7 @@ def test_table_on_a_61_bit_bound_fills_lazily():
 def test_chain_rejects_negative_scalars(group_p19):
     """A table answers for 0 <= r <= its bound and raises ValueError, not
     IndexError, outside; -target's is bounded by the order, and a one-shot
-    ``Curve.scalar_mul`` by its own k."""
+    table by its own k."""
     cfg = AttackConfig(group=group_p19, target=group_p19.scalar_mul(5))
     table = FixedBaseTable(group_p19.curve, group_p19.generator, 19)
     for r in (-1, -20, 20, 1 << 70):
@@ -598,7 +606,7 @@ def test_chain_rejects_negative_scalars(group_p19):
         with pytest.raises(ValueError, match="outside"):
             cfg.neg_target_mul(r)
     with pytest.raises(ValueError, match="outside"):
-        group_p19.curve.scalar_mul(-1, group_p19.generator)
+        FixedBaseTable(group_p19.curve, group_p19.generator, -1).multiple(-1)
     assert cfg.neg_target_mul(19) is None and table.multiple(19) is None
 
 

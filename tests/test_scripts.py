@@ -147,6 +147,33 @@ def test_bench_pairs_flags_wrong_output_and_digest_mismatch():
     assert bench_pairs.summarize(runs, MS)["w"]["operations"] == {"parent_median": 11.0, "change_median": 16.5}
 
 
+def test_bench_pairs_names_failures_both_sides_share():
+    """A larger failed share on the change's side names the failed operations
+    that both sides of a seed report, and only those; the verdict and the
+    flag stay what the shares alone make them."""
+    bench_pairs = load_bench_pairs()
+    runs = synthetic_runs("w", [10.0 + 0.1 * i for i in range(10)], [9.0 + 0.1 * i for i in range(10)])
+    for run in runs:
+        run["attempted"] = 100 if run["side"] == "parent" else 90
+    exhausted = "target 8056: iteration-budget-exhausted"
+    runs[2]["failed"], runs[2]["errors"] = 1, [exhausted]  # seed 2, parent
+    runs[3]["failed"], runs[3]["errors"] = 1, [exhausted]  # seed 2, change
+    runs[5]["failed"], runs[5]["errors"] = 1, ["target 7: iteration-budget-exhausted"]  # seed 3, change only
+    del runs[6]["errors"]  # seed 4, parent: an older BENCH run without the field
+    assert bench_pairs.problems(runs) == [
+        "w: the change fails 2 of 900 operations, the parent 1 of 1000; "
+        "both sides fail seed 2: target 8056: iteration-budget-exhausted"
+    ]
+    assert bench_pairs.summarize(runs, MS)["w"]["ms"]["verdict"] == "within bound"
+    # With the shares equal, nothing is flagged, shared failures or not.
+    runs[5]["failed"] = 0
+    for run in runs:
+        run["attempted"] = 100
+    assert bench_pairs.problems(runs) == []
+    assert bench_pairs.shared_errors(runs, "w") == ["seed 2: target 8056: iteration-budget-exhausted"]
+    assert bench_pairs.shared_errors(runs, "other") == []
+
+
 def test_bench_pairs_fits_peak_rss_against_operations():
     """Under ``operations``: the parent's runs lie on 0.5 + 0.1 * operations MiB,
     a slope of 102.4 KiB per operation, and the change's runs lie 0.25, 0.5
