@@ -17,16 +17,18 @@ of the BENCH files.  Each run keeps its result line (``attempted``,
 ``failed``, ``correct`` and the metrics) and, from the perfbench report,
 ``output_digest``, ``operations`` (the closed-loop operations run, each one
 record in the run's memory) and ``errors`` (the first failed operations'
-messages).  The summary holds, per workload
-and end-to-end metric of ``BENCHMARK.json``, each side's median and
-quartiles (exclusive method), the change's median relative to the parent's,
-the pairs in which the change reads better, and a verdict; under
-``operations``, each side's median operations per run, against which a
-move in ``peak_rss_mib`` can be read (perfbench keeps one record per
-operation), with the slope of ``peak_rss_mib`` against operations fitted
-over the parent's runs (KiB per operation) and the change's median
-residual from that line (MiB), which separates record growth from program
-memory.  The verdicts:
+messages).  The summary holds, per workload and end-to-end metric of
+``BENCHMARK.json``, each side's median and quartiles (exclusive method),
+the change's median relative to the parent's, the pairs in which the
+change reads better, and a verdict.  Under ``operations`` it holds, per
+workload, each side's median operations per run, against which a move in
+``peak_rss_mib`` can be read (perfbench keeps one record per operation);
+each side's failed and attempted operations summed over its runs
+(``parent_failed: [failed, attempted]``), the shares the failure rule below
+compares, shown whichever is larger; the slope of ``peak_rss_mib`` against
+operations fitted over the parent's runs (KiB per operation); and the
+change's median residual from that line (MiB), which separates record
+growth from program memory.  The verdicts:
 
 * ``gain``: the change reads better in at least nine tenths of ten or more
   pairs (ties count for neither), its median is better by more than the
@@ -142,7 +144,8 @@ def verdict(
 
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     """Per workload and end-to-end metric: medians, quartiles, pairs better and
-    the verdict; per workload, each side's median operations."""
+    the verdict; per workload, each side's median operations and its
+    [failed, attempted] operations summed over its runs."""
     summary: dict = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         by_seed: dict = {}
@@ -150,7 +153,8 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             if run["workload"] == workload:
                 by_seed.setdefault(run["seed"], {})[run["side"]] = run["metrics"]
         paired = [sides for sides in by_seed.values() if set(sides) == set(SIDES)]
-        failing = more_failed(failed_counts(runs, workload))
+        counts = failed_counts(runs, workload)
+        failing = more_failed(counts)
         rows = {}
         for spec in end_to_end:
             name, better = spec["name"], spec["better"]
@@ -176,6 +180,7 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             )
             for side in SIDES
         }
+        rows["operations"].update({f"{side}_failed": counts[side] for side in SIDES})
         rows["operations"].update(rss_per_operation([run for run in runs if run["workload"] == workload]))
         summary[workload] = rows
     return summary

@@ -1,21 +1,24 @@
-"""Dense exact linear algebra over F_p: left kernels, block elimination, RREF and rank.
+"""Dense exact linear algebra over F_p: one elimination behind every kernel,
+span, rank and row-space test, and alg2's block elimination.
 
-Matrices are small (tens of rows) so everything is plain Gaussian elimination
-on lists of residues.  Every routine but one takes plain rows (a sequence of
-equal-length integer sequences) and the modulus p, and returns plain rows;
-``left_kernel`` takes the points whose monomial rows make the attack's
-matrix.  The one wrapper is KernelBasis, a span held as its RREF basis with
-its pivot columns named.
+Every routine but one takes plain rows (a sequence of equal-length integer
+sequences) and the modulus p; ``left_kernel`` takes the points whose
+monomial rows make the attack's matrix.  The one wrapper is KernelBasis, a
+span held as its RREF basis with its pivot columns named.
 
-A kernel takes one elimination (see right_kernel_rows), on rows packed
-into one int each, a carry-free slot per column (see _right_kernel);
-``left_kernel`` has the points' columns evaluated straight into those ints.
+The one Gauss-Jordan elimination, ``_right_kernel``, works on rows packed
+into one int each, a carry-free slot per column.  A right kernel takes it
+once (right_kernel_rows, and left_kernel straight from the points); a span's
+RREF basis, and so its rank, takes it twice, as the kernel of its kernel
+(KernelBasis); a row-space test checks orthogonality to the span's kernel
+(in_row_space).  ``eliminate_block`` is alg2's own order-dependent reduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from operator import mul
 from typing import Sequence
 
 from .curve import XY
@@ -30,11 +33,14 @@ class KernelBasis:
     """A subspace of F_p^ambient held as its RREF basis: the nonzero rows of
     the RREF, entries in [0, p), and ``pivots``, their pivot columns.
 
-    The constructor takes any rows that span the subspace (zero, repeated or
-    dependent rows, entries outside [0, p)) and reduces them, so two bases of
-    one span are equal.  ``pivots`` is not a constructor argument; it is set
-    from the reduction, and ``left_kernel``, whose elimination already gives
-    the RREF and its pivots, hands both on without reducing again.
+    The constructor takes any rows of equal length ``ambient`` that span the
+    subspace (zero, repeated or dependent rows, entries outside [0, p)), and
+    ragged rows raise ValueError.  It sets the basis as the kernel of the
+    rows' kernel: ``_right_kernel`` on the RREF basis of their right kernel
+    gives the span's RREF vectors, and its free columns are their pivots.
+    So two bases of one span are equal.  ``pivots`` is not a constructor
+    argument; ``left_kernel``, whose elimination already gives the RREF and
+    its pivots, hands both on without reducing again.
     """
 
     p: int
@@ -43,11 +49,11 @@ class KernelBasis:
     pivots: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.vectors and set(map(len, self.vectors)) != {self.ambient}:
-            raise ValueError("kernel vectors must have the ambient length")
-        reduced, rank, pivots = rref_rows(self.vectors, self.p)
-        object.__setattr__(self, "vectors", tuple(map(tuple, reduced[:rank])))
-        object.__setattr__(self, "pivots", tuple(pivots))
+        kernel = right_kernel_rows(self.vectors, self.ambient, self.p)
+        width = _slot_width(self.p, min(len(kernel), self.ambient))
+        vectors, pivots = _right_kernel([_pack(vec, width) for vec in kernel], self.ambient, self.p, width)
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "pivots", pivots)
 
     @property
     def dim(self) -> int:
@@ -129,40 +135,11 @@ def eliminate_block(
 
 
 def in_row_space(vectors: Sequence[Sequence[int]], candidate: Sequence[int], p: int) -> bool:
-    """Membership test by rank comparison."""
-    base = [list(v) for v in vectors]
-    return rref_rows(base, p)[1] == rref_rows(base + [list(candidate)], p)[1]
-
-
-def rref_rows(rows: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], int, list[int]]:
-    """RREF with unit pivots; returns (rows, rank, pivot column indices)."""
-    work = [[v % p for v in row] for row in rows]
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    pivots: list[int] = []
-    rank = 0
-    for c in range(ncols):
-        pivot_row = None
-        for r in range(rank, nrows):
-            if work[r][c]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        inv = pow(work[rank][c], -1, p)
-        work[rank] = [v * inv % p for v in work[rank]]
-        pivot_vec = work[rank]
-        for r in range(nrows):
-            if r != rank and work[r][c]:
-                entry = work[r][c]
-                row = work[r]
-                work[r] = [(a - entry * b) % p for a, b in zip(row, pivot_vec)]
-        pivots.append(c)
-        rank += 1
-        if rank == nrows:
-            break
-    return work, rank, pivots
+    """Whether ``candidate`` lies in the span of ``vectors`` over F_p: whether
+    it is orthogonal to every vector of their right kernel, the span's
+    orthogonal complement.  A candidate whose length differs from the rows'
+    raises ValueError; with no rows, only zero is in the span."""
+    return not any(sum(map(mul, vec, candidate)) % p for vec in right_kernel_rows(vectors, len(candidate), p))
 
 
 def right_kernel_rows(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[tuple[int, ...]]:

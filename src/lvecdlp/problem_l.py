@@ -79,7 +79,6 @@ from .linalg import (
     KernelBasis,
     eliminate_block,
     right_kernel_rows,
-    rref_rows,
 )
 
 DEFAULT_ENUMERATION_BUDGET = 5_000_000
@@ -416,11 +415,11 @@ def plant_instance(rng: Random, p: int, n_prime: int, l: int) -> tuple[KernelBas
     rows = [target[:]]
     while len(rows) < l:
         row = [rng.randrange(p) for _ in range(ambient)]
-        if rref_rows(rows + [row], p)[1] == len(rows) + 1:
+        if KernelBasis(p, ambient, rows + [row]).dim == len(rows) + 1:
             rows.append(row)
     while True:
         mixer = [[rng.randrange(p) for _ in range(l)] for _ in range(l)]
-        if rref_rows(mixer, p)[1] == l:
+        if KernelBasis(p, l, mixer).dim == l:
             break
     mixed = [
         [sum(mixer[r][k] * rows[k][c] for k in range(l)) % p for c in range(ambient)]

@@ -17,7 +17,7 @@ from . import attack as attack_mod
 from .analysis import audit_partition_counts
 from .curve import Curve, GroupSpec
 from .field import PrimeField
-from .linalg import KernelBasis, in_row_space, left_kernel, rref_rows
+from .linalg import KernelBasis, in_row_space, left_kernel
 from .problem_l import plant_instance, solve_alg2, solve_exhaustive
 from .veronese import basis
 
@@ -225,7 +225,7 @@ def verify_problem_l(trials: int = 200, seed: int = 0) -> SuiteReport:
         vectors = []
         while len(vectors) < l:
             row = [rng.randrange(p) for _ in range(ambient)]
-            if rref_rows(vectors + [row], p)[1] == len(vectors) + 1:
+            if KernelBasis(p, ambient, vectors + [row]).dim == len(vectors) + 1:
                 vectors.append(row)
         kb = KernelBasis(p, ambient, vectors)
         canonical = kb.vectors

@@ -14,11 +14,10 @@ reproduce from ``getrandbits`` (``test_attack.py``).
 ``flat_singular_zero_sets`` and ``first_accepted`` are the zero-set scan as
 it ran before the minors test, one rank of the restricted basis per l-set:
 ``solve_exhaustive`` must find the same singular sets and return the same
-vector (``test_problem_l.py``).  The rank is the fraction-free elimination
-the package used before ``rref_rows`` took over every rank, kept here so the
-reference shares no elimination code with the scan's fallback, and every
-restricted kernel is the two-pass ``reference_right_kernel_rows``, so no
-reference shares code with the packed kernel or the scan's cofactor lines.
+vector (``test_problem_l.py``).  The rank is a fraction-free elimination
+that shares no code with the package, and every restricted kernel is the
+two-pass ``reference_right_kernel_rows``, so no reference shares code with
+the packed kernel or the scan's cofactor lines.
 """
 
 from __future__ import annotations
@@ -105,7 +104,7 @@ def flat_singular_zero_sets(kb: KernelBasis, l: int) -> Iterator[tuple[int, ...]
 
 
 def fraction_free_rank(rows: list[list[int]], p: int) -> int:
-    """Rank mod p by elimination without inverses, independent of ``linalg.rref_rows``."""
+    """Rank mod p by elimination without inverses, independent of ``linalg``."""
     work = [list(row) for row in rows]
     nrows = len(work)
     ncols = len(work[0]) if nrows else 0

@@ -4,22 +4,22 @@ This is ``right_kernel_rows`` as the package had it before the one-pass
 version: reduce the rows with pivots taken left to right, build one kernel
 vector per free column, then reduce those vectors again to reach the
 canonical (RREF) basis.  It is kept only as the independent reference for
-the differential tests in ``test_linalg.py``; ``rref_rows`` itself is
-checked there too.  ``reference_left_kernel`` applies it to the transpose
-of reference monomial rows, the kernel ``left_kernel`` takes straight from
-the points.  ``reference_rref`` is an RREF that shares no code with
-``rref_rows``, for the reduction ``KernelBasis`` makes on construction.
+the differential tests in ``test_linalg.py``.  ``reference_left_kernel``
+applies it to the transpose of reference monomial rows, the kernel
+``left_kernel`` takes straight from the points.  Both reduce by
+``reference_rref``, an RREF that shares no code with the package's packed
+elimination, and which also checks the basis ``KernelBasis`` makes on
+construction.
 """
 
 from __future__ import annotations
 
-from lvecdlp.linalg import rref_rows
 from reference_veronese import reference_evaluate_rows
 
 
 def reference_right_kernel_rows(rows, ncols: int, p: int) -> list[tuple[int, ...]]:
     """Canonical (RREF) basis of the right kernel of a raw row list, one tuple per vector."""
-    reduced, _, pivots = rref_rows(rows, p) if rows else ([], 0, [])
+    reduced, pivots = reference_rref(rows, p)
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     if not free_cols:
@@ -31,8 +31,7 @@ def reference_right_kernel_rows(rows, ncols: int, p: int) -> list[tuple[int, ...
         for r, c in enumerate(pivots):
             v[c] = -reduced[r][free] % p
         vectors.append(v)
-    canonical, _, _ = rref_rows(vectors, p)
-    return list(map(tuple, canonical))
+    return reference_rref(vectors, p)[0]
 
 
 def reference_left_kernel(mb, points, p) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:

@@ -2,7 +2,8 @@
 basis, and the RREF check a basis that names its pivots must pass."""
 
 from lvecdlp import problem_l
-from lvecdlp.linalg import KernelBasis, rref_rows
+from lvecdlp.linalg import KernelBasis
+from reference_linalg import reference_rref
 
 
 def singular_zero_sets(vectors, n, l, p):
@@ -16,8 +17,6 @@ def singular_zero_sets(vectors, n, l, p):
 
 def own_rref_pivots(vectors, p):
     """The pivot columns of ``vectors`` when they are their own RREF, with
-    entries in [0, p), by ``rref_rows``; else None."""
-    reduced, rank, pivots = rref_rows(vectors, p)
-    if rank == len(vectors) and list(map(tuple, reduced)) == list(map(tuple, vectors)):
-        return pivots
-    return None
+    entries in [0, p), by ``reference_rref``; else None."""
+    reduced, pivots = reference_rref(vectors, p)
+    return list(pivots) if reduced == list(map(tuple, vectors)) else None

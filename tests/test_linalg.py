@@ -1,9 +1,11 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lvecdlp import linalg, problem_l
+from lvecdlp import problem_l
 from lvecdlp.attack import AttackConfig, curve_monomials, detect_accident, sample_iteration
 from lvecdlp.linalg import (
     DIAGONAL,
@@ -12,11 +14,11 @@ from lvecdlp.linalg import (
     eliminate_block,
     in_row_space,
     left_kernel,
-    rref_rows,
     right_kernel_rows,
 )
 from lvecdlp.verification import fixture_large
 from lvecdlp.veronese import basis
+from reference_attack import fraction_free_rank
 from reference_linalg import reference_left_kernel, reference_right_kernel_rows, reference_rref
 from reference_veronese import reference_evaluate_rows
 from scan_helpers import own_rref_pivots, singular_zero_sets
@@ -36,25 +38,6 @@ def mat_vec(rows, v, p):
 
 def vec_mat(v, rows, p):
     return [sum(v[r] * rows[r][c] for r in range(len(rows))) % p for c in range(len(rows[0]))]
-
-
-def test_rref_identity():
-    rows, rank, pivots = rref_rows([[1, 0], [0, 1]], 5)
-    assert rows == [[1, 0], [0, 1]]
-    assert rank == 2
-    assert pivots == [0, 1]
-
-
-def test_rref_dependent_rows():
-    rows, rank, _ = rref_rows([[1, 2], [2, 4]], 5)
-    assert rows == [[1, 2], [0, 0]]
-    assert rank == 1
-
-
-def test_rref_zero_matrix():
-    rows, rank, _ = rref_rows([[0, 0, 0], [0, 0, 0]], 5)
-    assert rows == [[0, 0, 0], [0, 0, 0]]
-    assert rank == 0
 
 
 def test_left_kernel_identity_is_empty():
@@ -116,20 +99,17 @@ def test_rank_nullity(data):
             max_size=nrows,
         )
     )
-    _, rank, _ = rref_rows(entries, p)
-    assert len(right_kernel_rows(entries, ncols, p)) + rank == ncols
+    assert len(right_kernel_rows(entries, ncols, p)) + fraction_free_rank(entries, p) == ncols
     mb = basis(data.draw(st.integers(min_value=1, max_value=3)))
     coordinate = st.integers(min_value=0, max_value=p - 1)
     points = data.draw(st.lists(st.none() | st.tuples(coordinate, coordinate), min_size=1, max_size=12))
-    _, rank, _ = rref_rows(reference_evaluate_rows(mb, points, p), p)
+    rank = fraction_free_rank(reference_evaluate_rows(mb, points, p), p)
     assert left_kernel(mb, points, p).dim + rank == len(points)
 
 
 def test_rref_is_canonical_for_kernels():
     kb = left_kernel(basis(1), COLLINEAR_MOD5, 5)
-    again, rank, _ = rref_rows(kb.vectors, 5)
-    assert tuple(tuple(r) for r in again) == kb.vectors
-    assert rank == kb.dim
+    assert reference_rref(kb.vectors, 5) == (list(kb.vectors), kb.pivots)
 
 
 def test_eliminate_block_already_diagonal_unchanged():
@@ -150,9 +130,9 @@ def test_eliminate_block_lower_triangular_shape():
         vectors = []
         while len(vectors) < l:
             row = [rng.randrange(p) for _ in range(ambient)]
-            if rref_rows(vectors + [row], p)[1] == len(vectors) + 1:
+            if fraction_free_rank(vectors + [row], p) == len(vectors) + 1:
                 vectors.append(row)
-        if rref_rows([v[:l] for v in vectors], p)[1] < l:
+        if fraction_free_rank([v[:l] for v in vectors], p) < l:
             continue  # singular window: some block position has no pivot
         lower = eliminate_block(vectors, 0, l, LOWER_TRIANGULAR, p)
         for r in range(l):
@@ -174,14 +154,12 @@ def test_eliminate_block_preserves_row_space():
         vectors = []
         while len(vectors) < l:
             row = [rng.randrange(p) for _ in range(ambient)]
-            if rref_rows(vectors + [row], p)[1] == len(vectors) + 1:
+            if fraction_free_rank(vectors + [row], p) == len(vectors) + 1:
                 vectors.append(row)
         start = rng.randrange(0, max(1, ambient - l))
         for stage in (LOWER_TRIANGULAR, DIAGONAL):
             result = eliminate_block(vectors, start, start + l, stage, p)
-            before, _, _ = rref_rows(vectors, p)
-            after, _, _ = rref_rows(result, p)
-            assert before == after
+            assert reference_rref(result, p) == reference_rref(vectors, p)
 
 
 def test_ragged_rows_rejected():
@@ -189,6 +167,21 @@ def test_ragged_rows_rejected():
         right_kernel_rows([[1, 2], [1]], 2, 5)
     with pytest.raises(ValueError):
         right_kernel_rows([[1, 2, 3]], 2, 5)
+
+
+@st.composite
+def raw_matrices(draw):
+    """(rows, ncols, p): matrices up to 12 x 20 with zero, duplicate and
+    unreduced rows, for p from 2 to beyond 64 bits."""
+    p = draw(st.sampled_from((2, 3, 5, 17, 907, 65537, 2**61 - 1, 2**89 - 1)))
+    ncols = draw(st.integers(min_value=0, max_value=20))
+    entry = st.integers(min_value=-2 * p, max_value=3 * p)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=10))
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+    return rows, ncols, p
 
 
 @st.composite
@@ -209,15 +202,19 @@ def spanning_rows(draw):
     return rows, ambient, p
 
 
-@settings(max_examples=300, deadline=None)
-@given(spanning_rows())
+@settings(max_examples=400, deadline=None)
+@given(spanning_rows() | raw_matrices())
 @example(([], 3, 5))
 @example(([[0, 0, 0, 0], [2, 4, 0, 1], [4, 8, 0, 2], [-3, 11, 5, 6], [2, 4, 0, 1]], 4, 5))
 @example(([[1, 1, 0], [1, 1, 0], [0, 3, 1]], 3, 2))
+@example(([[1, 0], [0, 1]], 2, 5))  # the identity
+@example(([[1, 2], [2, 4]], 2, 5))  # dependent rows
+@example(([[0, 0, 0], [0, 0, 0]], 3, 5))  # the zero matrix
 def test_kernel_basis_is_the_rref_of_its_rows(matrix):
-    """Any rows construct the RREF basis of their span as the reference
-    reduction gives it, entries in [0, p), each pivot at its row's first
-    nonzero entry; constructing it again from its own vectors changes nothing."""
+    """Any rows, ``spanning_rows`` or ``raw_matrices``, construct the RREF
+    basis of their span as the reference reduction gives it, entries in
+    [0, p), each pivot at its row's first nonzero entry; constructing it
+    again from its own vectors changes nothing."""
     rows, ambient, p = matrix
     kb = KernelBasis(p, ambient, rows)
     assert (list(kb.vectors), kb.pivots) == reference_rref(rows, p)
@@ -234,21 +231,6 @@ def test_kernel_basis_rejects_pivots_and_ragged_rows():
         KernelBasis(5, 2, ((1, 0), (1,)))
 
 
-@st.composite
-def raw_matrices(draw):
-    """(rows, ncols, p): matrices up to 12 x 20 with zero, duplicate and
-    unreduced rows, for p from 2 to beyond 64 bits."""
-    p = draw(st.sampled_from((2, 3, 5, 17, 907, 65537, 2**61 - 1, 2**89 - 1)))
-    ncols = draw(st.integers(min_value=0, max_value=20))
-    entry = st.integers(min_value=-2 * p, max_value=3 * p)
-    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=10))
-    if rows and draw(st.booleans()):
-        rows.insert(draw(st.integers(0, len(rows))), list(draw(st.sampled_from(rows))))
-    if draw(st.booleans()):
-        rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
-    return rows, ncols, p
-
-
 @settings(max_examples=400, deadline=None)
 @given(raw_matrices())
 @example(([], 0, 2))
@@ -260,6 +242,59 @@ def raw_matrices(draw):
 def test_right_kernel_matches_two_pass_reference(matrix):
     rows, ncols, p = matrix
     assert right_kernel_rows(rows, ncols, p) == reference_right_kernel_rows(rows, ncols, p)
+
+
+@st.composite
+def span_candidates(draw):
+    """(rows, candidate, p): a ``raw_matrices`` case and a vector of its row
+    length, either a combination of its rows or drawn at random."""
+    rows, ncols, p = draw(raw_matrices())
+    entry = st.integers(min_value=-2 * p, max_value=3 * p)
+    if rows and draw(st.booleans()):
+        coefficients = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+        return rows, [sum(c * row[j] for c, row in zip(coefficients, rows)) for j in range(ncols)], p
+    return rows, draw(st.lists(entry, min_size=ncols, max_size=ncols)), p
+
+
+@settings(max_examples=300, deadline=None)
+@given(span_candidates())
+@example(([], [], 2))
+@example(([], [0, 5, -10], 5))
+@example(([], [0, 1, 0], 5))
+@example(([[1, 2], [2, 4]], [3, 6], 5))
+@example(([[1, 2], [2, 4]], [1, 3], 5))
+def test_in_row_space_matches_fraction_free_rank(case):
+    """A candidate is in the span exactly when adding it keeps the rank."""
+    rows, candidate, p = case
+    in_span = fraction_free_rank(rows, p) == fraction_free_rank(rows + [candidate], p)
+    assert in_row_space(rows, candidate, p) == in_span
+
+
+def test_in_row_space_rejects_a_candidate_of_another_length():
+    """Rows and candidate of different lengths raise ValueError, whichever is
+    longer; with no rows, zero of any length is in the span and nothing else is."""
+    with pytest.raises(ValueError):
+        in_row_space([[1, 2]], [1, 2, 0], 5)
+    with pytest.raises(ValueError):
+        in_row_space([[1, 2, 3]], [1, 2], 5)
+    assert in_row_space([], [0, 5], 5) and in_row_space([], [], 5)
+    assert not in_row_space([], [0, 1, 0, 0], 5)
+
+
+def test_references_import_only_kernel_basis_from_linalg():
+    """The reference modules share no elimination with the package: from
+    ``lvecdlp.linalg`` they import ``KernelBasis``, the type they read, and
+    nothing else, nor the module itself."""
+    paths = sorted(Path(__file__).parent.glob("reference_*.py"))
+    assert paths
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "lvecdlp.linalg":
+                assert {alias.name for alias in node.names} <= {"KernelBasis"}, path.name
+            elif isinstance(node, ast.ImportFrom) and node.module == "lvecdlp":
+                assert "linalg" not in {alias.name for alias in node.names}, path.name
+            elif isinstance(node, ast.Import):
+                assert not any(alias.name.startswith("lvecdlp.linalg") for alias in node.names), path.name
 
 
 def attack_kernel_inputs(group, n_prime, plain=4, collisions=2):
@@ -395,7 +430,7 @@ def test_left_kernel_hands_over_the_pivots_of_its_basis(group_p19, group_p907, m
         q = group.curve.q
         for sample in samples:
             with monkeypatch.context() as patched:
-                patched.setattr(linalg, "rref_rows", lambda *args: pytest.fail("left_kernel reduced its basis"))
+                patched.setattr(KernelBasis, "__post_init__", lambda self: pytest.fail("left_kernel reduced its basis"))
                 kernel = left_kernel(cfg.monomials, sample.points, q)
             assert kernel.pivots == tuple(own_rref_pivots(kernel.vectors, q))
             bare = KernelBasis(q, kernel.ambient, kernel.vectors)
@@ -407,7 +442,7 @@ def test_left_kernel_hands_over_the_pivots_of_its_basis(group_p19, group_p907, m
 
             expected = problem_l.solve_exhaustive(bare, cfg.l, accept=accept)
             with monkeypatch.context() as patched:
-                patched.setattr(problem_l, "rref_rows", lambda *args: pytest.fail("basis reduced again"))
+                patched.setattr(KernelBasis, "__post_init__", lambda self: pytest.fail("basis reduced again"))
                 assert problem_l.solve_exhaustive(kernel, cfg.l, accept=accept) == expected
             checked += 1
     assert checked == len(groups) * 6

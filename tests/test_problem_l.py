@@ -18,7 +18,6 @@ from lvecdlp.linalg import (
     in_row_space,
     left_kernel,
     right_kernel_rows,
-    rref_rows,
 )
 from lvecdlp.problem_l import plant_instance, solve_alg2, solve_exhaustive
 from lvecdlp.veronese import basis
@@ -31,7 +30,7 @@ def random_basis(rng, p, l, ambient):
     vectors = []
     while len(vectors) < l:
         row = [rng.randrange(p) for _ in range(ambient)]
-        if rref_rows(vectors + [row], p)[1] == len(vectors) + 1:
+        if fraction_free_rank(vectors + [row], p) == len(vectors) + 1:
             vectors.append(row)
     return KernelBasis(p, ambient, vectors)
 
@@ -110,7 +109,7 @@ def test_solvers_return_none_on_empty_basis(monkeypatch):
     def fail(*args):
         raise AssertionError("an empty basis has no zero set to rank")
 
-    monkeypatch.setattr("lvecdlp.problem_l.rref_rows", fail)
+    monkeypatch.setattr("lvecdlp.problem_l.right_kernel_rows", fail)
     empty = KernelBasis(5, 4, ())
     assert solve_alg2((), 2, 5) is None
     assert solve_exhaustive(empty, 2) is None
@@ -186,7 +185,7 @@ def mixed(kb, rng):
     p, dim = kb.p, kb.dim
     while True:
         mixer = [[rng.randrange(p) for _ in range(dim)] for _ in range(dim)]
-        if rref_rows(mixer, p)[1] == dim:
+        if fraction_free_rank(mixer, p) == dim:
             break
     rows = tuple(
         tuple(sum(mixer[r][k] * kb.vectors[k][c] for k in range(dim)) % p for c in range(kb.ambient))
@@ -596,8 +595,9 @@ def test_minors_scan_ranks_no_zero_set(monkeypatch, group_p907):
 
     kb = first_kernel(group_p907, 2, seed=5)
     flat = list(flat_singular_zero_sets(kb, 6))
-    monkeypatch.setattr("lvecdlp.problem_l.rref_rows", fail)
+    monkeypatch.setattr("lvecdlp.problem_l.right_kernel_rows", fail)
     assert [zero_set for zero_set, _ in scanned_pairs(kb, 6)] == flat
+    monkeypatch.setattr(KernelBasis, "__post_init__", fail)
     assert solve_exhaustive(kb, 6, accept=lambda v: False) is None
 
 

@@ -141,10 +141,42 @@ def test_bench_pairs_flags_wrong_output_and_digest_mismatch():
     assert bench_pairs.summarize(runs, MS)["w"]["ms"]["verdict"] == "gain"
     assert bench_pairs.problems(runs) == []
     # Each side's median operations per run sit beside the metrics, so that a
-    # peak_rss_mib move can be read against them.
+    # peak_rss_mib move can be read against them, and so do its failed and
+    # attempted operations.
     for run in runs:
         run["operations"] = run["seed"] * (3 if run["side"] == "change" else 2)
-    assert bench_pairs.summarize(runs, MS)["w"]["operations"] == {"parent_median": 11.0, "change_median": 16.5}
+    assert bench_pairs.summarize(runs, MS)["w"]["operations"] == {
+        "parent_median": 11.0,
+        "change_median": 16.5,
+        "parent_failed": [1, 100],
+        "change_failed": [2, 390],
+    }
+
+
+@pytest.mark.parametrize(
+    "parent_failed, change_failed, verdict, flagged",
+    [
+        # The parent fails more: shown, no flag, the gain stands.
+        ([3, 0, 0, 0, 0, 0, 0, 0, 0, 4], [0] * 10, "gain", False),
+        # The same share on both sides: shown, no flag.
+        ([1] + [0] * 9, [0] * 9 + [1], "gain", False),
+        # The change fails more: shown, flagged, no gain.
+        ([0] * 10, [0, 5] + [0] * 8, "within bound", True),
+    ],
+)
+def test_bench_pairs_shows_each_sides_failed_share(parent_failed, change_failed, verdict, flagged):
+    """Under ``operations``, each side's failed and attempted operations summed
+    over its runs, whichever share is larger; the verdict and the flag stay
+    what the shares make them."""
+    bench_pairs = load_bench_pairs()
+    runs = synthetic_runs("w", [10.0 + 0.1 * i for i in range(10)], [9.0 + 0.1 * i for i in range(10)])
+    for run in runs:
+        run["failed"] = (parent_failed if run["side"] == "parent" else change_failed)[run["seed"] - 1]
+    summary = bench_pairs.summarize(runs, MS)["w"]
+    assert summary["operations"]["parent_failed"] == [sum(parent_failed), 100]
+    assert summary["operations"]["change_failed"] == [sum(change_failed), 100]
+    assert summary["ms"]["verdict"] == verdict
+    assert bool(bench_pairs.problems(runs)) == flagged
 
 
 def test_bench_pairs_names_failures_both_sides_share():
@@ -192,15 +224,18 @@ def test_bench_pairs_fits_peak_rss_against_operations():
     assert bench_pairs.summarize(runs, spec)["w"]["operations"] == {
         "parent_median": 20,
         "change_median": 25,
+        "parent_failed": [0, 30],
+        "change_failed": [0, 30],
         "parent_peak_rss_kib_per_operation": 102.4,
         "change_peak_rss_residual_mib": 0.5,
     }
+    no_fit = {"parent_median", "change_median", "parent_failed", "change_failed"}
     for run in runs:
         run["operations"] = 10
-    assert set(bench_pairs.summarize(runs, spec)["w"]["operations"]) == {"parent_median", "change_median"}
+    assert set(bench_pairs.summarize(runs, spec)["w"]["operations"]) == no_fit
     for run in runs:
         del run["metrics"]["peak_rss_mib"]
-    assert set(bench_pairs.summarize(runs, MS)["w"]["operations"]) == {"parent_median", "change_median"}
+    assert set(bench_pairs.summarize(runs, MS)["w"]["operations"]) == no_fit
 
 
 FAKE_PERFBENCH = """
