@@ -28,6 +28,7 @@ multiple is one dict lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 
 from .errors import BudgetExceededError
@@ -128,10 +129,7 @@ class Curve:
         q = self.q
         if q > DEFAULT_ENUMERATION_LIMIT:
             raise BudgetExceededError(f"point enumeration limited to q <= {DEFAULT_ENUMERATION_LIMIT}, got q = {q}")
-        # root[s] is the smaller square root of s, or None for a non-residue.
-        root: list[int | None] = [None] * q
-        for y in range((q + 1) // 2):
-            root[y * y % q] = y
+        root = _square_roots(q)
         for x in range(q):
             y = root[(x * x * x + self.a * x + self.b) % q]
             if y is None:
@@ -139,6 +137,18 @@ class Curve:
             yield x, y
             if y:
                 yield x, q - y
+
+
+@lru_cache(maxsize=1)
+def _square_roots(q: int) -> tuple[int | None, ...]:
+    """root[s], the smaller square root of s mod q, or None for a non-residue.
+
+    Only the last q's table is kept: the fixture search counts the points of
+    many curves over one field, and each count reads it once."""
+    root: list[int | None] = [None] * q
+    for y in range((q + 1) // 2):
+        root[y * y % q] = y
+    return tuple(root)
 
 
 class FixedBaseTable:

@@ -82,6 +82,10 @@ from .linalg import (
 )
 
 DEFAULT_ENUMERATION_BUDGET = 5_000_000
+# The largest point count whose collinearity test is generated as straight-line
+# code (l <= 9 at n' = 1): C(12, 3) = 220 determinants, about 15 KB of source.
+GENERATED_POINTS = 12
+_FACTORS_PER_REDUCTION = 20
 
 
 def solve_alg2(rows: Sequence[Sequence[int]], l: int, p: int) -> Optional[tuple[int, ...]]:
@@ -172,14 +176,26 @@ def in_general_position(points: Sequence[XY], q: int) -> bool:
 
     The determinants (x2 - x1)(y3 - y1) - (x3 - x1)(y2 - y1) of the C(N, 3)
     triples are multiplied together, and q prime makes the product zero
-    mod q exactly when one of them is.  The product is reduced mod q at the
-    end and, after the triples of each first point, whenever it has grown
-    past 512 bits: at N = 6 and q = 907 its 20 factors, each below 2^21 in
-    absolute value, keep it below 2^420, so it is reduced once, and at a
-    large N it stays short.
+    mod q exactly when one of them is.  Up to GENERATED_POINTS points this
+    runs a straight-line kernel generated once per point count N (see
+    ``_general_position_kernel``); above it, where the kernel's source would
+    grow as C(N, 3), a loop with flat memory (``_general_position_loop``).
+    Both give the same answer for any q, prime or not: they reduce the same
+    product mod q, only at different places.
     """
     if None in points:
         return False
+    if len(points) <= GENERATED_POINTS:
+        return _general_position_kernel(len(points))(points, q)
+    return _general_position_loop(points, q)
+
+
+def _general_position_loop(points: Sequence[XY], q: int) -> bool:
+    """``in_general_position`` for any number of points, with flat memory.
+
+    The product is reduced mod q at the end and, after the triples of each
+    first point, whenever it has grown past 512 bits, so at a large N it
+    stays short."""
     product = 1
     for i in range(len(points) - 2):
         x1, y1 = points[i]
@@ -192,6 +208,37 @@ def in_general_position(points: Sequence[XY], q: int) -> bool:
         if product.bit_length() > 512:
             product %= q
     return product % q != 0
+
+
+@cache
+def _general_position_kernel(n: int) -> Callable[[Sequence[XY], int], bool]:
+    """``in_general_position`` for exactly n points, none None, as one
+    generated function, built as ``dataclasses`` builds ``__init__``.
+
+    It unpacks the points into locals x0, y0, ..., takes the differences
+    dx_i_j = xj - xi and dy_i_j = yj - yi of every pair i < j whose i can
+    start a triple, and multiplies the triples' determinants
+    dx_i_j * dy_i_k - dx_i_k * dy_i_j in one expression, reduced mod q
+    after every _FACTORS_PER_REDUCTION of them: at q = 853 each factor is
+    below 2^21 in absolute value, so a partial product stays below
+    2^420.  At N = 3 + l that is C(N, 3) factors, 20 at l = 3 and 220 at
+    l = 9 (N = 12, the largest N generated)."""
+    unpack = ", ".join(f"(x{i}, y{i})" for i in range(n))
+    lines = [f"def general_position_{n}(points, q):", f"    [{unpack}] = points"]
+    for i in range(n - 2):
+        for j in range(i + 1, n):
+            lines.append(f"    dx_{i}_{j} = x{j} - x{i}; dy_{i}_{j} = y{j} - y{i}")
+    factors = [
+        f"(dx_{i}_{j} * dy_{i}_{k} - dx_{i}_{k} * dy_{i}_{j})" for i, j, k in combinations(range(n), 3)
+    ]
+    chunks = [
+        " * ".join(factors[start:start + _FACTORS_PER_REDUCTION])
+        for start in range(0, len(factors), _FACTORS_PER_REDUCTION)
+    ] or ["1"]
+    lines.append(f"    return {' % q * '.join(chunks)} % q != 0")
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace[f"general_position_{n}"]
 
 
 def _scan(
