@@ -25,14 +25,19 @@ zero.  So when no maximal minor of M is zero, no l-set is singular: the
 C(N, 3) determinants of three points' (x, y, 1), zero iff the three are
 collinear, which on the curve means they sum to O (Semaev's third
 summation polynomial, IACR ePrint 2004/031), or two of them are equal.
-``in_general_position`` takes them straight from the points, one at a
-time, and tests their product; about C(N, 3)/p of the iterations have such
-a triple, 20/907 at l = 3 and p = 907.  Its time grows with C(N, 3) =
-C(N, l), the sets the enumeration budget bounds, and its memory stays
-flat, so the attack runs it at n' = 1 at every l within that budget.  At
-p = 907 it took 7-11 microseconds per iteration at l = 3 against 67-83 for
-the kernel path, and 66-108 against about 15,000 at l = 10 (2 vCPU,
-Python 3.11).
+``in_general_position`` takes them straight from the points and tests
+their product; about C(N, 3)/p of the iterations have such a triple,
+20/907 at l = 3 and p = 907.  Up to ``GENERATED_POINTS`` = 12 points
+(l <= 9) it runs straight-line code generated once per point count, as
+``dataclasses`` builds ``__init__``; above that bound, where the generated
+source would grow as C(N, 3), a loop whose memory stays flat.  Its time
+grows with C(N, 3) = C(N, l), the sets the enumeration budget bounds, so
+the attack runs it at n' = 1 at every l within that budget.  On seeded
+samples of the p = 907 group (q = 853; 2 vCPU, Python 3.11.7, min of
+seven passes in each of two processes) the generated code took 3.3
+microseconds per call at l = 3 (the loop 7.1, the kernel path 67-83),
+11-16 at l = 6 (loop 25-26) and 25 at l = 9 (loop 55); at l = 10 the loop
+takes 64-84 against about 15,000 for the kernel path.
 
 The minors are computed in blocks by top row, without recursion: for t =
 l-1 down to 0, every minor whose top row is t, each expanded along that row
@@ -83,7 +88,7 @@ from .linalg import (
 
 DEFAULT_ENUMERATION_BUDGET = 5_000_000
 # The largest point count whose collinearity test is generated as straight-line
-# code (l <= 9 at n' = 1): C(12, 3) = 220 determinants, about 15 KB of source.
+# code (l <= 9 at n' = 1): C(12, 3) = 220 determinants, about 11 KB of source.
 GENERATED_POINTS = 12
 _FACTORS_PER_REDUCTION = 20
 
@@ -176,7 +181,7 @@ def in_general_position(points: Sequence[XY], q: int) -> bool:
 
     The determinants (x2 - x1)(y3 - y1) - (x3 - x1)(y2 - y1) of the C(N, 3)
     triples are multiplied together, and q prime makes the product zero
-    mod q exactly when one of them is.  Up to GENERATED_POINTS points this
+    mod q exactly when one of them is.  Up to ``GENERATED_POINTS`` points this
     runs a straight-line kernel generated once per point count N (see
     ``_general_position_kernel``); above it, where the kernel's source would
     grow as C(N, 3), a loop with flat memory (``_general_position_loop``).
@@ -219,10 +224,11 @@ def _general_position_kernel(n: int) -> Callable[[Sequence[XY], int], bool]:
     dx_i_j = xj - xi and dy_i_j = yj - yi of every pair i < j whose i can
     start a triple, and multiplies the triples' determinants
     dx_i_j * dy_i_k - dx_i_k * dy_i_j in one expression, reduced mod q
-    after every _FACTORS_PER_REDUCTION of them: at q = 853 each factor is
-    below 2^21 in absolute value, so a partial product stays below
-    2^420.  At N = 3 + l that is C(N, 3) factors, 20 at l = 3 and 220 at
-    l = 9 (N = 12, the largest N generated)."""
+    after every ``_FACTORS_PER_REDUCTION`` of them: at q = 853 each factor
+    is below 2^21 in absolute value, so a partial product, a residue times
+    20 factors, stays below 2^430.  At N = 3 + l that is C(N, 3) factors:
+    20 at l = 3, one reduction, and 220 at l = 9 (N = 12, the largest N
+    generated), eleven."""
     unpack = ", ".join(f"(x{i}, y{i})" for i in range(n))
     lines = [f"def general_position_{n}(points, q):", f"    [{unpack}] = points"]
     for i in range(n - 2):

@@ -319,6 +319,19 @@ def test_find_prime_order_curve_reproduces_medium_fixture():
     assert group.generator == (1, 297)
 
 
+def test_find_prime_order_curve_builds_one_square_root_table():
+    """The square-root table depends only on q, so the search over F_853
+    builds it once for its 348 reads, the point count of every candidate and
+    the generator's sweep; a count over another field replaces it."""
+    curve_module._square_roots.cache_clear()
+    find_prime_order_curve(PrimeField(853), 907, 907)
+    info = curve_module._square_roots.cache_info()
+    assert (info.misses, info.hits) == (1, 347)
+    Curve(PrimeField(17), 2, 3).group_order()
+    Curve(PrimeField(853), 1, 348).group_order()
+    assert curve_module._square_roots.cache_info().misses == 3
+
+
 def test_find_prime_order_curve_skips_j0_and_j1728_rows():
     """At q = 48,619 (1 mod 3) every a = 0 curve has one of a few orders, none
     prime in range, and the scan would spend q point counts in that row;

@@ -285,6 +285,52 @@ def test_mds_test_matches_the_rank_of_every_maximal_square():
     assert sides == {True: 38, False: 202}
 
 
+@pytest.mark.parametrize("n", range(3, problem_l.GENERATED_POINTS + 4))
+def test_generated_collinearity_kernel_matches_the_loop_and_every_square(monkeypatch, n):
+    """On both sides of ``GENERATED_POINTS``, the kernel generated for n
+    points, the loop and the reference rank of every 3 x 3 square of the
+    (x, y, 1) rows give one answer, on random points over F_5, F_7 and
+    F_853, some with a point repeated and some with a third point planted on
+    the line of two others.  ``in_general_position`` gives it too, and the
+    monkeypatches show which path it takes: the kernel, generated once, up
+    to the bound, and the loop above it, without calling the generator.  A
+    point that is None answers False before either runs."""
+    kernel = problem_l._general_position_kernel(n)
+    assert problem_l._general_position_kernel(n) is kernel
+    loop = problem_l._general_position_loop
+
+    def refuse(*args):
+        raise AssertionError(f"the wrong path for {n} points")
+
+    if n <= problem_l.GENERATED_POINTS:
+        monkeypatch.setattr(problem_l, "_general_position_loop", refuse)
+    else:
+        monkeypatch.setattr(problem_l, "_general_position_kernel", refuse)
+    rng = random.Random(n)
+    sides = Counter()
+    for p in (5, 7, 853):
+        for plant in ("repeat", "line", None) * 4:
+            points = [(rng.randrange(p), rng.randrange(p)) for _ in range(n)]
+            if plant == "repeat":
+                a, b = rng.sample(range(n), 2)
+                points[b] = points[a]
+            elif plant == "line":
+                a, b, c = rng.sample(range(n), 3)
+                t = rng.randrange(p)
+                points[c] = tuple((u + t * (v - u)) % p for u, v in zip(points[a], points[b]))
+            rows = [[x, y, 1] for x, y in points]
+            expected = all(fraction_free_rank(list(square), p) == 3 for square in combinations(rows, 3))
+            assert kernel(points, p) == loop(points, p) == expected, (points, p)
+            assert problem_l.in_general_position(points, p) == expected, (points, p)
+            sides[plant, expected] += 1
+    assert not sides["repeat", True] and not sides["line", True]
+    assert sides[None, True] and sides[None, False]
+    monkeypatch.setattr(problem_l, "_general_position_loop", refuse)
+    monkeypatch.setattr(problem_l, "_general_position_kernel", refuse)
+    points[rng.randrange(n)] = None
+    assert not problem_l.in_general_position(points, 853)
+
+
 @pytest.mark.parametrize(
     "group_name, l, count, sides",
     [
