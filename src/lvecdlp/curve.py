@@ -10,6 +10,14 @@ A curve's points are enumerated one way, by a sweep over x that reads a
 table of square roots mod q; ``points``, ``group_order`` and the fixture
 search's generator all come from it, for q <= ``DEFAULT_ENUMERATION_LIMIT``.
 
+The group law divides by one chord or tangent denominator per operation,
+and reads its inverse from one table per field, ``_inverses(q)``: for
+q <= ``INVERSE_TABLE_LIMIT`` = 2^16 a tuple of the q inverses mod q, built by
+the linear recurrence inv[i] = -(q // i) * inv[q mod i], shared by every
+curve over that field; above it, the same subscript calls
+``pow(x, -1, q)``.  A chord's x difference lies in (-q, q) and is read with
+Python's negative index, which is its residue mod q.
+
 Scalar multiplication has one scheme, the ``FixedBaseTable`` of a base:
 with w = ceil(bitlen(bound) / 2), r * base is lo[r mod 2^w] + hi[r >> w],
 two entries filled in lazily from the base's doubling chain, so a multiple
@@ -36,6 +44,10 @@ from .field import PrimeField, is_prime
 
 DEFAULT_ENUMERATION_LIMIT = 1 << 20
 
+# Fields up to this size tabulate their inverses: at most 2.3 MiB and about
+# 10 ms to build (q = 65,521); larger ones call pow per inverse.
+INVERSE_TABLE_LIMIT = 1 << 16
+
 IDENTITY_TOKEN = "O"
 
 # Whole multiples of its generator a GroupSpec keeps: every one of a group of
@@ -52,7 +64,8 @@ class Curve:
 
     ``add`` is the group law; multiples of a point come from its
     ``FixedBaseTable``.  ``points`` and ``group_order`` read one sweep of
-    the affine points.
+    the affine points.  The field's ``_inverses`` table is held as ``_inv``,
+    not a field: equality and hashing ignore it.
     """
 
     field: PrimeField
@@ -68,6 +81,7 @@ class Curve:
         disc = (4 * self.a**3 + 27 * self.b**2) % q
         if disc == 0:
             raise ValueError(f"singular curve: 4a^3 + 27b^2 = 0 mod {q}")
+        object.__setattr__(self, "_inv", _inverses(q))
 
     @property
     def q(self) -> int:
@@ -95,7 +109,12 @@ class Curve:
         return x, -y % self.q
 
     def add(self, lhs: XY, rhs: XY) -> XY:
-        """Chord-tangent group law on points of the curve."""
+        """Chord-tangent group law on points of the curve.
+
+        The slope's inverse is read from the field's ``_inverses`` table
+        (``pow`` above ``INVERSE_TABLE_LIMIT``); its index is never 0, since
+        a chord's x values differ and a tangent here has y != 0.
+        """
         if lhs is None:
             return rhs
         if rhs is None:
@@ -106,9 +125,9 @@ class Curve:
         if x1 == x2:
             if (y1 + y2) % q == 0:
                 return None
-            slope = (3 * x1 * x1 + self.a) * pow(2 * y1, -1, q) % q
+            slope = (3 * x1 * x1 + self.a) * self._inv[2 * y1 % q] % q
         else:
-            slope = (y2 - y1) * pow(x2 - x1, -1, q) % q
+            slope = (y2 - y1) * self._inv[x2 - x1] % q
         x3 = (slope * slope - x1 - x2) % q
         return x3, (slope * (x1 - x3) - y1) % q
 
@@ -151,6 +170,36 @@ def _square_roots(q: int) -> tuple[int | None, ...]:
     return tuple(root)
 
 
+class _PowInverses:
+    """inv[x] = x^-1 mod q by ``pow``, for fields too large to tabulate;
+    inv[0] raises ValueError."""
+
+    __slots__ = ("q",)
+
+    def __init__(self, q: int):
+        self.q = q
+
+    def __getitem__(self, x: int) -> int:
+        return pow(x, -1, self.q)
+
+
+@lru_cache(maxsize=1)
+def _inverses(q: int) -> tuple[int | None, ...] | _PowInverses:
+    """inv[x] = x^-1 mod q for 0 < x < q, also read at -q < x < 0 as x mod q.
+
+    For q <= ``INVERSE_TABLE_LIMIT`` a tuple built by the recurrence
+    inv[i] = -(q // i) * inv[q mod i] mod q (q = (q // i) * i + q mod i, so
+    i * (q // i) = -(q mod i)), whose entry 0 is None and fails on use;
+    above it, a ``_PowInverses``.  Only the last q's is kept, as for
+    ``_square_roots``; each curve holds its own field's."""
+    if q > INVERSE_TABLE_LIMIT:
+        return _PowInverses(q)
+    inv: list[int | None] = [None, 1] + [0] * (q - 2)
+    for i in range(2, q):
+        inv[i] = -(q // i) * inv[q % i] % q
+    return tuple(inv)
+
+
 class FixedBaseTable:
     """Multiples r * base for 0 <= r <= bound, each from two table entries.
 
@@ -164,10 +213,12 @@ class FixedBaseTable:
     below it, so its partial sums from the lowest bit up are kept too.  A
     multiple whose two entries are present costs one addition, inlined on
     ints, and none when a digit is 0.  An entry whose index is a multiple of
-    the base's order is the identity.
+    the base's order is the identity.  Fills and the inlined addition read
+    their slope inverses from the curve's ``_inverses`` table, as
+    ``Curve.add`` does.
     """
 
-    __slots__ = ("curve", "bound", "_q", "_a", "_w", "_mask", "_lo", "_hi")
+    __slots__ = ("curve", "bound", "_q", "_a", "_inv", "_w", "_mask", "_lo", "_hi")
 
     def __init__(self, curve: Curve, base: XY, bound: int):
         w = max(1, -(-bound.bit_length() // 2))
@@ -175,6 +226,7 @@ class FixedBaseTable:
         self.bound = bound
         self._q = curve.field.p
         self._a = curve.a
+        self._inv = curve._inv
         self._w = w
         self._mask = (1 << w) - 1
         self._lo: dict[int, XY] = {0: None, 1: base}
@@ -205,9 +257,9 @@ class FixedBaseTable:
         if x1 == x2:
             if (y1 + y2) % q == 0:
                 return None
-            slope = (3 * x1 * x1 + self._a) * pow(2 * y1, -1, q) % q
+            slope = (3 * x1 * x1 + self._a) * self._inv[2 * y1 % q] % q
         else:
-            slope = (y2 - y1) * pow(x2 - x1, -1, q) % q
+            slope = (y2 - y1) * self._inv[x2 - x1] % q
         x3 = (slope * slope - x1 - x2) % q
         return x3, (slope * (x1 - x3) - y1) % q
 

@@ -16,7 +16,7 @@ from lvecdlp.curve import (
     point_to_text,
 )
 from lvecdlp.errors import BudgetExceededError
-from lvecdlp.field import PrimeField
+from lvecdlp.field import PrimeField, is_prime
 from lvecdlp.veronese import basis
 from lvecdlp.verification import fixture_large, fixture_medium
 from reference_attack import fraction_free_rank
@@ -410,20 +410,24 @@ def test_chain_matches_reference_for_every_scalar_p19(group_p19):
     assert all(pt == reference_scalar_mul(curve, r, gen) for r, pt in group_p19._multiples.items())
 
 
-def count_group_operations(monkeypatch):
-    """A list that grows by one per group operation of the curve module from
-    here on.  Each chord or tangent step with no identity operand and no
-    P + (-P) takes exactly one modular inverse, in ``Curve.add`` and in a
-    table's inlined addition alike, so the module's ``pow`` is counted."""
+def count_group_operations(monkeypatch, curve):
+    """A copy of curve whose group operations are counted, and the list that
+    grows by one per operation of it.  Each chord or tangent step with no
+    identity operand and no P + (-P) reads exactly one slope inverse from the
+    curve's ``_inverses`` table, in ``Curve.add`` and in a table's inlined
+    addition alike, so the copy's table counts its reads."""
     calls = []
+    inverses = curve._inv
 
-    def counted(base, exp, mod):
-        if exp == -1:
-            calls.append(base)
-        return pow(base, exp, mod)
+    class CountedReads:
+        def __getitem__(self, x):
+            calls.append(x)
+            return inverses[x]
 
-    monkeypatch.setattr(curve_module, "pow", counted, raising=False)
-    return calls
+    monkeypatch.setattr(curve_module, "_inverses", lambda q: CountedReads())
+    counted = dataclasses.replace(curve)
+    assert isinstance(counted._inv, CountedReads) and counted == curve
+    return counted, calls
 
 
 def test_window_memo_addition_counts(group_p907, monkeypatch):
@@ -433,10 +437,10 @@ def test_window_memo_addition_counts(group_p907, monkeypatch):
     multiple on an empty table; on a table in use, a multiple makes one per
     entry it fills plus one when both digits are nonzero, so warm it makes
     at most one.  A group makes none for a whole multiple it has kept."""
-    curve, gen, p = group_p907.curve, group_p907.generator, group_p907.order
+    gen, p = group_p907.generator, group_p907.order
+    curve, calls = count_group_operations(monkeypatch, group_p907.curve)
     group = GroupSpec(curve, gen, p)
     shared = FixedBaseTable(curve, gen, p)
-    calls = count_group_operations(monkeypatch)
     w = shared._w
     assert w == 5
     for k in random.Random(5).sample(range(1, p), 200):
@@ -601,10 +605,66 @@ def test_table_on_a_61_bit_bound_fills_lazily():
     base = curve.point(x, pow(x**3 + 3 * x + 7, (q + 1) // 4, q))
     table = FixedBaseTable(curve, base, q)
     assert table._w == 31
+    assert isinstance(table._inv, curve_module._PowInverses)
     rng = random.Random(61)
     for r in [0, 1, q, (1 << 31) - 1, 1 << 31, q - 1] + [rng.randrange(q + 1) for _ in range(40)]:
         assert_fills_exactly(table, r, reference_scalar_mul(curve, r, base))
     assert len(table._lo) + len(table._hi) <= 46 * 4 * 31
+
+
+LARGEST_TABULATED = max(q for q in range(curve_module.INVERSE_TABLE_LIMIT - 64, curve_module.INVERSE_TABLE_LIMIT + 1) if is_prime(q))
+SMALLEST_UNTABULATED = next(q for q in range(curve_module.INVERSE_TABLE_LIMIT + 1, 1 << 17) if is_prime(q))
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 17, 37, 853, 48619, LARGEST_TABULATED])
+def test_inverse_table_matches_pow(q):
+    """Up to the bound, the table holds pow(x, -1, q) at every nonzero
+    residue, also read as x - q; entry 0 is None and fails on use; every
+    curve over the field, and every fixed-base table of one, shares it."""
+    assert LARGEST_TABULATED == 65521
+    inverses = curve_module._inverses(q)
+    assert isinstance(inverses, tuple) and len(inverses) == q
+    assert all(inverses[x] == pow(x, -1, q) == inverses[x - q] for x in range(1, q))
+    assert inverses[0] is None
+    with pytest.raises(TypeError):
+        3 * inverses[0] % q
+    field = PrimeField(q)
+    curves = [Curve(field, a, b) for a, b in ((1, 1), (2, 3), (0, 4)) if (4 * a**3 + 27 * b**2) % q]
+    assert curves and all(c._inv is inverses for c in curves)
+    assert FixedBaseTable(curves[0], None, q)._inv is inverses
+
+
+def test_inverses_above_the_bound_call_pow():
+    """Above 2^16 the same subscript calls pow: it agrees with pow on sampled
+    residues, both signs, and raises on 0."""
+    q = SMALLEST_UNTABULATED
+    assert q == 65537
+    inverses = curve_module._inverses(q)
+    assert isinstance(inverses, curve_module._PowInverses)
+    assert Curve(PrimeField(q), 1, 1)._inv is inverses
+    for x in random.Random(q).sample(range(1, q), 500) + [1, 2, q - 1]:
+        assert inverses[x] == pow(x, -1, q) == inverses[x - q], x
+    with pytest.raises(ValueError):
+        inverses[0]
+
+
+@pytest.mark.parametrize("q", [LARGEST_TABULATED, SMALLEST_UNTABULATED])
+def test_add_matches_reference_on_both_sides_of_the_inverse_bound(q):
+    """On the last tabulated field and the first untabulated one, Curve.add
+    equals reference_add on sampled chords, doublings, P + (-P) and the
+    identity, and so does a fixed-base table's multiple."""
+    curve = Curve(PrimeField(q), 3, 7)
+    points = curve.points()
+    rng = random.Random(q)
+    sampled = rng.sample(points, 200)
+    assert None in points
+    for lhs, rhs in zip(sampled, sampled[1:] + sampled[:1]):
+        for pair in ((lhs, rhs), (lhs, lhs), (lhs, curve.negate(lhs)), (lhs, None), (None, rhs)):
+            assert curve.add(*pair) == reference_add(curve, *pair), pair
+    base = next(pt for pt in sampled if pt is not None)
+    table = FixedBaseTable(curve, base, len(points))
+    for r in rng.sample(range(len(points) + 1), 40):
+        assert table.multiple(r) == reference_scalar_mul(curve, r, base), r
 
 
 def test_chain_rejects_negative_scalars(group_p19):
