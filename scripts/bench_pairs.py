@@ -28,7 +28,10 @@ each side's failed and attempted operations summed over its runs
 compares, shown whichever is larger; the slope of ``peak_rss_mib`` against
 operations fitted over the parent's runs (KiB per operation); and the
 change's median residual from that line (MiB), which separates record
-growth from program memory.  The verdicts:
+growth from program memory.  Under ``ms_per_log_over_bsgs`` it holds, per
+workload whose runs report both metrics, each side's median ``ms_per_log``
+divided by its median ``bsgs_ms_per_log``: how many baseline logarithms one
+attack logarithm costs.  The verdicts:
 
 * ``gain``: the change reads better in at least nine tenths of ten or more
   pairs (ties count for neither), its median is better by more than the
@@ -145,7 +148,8 @@ def verdict(
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     """Per workload and end-to-end metric: medians, quartiles, pairs better and
     the verdict; per workload, each side's median operations and its
-    [failed, attempted] operations summed over its runs."""
+    [failed, attempted] operations summed over its runs, and each side's
+    ratio of median ``ms_per_log`` to median ``bsgs_ms_per_log``."""
     summary: dict = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         by_seed: dict = {}
@@ -182,8 +186,26 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
         }
         rows["operations"].update({f"{side}_failed": counts[side] for side in SIDES})
         rows["operations"].update(rss_per_operation([run for run in runs if run["workload"] == workload]))
+        ratios = bsgs_ratios(paired)
+        if ratios:
+            rows["ms_per_log_over_bsgs"] = ratios
         summary[workload] = rows
     return summary
+
+
+def bsgs_ratios(paired: list[dict]) -> dict:
+    """Per side, median ``ms_per_log`` over median ``bsgs_ms_per_log`` of the
+    paired runs; empty when a run lacks either metric or a BSGS median is 0."""
+    names = ("ms_per_log", "bsgs_ms_per_log")
+    if not paired or any(name not in sides[side] for sides in paired for side in SIDES for name in names):
+        return {}
+    ratios = {}
+    for side in SIDES:
+        attack, bsgs = (statistics.median(sides[side][name] for sides in paired) for name in names)
+        if not bsgs:
+            return {}
+        ratios[f"{side}_median"] = round(attack / bsgs, 2)
+    return ratios
 
 
 def rss_per_operation(runs: list[dict]) -> dict:

@@ -10,13 +10,11 @@ A curve's points are enumerated one way, by a sweep over x that reads a
 table of square roots mod q; ``points``, ``group_order`` and the fixture
 search's generator all come from it, for q <= ``DEFAULT_ENUMERATION_LIMIT``.
 
-The group law divides by one chord or tangent denominator per operation,
-and reads its inverse from one table per field, ``_inverses(q)``: for
-q <= ``INVERSE_TABLE_LIMIT`` = 2^16 a tuple of the q inverses mod q, built by
-the linear recurrence inv[i] = -(q // i) * inv[q mod i], shared by every
-curve over that field; above it, the same subscript calls
-``pow(x, -1, q)``.  A chord's x difference lies in (-q, q) and is read with
-Python's negative index, which is its residue mod q.
+The group law reads each chord or tangent slope's inverse from one table
+per field, ``_inverses(q)``: the q inverses mod q, built by a linear
+recurrence and shared by every curve over the field, for
+q <= ``INVERSE_TABLE_LIMIT`` = 2^16, and ``pow(x, -1, q)`` behind the same
+subscript above it.
 
 Scalar multiplication has one scheme, the ``FixedBaseTable`` of a base:
 with w = ceil(bitlen(bound) / 2), r * base is lo[r mod 2^w] + hi[r >> w],
@@ -112,8 +110,8 @@ class Curve:
         """Chord-tangent group law on points of the curve.
 
         The slope's inverse is read from the field's ``_inverses`` table
-        (``pow`` above ``INVERSE_TABLE_LIMIT``); its index is never 0, since
-        a chord's x values differ and a tangent here has y != 0.
+        (``pow`` above ``INVERSE_TABLE_LIMIT`` = 2^16); its index is never 0,
+        since a chord's x values differ and a tangent here has y != 0.
         """
         if lhs is None:
             return rhs
@@ -185,13 +183,14 @@ class _PowInverses:
 
 @lru_cache(maxsize=1)
 def _inverses(q: int) -> tuple[int | None, ...] | _PowInverses:
-    """inv[x] = x^-1 mod q for 0 < x < q, also read at -q < x < 0 as x mod q.
+    """inv[x] = x^-1 mod q for 0 < |x| < q: a chord's x difference is read
+    as it is, a negative index being its residue mod q.
 
     For q <= ``INVERSE_TABLE_LIMIT`` a tuple built by the recurrence
-    inv[i] = -(q // i) * inv[q mod i] mod q (q = (q // i) * i + q mod i, so
-    i * (q // i) = -(q mod i)), whose entry 0 is None and fails on use;
-    above it, a ``_PowInverses``.  Only the last q's is kept, as for
-    ``_square_roots``; each curve holds its own field's."""
+    inv[i] = -(q // i) * inv[q mod i] mod q (from q = (q // i) * i + q mod i),
+    whose entry 0 is None and fails on use; above it, a ``_PowInverses``.
+    Only the last q's is kept, as for ``_square_roots``; each curve holds
+    its own field's."""
     if q > INVERSE_TABLE_LIMIT:
         return _PowInverses(q)
     inv: list[int | None] = [None, 1] + [0] * (q - 2)
@@ -215,7 +214,7 @@ class FixedBaseTable:
     ints, and none when a digit is 0.  An entry whose index is a multiple of
     the base's order is the identity.  Fills and the inlined addition read
     their slope inverses from the curve's ``_inverses`` table, as
-    ``Curve.add`` does.
+    ``Curve.add`` does (``pow`` above ``INVERSE_TABLE_LIMIT`` = 2^16).
     """
 
     __slots__ = ("curve", "bound", "_q", "_a", "_inv", "_w", "_mask", "_lo", "_hi")

@@ -12,6 +12,10 @@ The table is built by repeated addition of the generator, not from the
 multiples a ``GroupSpec`` keeps for the attack, so the oracle shares no
 cache with what it checks.  It is held weakly keyed by the group and goes
 with it; equal groups share one table.
+Each baby and giant step is one ``Curve.add``, whose slope inverse is read
+from the field's table of inverses (``curve._inverses``: tabulated for
+q <= 2^16, ``pow`` above); that table depends only on q, and the attack
+reads the same one.
 """
 
 from __future__ import annotations

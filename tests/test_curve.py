@@ -612,8 +612,8 @@ def test_table_on_a_61_bit_bound_fills_lazily():
     assert len(table._lo) + len(table._hi) <= 46 * 4 * 31
 
 
-LARGEST_TABULATED = max(q for q in range(curve_module.INVERSE_TABLE_LIMIT - 64, curve_module.INVERSE_TABLE_LIMIT + 1) if is_prime(q))
-SMALLEST_UNTABULATED = next(q for q in range(curve_module.INVERSE_TABLE_LIMIT + 1, 1 << 17) if is_prime(q))
+# The largest prime <= 2^16, whose inverses are tabulated, and the smallest above it.
+LARGEST_TABULATED, SMALLEST_UNTABULATED = 65521, 65537
 
 
 @pytest.mark.parametrize("q", [5, 7, 11, 17, 37, 853, 48619, LARGEST_TABULATED])
@@ -621,7 +621,6 @@ def test_inverse_table_matches_pow(q):
     """Up to the bound, the table holds pow(x, -1, q) at every nonzero
     residue, also read as x - q; entry 0 is None and fails on use; every
     curve over the field, and every fixed-base table of one, shares it."""
-    assert LARGEST_TABULATED == 65521
     inverses = curve_module._inverses(q)
     assert isinstance(inverses, tuple) and len(inverses) == q
     assert all(inverses[x] == pow(x, -1, q) == inverses[x - q] for x in range(1, q))
@@ -638,7 +637,8 @@ def test_inverses_above_the_bound_call_pow():
     """Above 2^16 the same subscript calls pow: it agrees with pow on sampled
     residues, both signs, and raises on 0."""
     q = SMALLEST_UNTABULATED
-    assert q == 65537
+    assert LARGEST_TABULATED <= curve_module.INVERSE_TABLE_LIMIT < q
+    assert is_prime(LARGEST_TABULATED) and is_prime(q) and not any(map(is_prime, range(LARGEST_TABULATED + 1, q)))
     inverses = curve_module._inverses(q)
     assert isinstance(inverses, curve_module._PowInverses)
     assert Curve(PrimeField(q), 1, 1)._inv is inverses
@@ -657,7 +657,6 @@ def test_add_matches_reference_on_both_sides_of_the_inverse_bound(q):
     points = curve.points()
     rng = random.Random(q)
     sampled = rng.sample(points, 200)
-    assert None in points
     for lhs, rhs in zip(sampled, sampled[1:] + sampled[:1]):
         for pair in ((lhs, rhs), (lhs, lhs), (lhs, curve.negate(lhs)), (lhs, None), (None, rhs)):
             assert curve.add(*pair) == reference_add(curve, *pair), pair

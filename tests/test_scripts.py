@@ -238,6 +238,33 @@ def test_bench_pairs_fits_peak_rss_against_operations():
     assert set(bench_pairs.summarize(runs, MS)["w"]["operations"]) == no_fit
 
 
+def test_bench_pairs_sets_each_sides_logs_against_bsgs():
+    """Under ``ms_per_log_over_bsgs``: each side's median ms_per_log over its
+    median bsgs_ms_per_log, medians taken over the runs separately; absent
+    when a run lacks either metric.  The verdicts and problems do not move."""
+    bench_pairs = load_bench_pairs()
+    parent_ms, change_ms = [1.6, 1.7, 1.5, 1.65, 1.62], [1.5, 1.45, 1.52, 1.48, 1.4]
+    parent_bsgs, change_bsgs = [0.0125, 0.013, 0.012, 0.0126, 0.02], [0.01, 0.0105, 0.0098, 0.03, 0.01]
+    runs = synthetic_runs("w", parent_ms, change_ms)
+    for run in runs:
+        side_ms, side_bsgs = (parent_ms, parent_bsgs) if run["side"] == "parent" else (change_ms, change_bsgs)
+        run["metrics"] = {"ms_per_log": side_ms[run["seed"] - 1], "bsgs_ms_per_log": side_bsgs[run["seed"] - 1]}
+    spec = [
+        {"name": "ms_per_log", "unit": "ms", "better": "lower", "bound": 0.25},
+        {"name": "bsgs_ms_per_log", "unit": "ms", "better": "lower", "bound": 0.25},
+    ]
+    summary = bench_pairs.summarize(runs, spec)["w"]
+    assert summary["ms_per_log_over_bsgs"] == {
+        "parent_median": round(1.62 / 0.0126, 2),
+        "change_median": round(1.48 / 0.01, 2),
+    }
+    assert summary["ms_per_log"]["verdict"] == "within bound"
+    assert bench_pairs.problems(runs) == []
+    del runs[3]["metrics"]["bsgs_ms_per_log"]
+    assert "ms_per_log_over_bsgs" not in bench_pairs.summarize(runs, spec)["w"]
+    assert "ms_per_log_over_bsgs" not in bench_pairs.summarize(synthetic_runs("w", [1.0], [1.0]), MS)["w"]
+
+
 FAKE_PERFBENCH = """
 import json
 report = {"output_digest": "abc", "operations": 7, "errors": ["target 3: iteration-budget-exhausted"]}
