@@ -14,6 +14,13 @@ generator, then l + 1 from multiples of the negated target (one more
 generator row than target rows, so a full-support block is always mixed).  Multipliers are
 distinct within each block; a cross-block point collision is an "accident"
 that immediately yields the logarithm and is reported separately.
+
+Iteration i of a run seeded s draws from the named substream "s:i"
+(``iteration_rng``).  ``run_attack`` resolves its config's fixed values
+once and reseeds one generator per run with those same substreams, so its
+records equal what ``execute_iteration`` and ``sample_iteration``, which
+enter the same per-run code for one index, give alone.  An n' = 1
+iteration that the collinearity test settles builds only its record.
 """
 
 from __future__ import annotations
@@ -23,13 +30,13 @@ from dataclasses import asdict, dataclass, field
 from functools import cache
 from itertools import count
 from math import ceil, comb
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .analysis import per_iteration_success, success_model
 from .curve import XY, FixedBaseTable, GroupSpec
 from .errors import InvariantViolationError
 from .linalg import left_kernel
-from .problem_l import DEFAULT_ENUMERATION_BUDGET, in_general_position, solve_alg2, solve_exhaustive
+from .problem_l import DEFAULT_ENUMERATION_BUDGET, general_position_test, solve_alg2, solve_exhaustive
 from .veronese import MonomialBasis, basis
 
 SOLVER_ALG2 = "alg2"
@@ -183,26 +190,126 @@ def iteration_rng(seed: int, index: int) -> random.Random:
     return random.Random(f"{seed}:{index}")
 
 
-def _distinct_multipliers(rng: random.Random, count: int, p: int) -> list[int]:
-    """count distinct values drawn from 1..p-1; ValueError if there are fewer.
+def _distinct_multipliers(rng: random.Random, p: int) -> Callable[[int], list[int]]:
+    """rng's draw of count distinct values from 1..p-1, for any count; the
+    draw raises ValueError if there are fewer.
 
-    Each draw is ``rng.randrange(1, p)``, made by its own rejection rule:
+    Each value is ``rng.randrange(1, p)``, made by its own rejection rule:
     getrandbits of the bit length of p - 1 until the value is below p - 1.
+    The bit length and the bound method are resolved once per generator.
     """
-    if count > p - 1:
-        raise ValueError(f"need {count} distinct multipliers, but 1..{p - 1} holds only {p - 1}")
     getrandbits = rng.getrandbits
-    width = p - 1
-    bits = width.bit_length()
-    chosen: list[int] = []
-    seen: set[int] = set()
-    while len(chosen) < count:
-        r = getrandbits(bits)
-        if r >= width or r in seen:
-            continue
-        seen.add(r)
-        chosen.append(r + 1)
-    return chosen
+    bits = (p - 1).bit_length()
+
+    def draw(count: int) -> list[int]:
+        if count > p - 1:
+            raise ValueError(f"need {count} distinct multipliers, but 1..{p - 1} holds only {p - 1}")
+        chosen: list[int] = []
+        while len(chosen) < count:
+            r = getrandbits(bits) + 1
+            if r < p and r not in chosen:
+                chosen.append(r)
+        return chosen
+
+    return draw
+
+
+class _Run:
+    """The values every iteration of a run reads, resolved once, and its iterations.
+
+    One generator serves every index: reseeded with the index's key, it
+    gives the stream ``iteration_rng(seed, index)`` gives, since
+    ``Random(key)`` is an unseeded generator followed by ``seed(key)``.
+    """
+
+    __slots__ = ("cfg", "q", "key", "rng", "draw", "counts", "generator_mul", "neg_target_mul", "general_position",
+                 "not_found")
+
+    def __init__(self, cfg: AttackConfig):
+        self.cfg = cfg
+        self.q = cfg.group.curve.q
+        self.key = f"{cfg.seed}:"
+        self.rng = random.Random.__new__(random.Random)  # unseeded: each sample seeds it
+        self.draw = _distinct_multipliers(self.rng, cfg.group.order)
+        self.counts = (3 * cfg.n_prime - 1, cfg.l + 1)
+        self.generator_mul = cfg.group.scalar_mul
+        self.neg_target_mul = cfg._neg_target_table.multiple
+        # With no three points on a line, no maximal minor of the points'
+        # matrix is zero, no l-set is singular and either solver would find
+        # nothing (see problem_l).  The test's C(3 + l, 3) determinants are as
+        # many as the scan's sets, so the budget that bounds those bounds it.
+        # Two equal points are on a line with any third, so there is no
+        # accident either.  With the identity as target every -target
+        # multiple is the identity, which is on no line.
+        points = 3 * cfg.n_prime + cfg.l
+        applies = cfg.n_prime == 1 and cfg.target is not None and comb(points, cfg.l) <= cfg.enumeration_budget
+        self.general_position = general_position_test(points) if applies else None
+        self.not_found = f"{cfg.solver}:{REJECT_NOT_FOUND}"
+
+    def sample(self, index: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[XY, ...]]:
+        """Iteration index's multipliers of the generator and of -target, and their points."""
+        self.rng.seed(self.key + str(index))
+        count_p, count_q = self.counts
+        mult_p = self.draw(count_p)
+        mult_q = self.draw(count_q)
+        points = (*map(self.generator_mul, mult_p), *map(self.neg_target_mul, mult_q))
+        return tuple(mult_p), tuple(mult_q), points
+
+    def records(self, indices: Iterable[int]) -> Iterator[IterationRecord]:
+        """The record of each iteration of indices, in turn."""
+        sample, general_position, q = self.sample, self.general_position, self.q
+        l, not_found = self.cfg.l, self.not_found
+        for index in indices:
+            mult_p, mult_q, points = sample(index)
+            if general_position is not None and general_position(points, q):
+                yield IterationRecord(index, mult_p, mult_q, kernel_dim=l, reject_reasons=[not_found])
+            else:
+                yield self._resolve(IterationSample(index, mult_p, mult_q, points))
+
+    def _resolve(self, sample: IterationSample) -> IterationRecord:
+        """The record of a sample the n' = 1 test did not settle: accident, kernel and solver."""
+        cfg = self.cfg
+        p = cfg.group.order
+        record = IterationRecord(sample.index, sample.multipliers_p, sample.multipliers_q)
+        if cfg.accident_check:
+            accident = detect_accident(sample)
+            if accident is not None:
+                m = accident_logarithm(accident[0], accident[1], p)
+                if not _verified(cfg, m):
+                    raise InvariantViolationError(f"accident logarithm m = {m} failed verification against the target")
+                record.accident = accident
+                record.found_by = "accident"
+                record.m = m
+                return record
+        kernel = left_kernel(cfg.monomials, sample.points, self.q)
+        record.kernel_dim = kernel.dim
+        if kernel.dim == 0:
+            record.reject_reasons.append(REJECT_NOT_FOUND)
+            return record
+
+        m: Optional[int] = None
+
+        def decode(vec: tuple[int, ...]) -> Optional[str]:
+            """Set m to vec's verified logarithm and return None, or return why vec is rejected."""
+            nonlocal m
+            m, reason = decode_solution(vec, sample.multipliers_p, sample.multipliers_q, p)
+            if m is not None and not _verified(cfg, m):
+                m, reason = None, REJECT_UNVERIFIED
+            return reason
+
+        if cfg.solver == SOLVER_ALG2:
+            vector = solve_alg2(kernel.vectors, cfg.l, kernel.p)
+            reason = REJECT_NOT_FOUND if vector is None else decode(vector)
+        else:
+            vector = solve_exhaustive(kernel, cfg.l, accept=lambda vec: decode(vec) is None, budget=cfg.enumeration_budget)
+            reason = REJECT_NOT_FOUND if vector is None else None
+        if reason is None:
+            record.found_by = cfg.solver
+            record.solution_vector = vector
+            record.m = m
+        else:
+            record.reject_reasons.append(f"{cfg.solver}:{reason}")
+        return record
 
 
 def sample_iteration(cfg: AttackConfig, index: int) -> IterationSample:
@@ -212,14 +319,10 @@ def sample_iteration(cfg: AttackConfig, index: int) -> IterationSample:
     the decode layout.  The multiples come from the generator's and
     -target's tables.
     Cross-block collisions are not resampled here; they are the accidents
-    handled by detect_accident.
+    handled by detect_accident.  The draws are the ones ``run_attack``
+    makes for index, by the same per-run code.
     """
-    rng = iteration_rng(cfg.seed, index)
-    p = cfg.group.order
-    mult_p = _distinct_multipliers(rng, 3 * cfg.n_prime - 1, p)
-    mult_q = _distinct_multipliers(rng, cfg.l + 1, p)
-    points = (*map(cfg.group.scalar_mul, mult_p), *map(cfg.neg_target_mul, mult_q))
-    return IterationSample(index, tuple(mult_p), tuple(mult_q), points)
+    return IterationSample(index, *_Run(cfg).sample(index))
 
 
 def detect_accident(sample: IterationSample) -> Optional[tuple[int, int]]:
@@ -288,88 +391,31 @@ def execute_iteration(cfg: AttackConfig, index: int) -> IterationRecord:
     so there is no accident, and no l-set is singular, so the iteration
     records kernel dimension l and "{solver}:not-found" without looking for
     an accident, taking the kernel or calling the solver.  Records are the
-    same as with the accident check first.
+    same as with the accident check first.  ``run_attack`` runs the same
+    code for each of its indices.
     """
-    sample = sample_iteration(cfg, index)
-    record = IterationRecord(
-        iteration=index,
-        multipliers_p=sample.multipliers_p,
-        multipliers_q=sample.multipliers_q,
-    )
-    p = cfg.group.order
-    q = cfg.group.curve.q
-    # With no three points on a line, no maximal minor of the points' matrix
-    # is zero, no l-set is singular and either solver would find nothing
-    # (see problem_l).  The test's C(3 + l, 3) determinants are as many as
-    # the scan's sets, so the budget that bounds those bounds it.  Two equal
-    # points are on a line with any third, so there is no accident either.
-    if (
-        cfg.n_prime == 1
-        and comb(len(sample.points), cfg.l) <= cfg.enumeration_budget
-        and in_general_position(sample.points, q)
-    ):
-        record.kernel_dim = cfg.l
-        record.reject_reasons.append(f"{cfg.solver}:{REJECT_NOT_FOUND}")
-        return record
-    if cfg.accident_check:
-        accident = detect_accident(sample)
-        if accident is not None:
-            m = accident_logarithm(accident[0], accident[1], p)
-            if not _verified(cfg, m):
-                raise InvariantViolationError(f"accident logarithm m = {m} failed verification against the target")
-            record.accident = accident
-            record.found_by = "accident"
-            record.m = m
-            return record
-    kernel = left_kernel(cfg.monomials, sample.points, q)
-    record.kernel_dim = kernel.dim
-    if kernel.dim == 0:
-        record.reject_reasons.append(REJECT_NOT_FOUND)
-        return record
-
-    m: Optional[int] = None
-
-    def decode(vec: tuple[int, ...]) -> Optional[str]:
-        """Set m to vec's verified logarithm and return None, or return why vec is rejected."""
-        nonlocal m
-        m, reason = decode_solution(vec, sample.multipliers_p, sample.multipliers_q, p)
-        if m is not None and not _verified(cfg, m):
-            m, reason = None, REJECT_UNVERIFIED
-        return reason
-
-    if cfg.solver == SOLVER_ALG2:
-        vector = solve_alg2(kernel.vectors, cfg.l, kernel.p)
-        reason = REJECT_NOT_FOUND if vector is None else decode(vector)
-    else:
-        vector = solve_exhaustive(kernel, cfg.l, accept=lambda vec: decode(vec) is None, budget=cfg.enumeration_budget)
-        reason = REJECT_NOT_FOUND if vector is None else None
-    if reason is None:
-        record.found_by = cfg.solver
-        record.solution_vector = vector
-        record.m = m
-    else:
-        record.reject_reasons.append(f"{cfg.solver}:{reason}")
-    return record
+    return next(_Run(cfg).records((index,)))
 
 
 def run_attack(cfg: AttackConfig, on_record: Optional[Callable[[IterationRecord], None]] = None) -> AttackOutcome:
     """Repeat iterations until a verified logarithm is found or the budget runs out.
 
     The output is never wrong, only possibly absent: a returned m always
-    satisfies m * generator == target.
+    satisfies m * generator == target.  The run's fixed values are resolved
+    once and one generator is reseeded per index, so each record is the one
+    ``execute_iteration`` gives for its index alone.
     """
     if cfg.target is None:
         return AttackOutcome(m=0, iterations_used=0, records=[])
     records: list[IterationRecord] = []
-    for index in range(1, cfg.max_iterations + 1):
-        record = execute_iteration(cfg, index)
+    for record in _Run(cfg).records(range(1, cfg.max_iterations + 1)):
         records.append(record)
         if on_record is not None:
             on_record(record)
         if record.m is not None:
             return AttackOutcome(
                 m=record.m,
-                iterations_used=index,
+                iterations_used=record.iteration,
                 records=records,
                 accident=record.accident,
             )
@@ -406,17 +452,19 @@ def planted_trials(
 
     Trial t plants m, drawn from the named substream "{seed}:m:{t}" or given
     as fixed_m (yielded as given, unreduced), and runs iteration t of a
-    single-iteration attack on m * generator.  A recovered logarithm that
-    differs from the planted one raises InvariantViolationError.  A fixed_m
-    that is a multiple of the order plants the identity, which no iteration
-    can recover, and raises ValueError.
+    single-iteration attack on m * generator.  A fixed_m's config, and so
+    its table of -target, is built once for every trial.  A recovered
+    logarithm that differs from the planted one raises
+    InvariantViolationError.  A fixed_m that is a multiple of the order
+    plants the identity, which no iteration can recover, and raises
+    ValueError.
     """
     p = group.order
     if fixed_m is not None and fixed_m % p == 0:
         raise ValueError(f"fixed m = {fixed_m} is a multiple of the group order {p}")
-    for index in count(1):
-        m = fixed_m if fixed_m is not None else random.Random(f"{seed}:m:{index}").randrange(1, p)
-        cfg = AttackConfig(
+
+    def config(m: int) -> AttackConfig:
+        return AttackConfig(
             group=group,
             target=group.scalar_mul(m),
             n_prime=n_prime,
@@ -427,6 +475,14 @@ def planted_trials(
             accident_check=accident_check,
             enumeration_budget=enumeration_budget,
         )
+
+    fixed_cfg = None if fixed_m is None else config(fixed_m)
+    for index in count(1):
+        if fixed_m is None:
+            m = random.Random(f"{seed}:m:{index}").randrange(1, p)
+            cfg = config(m)
+        else:
+            m, cfg = fixed_m, fixed_cfg
         record = execute_iteration(cfg, index)
         if record.m is not None and record.m != m % p:
             raise InvariantViolationError(f"trial {index}: recovered {record.m} but planted {m % p}")

@@ -190,9 +190,14 @@ def in_general_position(points: Sequence[XY], q: int) -> bool:
     """
     if None in points:
         return False
-    if len(points) <= GENERATED_POINTS:
-        return _general_position_kernel(len(points))(points, q)
-    return _general_position_loop(points, q)
+    return general_position_test(len(points))(points, q)
+
+
+def general_position_test(n: int) -> Callable[[Sequence[XY], int], bool]:
+    """``in_general_position`` for exactly n points, none None: the kernel
+    generated for n up to ``GENERATED_POINTS``, the loop above.  A caller
+    that tests many samples of n points resolves it once."""
+    return _general_position_kernel(n) if n <= GENERATED_POINTS else _general_position_loop
 
 
 def _general_position_loop(points: Sequence[XY], q: int) -> bool:

@@ -9,6 +9,7 @@ from math import comb, exp
 import pytest
 
 import lvecdlp.attack as attack_mod
+import lvecdlp.problem_l as problem_l
 from lvecdlp.analysis import per_iteration_success
 from lvecdlp.attack import (
     AttackConfig,
@@ -21,6 +22,7 @@ from lvecdlp.attack import (
     default_max_iterations,
     detect_accident,
     execute_iteration,
+    iteration_rng,
     planted_trials,
     run_attack,
     sample_iteration,
@@ -238,7 +240,7 @@ def test_n1_records_equal_those_of_the_kernel_path(request, monkeypatch, group_n
         for solver in ("exhaustive", "alg2"):
             tested = [records(l, solver, accident_check) for accident_check in (False, True)]
             with monkeypatch.context() as patched:
-                patched.setattr(attack_mod, "in_general_position", lambda points, q: False)
+                patched.setattr(attack_mod, "general_position_test", lambda n: lambda points, q: False)
                 untested = [records(l, solver, accident_check) for accident_check in (False, True)]
             for (fast, fast_kernels), (slow, slow_kernels) in zip(tested, untested):
                 assert fast == slow
@@ -321,7 +323,7 @@ def test_n1_budget_below_the_sets_takes_the_kernel_path(group_p907, monkeypatch)
     settings = dict(group=group_p907, target=group_p907.scalar_mul(321), seed=2, enumeration_budget=19)
     with pytest.raises(BudgetExceededError, match="C\\(6, 3\\) exceeds the enumeration budget 19"):
         execute_iteration(AttackConfig(**settings), 1)
-    monkeypatch.setattr(attack_mod, "in_general_position", None)
+    monkeypatch.setattr(attack_mod, "general_position_test", None)
     outcome = run_attack(AttackConfig(solver="alg2", max_iterations=60, **settings))
     assert (outcome.m, outcome.iterations_used) == (321, 31)
     records = json.dumps([record.to_dict() for record in outcome.records], sort_keys=True)
@@ -555,7 +557,7 @@ def test_config_is_frozen_and_its_memo_is_no_field(group_p907):
 def test_distinct_multipliers_beyond_the_range_raises():
     """20 distinct multipliers among the 18 of 1..18 raise at once instead of drawing forever."""
     with pytest.raises(ValueError, match="20 distinct multipliers"):
-        attack_mod._distinct_multipliers(random.Random(0), 20, 19)
+        attack_mod._distinct_multipliers(random.Random(0), 19)(20)
 
 
 @pytest.mark.parametrize("p", [2, 3, 19, 907, 48_731, 2**31 - 1])
@@ -569,19 +571,69 @@ def test_distinct_multipliers_match_randrange_draws(p):
     for seed in range(100):
         for count in counts:
             ours, reference = random.Random(seed), random.Random(seed)
-            assert attack_mod._distinct_multipliers(ours, count, p) == randrange_multipliers(reference, count, p)
+            assert attack_mod._distinct_multipliers(ours, p)(count) == randrange_multipliers(reference, count, p)
             assert ours.getstate() == reference.getstate()
 
 
-def test_run_attack_records_match_standalone_iterations(group_p907):
+def test_run_attack_records_match_standalone_iterations(group_p19, group_p907):
     """Each record of run_attack equals the record execute_iteration gives for
     that index on its own, so no state of an earlier iteration's draws reaches
-    a later one (an n' = 1 run of 30 or more iterations)."""
-    cfg = AttackConfig(group=group_p907, target=group_p907.scalar_mul(333), n_prime=1, seed=43)
-    outcome = run_attack(cfg)
-    assert outcome.succeeded and len(outcome.records) >= 30
-    for i, record in enumerate(outcome.records):
-        assert record == execute_iteration(cfg, i + 1)
+    a later one, and every branch of the run's loop gives what the
+    one-iteration entry gives: an n' = 1 run of 30 or more iterations, n' = 2
+    and 3, both solvers, the order-19 group with the accident check on (where
+    equal points make the n' = 1 test answer False and the accident settles
+    the iteration), and n' = 1 at l = 10, whose 14 points take
+    ``_general_position_loop`` rather than a generated kernel."""
+    runs = [(group_p907, 333, dict(seed=43))]
+    runs += [(group_p907, 100 + seed, dict(solver="alg2", seed=seed)) for seed in range(6)]
+    runs += [(group_p907, 200 + seed, dict(n_prime=2, solver=solver, seed=seed)) for seed in range(4)
+             for solver in ("exhaustive", "alg2")]
+    runs += [(group_p907, 300 + seed, dict(n_prime=3, seed=seed)) for seed in range(2)]
+    runs += [(group_p19, m, dict(seed=m, accident_check=True)) for m in range(1, 19)]
+    runs += [(group_p907, 400 + seed, dict(l=10, seed=seed)) for seed in range(3)]
+    seen = Counter()
+    for group, m, settings in runs:
+        cfg = AttackConfig(group=group, target=group.scalar_mul(m), **settings)
+        outcome = run_attack(cfg)
+        assert outcome.m == m
+        for i, record in enumerate(outcome.records):
+            assert record == execute_iteration(cfg, i + 1)
+            seen[group.order, cfg.n_prime, cfg.l, record.found_by] += 1
+    assert len(runs[0][2]) == 1 and seen[907, 1, 3, None] >= 30
+    assert seen[907, 1, 3, "alg2"] and seen[907, 1, 3, "accident"]
+    assert seen[907, 2, 6, None] and seen[907, 2, 6, "exhaustive"] and seen[907, 2, 6, "alg2"]
+    assert seen[907, 3, 9, "exhaustive"] == 2
+    assert seen[19, 1, 3, "accident"] and seen[19, 1, 3, "exhaustive"] and seen[19, 1, 3, None]
+    assert seen[907, 1, 10, None] and seen[907, 1, 10, "exhaustive"]
+    l10 = AttackConfig(group=group_p907, target=group_p907.scalar_mul(400), l=10)
+    assert attack_mod._Run(l10).general_position is problem_l._general_position_loop
+
+
+@pytest.mark.parametrize("group_name", ["group_p19", "group_p907"])
+def test_run_generator_reseeded_per_index_is_the_index_substream(request, group_name):
+    """One run's generator, reseeded for index i, draws the multipliers
+    ``sample_iteration(cfg, i)`` gives, and after the draws holds the state
+    that ``iteration_rng(seed, i)`` followed by the two blocks' draws holds:
+    seeds 0, -5 and 2^40, indices 1-50 in order and then in reverse, at
+    n' = 1 and 2.  The draws also equal one ``randrange(1, p)`` per value
+    from a generator seeded afresh."""
+    group = request.getfixturevalue(group_name)
+    p = group.order
+    for seed in (0, -5, 2**40):
+        for n_prime in (1, 2):
+            cfg = AttackConfig(group=group, target=group.scalar_mul(5), n_prime=n_prime, seed=seed)
+            run = attack_mod._Run(cfg)
+            counts = (3 * n_prime - 1, cfg.l + 1)
+            for index in [*range(1, 51), *range(50, 0, -1)]:
+                mult_p, mult_q, points = run.sample(index)
+                sample = sample_iteration(cfg, index)
+                assert (mult_p, mult_q, points) == (sample.multipliers_p, sample.multipliers_q, sample.points)
+                reference = iteration_rng(seed, index)
+                draw = attack_mod._distinct_multipliers(reference, p)
+                assert [draw(count) for count in counts] == [list(mult_p), list(mult_q)]
+                assert run.rng.getstate() == reference.getstate()
+                fresh = iteration_rng(seed, index)
+                assert [randrange_multipliers(fresh, count, p) for count in counts] == [list(mult_p), list(mult_q)]
 
 
 def test_accident_resolves_q_equals_p(group_p19):

@@ -7,6 +7,8 @@ import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import lvecdlp
 from lvecdlp import cli
-from lvecdlp.attack import SOLVER_CHOICES
+from lvecdlp.attack import SOLVER_CHOICES, AttackConfig, execute_iteration, planted_trials
 from lvecdlp.cli import (
     EXIT_BUDGET,
     EXIT_INVARIANT,
@@ -25,7 +27,7 @@ from lvecdlp.cli import (
     main,
     parse_config_file,
 )
-from lvecdlp.verification import SUITE_NAMES, run_suites
+from lvecdlp.verification import SUITE_NAMES, fixture_small, run_suites
 
 P19 = ["--q", "17", "--a", "2", "--b", "2", "--gx", "5", "--gy", "1", "--order", "19"]
 P907 = ["--q", "853", "--a", "1", "--b", "348", "--gx", "1", "--gy", "297", "--order", "907"]
@@ -358,6 +360,33 @@ def test_experiment_fixed_m(tmp_path):
     assert code == EXIT_OK
     for line in csv_path.read_text().splitlines()[1:]:
         assert line.split(",")[1] == "7"
+
+    # The stream builds a fixed m's config once, and each trial's record is
+    # the one execute_iteration gives for its index on a config built afresh:
+    # the CSV rows above, and 40 trials with the accident check on and off.
+    group = fixture_small()
+    accident_check = json.loads(js_path.read_text())["config"]["accident_check"] == "on"
+
+    def fresh_record(index, accident_check):
+        cfg = AttackConfig(
+            group=group, target=group.scalar_mul(7), max_iterations=1, seed=0, accident_check=accident_check
+        )
+        return execute_iteration(cfg, index)
+
+    for line in csv_path.read_text().splitlines()[1:]:
+        index, _, success, _, dim, reason, _ = line.split(",")
+        record = fresh_record(int(index), accident_check)
+        expected_dim = -1 if record.kernel_dim is None else record.kernel_dim
+        expected_reason = "+".join(record.reject_reasons) or "none"
+        assert (int(success), int(dim), reason) == (record.m is not None, expected_dim, expected_reason)
+    found_by = Counter()
+    for accident_check in (False, True):
+        trials = list(islice(planted_trials(group, seed=0, fixed_m=7, accident_check=accident_check), 40))
+        assert all(trial.cfg is trials[0].cfg and trial.m == 7 for trial in trials)
+        for trial in trials:
+            assert trial.record == fresh_record(trial.index, accident_check)
+            found_by[trial.record.found_by] += 1
+    assert found_by["accident"] and found_by["exhaustive"] and found_by[None]
 
 
 @pytest.mark.parametrize("m", ["0", "19", "-38"])
