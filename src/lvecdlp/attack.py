@@ -463,26 +463,21 @@ def planted_trials(
     if fixed_m is not None and fixed_m % p == 0:
         raise ValueError(f"fixed m = {fixed_m} is a multiple of the group order {p}")
 
-    def config(m: int) -> AttackConfig:
-        return AttackConfig(
-            group=group,
-            target=group.scalar_mul(m),
-            n_prime=n_prime,
-            l=l,
-            solver=solver,
-            max_iterations=1,
-            seed=seed,
-            accident_check=accident_check,
-            enumeration_budget=enumeration_budget,
-        )
-
-    fixed_cfg = None if fixed_m is None else config(fixed_m)
+    settings = dict(
+        n_prime=n_prime,
+        l=l,
+        solver=solver,
+        max_iterations=1,
+        seed=seed,
+        accident_check=accident_check,
+        enumeration_budget=enumeration_budget,
+    )
+    fixed_cfg = None if fixed_m is None else AttackConfig(group=group, target=group.scalar_mul(fixed_m), **settings)
     for index in count(1):
+        m, cfg = fixed_m, fixed_cfg
         if fixed_m is None:
             m = random.Random(f"{seed}:m:{index}").randrange(1, p)
-            cfg = config(m)
-        else:
-            m, cfg = fixed_m, fixed_cfg
+            cfg = AttackConfig(group=group, target=group.scalar_mul(m), **settings)
         record = execute_iteration(cfg, index)
         if record.m is not None and record.m != m % p:
             raise InvariantViolationError(f"trial {index}: recovered {record.m} but planted {m % p}")
