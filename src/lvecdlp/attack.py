@@ -2,24 +2,28 @@
 
 Each iteration samples fresh multipliers, takes the left kernel of the
 corresponding curve points' monomial matrix, hands it to a zero-pattern
-solver, and decodes any qualifying vector into the logarithm.  At n' = 1
-it first tests whether three of its points lie on a line, and when none
-do it skips the accident check, the kernel and the solver, which could find
-nothing: two equal points would be on a line with any third.
-Every decoded answer is verified against the target before being returned,
-so the attack can fail to answer but can never answer wrongly.
+solver, and decodes any qualifying vector into the logarithm.  At n' = 1,
+when the C(3 + l, l) sets fit the enumeration budget, it first tests
+whether three of its points lie on a line (``general_position_test``).
+When none do, no l-set is singular (see problem_l) and no two points are
+equal, so the iteration records kernel dimension l and
+"{solver}:not-found" without looking for an accident, taking the kernel or
+calling the solver: the record the full path would give.  Every decoded
+answer is verified against the target before being returned, so the attack
+can fail to answer but can never answer wrongly.
 
 Row layout per iteration: 3n' - 1 points, so rows, from multiples of the
 generator, then l + 1 from multiples of the negated target (one more
-generator row than target rows, so a full-support block is always mixed).  Multipliers are
-distinct within each block; a cross-block point collision is an "accident"
-that immediately yields the logarithm and is reported separately.
+generator row than target rows, so a full-support block is always mixed).
+Multipliers are distinct within each block; a cross-block point collision
+is an "accident" that immediately yields the logarithm and is reported
+separately.
 
-Iteration i of a run seeded s draws from the named substream "s:i"
-(``iteration_rng``).  ``run_attack`` resolves its config's fixed values
-once and reseeds one generator per run with those same substreams, so its
-records equal what ``execute_iteration`` and ``sample_iteration``, which
-enter the same per-run code for one index, give alone.  An n' = 1
+Iteration i of a run seeded s draws from the named substream "s:i", the
+stream of ``random.Random("s:i")``.  ``run_attack`` resolves its config's
+fixed values once and reseeds one generator per run with those keys, so
+its records equal what ``execute_iteration`` and ``sample_iteration``,
+which enter the same per-run code for one index, give alone.  An n' = 1
 iteration that the collinearity test settles builds only its record.
 """
 
@@ -185,11 +189,6 @@ class AttackOutcome:
         return self.m is not None
 
 
-def iteration_rng(seed: int, index: int) -> random.Random:
-    """Named substream per (seed, iteration): reproducible regardless of scheduling."""
-    return random.Random(f"{seed}:{index}")
-
-
 def _distinct_multipliers(rng: random.Random, p: int) -> Callable[[int], list[int]]:
     """rng's draw of count distinct values from 1..p-1, for any count; the
     draw raises ValueError if there are fewer.
@@ -217,9 +216,9 @@ def _distinct_multipliers(rng: random.Random, p: int) -> Callable[[int], list[in
 class _Run:
     """The values every iteration of a run reads, resolved once, and its iterations.
 
-    One generator serves every index: reseeded with the index's key, it
-    gives the stream ``iteration_rng(seed, index)`` gives, since
-    ``Random(key)`` is an unseeded generator followed by ``seed(key)``.
+    One generator serves every index: reseeded with the index's key
+    ``"{seed}:{index}"``, it gives the stream ``Random(key)`` gives, since
+    that is an unseeded generator followed by ``seed(key)``.
     """
 
     __slots__ = ("cfg", "q", "key", "rng", "draw", "counts", "generator_mul", "neg_target_mul", "general_position",
@@ -234,15 +233,10 @@ class _Run:
         self.counts = (3 * cfg.n_prime - 1, cfg.l + 1)
         self.generator_mul = cfg.group.scalar_mul
         self.neg_target_mul = cfg._neg_target_table.multiple
-        # With no three points on a line, no maximal minor of the points'
-        # matrix is zero, no l-set is singular and either solver would find
-        # nothing (see problem_l).  The test's C(3 + l, 3) determinants are as
-        # many as the scan's sets, so the budget that bounds those bounds it.
-        # Two equal points are on a line with any third, so there is no
-        # accident either.  With the identity as target every -target
-        # multiple is the identity, which is on no line.
+        # The n' = 1 test's C(3 + l, 3) determinants are as many as the scan's
+        # sets, so the budget that bounds those bounds it.
         points = 3 * cfg.n_prime + cfg.l
-        applies = cfg.n_prime == 1 and cfg.target is not None and comb(points, cfg.l) <= cfg.enumeration_budget
+        applies = cfg.n_prime == 1 and comb(points, cfg.l) <= cfg.enumeration_budget
         self.general_position = general_position_test(points) if applies else None
         self.not_found = f"{cfg.solver}:{REJECT_NOT_FOUND}"
 
@@ -384,15 +378,8 @@ def execute_iteration(cfg: AttackConfig, index: int) -> IterationRecord:
     alg2's one vector is decoded; the exhaustive scan stops at the first vector
     that decodes.  A decoded m that fails verification rejects its vector with
     reason "unverified".  A miss records the one reason "{solver}:{reason}".
-
-    At n' = 1, when the C(3 + l, l) sets fit the enumeration budget, the
-    points are tested first, ahead of the accident check: with no three on
-    a line (no maximal minor of their matrix zero), no two points are equal,
-    so there is no accident, and no l-set is singular, so the iteration
-    records kernel dimension l and "{solver}:not-found" without looking for
-    an accident, taking the kernel or calling the solver.  Records are the
-    same as with the accident check first.  ``run_attack`` runs the same
-    code for each of its indices.
+    The n' = 1 test runs first (see the module docstring).  ``run_attack``
+    runs the same code for each of its indices.
     """
     return next(_Run(cfg).records((index,)))
 

@@ -127,10 +127,23 @@ def build_target(args: argparse.Namespace, group: GroupSpec) -> tuple[int, int]:
     return group.curve.point(args.qx, args.qy)
 
 
-def _config_echo(cfg: AttackConfig, timing: bool, **extra) -> dict:
-    """The settings a config resolved, as a manifest or summary echoes them, plus ``extra``."""
+def _attack_settings(args: argparse.Namespace) -> dict:
+    """The attack settings of solve's and experiment's flags, as ``AttackConfig`` and ``planted_trials`` take them."""
+    return dict(
+        n_prime=args.nprime,
+        l=args.l,
+        solver=args.solver,
+        seed=args.seed,
+        accident_check=args.accident_check,
+        enumeration_budget=args.enum_budget,
+    )
+
+
+def _output_head(command: str, cfg: AttackConfig, timing: bool, **extra) -> dict:
+    """The head of a manifest or summary: the tool, the command, and the
+    settings a config resolved, plus ``extra``."""
     group = cfg.group
-    return {
+    config = {
         "q": group.curve.q,
         "a": group.curve.a,
         "b": group.curve.b,
@@ -146,6 +159,8 @@ def _config_echo(cfg: AttackConfig, timing: bool, **extra) -> dict:
         "timing": "on" if timing else "off",
         **extra,
     }
+    tool = {"name": "lvecdlp", "version": __version__, "schema": SCHEMA_VERSION}
+    return {"tool": tool, "command": command, "config": config}
 
 
 def check_writable(path: str) -> None:
@@ -167,17 +182,7 @@ def write_json(path: str, payload: dict) -> None:
 def cmd_solve(args: argparse.Namespace) -> int:
     group = build_group(args)
     target = build_target(args, group)
-    cfg = AttackConfig(
-        group=group,
-        target=target,
-        n_prime=args.nprime,
-        l=args.l,
-        solver=args.solver,
-        max_iterations=args.max_iterations,
-        seed=args.seed,
-        accident_check=args.accident_check,
-        enumeration_budget=args.enum_budget,
-    )
+    cfg = AttackConfig(group=group, target=target, max_iterations=args.max_iterations, **_attack_settings(args))
     for path in (args.manifest, args.log):
         if path:
             check_writable(path)
@@ -206,9 +211,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             log_handle.close()
 
     manifest = {
-        "tool": {"name": "lvecdlp", "version": __version__, "schema": SCHEMA_VERSION},
-        "command": "solve",
-        "config": _config_echo(cfg, args.timing, qx=target[0], qy=target[1], max_iterations=cfg.max_iterations),
+        **_output_head("solve", cfg, args.timing, qx=target[0], qy=target[1], max_iterations=cfg.max_iterations),
         "curve": curve_to_text(group.curve),
         "generator": point_to_text(group.generator),
         "target": point_to_text(target),
@@ -245,16 +248,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     successes = 0
     accidents = 0
     kernel_dims: dict[int, int] = {}
-    stream = planted_trials(
-        group,
-        seed=args.seed,
-        fixed_m=args.m,
-        n_prime=args.nprime,
-        l=args.l,
-        solver=args.solver,
-        accident_check=args.accident_check,
-        enumeration_budget=args.enum_budget,
-    )
+    stream = planted_trials(group, fixed_m=args.m, **_attack_settings(args))
     started = trial_started = time.perf_counter()
     for trial in islice(stream, args.trials):
         trial_elapsed = time.perf_counter() - trial_started
@@ -277,9 +271,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     ci_low, ci_high = binomial_confidence_interval(successes, args.trials)
     model = success_model(p, cfg.n_prime, cfg.l)
     summary = {
-        "tool": {"name": "lvecdlp", "version": __version__, "schema": SCHEMA_VERSION},
-        "command": "experiment",
-        "config": _config_echo(cfg, args.timing, trials=args.trials, m=args.m),
+        **_output_head("experiment", cfg, args.timing, trials=args.trials, m=args.m),
         "summary": {
             "trials": args.trials,
             "successes": successes,

@@ -51,7 +51,7 @@ def _baby_steps(group: GroupSpec) -> tuple[dict[int, tuple[int, int]], XY]:
     return kept
 
 
-def solve_bsgs(group: GroupSpec, target: XY, max_order: int = BSGS_ORDER_LIMIT) -> int:
+def solve_bsgs(group: GroupSpec, target: XY) -> int:
     """Baby-step giant-step: the unique m in [0, p) with m * generator == target.
 
     Walks target - i(2T - 1) * generator, T = isqrt(p - 1) + 1, looking each
@@ -61,8 +61,8 @@ def solve_bsgs(group: GroupSpec, target: XY, max_order: int = BSGS_ORDER_LIMIT) 
     [0, p) after at most ceil(p / (2T - 1)) - 1 giant steps.
     """
     p = group.order
-    if p > max_order:
-        raise BudgetExceededError(f"baby-step giant-step limited to order <= {max_order}")
+    if p > BSGS_ORDER_LIMIT:
+        raise BudgetExceededError(f"baby-step giant-step limited to order <= {BSGS_ORDER_LIMIT}")
     if not group.curve.contains(target):
         raise ValueError("target point is not on the curve")
     table, giant = _baby_steps(group)

@@ -25,19 +25,11 @@ zero.  So when no maximal minor of M is zero, no l-set is singular: the
 C(N, 3) determinants of three points' (x, y, 1), zero iff the three are
 collinear, which on the curve means they sum to O (Semaev's third
 summation polynomial, IACR ePrint 2004/031), or two of them are equal.
-``in_general_position`` takes them straight from the points and tests
-their product; about C(N, 3)/p of the iterations have such a triple,
-20/907 at l = 3 and p = 907.  Up to ``GENERATED_POINTS`` = 12 points
-(l <= 9) it runs straight-line code generated once per point count, as
-``dataclasses`` builds ``__init__``; above that bound, where the generated
-source would grow as C(N, 3), a loop whose memory stays flat.  Its time
-grows with C(N, 3) = C(N, l), the sets the enumeration budget bounds, so
-the attack runs it at n' = 1 at every l within that budget.  On seeded
-samples of the p = 907 group (q = 853; 2 vCPU, Python 3.11.7, min of
-seven passes in each of two processes) the generated code took 3.3
-microseconds per call at l = 3 (the loop 7.1, the kernel path 67-83),
-11-16 at l = 6 (loop 25-26) and 25 at l = 9 (loop 55); at l = 10 the loop
-takes 64-84 against about 15,000 for the kernel path.
+``general_position_test`` reads them straight from the points; about
+C(N, 3)/p of the iterations have such a triple, 20/907 at l = 3 and
+p = 907.  Its time grows with C(N, 3) = C(N, l), the sets the enumeration
+budget bounds, so the attack runs it at n' = 1 at every l within that
+budget.
 
 The minors are computed in blocks by top row, without recursion: for t =
 l-1 down to 0, every minor whose top row is t, each expanded along that row
@@ -53,17 +45,18 @@ singular sets are yielded before the next entry is computed, and a scan
 that stops early pays only for the entries it reached.  For other pivots
 each block yields the singular sets that no later block can precede.
 
-Each singular set also reports its vanishing member when those members
-form a single line (corank 1), read from the minors one size smaller,
-which its block and the earlier ones have already computed: the member's
-coefficients over the RREF basis are one row of the adjugate of the
-singular minor's matrix, a_r = (-1)^pos(r) det X[R - r, C - c0], scaled
-so that the first nonzero one is 1.  That is the canonical combination a
-reduction of the restricted basis would give, so the enumerator reduces a
-restricted basis only for a set of corank 2 or more, which a kernel has
-only when two of its points collide.  The enumerator skips a line whose
-combination it has already rejected.  This requires the accept filter to
-be a deterministic function of the tuple, as the attack's decode filter is.
+Each singular set also reports the combinations of the basis rows that
+vanish on it.  When they form a single line (corank 1), it is read from the
+minors one size smaller, which its block and the earlier ones have already
+computed: the member's coefficients over the RREF basis are one row of the
+adjugate of the singular minor's matrix, a_r = (-1)^pos(r)
+det X[R - r, C - c0], scaled so that the first nonzero one is 1.  That is
+the canonical combination a reduction of the restricted basis would give,
+so the scan reduces a restricted basis only for a set of corank 2 or more,
+which a kernel has only when two of its points collide.  The enumerator
+skips a line whose combination it has already rejected.  This requires the
+accept filter to be a deterministic function of the tuple, as the attack's
+decode filter is.
 """
 
 from __future__ import annotations
@@ -132,11 +125,9 @@ def solve_exhaustive(
     below the basis dimension.  The minors come in blocks by top row (see
     the module docstring), and the singular sets decided so far are tried
     before the next block entry is computed.  The combinations of the RREF
-    basis vectors that vanish on a singular Z are tried in turn: the one
-    line the scan reads from its minors when Z has corank 1, else the RREF
-    basis of the restricted basis's kernel.  The first solution found is
-    returned, so a nonzero result is guaranteed whenever one exists; an
-    empty basis has none.
+    basis vectors that vanish on a singular Z, as the scan gives them, are
+    tried in turn.  The first solution found is returned, so a nonzero
+    result is guaranteed whenever one exists; an empty basis has none.
 
     The search runs on the RREF basis the KernelBasis holds, with the
     pivots it names, so the result depends only on the span.
@@ -156,12 +147,7 @@ def solve_exhaustive(
         return None
     vectors = kb.vectors
     rejected: set[tuple[int, ...]] = set()  # the combinations of the rejected candidates
-    for zero_set, line in _scan(vectors, kb.pivots, n, l, p):
-        if line is None:
-            restricted = [[vec[c] for vec in vectors] for c in zero_set]
-            combos = right_kernel_rows(restricted, len(vectors), p)
-        else:
-            combos = (line,)
+    for _, combos in _scan(vectors, kb.pivots, n, l, p):
         for combo in combos:
             if combo in rejected:
                 continue
@@ -172,40 +158,31 @@ def solve_exhaustive(
     return None
 
 
-def in_general_position(points: Sequence[XY], q: int) -> bool:
-    """Whether no three of the affine points over F_q, coordinates in [0, q),
-    lie on a line, two equal points counting as on a line with any third:
-    whether every 3 x 3 minor of their (x, y, 1) rows is nonzero mod q (see
-    the module docstring for what that certifies).  False when a point is
-    None, the identity, whose row (0, 1, 0) is not of that form.
-
-    The determinants (x2 - x1)(y3 - y1) - (x3 - x1)(y2 - y1) of the C(N, 3)
-    triples are multiplied together, and q prime makes the product zero
-    mod q exactly when one of them is.  Up to ``GENERATED_POINTS`` points this
-    runs a straight-line kernel generated once per point count N (see
-    ``_general_position_kernel``); above it, where the kernel's source would
-    grow as C(N, 3), a loop with flat memory (``_general_position_loop``).
-    Both give the same answer for any q, prime or not: they reduce the same
-    product mod q, only at different places.
-    """
-    if None in points:
-        return False
-    return general_position_test(len(points))(points, q)
-
-
 def general_position_test(n: int) -> Callable[[Sequence[XY], int], bool]:
-    """``in_general_position`` for exactly n points, none None: the kernel
-    generated for n up to ``GENERATED_POINTS``, the loop above.  A caller
-    that tests many samples of n points resolves it once."""
+    """The test of whether no three of n points over F_q lie on a line.
+
+    The returned function takes the points, affine ones with coordinates in
+    [0, q) or None, and q.  It answers whether every 3 x 3 minor of their
+    (x, y, 1) rows is nonzero mod q (see the module docstring): the
+    determinants (x2 - x1)(y3 - y1) - (x3 - x1)(y2 - y1) of the C(n, 3)
+    triples multiplied together, zero mod a prime q exactly when one of
+    them is.  Two equal points are on a line with any third, and a sample
+    that holds None, the identity, answers False.  Up to
+    ``GENERATED_POINTS`` points the test is straight-line code generated
+    once per n, as ``dataclasses`` builds ``__init__``
+    (``_general_position_kernel``); above, where that code would grow as
+    C(n, 3), a loop with flat memory (``_general_position_loop``).  Both
+    reduce the same product mod q, so they agree for any q.
+    """
     return _general_position_kernel(n) if n <= GENERATED_POINTS else _general_position_loop
 
 
 def _general_position_loop(points: Sequence[XY], q: int) -> bool:
-    """``in_general_position`` for any number of points, with flat memory.
-
-    The product is reduced mod q at the end and, after the triples of each
-    first point, whenever it has grown past 512 bits, so at a large N it
-    stays short."""
+    """The test for any number of points.  The product is reduced mod q at
+    the end and, after the triples of each first point, whenever it has
+    grown past 512 bits, so at a large N it stays short."""
+    if None in points:
+        return False
     product = 1
     for i in range(len(points) - 2):
         x1, y1 = points[i]
@@ -222,12 +199,12 @@ def _general_position_loop(points: Sequence[XY], q: int) -> bool:
 
 @cache
 def _general_position_kernel(n: int) -> Callable[[Sequence[XY], int], bool]:
-    """``in_general_position`` for exactly n points, none None, as one
-    generated function, built as ``dataclasses`` builds ``__init__``.
+    """The test for exactly n points, as one generated function.
 
-    It unpacks the points into locals x0, y0, ..., takes the differences
-    dx_i_j = xj - xi and dy_i_j = yj - yi of every pair i < j whose i can
-    start a triple, and multiplies the triples' determinants
+    It unpacks the points into locals x0, y0, ...; a None among them fails
+    that unpack with TypeError, and the test answers False.  It takes the
+    differences dx_i_j = xj - xi and dy_i_j = yj - yi of every pair i < j
+    whose i can start a triple, and multiplies the triples' determinants
     dx_i_j * dy_i_k - dx_i_k * dy_i_j in one expression, reduced mod q
     after every ``_FACTORS_PER_REDUCTION`` of them: at q = 853 each factor
     is below 2^21 in absolute value, so a partial product, a residue times
@@ -235,7 +212,13 @@ def _general_position_kernel(n: int) -> Callable[[Sequence[XY], int], bool]:
     20 at l = 3, one reduction, and 220 at l = 9 (N = 12, the largest N
     generated), eleven."""
     unpack = ", ".join(f"(x{i}, y{i})" for i in range(n))
-    lines = [f"def general_position_{n}(points, q):", f"    [{unpack}] = points"]
+    lines = [
+        f"def general_position_{n}(points, q):",
+        "    try:",
+        f"        [{unpack}] = points",
+        "    except TypeError:",
+        "        return False",
+    ]
     for i in range(n - 2):
         for j in range(i + 1, n):
             lines.append(f"    dx_{i}_{j} = x{j} - x{i}; dy_{i}_{j} = y{j} - y{i}")
@@ -254,13 +237,13 @@ def _general_position_kernel(n: int) -> Callable[[Sequence[XY], int], bool]:
 
 def _scan(
     vectors: Sequence[Sequence[int]], pivots: tuple[int, ...], n: int, l: int, p: int
-) -> Iterator[tuple[tuple[int, ...], Optional[tuple[int, ...]]]]:
-    """(Z, line) for the l-sets Z, in lexicographic order, on which a nonzero
-    member of the span of ``vectors`` vanishes.  ``vectors`` are the nonzero
-    rows of an RREF, with entries in [0, p), and ``pivots`` their pivot
-    columns.  ``line`` is the coefficient vector, over those rows, of the
-    members vanishing on Z when they form one line (corank 1), scaled so
-    that its first nonzero entry is 1; it is None when they span more.
+) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+    """(Z, combos) for the l-sets Z, in lexicographic order, on which a
+    nonzero member of the span of ``vectors`` vanishes.  ``vectors`` are the
+    nonzero rows of an RREF, with entries in [0, p), and ``pivots`` their
+    pivot columns.  ``combos`` is the RREF basis of the coefficient vectors,
+    over those rows, of the members vanishing on Z (``_vanishing``): at
+    corank 1 the one line, scaled so that its first nonzero entry is 1.
 
     With l rows each Z is one minor of X (see the module docstring).  The
     minors are computed by top row: for t = l-1 down to 0, every minor
@@ -271,7 +254,8 @@ def _scan(
     1.  Row and column masks of equal size correspond one-to-one to the
     l-sets.  A singular Z has corank 1 iff some minor one size smaller inside
     its own is nonzero, all of those lie in its block or an earlier one, and
-    they give its line (see ``_line``).
+    they give its line (see ``_line``); a set of corank 2 or more has its
+    restricted basis reduced when it is yielded.
 
     When the pivots are the first l positions, block t is exactly the
     lexicographic run of sets that contain 0..t-1 and not t, its entries
@@ -286,16 +270,14 @@ def _scan(
     The row table and the face tables take 2^rank and about
     width * 2^(width - 1) entries.  When 2^rank + 2^width outnumber the sets
     (a basis much wider than tall, with few sets), or the span's dimension
-    is not l, the kernel of the restricted matrix of each set is computed
-    instead.
+    is not l, the restricted basis of each set is reduced instead.
     """
-    rank = len(vectors)
-    shape = _shape(l, n - l) if rank == l else None
+    shape = _shape(l, n - l) if len(vectors) == l else None
     if shape is None:
         for zero_set in combinations(range(n), l):
-            kernel = right_kernel_rows([[vec[c] for vec in vectors] for c in zero_set], rank, p)
-            if kernel:
-                yield zero_set, kernel[0] if len(kernel) == 1 else None
+            combos = _vanishing(vectors, zero_set, p)
+            if combos:
+                yield zero_set, combos
         return
     numbers, masks, faces, first = shape
     free = [c for c in range(n) if c not in pivots]
@@ -329,7 +311,7 @@ def _scan(
                 if pivots_first:
                     # Every set of a later entry or block comes after this entry's sets.
                     found.sort()
-                    yield from found
+                    yield from _offers(found, vectors, p)
                     found.clear()
         if found:
             found.sort()
@@ -339,8 +321,22 @@ def _scan(
                 # is the l first positions other than pivots[t - 1].
                 skipped = pivots[t - 1]
                 cut = bisect_left(found, (tuple(c for c in range(l + 1) if c != skipped)[:l],))
-            yield from found[:cut]
+            yield from _offers(found[:cut], vectors, p)
             del found[:cut]
+
+
+def _offers(found: list, vectors: Sequence[Sequence[int]], p: int) -> Iterator:
+    """(Z, combos) for each (Z, line) the minors scan found: the line alone,
+    or, where ``_line`` gave None, the reduction of the restricted basis."""
+    for zero_set, line in found:
+        yield zero_set, (line,) if line is not None else _vanishing(vectors, zero_set, p)
+
+
+def _vanishing(vectors: Sequence[Sequence[int]], zero_set: Sequence[int], p: int) -> tuple[tuple[int, ...], ...]:
+    """The RREF basis of the coefficient vectors, over ``vectors``, of the
+    span members that vanish on ``zero_set``: the right kernel of the basis
+    restricted to those columns; empty when Z is not singular."""
+    return tuple(right_kernel_rows([[vec[c] for vec in vectors] for c in zero_set], len(vectors), p))
 
 
 def _line(

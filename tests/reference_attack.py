@@ -10,7 +10,9 @@ checked against (``test_attack.py`` and ``test_problem_l.py``).
 check ``detect_accident`` makes on the sampled ones.
 ``randrange_multipliers`` is the multiplier draw as the attack first made
 it, one ``randrange(1, p)`` per draw, which ``_distinct_multipliers`` must
-reproduce from ``getrandbits`` (``test_attack.py``).
+reproduce from ``getrandbits``, and ``iteration_stream`` the generator each
+iteration first drew from, seeded afresh, whose stream the run's one
+reseeded generator must give (``test_attack.py``).
 ``flat_singular_zero_sets`` and ``first_accepted`` are the zero-set scan as
 it ran before the minors test, one rank of the restricted basis per l-set:
 ``solve_exhaustive`` must find the same singular sets and return the same
@@ -50,6 +52,11 @@ def randrange_multipliers(rng: random.Random, count: int, p: int) -> list[int]:
         if r not in chosen:
             chosen.append(r)
     return chosen
+
+
+def iteration_stream(seed: int, index: int) -> random.Random:
+    """Iteration index's named substream of a run seeded ``seed``, in a fresh generator."""
+    return random.Random(f"{seed}:{index}")
 
 
 def subset_sum_oracle(

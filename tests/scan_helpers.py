@@ -1,4 +1,4 @@
-"""Test helpers around the zero-set scan: its (zero set, line) stream on any
+"""Test helpers around the zero-set scan: its (zero set, combos) stream on any
 basis, and the RREF check a basis that names its pivots must pass."""
 
 from lvecdlp import problem_l
@@ -7,10 +7,10 @@ from reference_linalg import reference_rref
 
 
 def singular_zero_sets(vectors, n, l, p):
-    """(Z, line) for the l-sets Z, in lexicographic order, on which a nonzero
-    member of the span of ``vectors`` vanishes: ``problem_l._scan`` on the
-    span's RREF basis, over whose rows ``line`` is given (None for a set of
-    corank 2 or more)."""
+    """(Z, combos) for the l-sets Z, in lexicographic order, on which a
+    nonzero member of the span of ``vectors`` vanishes: ``problem_l._scan``
+    on the span's RREF basis, over whose rows ``combos`` is the RREF basis
+    of the members vanishing on Z."""
     kb = KernelBasis(p, n, vectors)
     return problem_l._scan(kb.vectors, kb.pivots, n, l, p)
 

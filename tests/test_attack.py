@@ -22,7 +22,6 @@ from lvecdlp.attack import (
     default_max_iterations,
     detect_accident,
     execute_iteration,
-    iteration_rng,
     planted_trials,
     run_attack,
     sample_iteration,
@@ -32,10 +31,16 @@ from lvecdlp.dlp import solve_bsgs
 from lvecdlp.errors import BudgetExceededError
 from lvecdlp.field import PrimeField
 from lvecdlp.linalg import left_kernel
-from lvecdlp.problem_l import in_general_position, solve_alg2, solve_exhaustive
+from lvecdlp.problem_l import general_position_test, solve_alg2, solve_exhaustive
 from lvecdlp.veronese import basis
 from lvecdlp.verification import LARGE_ORDER, clean_iteration, fixture_large
-from reference_attack import accident_by_points, projective_span, randrange_multipliers, subset_sum_oracle
+from reference_attack import (
+    accident_by_points,
+    iteration_stream,
+    projective_span,
+    randrange_multipliers,
+    subset_sum_oracle,
+)
 from reference_curve import reference_scalar_mul
 from reference_veronese import reference_evaluate_rows
 from scan_helpers import singular_zero_sets
@@ -193,7 +198,7 @@ def test_iteration_goes_once_through_each_traced_boundary(group_p907, monkeypatc
     for index in range(1, 81):
         calls.clear()
         sample = sample_iteration(cfg, index)
-        no_line = in_general_position(sample.points, q)
+        no_line = general_position_test(6)(sample.points, q)
         certified[no_line] += 1
         assert execute_iteration(cfg, index).kernel_dim == 3
         assert calls == ({} if no_line else {"left_kernel": 1, f"solve_{solver}": 1}), index
@@ -296,7 +301,7 @@ def test_general_position_rules_out_accidents_at_n1(group_p19, group_p907, accid
             cfg = AttackConfig(group=group, target=group.scalar_mul(m), seed=m, accident_check=accident_check)
             for index in range(1, 41):
                 sample = sample_iteration(cfg, index)
-                general = in_general_position(sample.points, q)
+                general = general_position_test(6)(sample.points, q)
                 accident = detect_accident(sample)
                 if general:
                     assert accident is None, (group.order, m, index)
@@ -613,7 +618,7 @@ def test_run_attack_records_match_standalone_iterations(group_p19, group_p907):
 def test_run_generator_reseeded_per_index_is_the_index_substream(request, group_name):
     """One run's generator, reseeded for index i, draws the multipliers
     ``sample_iteration(cfg, i)`` gives, and after the draws holds the state
-    that ``iteration_rng(seed, i)`` followed by the two blocks' draws holds:
+    that ``iteration_stream(seed, i)`` followed by the two blocks' draws holds:
     seeds 0, -5 and 2^40, indices 1-50 in order and then in reverse, at
     n' = 1 and 2.  The draws also equal one ``randrange(1, p)`` per value
     from a generator seeded afresh."""
@@ -628,11 +633,11 @@ def test_run_generator_reseeded_per_index_is_the_index_substream(request, group_
                 mult_p, mult_q, points = run.sample(index)
                 sample = sample_iteration(cfg, index)
                 assert (mult_p, mult_q, points) == (sample.multipliers_p, sample.multipliers_q, sample.points)
-                reference = iteration_rng(seed, index)
+                reference = iteration_stream(seed, index)
                 draw = attack_mod._distinct_multipliers(reference, p)
                 assert [draw(count) for count in counts] == [list(mult_p), list(mult_q)]
                 assert run.rng.getstate() == reference.getstate()
-                fresh = iteration_rng(seed, index)
+                fresh = iteration_stream(seed, index)
                 assert [randrange_multipliers(fresh, count, p) for count in counts] == [list(mult_p), list(mult_q)]
 
 
@@ -769,7 +774,7 @@ def test_exhaustive_matches_span_scan_on_attack_kernels(group_p19):
                 agreed_found += 1
             if not collision:
                 pairs = singular_zero_sets(kernel.vectors, kernel.ambient, l, kernel.p)
-                assert all(line for _, line in pairs)
+                assert all(len(combos) == 1 for _, combos in pairs)
                 vector = solve_alg2(kernel.vectors, l, kernel.p)
                 if vector is not None and decode(vector) is not None:
                     assert solution is not None and decode(solution) == decode(vector)

@@ -31,6 +31,12 @@ from lvecdlp.verification import SUITE_NAMES, fixture_small, run_suites
 
 P19 = ["--q", "17", "--a", "2", "--b", "2", "--gx", "5", "--gy", "1", "--order", "19"]
 P907 = ["--q", "853", "--a", "1", "--b", "348", "--gx", "1", "--gy", "297", "--order", "907"]
+# A curve of order 2 * 53, its generator of order 53, and a target of order 2
+# outside the generator's group: every even multiple of -target is the identity.
+TWO_TORSION_TARGET = [
+    "--q", "101", "--a", "2", "--b", "7", "--gx", "73", "--gy", "44", "--order", "53",
+    "--qx", "69", "--qy", "0", "--nprime", "1", "--seed", "1",
+]
 
 
 def run_solve(tmp_path, name, extra):
@@ -541,9 +547,32 @@ def test_output_directory_as_path_rejected(tmp_path, capsys, monkeypatch):
     assert str(tmp_path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "l, digest",
+    [
+        ("3", "d5e3852fe10076356696d82cdc54ca158dfda92610f32567e6c2b683ebc39c3a"),
+        ("10", "b4aec7b58ea661e3cd4facbd3f2b4f6ebccc3cf6c9659298037fce7652b3cb5e"),
+    ],
+)
+def test_solve_with_the_identity_among_the_points_exhausts_its_budget(tmp_path, capsys, l, digest):
+    """At n' = 1 a sample that holds the identity fails the collinearity test,
+    generated (l = 3) or looped (l = 10), and takes the kernel: a target
+    outside the generator's group ends in exit 4, with no traceback, and the
+    manifest holds the records of every iteration, pinned by digest."""
+    manifest = tmp_path / "manifest.json"
+    assert main(["solve", *TWO_TORSION_TARGET, "--l", l, "--manifest", str(manifest)]) == EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert "iteration-budget-exhausted" in err and "Traceback" not in err
+    records = json.loads(manifest.read_text())["records"]
+    assert any(record["kernel_dim"] is not None for record in records)
+    assert hashlib.sha256(manifest.read_bytes()).hexdigest() == digest
+
+
 # Contract fuzz: every argv and config file ends in a documented exit code.
 # Values are either small valid ones (p = 19 group, at most 3 trials, scale
-# at most 0.01) or hostile ones, so each case runs in milliseconds.
+# at most 0.01) or hostile ones, so each case runs in milliseconds.  The
+# drawn groups have prime order with the target inside, so the examples add
+# a target outside the generator's group.
 HOSTILE = ("0", "-1", "-7", "x", "1.5", "inf", "-inf", "nan", "")
 GROUP_FLAGS = {"--q": ("17",), "--a": ("2",), "--b": ("2",), "--gx": ("5",), "--gy": ("1",), "--order": ("19",)}
 TARGET_FLAGS = {"--qx": ("0",), "--qy": ("6",)}
@@ -598,6 +627,8 @@ def fuzz_cases(draw):
 @given(case=fuzz_cases())
 @example(case=(["verify", "--suite", "theorem1", "--scale", "inf"], None))
 @example(case=(["experiment", *P19, "--trials", "2"], ["trials = nan", "m = inf"]))
+@example(case=(["solve", *TWO_TORSION_TARGET, "--l", "3"], None))
+@example(case=(["solve", *TWO_TORSION_TARGET, "--l", "10"], None))
 def test_cli_contract_fuzz(tmp_path, capsys, case):
     argv, config = case
     out = Path(tempfile.mkdtemp(dir=tmp_path))

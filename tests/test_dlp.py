@@ -44,9 +44,10 @@ def test_solvers_agree(group_p19, group_p907):
             assert solve_bsgs(group, target) == solve_exhaustive_dlp(group, target) == m
 
 
-def test_budget_guards(group_p907):
+def test_budget_guards(group_p907, monkeypatch):
+    monkeypatch.setattr(dlp, "BSGS_ORDER_LIMIT", 100)
     with pytest.raises(BudgetExceededError):
-        solve_bsgs(group_p907, group_p907.generator, max_order=100)
+        solve_bsgs(group_p907, group_p907.generator)
     with pytest.raises(BudgetExceededError):
         solve_exhaustive_dlp(group_p907, group_p907.generator, max_order=100)
 
@@ -157,11 +158,13 @@ def test_kept_tables_agree_with_the_reference_across_interleaved_groups(group_p1
         assert solve_bsgs(group, None) == 0
 
 
-def test_checks_run_before_the_table_is_built_and_the_table_goes_with_its_group(group_p19):
+def test_checks_run_before_the_table_is_built_and_the_table_goes_with_its_group(group_p19, monkeypatch):
     group = GroupSpec(group_p19.curve, group_p19.scalar_mul(2), group_p19.order)
     twin = GroupSpec(group.curve, group.generator, group.order)
-    with pytest.raises(BudgetExceededError):
-        solve_bsgs(group, group_p19.generator, max_order=18)
+    with monkeypatch.context() as patched:
+        patched.setattr(dlp, "BSGS_ORDER_LIMIT", 18)
+        with pytest.raises(BudgetExceededError):
+            solve_bsgs(group, group_p19.generator)
     with pytest.raises(ValueError):
         solve_bsgs(group, (2, 3))
     assert twin not in dlp._BABY_STEPS

@@ -415,10 +415,10 @@ def test_right_kernel_matches_reference_on_attack_matrices(group_p907, monkeypat
         assert (list(kernel.vectors), kernel.pivots) == reference_left_kernel(cfg.monomials, sample.points, q)
         lines = set()
         planes = 0
-        for zero_set, line in singular_zero_sets(kernel.vectors, kernel.ambient, cfg.l, q):
-            planes += line is None
-            if line is None or line not in lines:
-                lines.add(line)
+        for zero_set, combos in singular_zero_sets(kernel.vectors, kernel.ambient, cfg.l, q):
+            planes += len(combos) >= 2
+            if len(combos) >= 2 or combos[0] not in lines:
+                lines.add(combos[0])
                 restricted = [[vec[c] for vec in kernel.vectors] for c in zero_set]
                 assert right_kernel_rows(restricted, kernel.dim, q) == reference_right_kernel_rows(
                     restricted, kernel.dim, q

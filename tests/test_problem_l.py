@@ -134,24 +134,21 @@ def corank(kb, zero_set):
     return kb.dim - fraction_free_rank([[vec[c] for vec in kb.vectors] for c in zero_set], kb.p)
 
 
-def reference_line(kb, zero_set):
-    """The members of the span vanishing on ``zero_set`` as a line: the
-    reference reduction of the RREF basis restricted to the set, when it has
-    one kernel vector; else None."""
-    kernel = reference_right_kernel_rows([[vec[c] for vec in kb.vectors] for c in zero_set], kb.dim, kb.p)
-    return tuple(kernel[0]) if len(kernel) == 1 else None
+def reference_combos(kb, zero_set):
+    """The combinations of the RREF basis that vanish on ``zero_set``: the
+    reference reduction of the basis restricted to the set."""
+    restricted = [[vec[c] for vec in kb.vectors] for c in zero_set]
+    return tuple(map(tuple, reference_right_kernel_rows(restricted, kb.dim, kb.p)))
 
 
 def scanned_pairs(kb, l):
-    """The (zero set, line) pairs the minors scan yields, after checking each
-    line: on a corank-1 set the member a reduction through the reference
-    kernel gives, on a set of corank 2 or more None."""
+    """The (zero set, combos) pairs the scan yields, after checking each
+    set's combos: the reference reduction of the restricted basis, one line
+    on a corank-1 set and as many vectors as the corank on any other."""
     found = list(singular_zero_sets(kb.vectors, kb.ambient, l, kb.p))
-    for zero_set, line in found:
-        rank_lost = corank(kb, zero_set)
-        assert rank_lost >= 1, zero_set
-        assert line == reference_line(kb, zero_set), zero_set
-        assert (line is None) == (rank_lost >= 2), zero_set
+    for zero_set, combos in found:
+        assert combos == reference_combos(kb, zero_set), zero_set
+        assert len(combos) == corank(kb, zero_set) >= 1, zero_set
     return found
 
 
@@ -172,7 +169,7 @@ def assert_scan_covers_alg2(kb, l, decode, found):
     offers each set's one line, and whenever alg2's vector decodes the scan
     under the decode filter decodes to the same m.  Returns whether alg2's
     vector decoded."""
-    assert all(line is not None for _, line in found)
+    assert all(len(combos) == 1 for _, combos in found)
     vector = solve_alg2(kb.vectors, l, kb.p)
     m = None if vector is None else decode(vector)
     if m is not None:
@@ -257,7 +254,7 @@ def test_minors_scan_matches_flat_scan_on_planted_and_other_bases():
 
 
 def test_mds_test_matches_the_rank_of_every_maximal_square():
-    """``in_general_position`` says True exactly when every maximal square of
+    """``general_position_test`` says True exactly when every maximal square of
     the points' (x, y, 1) rows, every 3 x 3 one, has full rank by the
     reference elimination: random point sets over F_5 and F_7, where lines
     through three points are common, of 3 to 8 points, some with a point
@@ -279,9 +276,9 @@ def test_mds_test_matches_the_rank_of_every_maximal_square():
                 points[c] = tuple((u + t * (v - u)) % p for u, v in zip(points[a], points[b]))
             rows = [[x, y, 1] for x, y in points]
             expected = all(fraction_free_rank(list(square), p) == 3 for square in combinations(rows, 3))
-            assert problem_l.in_general_position(points, p) == expected, (points, p)
+            assert problem_l.general_position_test(n)(points, p) == expected, (points, p)
             sides[expected] += 1
-    assert not problem_l.in_general_position([(0, 1), (1, 0), (1, 1), None], 7)
+    assert not problem_l.general_position_test(4)([(0, 1), (1, 0), (1, 1), None], 7)
     assert sides == {True: 38, False: 202}
 
 
@@ -291,10 +288,10 @@ def test_generated_collinearity_kernel_matches_the_loop_and_every_square(monkeyp
     points, the loop and the reference rank of every 3 x 3 square of the
     (x, y, 1) rows give one answer, on random points over F_5, F_7 and
     F_853, some with a point repeated and some with a third point planted on
-    the line of two others.  ``in_general_position`` gives it too, and the
+    the line of two others.  ``general_position_test`` gives it too, and the
     monkeypatches show which path it takes: the kernel, generated once, up
     to the bound, and the loop above it, without calling the generator.  A
-    point that is None answers False before either runs."""
+    sample that holds None, at any position, answers False on both paths."""
     kernel = problem_l._general_position_kernel(n)
     assert problem_l._general_position_kernel(n) is kernel
     loop = problem_l._general_position_loop
@@ -321,14 +318,14 @@ def test_generated_collinearity_kernel_matches_the_loop_and_every_square(monkeyp
             rows = [[x, y, 1] for x, y in points]
             expected = all(fraction_free_rank(list(square), p) == 3 for square in combinations(rows, 3))
             assert kernel(points, p) == loop(points, p) == expected, (points, p)
-            assert problem_l.in_general_position(points, p) == expected, (points, p)
+            assert problem_l.general_position_test(n)(points, p) == expected, (points, p)
             sides[plant, expected] += 1
     assert not sides["repeat", True] and not sides["line", True]
     assert sides[None, True] and sides[None, False]
-    monkeypatch.setattr(problem_l, "_general_position_loop", refuse)
-    monkeypatch.setattr(problem_l, "_general_position_kernel", refuse)
-    points[rng.randrange(n)] = None
-    assert not problem_l.in_general_position(points, 853)
+    test = problem_l.general_position_test(n)
+    for i in range(n):
+        held = [*points[:i], None, *points[i + 1:]]
+        assert not test(held, 853) and not kernel(held, 853) and not loop(held, 853), i
 
 
 @pytest.mark.parametrize(
@@ -355,7 +352,7 @@ def test_mds_test_holds_exactly_when_the_scan_finds_no_set(request, group_name, 
     for sample in attack_samples(group, 1, count, seed=11, l=l):
         kb = left_kernel(monomials, sample.points, q)
         no_set = next(problem_l._scan(kb.vectors, kb.pivots, kb.ambient, l, q), None) is None
-        certified = problem_l.in_general_position(sample.points, q)
+        certified = problem_l.general_position_test(3 + l)(sample.points, q)
         assert certified == no_set, sample.index
         assert kb.dim == l or not certified
         seen[certified, detect_accident(sample) is not None] += 1
@@ -418,9 +415,9 @@ def test_minors_scan_yields_before_computing_later_blocks(monkeypatch, rows, fir
 
     monkeypatch.setattr("lvecdlp.problem_l._blocks", recorded)
     kb = KernelBasis(907, 8, rows)
-    line = reference_line(kb, first)
-    assert next(flat_singular_zero_sets(kb, 4)) == first and line is not None
-    assert next(singular_zero_sets(kb.vectors, 8, 4, 907)) == (first, line)
+    combos = reference_combos(kb, first)
+    assert next(flat_singular_zero_sets(kb, 4)) == first and len(combos) == 1
+    assert next(singular_zero_sets(kb.vectors, 8, 4, 907)) == (first, combos)
     assert blocks_computed == [3]
 
 
@@ -462,9 +459,9 @@ def test_minors_scan_yields_before_computing_later_entries(monkeypatch, rows, fi
 
     monkeypatch.setattr("lvecdlp.problem_l._blocks", recorded_schedule)
     kb = KernelBasis(907, 8, rows)
-    line = reference_line(kb, first)
-    assert next(flat_singular_zero_sets(kb, 4)) == first and line is not None
-    assert next(singular_zero_sets(kb.vectors, 8, 4, 907)) == (first, line)
+    combos = reference_combos(kb, first)
+    assert next(flat_singular_zero_sets(kb, 4)) == first and len(combos) == 1
+    assert next(singular_zero_sets(kb.vectors, 8, 4, 907)) == (first, combos)
     assert recorded == computed
 
 
@@ -574,7 +571,8 @@ def test_rejected_line_is_not_reduced_again(monkeypatch, group_p907):
     distinct line is offered to the filter once."""
     _, kb = collision_kernels(group_p907, 1, seed=17)[0]
     singular = list(flat_singular_zero_sets(kb, 6))
-    lines = {line for _, line in scanned_pairs(kb, 6)}
+    offered_combos = [combos for _, combos in scanned_pairs(kb, 6)]
+    lines = {line for combos in offered_combos for line in combos}
     calls = []
     offers = []
 
@@ -588,7 +586,7 @@ def test_rejected_line_is_not_reduced_again(monkeypatch, group_p907):
 
     monkeypatch.setattr("lvecdlp.problem_l.right_kernel_rows", counted)
     assert solve_exhaustive(kb, 6, accept=reject) is None
-    assert len(singular) > 100 and None not in lines
+    assert len(singular) > 100 and all(len(combos) == 1 for combos in offered_combos)
     assert calls == []
     assert len(offers) == len(set(offers)) == len(lines) < 5
 
@@ -600,10 +598,10 @@ def test_rejected_line_is_not_reduced_again(monkeypatch, group_p907):
 def test_scan_lines_match_reference_reduction(request, monkeypatch, group_name, n_prime, count, collisions):
     """Real kernels, clean and with a cross-block collision (p = 907 at n' = 1, 2
     and 3, and q = 17 at n' = 2, whose collision kernels have solution planes):
-    every corank-1 set yields the member a reduction of the restricted RREF
-    basis through the reference kernel gives, and every set of corank 2 or
-    more yields None.  On a collision kernel ``solve_exhaustive`` reduces a
-    restricted matrix for exactly the sets of corank 2 or more."""
+    every singular set yields the combinations a reduction of the restricted
+    RREF basis through the reference kernel gives, one line at corank 1.  On
+    a collision kernel ``solve_exhaustive`` reduces a restricted matrix for
+    exactly the sets of corank 2 or more, each once."""
     group = request.getfixturevalue(group_name)
     q, l = group.curve.q, 3 * n_prime
     cfg = AttackConfig(group=group, target=group.scalar_mul(5), n_prime=n_prime, seed=14, accident_check=False)
@@ -623,13 +621,45 @@ def test_scan_lines_match_reference_reduction(request, monkeypatch, group_name, 
     lines = planes = 0
     for kb in kernels:
         found = scanned_pairs(kb, l)
-        lines += sum(line is not None for _, line in found)
-        planes += sum(line is None for _, line in found)
+        lines += sum(len(combos) == 1 for _, combos in found)
+        planes += sum(len(combos) >= 2 for _, combos in found)
         reduced.clear()
         assert solve_exhaustive(kb, l, accept=lambda vec: False) is None
-        assert reduced == [[[vec[c] for vec in kb.vectors] for c in zero_set] for zero_set, line in found if line is None]
+        assert reduced == [[[vec[c] for vec in kb.vectors] for c in zero_set] for zero_set, combos in found if len(combos) >= 2]
     assert lines > 0
     assert (planes > 0) == (group_name == "group_p19")
+
+
+def test_per_set_scan_reduces_each_restricted_basis_once(monkeypatch, group_p19):
+    """Where the scan reduces the restricted basis of every l-set (a span of
+    dimension 3 at l = 2 over F_2, and order-19 kernels at n' = 1, l = 7,
+    whose 2^7 + 2^3 tables outnumber the C(10, 7) sets), that one reduction
+    is what it yields: ``solve_exhaustive`` under a filter that rejects all
+    reduces each set's restricted matrix exactly once, in order, sets of
+    corank 2 or more included."""
+    rng = random.Random(12)
+    kernels = [(random_basis(rng, 2, 3, 6), 2) for _ in range(5)]
+    monomials = curve_monomials(1)
+    for sample in attack_samples(group_p19, 1, 20, seed=3, l=7):
+        kb = left_kernel(monomials, sample.points, group_p19.curve.q)
+        assert kb.dim == 7 and problem_l._shape(7, 3) is None
+        kernels.append((kb, 7))
+    reduced = []
+
+    def counted(rows, ncols, p):
+        reduced.append(rows)
+        return right_kernel_rows(rows, ncols, p)
+
+    planes = 0
+    for kb, l in kernels:
+        every_set = [[[vec[c] for vec in kb.vectors] for c in zero_set] for zero_set in combinations(range(kb.ambient), l)]
+        planes += sum(len(combos) >= 2 for _, combos in scanned_pairs(kb, l))
+        with monkeypatch.context() as patched:
+            patched.setattr(problem_l, "right_kernel_rows", counted)
+            reduced.clear()
+            assert solve_exhaustive(kb, l, accept=lambda vec: False) is None
+        assert reduced == every_set
+    assert planes > 0
 
 
 def test_minors_scan_ranks_no_zero_set(monkeypatch, group_p907):
