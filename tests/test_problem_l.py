@@ -625,7 +625,8 @@ def test_scan_lines_match_reference_reduction(request, monkeypatch, group_name, 
         planes += sum(len(combos) >= 2 for _, combos in found)
         reduced.clear()
         assert solve_exhaustive(kb, l, accept=lambda vec: False) is None
-        assert reduced == [[[vec[c] for vec in kb.vectors] for c in zero_set] for zero_set, combos in found if len(combos) >= 2]
+        planar = [zero_set for zero_set, combos in found if len(combos) >= 2]
+        assert reduced == [[[vec[c] for vec in kb.vectors] for c in zero_set] for zero_set in planar]
     assert lines > 0
     assert (planes > 0) == (group_name == "group_p19")
 
@@ -652,7 +653,9 @@ def test_per_set_scan_reduces_each_restricted_basis_once(monkeypatch, group_p19)
 
     planes = 0
     for kb, l in kernels:
-        every_set = [[[vec[c] for vec in kb.vectors] for c in zero_set] for zero_set in combinations(range(kb.ambient), l)]
+        every_set = [
+            [[vec[c] for vec in kb.vectors] for c in zero_set] for zero_set in combinations(range(kb.ambient), l)
+        ]
         planes += sum(len(combos) >= 2 for _, combos in scanned_pairs(kb, l))
         with monkeypatch.context() as patched:
             patched.setattr(problem_l, "right_kernel_rows", counted)
